@@ -11,40 +11,10 @@ deviation oracles, and drives seeded Monte-Carlo sweeps from the
 """
 
 from .baselines import IterationReport, solve_best_channel, solve_nash
-from .dense import CarrierCandidates, follower_best_response, respond_all, solve_dense
-from .efficiency import (
-    EfficiencyModel,
-    ExistenceReport,
-    NoRootError,
-    check_existence,
-    optimal_sinr,
-    optimal_sinr_with_feedback,
-)
-from .harness import (
-    ScenarioConfig,
-    SummaryRow,
-    SweepRecord,
-    carrier_trend,
-    paired_gap,
-    run_sweep,
-    summarize,
-    write_records,
-)
-from .model import (
-    CarrierRank,
-    EquilibriumResult,
-    NetworkInstance,
-    all_utilities,
-    empty_allocation,
-    follower_sinr,
-    leader_sinr_dense,
-    leader_sinr_sparse,
-    make_result,
-    rank_carriers,
-    sample_instance,
-    sinr_row,
-    utility,
-)
+from .dense import solve_dense
+from .efficiency import EfficiencyModel, NoRootError, optimal_sinr
+from .harness import ScenarioConfig, run_sweep, summarize, write_records
+from .model import EquilibriumResult, NetworkInstance, sample_instance, utility
 from .oracle import (
     DeviationReport,
     brute_force_stackelberg,
@@ -57,36 +27,17 @@ from .sparse import solve_sparse
 __version__ = "0.1.0"
 
 __all__ = [
-    "CarrierCandidates",
-    "CarrierRank",
     "DeviationReport",
     "EfficiencyModel",
     "EquilibriumResult",
-    "ExistenceReport",
     "IterationReport",
     "NetworkInstance",
     "NoRootError",
     "ScenarioConfig",
-    "SummaryRow",
-    "SweepRecord",
-    "all_utilities",
     "brute_force_stackelberg",
-    "carrier_trend",
-    "check_existence",
-    "empty_allocation",
-    "follower_best_response",
-    "follower_sinr",
-    "leader_sinr_dense",
-    "leader_sinr_sparse",
-    "make_result",
     "optimal_sinr",
-    "optimal_sinr_with_feedback",
-    "paired_gap",
-    "rank_carriers",
-    "respond_all",
     "run_sweep",
     "sample_instance",
-    "sinr_row",
     "solve_best_channel",
     "solve_dense",
     "solve_nash",

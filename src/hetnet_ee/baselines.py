@@ -28,7 +28,9 @@ from .model import (
     EquilibriumResult,
     NetworkInstance,
     empty_allocation,
+    leader_interference,
     make_result,
+    respond,
 )
 
 __all__ = ["IterationReport", "solve_nash", "solve_best_channel"]
@@ -41,12 +43,6 @@ class IterationReport:
     converged: bool
     iterations: int
     final_change: float
-
-
-def _leader_interference(instance: NetworkInstance, alloc: np.ndarray, regime: str):
-    if regime == "dense" and instance.followers:
-        return np.einsum("fk,fk->k", instance.hf, alloc[1:])
-    return np.zeros(instance.carriers)
 
 
 def solve_nash(
@@ -72,15 +68,15 @@ def solve_nash(
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
         previous = alloc.copy()
-        interference = _leader_interference(instance, alloc, regime)
+        interference = (
+            leader_interference(instance, alloc[1:])
+            if regime == "dense"
+            else np.zeros(instance.carriers)
+        )
         k = int(np.argmax(instance.g0 / (instance.sigma2 + interference)))
         alloc[0] = 0.0
         alloc[0, k] = gamma * (instance.sigma2 + interference[k]) / instance.g0[k]
-        for f in range(instance.followers):
-            denom = instance.sigma2 + instance.h0 * alloc[0]
-            k = int(np.argmax(instance.gf[f] / denom))
-            alloc[f + 1] = 0.0
-            alloc[f + 1, k] = gamma * denom[k] / instance.gf[f, k]
+        alloc[1:] = respond(instance, alloc[0], gamma)[0]
         if not np.all(np.isfinite(alloc)):
             alloc = previous
             break
@@ -122,7 +118,11 @@ def solve_best_channel(
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
         previous = alloc.copy()
-        interference = _leader_interference(instance, alloc, regime)
+        interference = (
+            leader_interference(instance, alloc[1:])
+            if regime == "dense"
+            else np.zeros(instance.carriers)
+        )
         k0 = pins[0]
         alloc[0, k0] = gamma * (instance.sigma2 + interference[k0]) / instance.g0[k0]
         for f in range(instance.followers):

@@ -30,11 +30,11 @@ from .harness import (
     run_scheme,
     run_sweep,
     summarize,
+    verify_scheme,
     write_records,
     write_summary,
 )
 from .model import sample_instance
-from .oracle import verify_follower, verify_leader_stackelberg, verify_nash
 
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
@@ -126,6 +126,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for r in records:
         key = (r.scheme, r.regime, r.snr_db, r.carriers, r.followers, r.trial, r.seed)
         trials.setdefault(key, None)
+    model = EfficiencyModel(m=args.m_exponent)
+    rates = parse_rates(args.rates) if args.rates else 1.0
     failures = 0
     checked = 0
     skipped = 0
@@ -133,8 +135,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if scheme == "best_channel":
             skipped += 1
             continue
-        model = EfficiencyModel(m=args.m_exponent)
-        rates = parse_rates(args.rates) if args.rates else 1.0
         instance = sample_instance(
             carriers,
             followers,
@@ -145,23 +145,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             seed=seed,
         )
         result, _ = run_scheme(scheme, instance, model, regime)
-        if scheme == "stackelberg":
-            reports = [
-                verify_leader_stackelberg(
-                    instance, model, result.allocation, regime,
-                    grid_size=args.grid_size, tol=args.tolerance,
-                )
-            ]
-            reports += [
-                verify_follower(instance, model, f, result.allocation,
-                                grid_size=args.grid_size)
-                for f in range(followers)
-            ]
-        else:
-            reports = verify_nash(
-                instance, model, result.allocation, regime,
-                grid_size=args.grid_size, tol=args.tolerance,
-            )
+        reports = verify_scheme(
+            scheme, instance, model, result.allocation, regime,
+            grid_size=args.grid_size, tol=args.tolerance,
+        )
         for rep in reports:
             checked += 1
             status = "PASS" if rep.passed else "FAIL"
@@ -203,7 +190,11 @@ def main(argv=None) -> int:
     p_verify.add_argument("--mean-cross", type=float, dest="mean_cross", default=0.5)
     p_verify.add_argument("--rates", default=None)
     p_verify.add_argument("--grid-size", type=int, dest="grid_size", default=300)
-    p_verify.add_argument("--tolerance", type=float, default=1e-3)
+    p_verify.add_argument(
+        "--tolerance", type=float, default=1e-3,
+        help="relative-gain tolerance of the leader and nash checks; stackelberg "
+             "follower checks always use 1e-6",
+    )
     p_verify.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)

@@ -2,8 +2,7 @@
 
 The follower side is simple: given the leader's powers, each follower
 transmits on its interference-adjusted best carrier at the power that puts
-its SINR exactly at the optimal operating point
-(:func:`follower_best_response`).
+its SINR exactly at the optimal operating point (:func:`model.respond`).
 
 The leader side anticipates those reactions.  For each carrier the solver
 enumerates every candidate occupancy it could induce there:
@@ -21,83 +20,35 @@ enumerates every candidate occupancy it could induce there:
   at its interference-free optimum or, if that would not repel the top
   nominee, just at the nominee's indifference boundary.
 
-The best candidate across carriers fixes the leader's action, and follower
-rows follow from their best responses.  At a boundary candidate the pushed
-nominee is exactly indifferent between carriers; its assigned row and its
-best-response row then tie in utility, and the solver keeps it off the
-leader's carrier.
+The best candidate across carriers fixes the leader's action.  Follower
+rows are then assigned from the winning occupancy: kept nominees share the
+winning carrier, pushed nominees move to their second-best carrier, and
+everyone else stays on their own best.  That is each follower's best
+response, except at a boundary candidate: there the pushed nominee is
+exactly indifferent between carriers, its assigned row and its
+:func:`model.respond` row tie in utility, and the solver keeps it off the
+leader's carrier.  Only the degenerate fallback (no usable candidate on
+any carrier) calls :func:`model.respond` directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .efficiency import (
-    EfficiencyModel,
-    check_existence,
-    optimal_sinr,
-    optimal_sinr_with_feedback,
-)
+from .efficiency import EfficiencyModel, optimal_sinr, optimal_sinr_with_feedback
 from .model import (
     EquilibriumResult,
     NetworkInstance,
     empty_allocation,
     make_result,
     rank_carriers,
+    respond,
 )
 
-__all__ = [
-    "CarrierCandidates",
-    "follower_best_response",
-    "respond_all",
-    "solve_dense",
-]
-
-
-def follower_best_response(
-    instance: NetworkInstance,
-    model: EfficiencyModel,
-    f: int,
-    leader_powers,
-    *,
-    sinr_target: Optional[float] = None,
-) -> np.ndarray:
-    """Follower ``f``'s single-carrier best response to the leader's powers.
-
-    Picks the carrier maximizing ``gf / (sigma2 + h0 * p0)`` (ties to the
-    lowest index) and transmits exactly enough to hit the optimal SINR
-    there.  Returns a length-K power row.
-    """
-    p0 = np.asarray(leader_powers, dtype=float)
-    if p0.shape != (instance.carriers,) or np.any(p0 < 0.0):
-        raise ValueError("leader powers must be a nonnegative length-K vector")
-    gamma = optimal_sinr(model) if sinr_target is None else sinr_target
-    denom = instance.sigma2 + instance.h0 * p0
-    k = int(np.argmax(instance.gf[f] / denom))
-    row = np.zeros(instance.carriers)
-    row[k] = gamma * denom[k] / instance.gf[f, k]
-    return row
-
-
-def respond_all(
-    instance: NetworkInstance,
-    model: EfficiencyModel,
-    leader_powers,
-    *,
-    sinr_target: Optional[float] = None,
-) -> np.ndarray:
-    """Stack of all followers' best responses, shape (F, K)."""
-    gamma = optimal_sinr(model) if sinr_target is None else sinr_target
-    return np.array(
-        [
-            follower_best_response(instance, model, f, leader_powers, sinr_target=gamma)
-            for f in range(instance.followers)
-        ]
-    ).reshape(instance.followers, instance.carriers)
+__all__ = ["CarrierCandidates", "solve_dense"]
 
 
 @dataclass(frozen=True)
@@ -271,12 +222,10 @@ def solve_dense(
     """Hierarchical equilibrium of the dense-regime game.
 
     Diagnostics carry the full candidate table, the winning carrier and
-    occupancy, which boundary cap (if any) produced the winning power, and
-    the existence-condition report.
+    occupancy, and which boundary cap (if any) produced the winning power.
     """
     if instance.carriers < 2:
         raise ValueError("the dense equilibrium needs at least two carriers")
-    existence = check_existence(model, instance)
     gamma = optimal_sinr(model, tol)
     ranks = [rank_carriers(instance, f + 1) for f in range(instance.followers)]
 
@@ -318,7 +267,6 @@ def solve_dense(
     diagnostics = {
         "solver": "dense_candidate_search",
         "sinr_target": gamma,
-        "existence": existence,
         "candidate_table": table,
         "stay_test_violations": tuple(violations),
     }
@@ -330,7 +278,7 @@ def solve_dense(
         # own-gain carrier and let followers respond
         b0 = rank_carriers(instance, 0).best
         alloc[0, b0] = gamma * instance.sigma2 / instance.g0[b0]
-        alloc[1:] = respond_all(instance, model, alloc[0], sinr_target=gamma)
+        alloc[1:] = respond(instance, alloc[0], gamma)[0]
         diagnostics.update(
             {"winner_carrier": b0, "winner_slots": None, "degenerate_fallback": True}
         )

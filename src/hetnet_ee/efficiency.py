@@ -23,11 +23,9 @@ import numpy as np
 
 __all__ = [
     "EfficiencyModel",
-    "ExistenceReport",
     "NoRootError",
     "optimal_sinr",
     "optimal_sinr_with_feedback",
-    "check_existence",
 ]
 
 # bracketing scan for the root equations (geometric grid, see optimal_sinr)
@@ -47,8 +45,8 @@ class EfficiencyModel:
 
     ``m`` is the packet-length exponent.  It must be an integer >= 2 so
     that the success curve is flat at zero SINR; that makes zero power the
-    exact limit of the throughput-per-watt utility and guarantees the
-    existence condition checked by :func:`check_existence`.
+    exact limit of the throughput-per-watt utility and guarantees that the
+    dense-regime equilibrium exists whatever the interference coupling.
     """
 
     m: int = 2
@@ -146,36 +144,3 @@ def optimal_sinr(model: EfficiencyModel, tol: float = 1e-12) -> float:
     Also the maximizer of ``f(x)/x``, which is how tests cross-check it.
     """
     return optimal_sinr_with_feedback(model, 0.0, tol)
-
-
-@dataclass(frozen=True)
-class ExistenceReport:
-    """Outcome of the equilibrium existence precondition.
-
-    ``branch`` records which sufficient condition applied: a success curve
-    flat at the origin (always true for m >= 2), or the curvature bound on
-    ``f''(0+)/f'(0+)`` against the network coupling.  ``coupling`` is the
-    bound's right-hand side, ``2*gamma*max_k[(h0/g0) * sum_f hf/gf]``,
-    reported for diagnostics either way.
-    """
-
-    passed: bool
-    branch: str
-    coupling: float
-
-
-def check_existence(model: EfficiencyModel, instance) -> ExistenceReport:
-    """Check the interference-coupling precondition for the dense solver.
-
-    For the ``(1 - exp(-x))**m`` family with m >= 2 the first branch
-    always passes, since the success rate has zero slope at the origin.
-    """
-    gamma = optimal_sinr(model)
-    if instance.followers == 0:
-        coupling = 0.0
-    else:
-        per_carrier = (instance.h0 / instance.g0) * (instance.hf / instance.gf).sum(axis=0)
-        coupling = 2.0 * gamma * float(per_carrier.max())
-    # m >= 2 is enforced at construction, so f'(0+) = 0 and the flat-origin
-    # branch always applies.
-    return ExistenceReport(passed=True, branch="zero_initial_slope", coupling=coupling)

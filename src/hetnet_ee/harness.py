@@ -29,7 +29,7 @@ from .baselines import solve_best_channel, solve_nash
 from .dense import solve_dense
 from .efficiency import EfficiencyModel
 from .model import REGIMES, sample_instance
-from .oracle import verify_follower, verify_leader_stackelberg, verify_nash
+from .oracle import DeviationReport, verify_follower, verify_leader_stackelberg, verify_nash
 from .sparse import solve_sparse
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "TrendStep",
     "PairedGap",
     "run_sweep",
+    "verify_scheme",
     "write_records",
     "read_records",
     "summarize",
@@ -170,21 +171,30 @@ def run_scheme(scheme: str, instance, model, regime: str):
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _verification_verdicts(scheme, instance, model, result, regime, grid) -> dict:
-    """Per-player pass/fail strings for the schemes that claim equilibria."""
-    verdicts: dict = {}
+def verify_scheme(
+    scheme: str, instance, model, allocation, regime: str, grid_size: int = 300,
+    tol: float = 1e-3,
+) -> list[DeviationReport]:
+    """Oracle reports for one scheme's output, one per checked player.
+
+    ``tol`` applies to the leader check of ``stackelberg`` and to every
+    ``nash`` check; ``stackelberg`` follower checks keep the follower
+    oracle's own 1e-6.  The best-channel heuristic claims no equilibrium,
+    so it gets no reports.
+    """
     if scheme == "stackelberg":
-        leader = verify_leader_stackelberg(
-            instance, model, result.allocation, regime, grid_size=grid
-        )
-        verdicts[0] = "pass" if leader.passed else "fail"
-        for f in range(instance.followers):
-            rep = verify_follower(instance, model, f, result.allocation, grid_size=grid)
-            verdicts[f + 1] = "pass" if rep.passed else "fail"
-    elif scheme == "nash":
-        for rep in verify_nash(instance, model, result.allocation, regime, grid_size=grid):
-            verdicts[rep.player] = "pass" if rep.passed else "fail"
-    return verdicts
+        reports = [
+            verify_leader_stackelberg(
+                instance, model, allocation, regime, grid_size=grid_size, tol=tol
+            )
+        ]
+        return reports + [
+            verify_follower(instance, model, f, allocation, grid_size=grid_size)
+            for f in range(instance.followers)
+        ]
+    if scheme == "nash":
+        return verify_nash(instance, model, allocation, regime, grid_size=grid_size, tol=tol)
+    return []
 
 
 def run_sweep(config: ScenarioConfig) -> Iterator[SweepRecord]:
@@ -220,14 +230,15 @@ def run_sweep(config: ScenarioConfig) -> Iterator[SweepRecord]:
                                 math.nan, None, False, "", digest,
                             )
                         continue
-                    verdicts = (
-                        _verification_verdicts(
-                            scheme, instance, model, result, config.regime,
+                    reports = (
+                        verify_scheme(
+                            scheme, instance, model, result.allocation, config.regime,
                             config.verify_grid,
                         )
                         if do_verify
-                        else {}
+                        else []
                     )
+                    verdicts = {r.player: "pass" if r.passed else "fail" for r in reports}
                     for player in range(instance.players):
                         yield SweepRecord(
                             scheme=scheme,

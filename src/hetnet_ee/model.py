@@ -30,9 +30,8 @@ __all__ = [
     "CarrierRank",
     "EquilibriumResult",
     "empty_allocation",
-    "leader_sinr_sparse",
-    "leader_sinr_dense",
-    "follower_sinr",
+    "leader_interference",
+    "respond",
     "sinr_row",
     "utility",
     "all_utilities",
@@ -154,22 +153,28 @@ def empty_allocation(instance: NetworkInstance) -> np.ndarray:
     return np.zeros((instance.players, instance.carriers))
 
 
-def leader_sinr_sparse(instance: NetworkInstance, allocation, k: int) -> float:
-    """Leader SINR on carrier ``k`` ignoring small-cell interference."""
-    return instance.g0[k] * allocation[0, k] / instance.sigma2
+def leader_interference(instance: NetworkInstance, follower_powers) -> np.ndarray:
+    """Cross-tier interference at the macro receiver, ``sum_f hf[f] * p[f]``.
+
+    Maps follower powers ``(..., F, K)`` to per-carrier interference
+    ``(..., K)``; with no followers it is zero.
+    """
+    return np.einsum("fk,...fk->...k", instance.hf, follower_powers)
 
 
-def leader_sinr_dense(instance: NetworkInstance, allocation, k: int) -> float:
-    """Leader SINR on carrier ``k`` with cross-tier interference included."""
-    interference = float(instance.hf[:, k] @ allocation[1:, k]) if instance.followers else 0.0
-    return instance.g0[k] * allocation[0, k] / (instance.sigma2 + interference)
+def respond(instance: NetworkInstance, leader_powers, gamma: float):
+    """Every follower's single-carrier best response to the leader's powers.
 
-
-def follower_sinr(instance: NetworkInstance, allocation, f: int, k: int) -> float:
-    """SINR of follower ``f`` on carrier ``k`` (same in both regimes)."""
-    return instance.gf[f, k] * allocation[f + 1, k] / (
-        instance.sigma2 + instance.h0[k] * allocation[0, k]
-    )
+    Follower ``f`` picks the carrier maximizing ``gf[f] / (sigma2 + h0 * p0)``
+    (ties to the lowest index) and transmits ``gamma`` times that
+    denominator over its gain there, which puts its SINR exactly at the
+    operating point ``gamma``.  Maps leader powers ``(..., K)`` to follower
+    powers ``(..., F, K)`` and chosen carriers ``(..., F)``.
+    """
+    denom = (instance.sigma2 + instance.h0 * np.asarray(leader_powers, dtype=float))[..., None, :]
+    carriers = np.argmax(instance.gf / denom, axis=-1)
+    chosen = np.arange(instance.carriers) == carriers[..., None]
+    return np.where(chosen, gamma * denom / instance.gf, 0.0), carriers
 
 
 def sinr_row(instance: NetworkInstance, allocation, player: int, regime: str) -> np.ndarray:
@@ -177,10 +182,7 @@ def sinr_row(instance: NetworkInstance, allocation, player: int, regime: str) ->
     _check_regime(regime)
     allocation = np.asarray(allocation, dtype=float)
     if player == 0:
-        if regime == "dense" and instance.followers:
-            interference = np.einsum("fk,fk->k", instance.hf, allocation[1:])
-        else:
-            interference = np.zeros(instance.carriers)
+        interference = leader_interference(instance, allocation[1:]) if regime == "dense" else 0.0
         return instance.g0 * allocation[0] / (instance.sigma2 + interference)
     f = player - 1
     return instance.gf[f] * allocation[f + 1] / (instance.sigma2 + instance.h0 * allocation[0])

@@ -3,17 +3,21 @@
 Every check here is independent of the closed-form solvers: utilities are
 recomputed from scratch and alternatives are enumerated on geometric power
 grids spanning eight decades around the natural power scale
-``gamma * sigma2 / max(own gain)``.
+``gamma * sigma2 / max(own gain)``.  Follower reactions come from the
+shared best-response kernel :func:`model.respond`, and every leader search
+scores a matrix of candidate leader actions in one vectorized sweep.
 
 * :func:`verify_follower` fixes everyone else and sweeps one follower over
   carriers x powers, plus its exact closed-form best response.
 * :func:`verify_leader_stackelberg` is bi-level: every candidate leader
-  action is evaluated with all followers re-responding, including a coarse
-  probe of two-carrier power splits to attack the single-carrier claim.
-* :func:`verify_nash` is the unilateral (no re-response) version, one
-  report per player.
-* :func:`brute_force_stackelberg` returns the best grid allocation found,
-  used to generate trusted expected values before the solvers exist.
+  action is evaluated with all followers re-responding, one sweep per
+  carrier, plus one sweep per carrier pair probing two-carrier power
+  splits (every weight x total at once) to attack the single-carrier claim.
+* :func:`verify_nash` is the unilateral version: the leader sweep runs
+  against the followers' fixed interference, one report per player.
+* :func:`brute_force_stackelberg` returns the best single-carrier grid
+  allocation of the bi-level sweep, used to generate trusted expected
+  values before the solvers exist.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import follower_best_response, respond_all
 from .efficiency import EfficiencyModel, optimal_sinr
-from .model import NetworkInstance, utility
+from .model import NetworkInstance, leader_interference, respond, utility
 
 __all__ = [
     "DeviationReport",
@@ -80,46 +83,44 @@ def power_grid(center: float, grid_size: int) -> np.ndarray:
     return np.geomspace(center / span, center * span, grid_size)
 
 
-def _response_interference(
-    instance: NetworkInstance, gamma: float, k: int, powers: np.ndarray
-) -> np.ndarray:
-    """Cross-tier interference on carrier ``k`` when every follower plays
-    its best response to the leader transmitting ``powers`` there."""
-    if instance.followers == 0:
-        return np.zeros_like(powers)
-    n_grid = powers.size
-    ratios = np.broadcast_to(
-        (instance.gf / instance.sigma2)[:, :, None],
-        (instance.followers, instance.carriers, n_grid),
-    ).copy()
-    denom_k = instance.sigma2 + instance.h0[k] * powers
-    ratios[:, k, :] = instance.gf[:, [k]] / denom_k[None, :]
-    choice = np.argmax(ratios, axis=1)
-    joined = choice == k
-    response = gamma * denom_k[None, :] / instance.gf[:, [k]]
-    return (instance.hf[:, [k]] * response * joined).sum(axis=0)
+def _one_carrier(instance: NetworkInstance, k: int, powers: np.ndarray) -> np.ndarray:
+    """Leader actions putting each of ``powers`` on carrier ``k``, (N, K)."""
+    actions = np.zeros((powers.size, instance.carriers))
+    actions[:, k] = powers
+    return actions
 
 
-def _leader_utility_sweep(
-    instance: NetworkInstance,
-    model: EfficiencyModel,
-    gamma: float,
-    regime: str,
-    k: int,
-    powers: np.ndarray,
-    *,
-    reresponse: bool,
-    fixed_interference: float = 0.0,
-) -> np.ndarray:
+def _leader_sweep(instance, model, actions, interference) -> np.ndarray:
+    """Leader utility ``rate * sum_k f(sinr_k) / sum_k p_k`` of each row of
+    an (N, K) matrix of leader actions against the given interference."""
+    sinr = instance.g0 * actions / (instance.sigma2 + interference)
+    return float(instance.rates[0]) * model.value(sinr).sum(axis=-1) / actions.sum(axis=-1)
+
+
+def _bilevel_sweep(instance, model, gamma, regime, actions) -> np.ndarray:
+    """:func:`_leader_sweep` with every follower re-responding to each row."""
     if regime == "dense":
-        if reresponse:
-            interference = _response_interference(instance, gamma, k, powers)
-        else:
-            interference = fixed_interference
+        interference = leader_interference(instance, respond(instance, actions, gamma)[0])
     else:
         interference = 0.0
-    sinr = instance.g0[k] * powers / (instance.sigma2 + interference)
-    return float(instance.rates[0]) * model.value(sinr) / powers
+    return _leader_sweep(instance, model, actions, interference)
+
+
+def _best_carrier_action(instance, grid, score):
+    """Best single-carrier leader action on the power grid, as
+    ``(utility, carrier, power)``; ``score`` maps (N, K) actions to
+    utilities.  Ties go to the lower carrier, then the lower power."""
+    best = (-np.inf, 0, float(grid[0]))
+    for k in range(instance.carriers):
+        utilities = score(_one_carrier(instance, k, grid))
+        i = int(np.argmax(utilities))
+        if utilities[i] > best[0]:
+            best = (float(utilities[i]), k, float(grid[i]))
+    return best
+
+
+def _leader_grid(instance, gamma, grid_size):
+    return power_grid(gamma * instance.sigma2 / float(instance.g0.max()), grid_size)
 
 
 def verify_follower(
@@ -153,14 +154,14 @@ def verify_follower(
     best = float(utilities[best_k, best_i])
     action = {"carrier": int(best_k), "power": float(grid[best_i]), "source": "grid"}
 
-    br_row = follower_best_response(instance, model, f, allocation[0], sinr_target=gamma)
+    responses, carriers = respond(instance, allocation[0], gamma)
     trial = allocation.copy()
-    trial[f + 1] = br_row
+    trial[f + 1] = responses[f]
     br_utility = utility(instance, model, f + 1, trial, "dense")
     if br_utility > best:
-        k = int(np.argmax(br_row))
+        k = int(carriers[f])
         best = br_utility
-        action = {"carrier": k, "power": float(br_row[k]), "source": "closed_form"}
+        action = {"carrier": k, "power": float(responses[f, k]), "source": "closed_form"}
 
     return _report(f + 1, claimed, best, action, tol)
 
@@ -186,65 +187,36 @@ def verify_leader_stackelberg(
     allocation = np.asarray(allocation, dtype=float)
     gamma = optimal_sinr(model)
     claimed = utility(instance, model, 0, allocation, regime)
-    rate = float(instance.rates[0])
 
-    center = gamma * instance.sigma2 / float(instance.g0.max())
-    grid = power_grid(center, grid_size)
-    best = -np.inf
-    action: dict = {}
-    for k in range(instance.carriers):
-        utilities = _leader_utility_sweep(
-            instance, model, gamma, regime, k, grid, reresponse=True
-        )
-        i = int(np.argmax(utilities))
-        if utilities[i] > best:
-            best = float(utilities[i])
-            action = {"carrier": k, "power": float(grid[i]), "source": "grid"}
+    def score(actions):
+        return _bilevel_sweep(instance, model, gamma, regime, actions)
+
+    best, k, p = _best_carrier_action(instance, _leader_grid(instance, gamma, grid_size), score)
+    action: dict = {"carrier": k, "power": p, "source": "grid"}
 
     if probe_splits and instance.carriers >= 2:
-        totals = power_grid(center, max(grid_size // 10, 12))
+        totals = _leader_grid(instance, gamma, max(grid_size // 10, 12))
         weights = np.linspace(0.0, 1.0, SPLIT_WEIGHTS)
+        # rows run over weights, then totals
+        shares = (weights[:, None] * totals).ravel()
+        rests = ((1.0 - weights)[:, None] * totals).ravel()
         for k1 in range(instance.carriers):
             for k2 in range(k1 + 1, instance.carriers):
-                for w in weights:
-                    value, total = _best_split(
-                        instance, model, gamma, regime, k1, k2, float(w), totals, rate
-                    )
-                    if value > best:
-                        best = value
-                        action = {
-                            "carriers": (k1, k2),
-                            "weight": float(w),
-                            "total_power": total,
-                            "source": "split",
-                        }
+                actions = _one_carrier(instance, k1, shares)
+                actions[:, k2] = rests
+                values = score(actions)
+                i = int(np.argmax(values))
+                if values[i] > best:
+                    w, t = divmod(i, totals.size)
+                    best = float(values[i])
+                    action = {
+                        "carriers": (k1, k2),
+                        "weight": float(weights[w]),
+                        "total_power": float(totals[t]),
+                        "source": "split",
+                    }
 
     return _report(0, claimed, best, action, tol)
-
-
-def _best_split(instance, model, gamma, regime, k1, k2, w, totals, rate):
-    p1 = w * totals
-    p2 = (1.0 - w) * totals
-    if instance.followers and regime == "dense":
-        n_grid = totals.size
-        ratios = np.broadcast_to(
-            (instance.gf / instance.sigma2)[:, :, None],
-            (instance.followers, instance.carriers, n_grid),
-        ).copy()
-        den1 = instance.sigma2 + instance.h0[k1] * p1
-        den2 = instance.sigma2 + instance.h0[k2] * p2
-        ratios[:, k1, :] = instance.gf[:, [k1]] / den1[None, :]
-        ratios[:, k2, :] = instance.gf[:, [k2]] / den2[None, :]
-        choice = np.argmax(ratios, axis=1)
-        i1 = (instance.hf[:, [k1]] * gamma * den1[None, :] / instance.gf[:, [k1]] * (choice == k1)).sum(axis=0)
-        i2 = (instance.hf[:, [k2]] * gamma * den2[None, :] / instance.gf[:, [k2]] * (choice == k2)).sum(axis=0)
-    else:
-        i1 = i2 = 0.0
-    sinr1 = instance.g0[k1] * p1 / (instance.sigma2 + i1)
-    sinr2 = instance.g0[k2] * p2 / (instance.sigma2 + i2)
-    values = rate * (model.value(sinr1) + model.value(sinr2)) / totals
-    i = int(np.argmax(values))
-    return float(values[i]), float(totals[i])
 
 
 def verify_nash(
@@ -260,34 +232,26 @@ def verify_nash(
         raise ValueError("grid_size must be at least 100")
     allocation = np.asarray(allocation, dtype=float)
     gamma = optimal_sinr(model)
-    reports = []
 
     claimed = utility(instance, model, 0, allocation, regime)
-    rate = float(instance.rates[0])
-    if regime == "dense" and instance.followers:
-        fixed = np.einsum("fk,fk->k", instance.hf, allocation[1:])
+    if regime == "dense":
+        fixed = leader_interference(instance, allocation[1:])
     else:
         fixed = np.zeros(instance.carriers)
-    center = gamma * instance.sigma2 / float(instance.g0.max())
-    grid = power_grid(center, grid_size)
-    best = -np.inf
-    action: dict = {}
-    for k in range(instance.carriers):
-        sinr = instance.g0[k] * grid / (instance.sigma2 + fixed[k])
-        utilities = rate * model.value(sinr) / grid
-        i = int(np.argmax(utilities))
-        if utilities[i] > best:
-            best = float(utilities[i])
-            action = {"carrier": k, "power": float(grid[i]), "source": "grid"}
+
+    def score(actions):
+        return _leader_sweep(instance, model, actions, fixed)
+
+    best, k, p = _best_carrier_action(instance, _leader_grid(instance, gamma, grid_size), score)
+    action: dict = {"carrier": k, "power": p, "source": "grid"}
     # the gamma-targeting closed form on the best adjusted carrier
     k = int(np.argmax(instance.g0 / (instance.sigma2 + fixed)))
     p = gamma * (instance.sigma2 + fixed[k]) / instance.g0[k]
-    sinr = instance.g0[k] * p / (instance.sigma2 + fixed[k])
-    closed = rate * float(model.value(sinr)) / p
+    closed = float(score(_one_carrier(instance, k, np.array([p])))[0])
     if closed > best:
         best = closed
         action = {"carrier": k, "power": float(p), "source": "closed_form"}
-    reports.append(_report(0, claimed, best, action, tol))
+    reports = [_report(0, claimed, best, action, tol)]
 
     for f in range(instance.followers):
         reports.append(
@@ -308,21 +272,13 @@ def brute_force_stackelberg(
     best responses it induces).  Meant for small instances; accuracy is
     bounded by the grid resolution.
     """
-    allocation = np.zeros((instance.players, instance.carriers))
     gamma = optimal_sinr(model)
-    center = gamma * instance.sigma2 / float(instance.g0.max())
-    grid = power_grid(center, grid_size)
-    best = -np.inf
-    best_k, best_p = 0, float(grid[0])
-    for k in range(instance.carriers):
-        utilities = _leader_utility_sweep(
-            instance, model, gamma, regime, k, grid, reresponse=True
-        )
-        i = int(np.argmax(utilities))
-        if utilities[i] > best:
-            best = float(utilities[i])
-            best_k, best_p = k, float(grid[i])
-    allocation[0, best_k] = best_p
-    if instance.followers:
-        allocation[1:] = respond_all(instance, model, allocation[0], sinr_target=gamma)
+    _, k, p = _best_carrier_action(
+        instance,
+        _leader_grid(instance, gamma, grid_size),
+        lambda actions: _bilevel_sweep(instance, model, gamma, regime, actions),
+    )
+    allocation = np.zeros((instance.players, instance.carriers))
+    allocation[0, k] = p
+    allocation[1:] = respond(instance, allocation[0], gamma)[0]
     return allocation

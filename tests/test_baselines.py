@@ -6,12 +6,12 @@ from numpy.testing import assert_allclose
 
 from hetnet_ee import (
     NetworkInstance,
-    follower_best_response,
     optimal_sinr,
     solve_best_channel,
     solve_nash,
     verify_nash,
 )
+from hetnet_ee.model import respond
 from conftest import random_instance
 
 GAMMA = 1.2564312086261697
@@ -34,10 +34,8 @@ class TestNashDynamics:
             inst = random_instance(rng)
             res, report = solve_nash(inst, model, "sparse")
             assert report.converged
-            for f in range(inst.followers):
-                br = follower_best_response(inst, model, f, res.allocation[0],
-                                            sinr_target=gamma)
-                assert np.array_equal(br, res.allocation[f + 1])
+            responses, _ = respond(inst, res.allocation[0], gamma)
+            assert np.array_equal(responses, res.allocation[1:])
 
     def test_fixed_point_of_every_best_response(self, model):
         """Recomputing each player's target-SINR response against the
@@ -58,10 +56,8 @@ class TestNashDynamics:
             leader = np.zeros(inst.carriers)
             leader[k] = gamma * (inst.sigma2 + interference[k]) / inst.g0[k]
             assert np.abs(leader - alloc[0]).max() <= tol
-            for f in range(inst.followers):
-                br = follower_best_response(inst, model, f, alloc[0],
-                                            sinr_target=gamma)
-                assert np.abs(br - alloc[f + 1]).max() <= tol
+            responses, _ = respond(inst, alloc[0], gamma)
+            assert np.abs(responses - alloc[1:]).max() <= tol
         assert checked >= 15
 
     def test_converged_points_survive_deviation_search(self, model):

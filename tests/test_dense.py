@@ -12,15 +12,13 @@ from numpy.testing import assert_allclose
 
 from hetnet_ee import (
     NetworkInstance,
-    follower_best_response,
-    follower_sinr,
-    leader_sinr_dense,
     optimal_sinr,
     sample_instance,
     solve_dense,
     solve_sparse,
     utility,
 )
+from hetnet_ee.model import respond, sinr_row
 from conftest import random_instance
 
 GAMMA = 1.2564312086261697
@@ -34,14 +32,14 @@ def worked_instance():
 class TestFollowerBestResponse:
     def test_idle_leader_means_best_own_carrier(self, model):
         inst = worked_instance()
-        row = follower_best_response(inst, model, 0, np.zeros(2))
-        assert_allclose(row, [GAMMA / 3.0, 0.0], rtol=1e-9)
+        rows, _ = respond(inst, np.zeros(2), optimal_sinr(model))
+        assert_allclose(rows[0], [GAMMA / 3.0, 0.0], rtol=1e-9)
 
     def test_strong_leader_pushes_to_weak_carrier(self, model):
         # ratios 3/11 vs 1/1: the weak carrier wins
         inst = NetworkInstance(g0=[1.0, 1.0], gf=[[3.0, 1.0]], h0=[1.0, 0.0],
                                hf=[[0.0, 0.0]], sigma2=1.0)
-        row = follower_best_response(inst, model, 0, [10.0, 0.0])
+        row = respond(inst, [10.0, 0.0], optimal_sinr(model))[0][0]
         assert row[0] == 0.0
         assert_allclose(row[1], GAMMA, rtol=1e-9)
 
@@ -53,9 +51,9 @@ class TestFollowerBestResponse:
             p0 = rng.uniform(0, 5, size=2)
             alloc = np.zeros((2, 2))
             alloc[0] = p0
-            alloc[1] = follower_best_response(inst, model, 0, p0)
+            alloc[1] = respond(inst, p0, gamma)[0][0]
             k = int(np.argmax(alloc[1]))
-            assert abs(follower_sinr(inst, alloc, 0, k) / gamma - 1) < 1e-12
+            assert abs(sinr_row(inst, alloc, 1, "dense")[k] / gamma - 1) < 1e-12
 
     def test_dominates_grid_alternatives(self, model):
         """No (carrier, power) grid cell beats the closed form."""
@@ -66,7 +64,7 @@ class TestFollowerBestResponse:
             f = int(rng.integers(inst.followers))
             alloc = np.zeros((inst.players, inst.carriers))
             alloc[0] = p0
-            alloc[f + 1] = follower_best_response(inst, model, f, p0)
+            alloc[f + 1] = respond(inst, p0, optimal_sinr(model))[0][f]
             best = utility(inst, model, f + 1, alloc, "dense")
             for k in range(inst.carriers):
                 for p in np.geomspace(1e-3, 1e3, 200):
@@ -74,11 +72,6 @@ class TestFollowerBestResponse:
                     trial[f + 1] = 0.0
                     trial[f + 1, k] = p
                     assert utility(inst, model, f + 1, trial, "dense") <= best * (1 + 1e-9)
-
-    def test_rejects_bad_leader_vector(self, model):
-        inst = worked_instance()
-        with pytest.raises(ValueError):
-            follower_best_response(inst, model, 0, [-1.0, 0.0])
 
 
 class TestWorkedExample:
@@ -159,7 +152,7 @@ class TestStepThreeFailure:
         assert res.active_carriers == (0, 0, 1)
         # at the raised power the parked nominee has no strict incentive
         trial = res.allocation.copy()
-        trial[2] = follower_best_response(inst, model, 1, res.allocation[0])
+        trial[2] = respond(inst, res.allocation[0], optimal_sinr(model))[0][1]
         assert_allclose(utility(inst, model, 2, trial, "dense"),
                         res.utilities[2], rtol=1e-12)
 
@@ -217,10 +210,9 @@ class TestEquilibriumStructure:
             inst = random_instance(rng, k_range=(2, 6), f_range=(1, 5),
                                    mean_cross=float(rng.choice([0.1, 0.5, 1.0])))
             res = solve_dense(inst, model)
-            gamma = res.diagnostics["sinr_target"]
+            responses, _ = respond(inst, res.allocation[0], res.diagnostics["sinr_target"])
             for f in range(inst.followers):
-                br = follower_best_response(inst, model, f, res.allocation[0],
-                                            sinr_target=gamma)
+                br = responses[f]
                 if np.array_equal(br, res.allocation[f + 1]):
                     continue
                 trial = res.allocation.copy()
@@ -236,7 +228,7 @@ class TestEquilibriumStructure:
             res = solve_dense(inst, model)
             for f in range(inst.followers):
                 k = res.active_carriers[f + 1]
-                assert abs(follower_sinr(inst, res.allocation, f, k) / gamma - 1) < 1e-12
+                assert abs(sinr_row(inst, res.allocation, f + 1, "dense")[k] / gamma - 1) < 1e-12
 
     def test_leader_sinr_matches_target_on_clean_shared_win(self, model):
         rng = np.random.default_rng(10)
@@ -249,7 +241,7 @@ class TestEquilibriumStructure:
             if d["winner_kind"] == "shared" and d["winner_replacement"] is None:
                 seen += 1
                 k = d["winner_carrier"]
-                assert_allclose(leader_sinr_dense(inst, res.allocation, k),
+                assert_allclose(sinr_row(inst, res.allocation, 0, "dense")[k],
                                 d["winner_sinr_target"], rtol=1e-9)
         assert seen > 0
 

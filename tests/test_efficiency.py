@@ -10,13 +10,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hetnet_ee import (
-    EfficiencyModel,
-    NetworkInstance,
-    check_existence,
-    optimal_sinr,
-    optimal_sinr_with_feedback,
-)
+from hetnet_ee import EfficiencyModel, optimal_sinr
+from hetnet_ee.efficiency import optimal_sinr_with_feedback
 
 # mpmath, 40 digits, root of m*x*exp(-x) = 1 - exp(-x)
 GAMMA = {
@@ -153,25 +148,3 @@ class TestFeedbackAdjustedSinr:
     def test_negative_feedback_rejected(self, model):
         with pytest.raises(ValueError):
             optimal_sinr_with_feedback(model, -0.5)
-
-
-class TestExistenceCheck:
-    def test_flat_origin_branch_always_passes(self, model):
-        inst = NetworkInstance(g0=[1, 2], gf=[[1, 1]], h0=[0.3, 0.1],
-                               hf=[[0.2, 0.4]], sigma2=1.0)
-        report = check_existence(model, inst)
-        assert report.passed
-        assert report.branch == "zero_initial_slope"
-
-    def test_no_interference_coupling(self, model):
-        inst = NetworkInstance(g0=[1, 2], gf=[[1, 1]], h0=[0, 0],
-                               hf=[[0, 0]], sigma2=1.0)
-        assert check_existence(model, inst).coupling == 0.0
-
-    def test_unit_ratio_coupling(self, model):
-        # h0 == g0 and hf == gf with two followers gives 2*gamma*2
-        g0 = [2.0, 1.0, 3.0]
-        gf = [[1.0, 2.0, 0.5], [0.7, 0.3, 1.1]]
-        inst = NetworkInstance(g0=g0, gf=gf, h0=g0, hf=gf, sigma2=1.0)
-        assert_allclose(check_existence(model, inst).coupling,
-                        5.0257248345046787, rtol=1e-9)

@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hetnet_ee import (
-    EfficiencyModel,
-    NetworkInstance,
+from hetnet_ee import EfficiencyModel, NetworkInstance, sample_instance, utility
+from hetnet_ee.model import (
     all_utilities,
     empty_allocation,
-    follower_sinr,
-    leader_sinr_dense,
-    leader_sinr_sparse,
+    leader_interference,
     make_result,
     rank_carriers,
-    sample_instance,
-    utility,
+    respond,
+    sinr_row,
 )
+from conftest import random_instance
 
 GAMMA = 1.2564312086261697
 PEAK_RATE = 0.40726437758907375  # f(gamma)/gamma for m=2, mpmath
@@ -68,13 +66,13 @@ class TestSinr:
         inst = simple_instance()
         alloc = empty_allocation(inst)
         alloc[0, 0] = 0.5
-        assert leader_sinr_sparse(inst, alloc, 0) == 1.0  # 2 * 0.5 / 1
+        assert sinr_row(inst, alloc, 0, "sparse")[0] == 1.0  # 2 * 0.5 / 1
 
     def test_zero_power_zero_sinr(self, model):
         inst = simple_instance()
         alloc = empty_allocation(inst)
-        assert leader_sinr_sparse(inst, alloc, 0) == 0.0
-        assert follower_sinr(inst, alloc, 0, 1) == 0.0
+        assert sinr_row(inst, alloc, 0, "sparse")[0] == 0.0
+        assert sinr_row(inst, alloc, 1, "dense")[1] == 0.0
 
     def test_common_scaling_cancels(self):
         inst = simple_instance(sigma2=1.0)
@@ -82,15 +80,15 @@ class TestSinr:
         alloc = empty_allocation(inst)
         alloc[0, 0] = 0.7
         alloc3 = alloc * 3.0
-        assert_allclose(leader_sinr_sparse(inst, alloc, 0),
-                        leader_sinr_sparse(scaled, alloc3, 0), rtol=1e-15)
+        assert_allclose(sinr_row(inst, alloc, 0, "sparse")[0],
+                        sinr_row(scaled, alloc3, 0, "sparse")[0], rtol=1e-15)
 
     def test_follower_hits_target_at_closed_form_power(self, model):
         # power gamma*sigma2/gf with an idle leader puts the SINR at gamma
         inst = simple_instance()
         alloc = empty_allocation(inst)
         alloc[1, 0] = GAMMA / 3.0
-        assert_allclose(follower_sinr(inst, alloc, 0, 0), GAMMA, rtol=1e-12)
+        assert_allclose(sinr_row(inst, alloc, 1, "dense")[0], GAMMA, rtol=1e-12)
 
     def test_follower_leader_interference(self):
         inst = simple_instance()
@@ -98,23 +96,72 @@ class TestSinr:
         alloc[0, 0] = 2.0
         alloc[1, 0] = 1.0
         # 3 * 1 / (1 + 1*2)
-        assert_allclose(follower_sinr(inst, alloc, 0, 0), 1.0, rtol=1e-15)
+        assert_allclose(sinr_row(inst, alloc, 1, "dense")[0], 1.0, rtol=1e-15)
 
     def test_dense_leader_counts_cross_interference(self):
         inst = simple_instance(g0=[2.0, 1.0], hf=[[1.0, 0.0]])
         alloc = empty_allocation(inst)
         alloc[0, 0] = 1.0
         alloc[1, 0] = 1.0
-        assert_allclose(leader_sinr_dense(inst, alloc, 0), 1.0, rtol=1e-15)  # 2/(1+1)
+        assert_allclose(sinr_row(inst, alloc, 0, "dense")[0], 1.0, rtol=1e-15)  # 2/(1+1)
         alloc[1, 0] = 0.0
-        assert leader_sinr_dense(inst, alloc, 0) == leader_sinr_sparse(inst, alloc, 0)
+        assert sinr_row(inst, alloc, 0, "dense")[0] == sinr_row(inst, alloc, 0, "sparse")[0]
 
     def test_dense_equals_sparse_without_followers_transmitting(self):
         inst = simple_instance(hf=[[0.0, 0.0]])
         alloc = empty_allocation(inst)
         alloc[0, 1] = 4.2
         alloc[1, 0] = 9.9
-        assert leader_sinr_dense(inst, alloc, 1) == leader_sinr_sparse(inst, alloc, 1)
+        assert sinr_row(inst, alloc, 0, "dense")[1] == sinr_row(inst, alloc, 0, "sparse")[1]
+
+
+def respond_loop(inst, p0, gamma):
+    """Reference best response, one follower at a time."""
+    rows = np.zeros((inst.followers, inst.carriers))
+    for f in range(inst.followers):
+        denom = inst.sigma2 + inst.h0 * p0
+        k = int(np.argmax(inst.gf[f] / denom))
+        rows[f, k] = gamma * denom[k] / inst.gf[f, k]
+    return rows
+
+
+class TestRespond:
+    def test_matches_per_follower_loop(self):
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            inst = random_instance(rng, f_range=(0, 5))
+            # the leader idles on about half the carriers
+            p0 = rng.uniform(0.0, 3.0, inst.carriers) * (rng.uniform(size=inst.carriers) < 0.5)
+            rows, carriers = respond(inst, p0, GAMMA)
+            assert np.array_equal(rows, respond_loop(inst, p0, GAMMA))
+            assert np.array_equal(carriers, np.argmax(rows, axis=1))
+
+    def test_no_followers(self):
+        inst = NetworkInstance(g0=[1.0, 2.0], gf=np.zeros((0, 2)), h0=[0.5, 0.5],
+                               hf=np.zeros((0, 2)), sigma2=1.0)
+        rows, carriers = respond(inst, np.ones((3, 2)), GAMMA)
+        assert rows.shape == (3, 0, 2) and carriers.shape == (3, 0)
+        assert np.array_equal(leader_interference(inst, rows), np.zeros((3, 2)))
+
+    def test_tied_gains_pick_the_lowest_index(self):
+        inst = NetworkInstance(g0=[1.0, 1.0, 1.0], gf=[[2.0, 3.0, 3.0], [1.0, 1.0, 1.0]],
+                               h0=[0.0, 0.0, 0.0], hf=np.zeros((2, 3)), sigma2=1.0)
+        rows, carriers = respond(inst, [5.0, 0.0, 0.0], GAMMA)
+        assert carriers.tolist() == [1, 0]
+        assert_allclose(rows, [[0.0, GAMMA / 3.0, 0.0], [GAMMA, 0.0, 0.0]], rtol=1e-15)
+
+    def test_batched_rows_equal_single_calls(self):
+        rng = np.random.default_rng(22)
+        inst = sample_instance(6, 4, seed=23)
+        p0 = rng.uniform(0.0, 2.0, size=(5, 7, inst.carriers))
+        rows, carriers = respond(inst, p0, GAMMA)
+        interference = leader_interference(inst, rows)
+        assert rows.shape == (5, 7, 4, 6) and interference.shape == (5, 7, 6)
+        for idx in np.ndindex(5, 7):
+            single, chosen = respond(inst, p0[idx], GAMMA)
+            assert np.array_equal(rows[idx], single)
+            assert np.array_equal(carriers[idx], chosen)
+            assert np.array_equal(interference[idx], leader_interference(inst, single))
 
 
 class TestUtility:

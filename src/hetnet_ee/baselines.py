@@ -14,7 +14,8 @@ there.  They differ in how the carrier is chosen:
 Neither iteration is guaranteed to converge; the report says whether it
 did.  Divergence (interference feeding back faster than it damps) is
 detected by non-finite powers or iteration exhaustion and reported as
-``converged=False``, never raised.
+``converged=False`` with the last finite iterate, never raised; the
+overflow on the way there is expected and raises no warning.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .efficiency import EfficiencyModel, optimal_sinr
+from .efficiency import EfficiencyModel
 from .model import (
     EquilibriumResult,
     NetworkInstance,
     empty_allocation,
     leader_interference,
+    leader_respond,
     make_result,
     respond,
 )
@@ -61,29 +63,30 @@ def solve_nash(
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    gamma = optimal_sinr(model)
+    gamma = model.gamma
     alloc = empty_allocation(instance)
     converged = False
     change = np.inf
     sweeps = 0
-    for sweeps in range(1, max_iter + 1):
-        previous = alloc.copy()
-        interference = (
-            leader_interference(instance, alloc[1:])
-            if regime == "dense"
-            else np.zeros(instance.carriers)
-        )
-        k = int(np.argmax(instance.g0 / (instance.sigma2 + interference)))
-        alloc[0] = 0.0
-        alloc[0, k] = gamma * (instance.sigma2 + interference[k]) / instance.g0[k]
-        alloc[1:] = respond(instance, alloc[0], gamma)[0]
-        if not np.all(np.isfinite(alloc)):
-            alloc = previous
-            break
-        change = float(np.abs(alloc - previous).max())
-        if change < tol:
-            converged = True
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sweeps in range(1, max_iter + 1):
+            previous = alloc.copy()
+            interference = (
+                leader_interference(instance, alloc[1:])
+                if regime == "dense"
+                else np.zeros(instance.carriers)
+            )
+            k, p = leader_respond(instance, interference, gamma)
+            alloc[0] = 0.0
+            alloc[0, k] = p
+            alloc[1:] = respond(instance, alloc[0], gamma)[0]
+            if not np.all(np.isfinite(alloc)):
+                alloc = previous
+                break
+            change = float(np.abs(alloc - previous).max())
+            if change < tol:
+                converged = True
+                break
     report = IterationReport(converged=converged, iterations=sweeps, final_change=change)
     diagnostics = {
         "solver": "nash_best_response",
@@ -110,32 +113,33 @@ def solve_best_channel(
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    gamma = optimal_sinr(model)
-    pins = [int(np.argmax(instance.own_gains(n))) for n in range(instance.players)]
+    gamma = model.gamma
+    pins = instance.gains.argmax(axis=1).tolist()
     alloc = empty_allocation(instance)
     converged = False
     change = np.inf
     sweeps = 0
-    for sweeps in range(1, max_iter + 1):
-        previous = alloc.copy()
-        interference = (
-            leader_interference(instance, alloc[1:])
-            if regime == "dense"
-            else np.zeros(instance.carriers)
-        )
-        k0 = pins[0]
-        alloc[0, k0] = gamma * (instance.sigma2 + interference[k0]) / instance.g0[k0]
-        for f in range(instance.followers):
-            k = pins[f + 1]
-            denom = instance.sigma2 + instance.h0[k] * alloc[0, k]
-            alloc[f + 1, k] = gamma * denom / instance.gf[f, k]
-        if not np.all(np.isfinite(alloc)):
-            alloc = previous
-            break
-        change = float(np.abs(alloc - previous).max())
-        if change < tol:
-            converged = True
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sweeps in range(1, max_iter + 1):
+            previous = alloc.copy()
+            interference = (
+                leader_interference(instance, alloc[1:])
+                if regime == "dense"
+                else np.zeros(instance.carriers)
+            )
+            k0 = pins[0]
+            alloc[0, k0] = gamma * (instance.sigma2 + interference[k0]) / instance.g0[k0]
+            for f in range(instance.followers):
+                k = pins[f + 1]
+                denom = instance.sigma2 + instance.h0[k] * alloc[0, k]
+                alloc[f + 1, k] = gamma * denom / instance.gf[f, k]
+            if not np.all(np.isfinite(alloc)):
+                alloc = previous
+                break
+            change = float(np.abs(alloc - previous).max())
+            if change < tol:
+                converged = True
+                break
     report = IterationReport(converged=converged, iterations=sweeps, final_change=change)
     diagnostics = {
         "solver": "best_channel_fixed_point",

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .efficiency import EfficiencyModel, optimal_sinr, optimal_sinr_with_feedback
+from .efficiency import EfficiencyModel, optimal_sinr_with_feedback
 from .model import (
     EquilibriumResult,
     NetworkInstance,
@@ -57,13 +57,15 @@ class CarrierCandidates:
 
     ``followers`` lists the carrier's nominees strongest ratio first;
     arrays indexed by nominee rank (``theta``, ``eta``, ``sinr_targets``,
-    ``boundary_powers``, ``boundary_values``) cover all nominees, while
-    ``slot_values``/``slot_powers`` cover shared slots ``1..stay_limit``
-    after boundary caps.  ``replacements[l-1]`` records what step the cap
-    logic took for slot ``l`` (``None``, ``"raise_to_boundary"``,
-    ``"drop_to_boundary"`` or ``"infeasible"``).  The solo candidate is
-    ``nan`` when the carrier cannot be cleared (zero cross gain onto its
-    nominees).
+    ``stays``, ``boundary_powers``, ``boundary_values``) cover all nominees.
+    ``stays[l-1]`` is the stay test of slot ``l`` (its nominee still
+    prefers this carrier at the leader's unconstrained shared optimum) and
+    ``stay_limit`` the largest ``l`` passing it.  ``slot_values`` and
+    ``slot_powers`` cover shared slots ``1..stay_limit`` after boundary
+    caps; ``replacements[l-1]`` records what step the cap logic took for
+    slot ``l`` (``None``, ``"raise_to_boundary"``, ``"drop_to_boundary"``
+    or ``"infeasible"``).  The solo candidate is ``nan`` when the carrier
+    cannot be cleared (zero cross gain onto its nominees).
     """
 
     carrier: int
@@ -71,6 +73,7 @@ class CarrierCandidates:
     theta: np.ndarray
     eta: np.ndarray
     sinr_targets: np.ndarray
+    stays: np.ndarray
     stay_limit: int
     slot_powers: np.ndarray
     slot_values: np.ndarray
@@ -104,19 +107,21 @@ def _boundary_value(model, gamma, eta_prev, sigma2, g0k, h0k, rate, power):
     return rate * model.value(sinr) / power
 
 
-def _build_carrier(instance, model, gamma, k, ranks) -> CarrierCandidates:
+def _build_carrier(instance, model, gamma, k, best, second) -> CarrierCandidates:
+    # best/second: every follower's best and second-best carrier
     sigma2 = instance.sigma2
     g0k = float(instance.g0[k])
     h0k = float(instance.h0[k])
     rate0 = float(instance.rates[0])
 
-    nominees = [f for f in range(instance.followers) if ranks[f].best == k]
-    theta = np.array(
-        [instance.gf[f, ranks[f].best] / instance.gf[f, ranks[f].second] for f in nominees]
-    )
-    order = sorted(range(len(nominees)), key=lambda i: (-theta[i], nominees[i]))
-    nominees = tuple(nominees[i] for i in order)
-    theta = theta[order]
+    rows = np.flatnonzero(best == k)
+    gb = instance.gf[rows, k]
+    gs = instance.gf[rows, second[rows]]
+    # strongest ratio first, ties to the lower follower index
+    order = np.argsort(-(gb / gs), kind="stable")
+    rows, gb, gs = rows[order], gb[order], gs[order]
+    theta = gb / gs
+    nominees = tuple(rows.tolist())
     count = len(nominees)
 
     eta = np.zeros(count)
@@ -132,34 +137,22 @@ def _build_carrier(instance, model, gamma, k, ranks) -> CarrierCandidates:
     # preferring this carrier over its second-best
     boundary_powers = np.zeros(count)
     boundary_values = np.full(count, math.nan)
-    for i, f in enumerate(nominees):
-        gb = instance.gf[f, k]
-        gs = instance.gf[f, ranks[f].second]
-        if gb <= gs:
+    for i in range(count):
+        if gb[i] <= gs[i]:
             boundary_powers[i] = 0.0
         elif h0k == 0.0:
             boundary_powers[i] = math.inf
         else:
-            boundary_powers[i] = sigma2 * (gb - gs) / (h0k * gs)
+            boundary_powers[i] = sigma2 * (gb[i] - gs[i]) / (h0k * gs[i])
         if 0.0 < boundary_powers[i] < math.inf:
             eta_prev = eta[i - 1] if i > 0 else 0.0
             boundary_values[i] = _boundary_value(
                 model, gamma, eta_prev, sigma2, g0k, h0k, rate0, boundary_powers[i]
             )
 
-    def stays(l):
-        # nominee at slot l still prefers this carrier at the leader's
-        # unconstrained shared optimum
-        f = nominees[l - 1]
-        lhs = instance.gf[f, k] * (g0k - targets[l - 1] * gamma * eta[l - 1] * h0k)
-        rhs = instance.gf[f, ranks[f].second] * (g0k + h0k * targets[l - 1])
-        return lhs > rhs
-
-    stay_limit = 0
-    for l in range(count, 0, -1):
-        if stays(l):
-            stay_limit = l
-            break
+    stays = gb * (g0k - targets * gamma * eta * h0k) > gs * (g0k + h0k * targets)
+    passing = np.flatnonzero(stays)
+    stay_limit = int(passing[-1]) + 1 if passing.size else 0
 
     slot_powers = np.zeros(stay_limit)
     slot_values = np.zeros(stay_limit)
@@ -205,6 +198,7 @@ def _build_carrier(instance, model, gamma, k, ranks) -> CarrierCandidates:
         theta=theta,
         eta=eta,
         sinr_targets=targets,
+        stays=stays,
         stay_limit=stay_limit,
         slot_powers=slot_powers,
         slot_values=slot_values,
@@ -216,9 +210,7 @@ def _build_carrier(instance, model, gamma, k, ranks) -> CarrierCandidates:
     )
 
 
-def solve_dense(
-    instance: NetworkInstance, model: EfficiencyModel, tol: float = 1e-12
-) -> EquilibriumResult:
+def solve_dense(instance: NetworkInstance, model: EfficiencyModel) -> EquilibriumResult:
     """Hierarchical equilibrium of the dense-regime game.
 
     Diagnostics carry the full candidate table, the winning carrier and
@@ -226,57 +218,49 @@ def solve_dense(
     """
     if instance.carriers < 2:
         raise ValueError("the dense equilibrium needs at least two carriers")
-    gamma = optimal_sinr(model, tol)
-    ranks = [rank_carriers(instance, f + 1) for f in range(instance.followers)]
+    gamma = model.gamma
+    best, second = rank_carriers(instance)
 
     table = tuple(
-        _build_carrier(instance, model, gamma, k, ranks) for k in range(instance.carriers)
+        _build_carrier(instance, model, gamma, k, best[1:], second[1:])
+        for k in range(instance.carriers)
     )
 
     # stay-test consistency audit (diagnostic only): the test should hold
     # at every slot up to the stay limit, not just at the limit itself
-    violations = []
-    for cc in table:
-        g0k, h0k = float(instance.g0[cc.carrier]), float(instance.h0[cc.carrier])
-        for l in range(1, cc.stay_limit + 1):
-            f = cc.followers[l - 1]
-            lhs = instance.gf[f, cc.carrier] * (
-                g0k - cc.sinr_targets[l - 1] * gamma * cc.eta[l - 1] * h0k
-            )
-            rhs = instance.gf[f, ranks[f].second] * (g0k + h0k * cc.sinr_targets[l - 1])
-            if not lhs > rhs:
-                violations.append((cc.carrier, l))
+    violations = tuple(
+        (cc.carrier, l) for cc in table for l in range(1, cc.stay_limit + 1) if not cc.stays[l - 1]
+    )
 
-    best = None  # (value, slots, carrier, power, kind)
-    for cc in table:
-        for l in range(1, cc.stay_limit + 1):
-            if cc.replacements[l - 1] == "infeasible":
-                continue
-            if not math.isfinite(cc.slot_values[l - 1]):
-                # a cap can land on a degenerate boundary (exactly tied
-                # gains); such a slot carries no usable value
-                continue
-            cand = (cc.slot_values[l - 1], l, cc.carrier, cc.slot_powers[l - 1], "shared")
-            if _better(cand, best):
-                best = cand
-        if math.isfinite(cc.solo_value):
-            cand = (cc.solo_value, 0, cc.carrier, cc.solo_power, "solo")
-            if _better(cand, best):
-                best = cand
+    # (value, slots, carrier, power, kind); a cap can land on a degenerate
+    # boundary (exactly tied gains), and such a slot carries no usable value
+    candidates = [
+        (cc.slot_values[l - 1], l, cc.carrier, cc.slot_powers[l - 1], "shared")
+        for cc in table
+        for l in range(1, cc.stay_limit + 1)
+        if cc.replacements[l - 1] != "infeasible" and math.isfinite(cc.slot_values[l - 1])
+    ]
+    candidates += [
+        (cc.solo_value, 0, cc.carrier, cc.solo_power, "solo")
+        for cc in table
+        if math.isfinite(cc.solo_value)
+    ]
+    # exact ties resolved toward fewer shared slots, then lower carrier
+    winner = max(candidates, key=lambda c: (c[0], -c[1], -c[2]), default=None)
 
     diagnostics = {
         "solver": "dense_candidate_search",
         "sinr_target": gamma,
         "candidate_table": table,
-        "stay_test_violations": tuple(violations),
+        "stay_test_violations": violations,
     }
 
     alloc = empty_allocation(instance)
-    if best is None:
+    if winner is None:
         # every carrier degenerate (no clearable carrier, no stable slot);
         # fall back to the leader's interference-free optimum on its best
         # own-gain carrier and let followers respond
-        b0 = rank_carriers(instance, 0).best
+        b0 = int(best[0])
         alloc[0, b0] = gamma * instance.sigma2 / instance.g0[b0]
         alloc[1:] = respond(instance, alloc[0], gamma)[0]
         diagnostics.update(
@@ -284,7 +268,7 @@ def solve_dense(
         )
         return make_result(instance, model, alloc, "dense", diagnostics)
 
-    value, slots, k_hat, leader_power, kind = best
+    value, slots, k_hat, leader_power, kind = winner
     cc = table[k_hat]
     alloc[0, k_hat] = leader_power
     denom_shared = instance.sigma2 + instance.h0[k_hat] * leader_power
@@ -292,11 +276,11 @@ def solve_dense(
         if i < slots:
             alloc[f + 1, k_hat] = gamma * denom_shared / instance.gf[f, k_hat]
         else:
-            s = ranks[f].second
+            s = second[f + 1]
             alloc[f + 1, s] = gamma * instance.sigma2 / instance.gf[f, s]
     for f in range(instance.followers):
-        if ranks[f].best != k_hat:
-            b = ranks[f].best
+        if best[f + 1] != k_hat:
+            b = best[f + 1]
             alloc[f + 1, b] = gamma * instance.sigma2 / instance.gf[f, b]
 
     replacement = cc.replacements[slots - 1] if kind == "shared" else None
@@ -317,11 +301,3 @@ def solve_dense(
     )
     return make_result(instance, model, alloc, "dense", diagnostics)
 
-
-def _better(cand, best) -> bool:
-    if best is None:
-        return True
-    value, slots, carrier = cand[0], cand[1], cand[2]
-    bvalue, bslots, bcarrier = best[0], best[1], best[2]
-    # exact ties resolved toward fewer shared slots, then lower carrier
-    return (value, -slots, -carrier) > (bvalue, -bslots, -bcarrier)

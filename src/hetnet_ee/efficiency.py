@@ -11,13 +11,15 @@ package:
   (coefficient ``c`` measures that feedback).
 
 Both are solved by geometric-grid bracketing followed by plain bisection,
-using a reduced residual that stays well scaled for large ``m``.
+using a reduced residual that stays well scaled for large ``m``.  The first
+root depends only on ``m``: each model solves it once, as its ``gamma``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +49,8 @@ class EfficiencyModel:
     that the success curve is flat at zero SINR; that makes zero power the
     exact limit of the throughput-per-watt utility and guarantees that the
     dense-regime equilibrium exists whatever the interference coupling.
+    ``gamma`` is the optimal operating point :func:`optimal_sinr`, solved
+    once per model; it is not a field, so it takes no part in equality.
     """
 
     m: int = 2
@@ -73,8 +77,9 @@ class EfficiencyModel:
         out = self.m * np.exp(-x) * (-np.expm1(-x)) ** (self.m - 1)
         return float(out) if out.ndim == 0 else out
 
-    def __call__(self, x):
-        return self.value(x)
+    @cached_property
+    def gamma(self) -> float:
+        return optimal_sinr(self)
 
 
 def _reduced_residual(x: float, m: int, feedback: float) -> float:

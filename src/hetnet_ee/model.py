@@ -5,6 +5,10 @@ players 1..F) sharing ``K`` orthogonal carriers.  Power allocations are
 plain ``(F+1, K)`` float arrays with one row per player; all entries are
 nonnegative and rows of equilibrium outputs have at most one nonzero entry.
 
+Whole-instance quantities are arrays with one row per player, computed for
+all players at once: the own-signal gains, the SINR matrix (:func:`sinr`),
+the utilities and each player's two strongest carriers (:func:`rank_carriers`).
+
 Two interference regimes share the follower SINR but differ for the leader:
 
 * ``"sparse"``: small-cell transmissions are ignored at the macro receiver,
@@ -27,12 +31,12 @@ from .efficiency import EfficiencyModel
 __all__ = [
     "REGIMES",
     "NetworkInstance",
-    "CarrierRank",
     "EquilibriumResult",
     "empty_allocation",
     "leader_interference",
+    "leader_respond",
     "respond",
-    "sinr_row",
+    "sinr",
     "utility",
     "all_utilities",
     "rank_carriers",
@@ -67,7 +71,8 @@ class NetworkInstance:
     follower ``f`` on carrier ``k``; ``h0[k]`` is the leader's cross gain
     into follower receivers and ``hf[f, k]`` the follower's cross gain into
     the leader's receiver.  ``rates[n]`` is player ``n``'s transmission
-    rate in bits/s.  Requires ``K >= F + 1``.
+    rate in bits/s.  Requires ``K >= F + 1``.  ``gains`` stacks the
+    own-signal gains of all players, ``(F+1, K)`` with the leader's first.
     """
 
     g0: np.ndarray
@@ -96,6 +101,9 @@ class NetworkInstance:
             raise ValueError("noise power sigma2 must be positive")
         if np.any(self.rates <= 0.0):
             raise ValueError("rates must be strictly positive")
+        gains = np.vstack([self.g0, self.gf])
+        gains.setflags(write=False)
+        object.__setattr__(self, "gains", gains)
 
     @property
     def carriers(self) -> int:
@@ -109,10 +117,6 @@ class NetworkInstance:
     def players(self) -> int:
         return self.followers + 1
 
-    def own_gains(self, player: int) -> np.ndarray:
-        """Own-signal gain row of a player (leader is player 0)."""
-        return self.g0 if player == 0 else self.gf[player - 1]
-
     def digest(self) -> str:
         """Short content hash, used to assert paired-trial discipline."""
         import hashlib
@@ -122,14 +126,6 @@ class NetworkInstance:
             h.update(np.ascontiguousarray(arr).tobytes())
         h.update(np.float64(self.sigma2).tobytes())
         return h.hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class CarrierRank:
-    """Indices of a player's strongest and second-strongest own carriers."""
-
-    best: int
-    second: int
 
 
 @dataclass(frozen=True)
@@ -177,54 +173,58 @@ def respond(instance: NetworkInstance, leader_powers, gamma: float):
     return np.where(chosen, gamma * denom / instance.gf, 0.0), carriers
 
 
-def sinr_row(instance: NetworkInstance, allocation, player: int, regime: str) -> np.ndarray:
-    """Vector of player SINRs across all carriers."""
+def leader_respond(instance: NetworkInstance, interference, gamma: float):
+    """The leader's single-carrier best response to fixed interference.
+
+    Picks the carrier maximizing ``g0 / (sigma2 + interference)`` (ties to
+    the lowest index) and returns it with the power that puts the leader's
+    SINR there exactly at ``gamma``.
+    """
+    k = int(np.argmax(instance.g0 / (instance.sigma2 + interference)))
+    return k, gamma * (instance.sigma2 + interference[k]) / instance.g0[k]
+
+
+def sinr(instance: NetworkInstance, allocation, regime: str) -> np.ndarray:
+    """SINR of every player on every carrier, ``(F+1, K)``."""
     _check_regime(regime)
     allocation = np.asarray(allocation, dtype=float)
-    if player == 0:
-        interference = leader_interference(instance, allocation[1:]) if regime == "dense" else 0.0
-        return instance.g0 * allocation[0] / (instance.sigma2 + interference)
-    f = player - 1
-    return instance.gf[f] * allocation[f + 1] / (instance.sigma2 + instance.h0 * allocation[0])
-
-
-def utility(
-    instance: NetworkInstance,
-    model: EfficiencyModel,
-    player: int,
-    allocation,
-    regime: str,
-) -> float:
-    """Energy efficiency of one player in bits/joule.
-
-    ``rate * sum_k f(sinr_k) / sum_k p_k``; an all-zero power row yields 0,
-    the exact limit for success curves flat at the origin.
-    """
-    allocation = np.asarray(allocation, dtype=float)
-    total = float(allocation[player].sum())
-    if total == 0.0:
-        return 0.0
-    sinrs = sinr_row(instance, allocation, player, regime)
-    return float(instance.rates[player]) * float(model.value(sinrs).sum()) / total
+    denom = np.empty_like(allocation)
+    interference = leader_interference(instance, allocation[1:]) if regime == "dense" else 0.0
+    denom[0] = instance.sigma2 + interference
+    denom[1:] = instance.sigma2 + instance.h0 * allocation[0]
+    return instance.gains * allocation / denom
 
 
 def all_utilities(
     instance: NetworkInstance, model: EfficiencyModel, allocation, regime: str
 ) -> np.ndarray:
-    return np.array(
-        [utility(instance, model, n, allocation, regime) for n in range(instance.players)]
+    """Energy efficiency of every player in bits/joule.
+
+    ``rate * sum_k f(sinr_k) / sum_k p_k`` per row; an all-zero power row
+    yields 0, the exact limit for success curves flat at the origin.
+    """
+    allocation = np.asarray(allocation, dtype=float)
+    totals = allocation.sum(axis=1)
+    successes = model.value(sinr(instance, allocation, regime)).sum(axis=1)
+    return np.divide(
+        instance.rates * successes, totals, out=np.zeros(instance.players), where=totals != 0.0
     )
 
 
-def rank_carriers(instance: NetworkInstance, player: int) -> CarrierRank:
-    """Best and second-best own-gain carriers; ties go to the lower index."""
+def utility(
+    instance: NetworkInstance, model: EfficiencyModel, player: int, allocation, regime: str
+) -> float:
+    """Energy efficiency of one player, ``all_utilities(...)[player]``."""
+    return float(all_utilities(instance, model, allocation, regime)[player])
+
+
+def rank_carriers(instance: NetworkInstance):
+    """Every player's best and second-best own-gain carriers, two ``(F+1,)``
+    index arrays; ties go to the lower index."""
     if instance.carriers < 2:
         raise ValueError("carrier ranking needs at least two carriers")
-    gains = instance.own_gains(player)
-    best = int(np.argmax(gains))
-    rest = np.delete(np.arange(instance.carriers), best)
-    second = int(rest[np.argmax(gains[rest])])
-    return CarrierRank(best=best, second=second)
+    order = np.argsort(-instance.gains, axis=1, kind="stable")
+    return order[:, 0], order[:, 1]
 
 
 def sample_instance(
@@ -283,7 +283,8 @@ def make_result(
     allocation = allocation.copy()
     allocation.setflags(write=False)
     active = tuple(
-        int(np.argmax(row)) if row.any() else None for row in allocation
+        k if on else None
+        for k, on in zip(allocation.argmax(axis=1).tolist(), allocation.any(axis=1).tolist())
     )
     utilities = all_utilities(instance, model, allocation, regime)
     utilities.setflags(write=False)

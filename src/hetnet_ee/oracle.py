@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .efficiency import EfficiencyModel, optimal_sinr
-from .model import NetworkInstance, leader_interference, respond, utility
+from .efficiency import EfficiencyModel
+from .model import NetworkInstance, leader_interference, leader_respond, respond, utility
 
 __all__ = [
     "DeviationReport",
@@ -140,7 +140,7 @@ def verify_follower(
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
     allocation = np.asarray(allocation, dtype=float)
-    gamma = optimal_sinr(model)
+    gamma = model.gamma
     claimed = utility(instance, model, f + 1, allocation, "dense")
     rate = float(instance.rates[f + 1])
     denom = instance.sigma2 + instance.h0 * allocation[0]
@@ -173,7 +173,6 @@ def verify_leader_stackelberg(
     regime: str,
     grid_size: int = 300,
     tol: float = 1e-3,
-    probe_splits: bool = True,
 ) -> DeviationReport:
     """Bi-level deviation search for the leader.
 
@@ -185,7 +184,7 @@ def verify_leader_stackelberg(
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
     allocation = np.asarray(allocation, dtype=float)
-    gamma = optimal_sinr(model)
+    gamma = model.gamma
     claimed = utility(instance, model, 0, allocation, regime)
 
     def score(actions):
@@ -194,7 +193,7 @@ def verify_leader_stackelberg(
     best, k, p = _best_carrier_action(instance, _leader_grid(instance, gamma, grid_size), score)
     action: dict = {"carrier": k, "power": p, "source": "grid"}
 
-    if probe_splits and instance.carriers >= 2:
+    if instance.carriers >= 2:
         totals = _leader_grid(instance, gamma, max(grid_size // 10, 12))
         weights = np.linspace(0.0, 1.0, SPLIT_WEIGHTS)
         # rows run over weights, then totals
@@ -231,7 +230,7 @@ def verify_nash(
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
     allocation = np.asarray(allocation, dtype=float)
-    gamma = optimal_sinr(model)
+    gamma = model.gamma
 
     claimed = utility(instance, model, 0, allocation, regime)
     if regime == "dense":
@@ -245,8 +244,7 @@ def verify_nash(
     best, k, p = _best_carrier_action(instance, _leader_grid(instance, gamma, grid_size), score)
     action: dict = {"carrier": k, "power": p, "source": "grid"}
     # the gamma-targeting closed form on the best adjusted carrier
-    k = int(np.argmax(instance.g0 / (instance.sigma2 + fixed)))
-    p = gamma * (instance.sigma2 + fixed[k]) / instance.g0[k]
+    k, p = leader_respond(instance, fixed, gamma)
     closed = float(score(_one_carrier(instance, k, np.array([p])))[0])
     if closed > best:
         best = closed
@@ -272,7 +270,7 @@ def brute_force_stackelberg(
     best responses it induces).  Meant for small instances; accuracy is
     bounded by the grid resolution.
     """
-    gamma = optimal_sinr(model)
+    gamma = model.gamma
     _, k, p = _best_carrier_action(
         instance,
         _leader_grid(instance, gamma, grid_size),

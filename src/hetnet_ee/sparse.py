@@ -12,7 +12,7 @@ both carriers; the solver deterministically keeps the shared carrier.
 
 from __future__ import annotations
 
-from .efficiency import EfficiencyModel, optimal_sinr
+from .efficiency import EfficiencyModel
 from .model import (
     EquilibriumResult,
     NetworkInstance,
@@ -24,9 +24,7 @@ from .model import (
 __all__ = ["solve_sparse"]
 
 
-def solve_sparse(
-    instance: NetworkInstance, model: EfficiencyModel, tol: float = 1e-12
-) -> EquilibriumResult:
+def solve_sparse(instance: NetworkInstance, model: EfficiencyModel) -> EquilibriumResult:
     """Hierarchical equilibrium of the sparse-regime game.
 
     Every player ends up single-carrier with its SINR exactly at the
@@ -37,18 +35,18 @@ def solve_sparse(
     """
     if instance.carriers < 2:
         raise ValueError("the sparse equilibrium needs at least two carriers")
-    gamma = optimal_sinr(model, tol)
+    gamma = model.gamma
     sigma2 = instance.sigma2
     alloc = empty_allocation(instance)
 
-    b0 = rank_carriers(instance, 0).best
+    best, second = (ranks.tolist() for ranks in rank_carriers(instance))
+    b0 = best[0]
     p0 = gamma * sigma2 / instance.g0[b0]
     alloc[0, b0] = p0
 
     branches = []
     for f in range(instance.followers):
-        rank = rank_carriers(instance, f + 1)
-        bf, sf = rank.best, rank.second
+        bf, sf = best[f + 1], second[f + 1]
         if bf != b0:
             alloc[f + 1, bf] = gamma * sigma2 / instance.gf[f, bf]
             branches.append("free")

@@ -1,5 +1,7 @@
 """Tests for the Nash best-response dynamics and best-channel baselines."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,6 +9,7 @@ from numpy.testing import assert_allclose
 from hetnet_ee import (
     NetworkInstance,
     optimal_sinr,
+    sample_instance,
     solve_best_channel,
     solve_nash,
     verify_nash,
@@ -134,6 +137,16 @@ class TestBestChannel:
         assert not report.converged
         assert np.all(np.isfinite(res.allocation))
 
+    def test_divergence_overflows_without_warning(self, model):
+        # the leader power overflows near the float limit before the
+        # iterate turns non-finite; the run reports the last finite one
+        inst = sample_instance(5, 4, mean_cross=0.5, snr_db=-5.0, seed=189)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res, report = solve_best_channel(inst, model, "dense")
+        assert not report.converged and report.iterations == 352
+        assert np.all(np.isfinite(res.allocation)) and np.all(np.isfinite(res.utilities))
+
     def test_carriers_stay_pinned(self, model):
         rng = np.random.default_rng(36)
         for _ in range(10):
@@ -141,6 +154,6 @@ class TestBestChannel:
             res, report = solve_best_channel(inst, model, "dense")
             pins = res.diagnostics["pinned_carriers"]
             for n in range(inst.players):
-                assert pins[n] == int(np.argmax(inst.own_gains(n)))
+                assert pins[n] == int(np.argmax(inst.gains[n]))
                 nz = np.nonzero(res.allocation[n])[0]
                 assert list(nz) == [pins[n]]

@@ -1,14 +1,15 @@
 """The benchmark under ``bench/`` drives the package by name: the traced
 ``<module>.<function>`` targets of ``bench/run.py``, the top-level names the
-bench scripts import, and the dense solver's candidate table.  These checks
-read the scripts without running them."""
+bench scripts import, the dense solver's candidate table and the Nash sweep
+cap.  These checks read the scripts without running them."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import hetnet_ee
-from hetnet_ee import EfficiencyModel, sample_instance, solve_dense
+from hetnet_ee import EfficiencyModel, sample_instance, solve_dense, solve_nash
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -50,3 +51,9 @@ def test_dense_candidate_table_has_stay_limits():
     table = res.diagnostics["candidate_table"]
     assert len(table) == 5
     assert all(isinstance(cc.stay_limit, int) for cc in table)
+
+
+def test_nash_sweep_cap_is_an_int_default():
+    # bench/tracing.py reads it to count the Nash runs that hit the cap
+    cap = inspect.signature(solve_nash).parameters["max_iter"].default
+    assert isinstance(cap, int) and cap >= 1

@@ -18,7 +18,7 @@ from hetnet_ee import (
     solve_sparse,
     utility,
 )
-from hetnet_ee.model import respond, sinr_row
+from hetnet_ee.model import rank_carriers, respond, sinr
 from conftest import random_instance
 
 GAMMA = 1.2564312086261697
@@ -53,7 +53,7 @@ class TestFollowerBestResponse:
             alloc[0] = p0
             alloc[1] = respond(inst, p0, gamma)[0][0]
             k = int(np.argmax(alloc[1]))
-            assert abs(sinr_row(inst, alloc, 1, "dense")[k] / gamma - 1) < 1e-12
+            assert abs(sinr(inst, alloc, "dense")[1, k] / gamma - 1) < 1e-12
 
     def test_dominates_grid_alternatives(self, model):
         """No (carrier, power) grid cell beats the closed form."""
@@ -228,7 +228,7 @@ class TestEquilibriumStructure:
             res = solve_dense(inst, model)
             for f in range(inst.followers):
                 k = res.active_carriers[f + 1]
-                assert abs(sinr_row(inst, res.allocation, f + 1, "dense")[k] / gamma - 1) < 1e-12
+                assert abs(sinr(inst, res.allocation, "dense")[f + 1, k] / gamma - 1) < 1e-12
 
     def test_leader_sinr_matches_target_on_clean_shared_win(self, model):
         rng = np.random.default_rng(10)
@@ -241,7 +241,7 @@ class TestEquilibriumStructure:
             if d["winner_kind"] == "shared" and d["winner_replacement"] is None:
                 seen += 1
                 k = d["winner_carrier"]
-                assert_allclose(sinr_row(inst, res.allocation, 0, "dense")[k],
+                assert_allclose(sinr(inst, res.allocation, "dense")[0, k],
                                 d["winner_sinr_target"], rtol=1e-9)
         assert seen > 0
 
@@ -283,6 +283,37 @@ class TestCandidateTable:
                         continue
                     assert cc.slot_powers[l - 1] > 0.0
                     assert g0k - gamma * cc.sinr_targets[l - 1] * cc.eta[l - 1] * h0k > 0.0
+
+    def test_stay_tests_match_scalar_reference(self, model):
+        rng = np.random.default_rng(14)
+        for _ in range(60):
+            inst = random_instance(rng, k_range=(2, 6), f_range=(1, 5),
+                                   mean_cross=float(rng.choice([0.1, 0.5, 2.0])))
+            res = solve_dense(inst, model)
+            gamma = res.diagnostics["sinr_target"]
+            second = rank_carriers(inst)[1]
+            violations = []
+            for cc in res.diagnostics["candidate_table"]:
+                g0k, h0k = inst.g0[cc.carrier], inst.h0[cc.carrier]
+                expected = [
+                    inst.gf[f, cc.carrier] * (g0k - t * gamma * e * h0k)
+                    > inst.gf[f, second[f + 1]] * (g0k + h0k * t)
+                    for f, t, e in zip(cc.followers, cc.sinr_targets, cc.eta)
+                ]
+                assert cc.stays.tolist() == expected
+                assert cc.stay_limit == max(
+                    (l for l, ok in enumerate(expected, 1) if ok), default=0
+                )
+                violations += [(cc.carrier, l) for l in range(1, cc.stay_limit + 1)
+                               if not expected[l - 1]]
+            assert res.diagnostics["stay_test_violations"] == tuple(violations)
+
+    def test_stay_violation_below_the_limit_is_reported(self, model):
+        inst = sample_instance(5, 4, snr_db=15.952782902176622, seed=646)
+        res = solve_dense(inst, model)
+        cc = res.diagnostics["candidate_table"][3]
+        assert res.diagnostics["stay_test_violations"] == ((3, 1),)
+        assert cc.stay_limit >= 2 and not cc.stays[0]
 
     def test_stay_violations_reported_not_raised(self, model):
         rng = np.random.default_rng(13)

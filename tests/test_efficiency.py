@@ -10,7 +10,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hetnet_ee import EfficiencyModel, optimal_sinr
+from hetnet_ee import (
+    EfficiencyModel,
+    optimal_sinr,
+    sample_instance,
+    solve_best_channel,
+    solve_dense,
+    solve_nash,
+    solve_sparse,
+    verify_follower,
+    verify_leader_stackelberg,
+    verify_nash,
+)
+from hetnet_ee import efficiency
 from hetnet_ee.efficiency import optimal_sinr_with_feedback
 
 # mpmath, 40 digits, root of m*x*exp(-x) = 1 - exp(-x)
@@ -20,6 +32,7 @@ GAMMA = {
     10: 3.6149504270875306,
     100: 6.4746003795893581,
 }
+GAMMA_M3 = optimal_sinr(EfficiencyModel(m=3))
 # mpmath roots of m*x*(1 - a*x)*exp(-x) = 1 - exp(-x), m=2
 GAMMA_FEEDBACK = {0.05: 1.1568280419083893, 0.1: 1.0667417385321016,
                   0.2: 0.91364231530796302}
@@ -104,6 +117,42 @@ class TestOptimalSinr:
     def test_invalid_tolerance(self, model):
         with pytest.raises(ValueError):
             optimal_sinr(model, tol=0.0)
+
+
+class TestModelGamma:
+    @pytest.mark.parametrize("m", [2, 5, 10])
+    def test_equals_optimal_sinr(self, m):
+        assert EfficiencyModel(m).gamma == optimal_sinr(EfficiencyModel(m))
+
+    def test_solved_once_per_model(self, monkeypatch):
+        calls = []
+
+        def counting(model, *args):
+            calls.append(model)
+            return optimal_sinr(model, *args)
+
+        monkeypatch.setattr(efficiency, "optimal_sinr", counting)
+        model = EfficiencyModel(m=3)
+        inst = sample_instance(4, 2, seed=41)
+        for regime in ("sparse", "dense"):
+            alloc = solve_dense(inst, model).allocation
+            solve_sparse(inst, model)
+            solve_nash(inst, model, regime)
+            solve_best_channel(inst, model, regime)
+            verify_leader_stackelberg(inst, model, alloc, regime, grid_size=100)
+            verify_follower(inst, model, 0, alloc, grid_size=100)
+            verify_nash(inst, model, alloc, regime, grid_size=100)
+        assert calls == [model]
+        assert model.gamma == GAMMA_M3
+        assert EfficiencyModel(m=4).gamma != model.gamma and len(calls) == 2
+
+    def test_equality_ignores_the_solved_gamma(self):
+        solved, fresh = EfficiencyModel(m=5), EfficiencyModel(m=5)
+        assert_allclose(solved.gamma, GAMMA[5], rtol=1e-9)
+        assert solved == fresh and hash(solved) == hash(fresh)
+        assert repr(solved) == repr(fresh) == "EfficiencyModel(m=5)"
+        with pytest.raises(AttributeError):
+            solved.m = 6
 
 
 class TestFeedbackAdjustedSinr:

@@ -10,9 +10,10 @@ from hetnet_ee.model import (
     empty_allocation,
     leader_interference,
     make_result,
+    leader_respond,
     rank_carriers,
     respond,
-    sinr_row,
+    sinr,
 )
 from conftest import random_instance
 
@@ -66,13 +67,13 @@ class TestSinr:
         inst = simple_instance()
         alloc = empty_allocation(inst)
         alloc[0, 0] = 0.5
-        assert sinr_row(inst, alloc, 0, "sparse")[0] == 1.0  # 2 * 0.5 / 1
+        assert sinr(inst, alloc, "sparse")[0, 0] == 1.0  # 2 * 0.5 / 1
 
     def test_zero_power_zero_sinr(self, model):
         inst = simple_instance()
         alloc = empty_allocation(inst)
-        assert sinr_row(inst, alloc, 0, "sparse")[0] == 0.0
-        assert sinr_row(inst, alloc, 1, "dense")[1] == 0.0
+        assert sinr(inst, alloc, "sparse")[0, 0] == 0.0
+        assert sinr(inst, alloc, "dense")[1, 1] == 0.0
 
     def test_common_scaling_cancels(self):
         inst = simple_instance(sigma2=1.0)
@@ -80,15 +81,15 @@ class TestSinr:
         alloc = empty_allocation(inst)
         alloc[0, 0] = 0.7
         alloc3 = alloc * 3.0
-        assert_allclose(sinr_row(inst, alloc, 0, "sparse")[0],
-                        sinr_row(scaled, alloc3, 0, "sparse")[0], rtol=1e-15)
+        assert_allclose(sinr(inst, alloc, "sparse")[0, 0],
+                        sinr(scaled, alloc3, "sparse")[0, 0], rtol=1e-15)
 
     def test_follower_hits_target_at_closed_form_power(self, model):
         # power gamma*sigma2/gf with an idle leader puts the SINR at gamma
         inst = simple_instance()
         alloc = empty_allocation(inst)
         alloc[1, 0] = GAMMA / 3.0
-        assert_allclose(sinr_row(inst, alloc, 1, "dense")[0], GAMMA, rtol=1e-12)
+        assert_allclose(sinr(inst, alloc, "dense")[1, 0], GAMMA, rtol=1e-12)
 
     def test_follower_leader_interference(self):
         inst = simple_instance()
@@ -96,23 +97,97 @@ class TestSinr:
         alloc[0, 0] = 2.0
         alloc[1, 0] = 1.0
         # 3 * 1 / (1 + 1*2)
-        assert_allclose(sinr_row(inst, alloc, 1, "dense")[0], 1.0, rtol=1e-15)
+        assert_allclose(sinr(inst, alloc, "dense")[1, 0], 1.0, rtol=1e-15)
 
     def test_dense_leader_counts_cross_interference(self):
         inst = simple_instance(g0=[2.0, 1.0], hf=[[1.0, 0.0]])
         alloc = empty_allocation(inst)
         alloc[0, 0] = 1.0
         alloc[1, 0] = 1.0
-        assert_allclose(sinr_row(inst, alloc, 0, "dense")[0], 1.0, rtol=1e-15)  # 2/(1+1)
+        assert_allclose(sinr(inst, alloc, "dense")[0, 0], 1.0, rtol=1e-15)  # 2/(1+1)
         alloc[1, 0] = 0.0
-        assert sinr_row(inst, alloc, 0, "dense")[0] == sinr_row(inst, alloc, 0, "sparse")[0]
+        assert sinr(inst, alloc, "dense")[0, 0] == sinr(inst, alloc, "sparse")[0, 0]
 
     def test_dense_equals_sparse_without_followers_transmitting(self):
         inst = simple_instance(hf=[[0.0, 0.0]])
         alloc = empty_allocation(inst)
         alloc[0, 1] = 4.2
         alloc[1, 0] = 9.9
-        assert sinr_row(inst, alloc, 0, "dense")[1] == sinr_row(inst, alloc, 0, "sparse")[1]
+        assert sinr(inst, alloc, "dense")[0, 1] == sinr(inst, alloc, "sparse")[0, 1]
+
+    def test_rejects_unknown_regime(self):
+        inst = simple_instance()
+        with pytest.raises(ValueError, match="regime"):
+            sinr(inst, empty_allocation(inst), "mixed")
+
+
+def sinr_reference(inst, alloc, player, regime):
+    """Reference SINR row of one player, computed on its own."""
+    if player == 0:
+        interference = np.einsum("fk,fk->k", inst.hf, alloc[1:]) if regime == "dense" else 0.0
+        return inst.g0 * alloc[0] / (inst.sigma2 + interference)
+    return inst.gf[player - 1] * alloc[player] / (inst.sigma2 + inst.h0 * alloc[0])
+
+
+def utility_reference(inst, model, player, alloc, regime):
+    """Reference utility of one player; an all-zero row is worth 0."""
+    total = float(alloc[player].sum())
+    if total == 0.0:
+        return 0.0
+    successes = float(model.value(sinr_reference(inst, alloc, player, regime)).sum())
+    return float(inst.rates[player]) * successes / total
+
+
+def random_allocation(rng, inst):
+    """Sparse random powers with about a third of the rows all zero."""
+    alloc = rng.uniform(0.0, 3.0, size=(inst.players, inst.carriers))
+    alloc *= rng.uniform(size=alloc.shape) < 0.5
+    alloc *= (rng.uniform(size=inst.players) < 0.67)[:, None]
+    return alloc
+
+
+class TestWholeInstance:
+    """The all-player arrays equal the per-player reference bit for bit."""
+
+    @pytest.mark.parametrize("regime", ["sparse", "dense"])
+    def test_matches_per_player_reference(self, regime):
+        rng = np.random.default_rng(31)
+        model = EfficiencyModel(m=3)
+        for _ in range(60):
+            base = random_instance(rng, k_range=(1, 8), f_range=(0, 6),
+                                   mean_cross=float(rng.choice([0.0, 0.5, 2.0])))
+            inst = NetworkInstance(base.g0, base.gf, base.h0, base.hf, base.sigma2,
+                                   rates=rng.uniform(0.5, 4.0, base.players))
+            alloc = random_allocation(rng, inst)
+            matrix = sinr(inst, alloc, regime)
+            utilities = all_utilities(inst, model, alloc, regime)
+            assert matrix.shape == (inst.players, inst.carriers)
+            for n in range(inst.players):
+                assert np.array_equal(matrix[n], sinr_reference(inst, alloc, n, regime))
+                assert utilities[n] == utility_reference(inst, model, n, alloc, regime)
+                assert utility(inst, model, n, alloc, regime) == utilities[n]
+
+    def test_all_zero_allocation(self, model):
+        inst = sample_instance(4, 3, seed=32)
+        alloc = empty_allocation(inst)
+        assert np.array_equal(sinr(inst, alloc, "dense"), np.zeros((4, 4)))
+        assert np.array_equal(all_utilities(inst, model, alloc, "dense"), np.zeros(4))
+
+    def test_no_followers(self, model):
+        inst = NetworkInstance(g0=[1.0, 2.0], gf=np.zeros((0, 2)), h0=[0.5, 0.5],
+                               hf=np.zeros((0, 2)), sigma2=1.0)
+        alloc = np.array([[0.0, 0.7]])
+        for regime in ("sparse", "dense"):
+            assert np.array_equal(sinr(inst, alloc, regime), [[0.0, 1.4]])
+            assert all_utilities(inst, model, alloc, regime).tolist() == [
+                utility_reference(inst, model, 0, alloc, regime)
+            ]
+
+    def test_gains_stack_every_player(self):
+        inst = sample_instance(5, 3, seed=33)
+        assert np.array_equal(inst.gains, np.vstack([inst.g0, inst.gf]))
+        with pytest.raises(ValueError):
+            inst.gains[1, 0] = 5.0
 
 
 def respond_loop(inst, p0, gamma):
@@ -162,6 +237,21 @@ class TestRespond:
             assert np.array_equal(rows[idx], single)
             assert np.array_equal(carriers[idx], chosen)
             assert np.array_equal(interference[idx], leader_interference(inst, single))
+
+
+class TestLeaderRespond:
+    def test_hits_gamma_on_the_best_adjusted_carrier(self, model):
+        inst = simple_instance(hf=[[1.0, 0.0]])
+        alloc = empty_allocation(inst)
+        alloc[1, 0] = 3.0  # interference 3 on carrier 0: 2/4 < 1/1
+        k, p = leader_respond(inst, leader_interference(inst, alloc[1:]), GAMMA)
+        assert k == 1 and p == GAMMA
+        alloc[0, k] = p
+        assert_allclose(sinr(inst, alloc, "dense")[0, k], GAMMA, rtol=1e-15)
+
+    def test_ties_pick_the_lowest_index(self):
+        inst = simple_instance(g0=[1.0, 2.0])
+        assert leader_respond(inst, np.array([0.0, 1.0]), GAMMA)[0] == 0
 
 
 class TestUtility:
@@ -214,28 +304,57 @@ class TestUtility:
         assert_allclose(res.utilities, again, rtol=1e-9)
 
 
+def rank_reference(gains):
+    """Best carrier by argmax, second by argmax over the others."""
+    best = int(np.argmax(gains))
+    rest = np.delete(np.arange(gains.size), best)
+    return best, int(rest[np.argmax(gains[rest])])
+
+
 class TestRankCarriers:
     def test_simple(self):
         inst = simple_instance(g0=[2.0, 1.0])
-        rank = rank_carriers(inst, 0)
-        assert (rank.best, rank.second) == (0, 1)
+        best, second = rank_carriers(inst)
+        assert (best[0], second[0]) == (0, 1)
 
     def test_middle_best(self):
         inst = NetworkInstance(g0=[1.0, 3.0, 2.0], gf=[[1.0, 1.0, 2.0]],
                                h0=[0, 0, 0], hf=[[0, 0, 0]], sigma2=1.0)
-        rank = rank_carriers(inst, 0)
-        assert (rank.best, rank.second) == (1, 2)
+        best, second = rank_carriers(inst)
+        assert (best[0], second[0]) == (1, 2)
 
     def test_tie_breaks_to_lower_index(self):
         inst = simple_instance(g0=[2.0, 2.0])
-        rank = rank_carriers(inst, 0)
-        assert (rank.best, rank.second) == (0, 1)
+        best, second = rank_carriers(inst)
+        assert (best[0], second[0]) == (0, 1)
 
     def test_single_carrier_rejected(self, model):
         inst = NetworkInstance(g0=[1.0], gf=np.zeros((0, 1)), h0=[0.0],
                                hf=np.zeros((0, 1)), sigma2=1.0)
         with pytest.raises(ValueError):
-            rank_carriers(inst, 0)
+            rank_carriers(inst)
+
+    def test_follower_rows_and_ties(self):
+        # ties for best (row 1), for second (rows 0 and 2), and all-equal (row 3)
+        inst = NetworkInstance(g0=[3.0, 1.0, 2.0, 2.0],
+                               gf=[[1.0, 3.0, 3.0, 2.0], [4.0, 1.0, 1.0, 1.0],
+                                   [5.0, 5.0, 5.0, 5.0]],
+                               h0=np.zeros(4), hf=np.zeros((3, 4)), sigma2=1.0)
+        best, second = rank_carriers(inst)
+        assert best.tolist() == [0, 1, 0, 0]
+        assert second.tolist() == [2, 2, 1, 1]
+
+    def test_matches_per_player_reference(self):
+        rng = np.random.default_rng(34)
+        for _ in range(100):
+            k = int(rng.integers(2, 9))
+            f = int(rng.integers(0, k))
+            # small integer gains tie often, for best and for second place
+            gains = rng.integers(1, 4, size=(f + 1, k)).astype(float)
+            inst = NetworkInstance(gains[0], gains[1:], np.zeros(k), np.zeros((f, k)), 1.0)
+            best, second = rank_carriers(inst)
+            for n in range(inst.players):
+                assert (best[n], second[n]) == rank_reference(gains[n])
 
 
 class TestSampling:

@@ -11,7 +11,7 @@ from hetnet_ee import (
     solve_sparse,
     utility,
 )
-from hetnet_ee.model import sinr_row
+from hetnet_ee.model import sinr
 from conftest import random_instance
 
 GAMMA = 1.2564312086261697
@@ -89,10 +89,10 @@ class TestEquilibriumStructure:
             inst = random_instance(rng)
             res = solve_sparse(inst, model)
             k0 = res.active_carriers[0]
-            assert abs(sinr_row(inst, res.allocation, 0, "sparse")[k0] / gamma - 1) < 1e-12
+            assert abs(sinr(inst, res.allocation, "sparse")[0, k0] / gamma - 1) < 1e-12
             for f in range(inst.followers):
                 kf = res.active_carriers[f + 1]
-                assert abs(sinr_row(inst, res.allocation, f + 1, "sparse")[kf] / gamma - 1) < 1e-12
+                assert abs(sinr(inst, res.allocation, "sparse")[f + 1, kf] / gamma - 1) < 1e-12
 
     def test_follower_prefers_its_carrier_closed_form(self, model):
         """No single-carrier target-SINR alternative beats the assigned one."""

@@ -12,10 +12,14 @@ there.  They differ in how the carrier is chosen:
   carrier and only iterates the powers.
 
 Neither iteration is guaranteed to converge; the report says whether it
-did.  Divergence (interference feeding back faster than it damps) is
-detected by non-finite powers or iteration exhaustion and reported as
+did and why it stopped.  Divergence (interference feeding back faster than
+it damps) is detected by non-finite powers and reported as
 ``converged=False`` with the last finite iterate, never raised; the
-overflow on the way there is expected and raises no warning.
+overflow on the way there is expected and raises no warning.  A sweep is
+a pure function of the allocation, so once an iterate repeats bit for bit
+(checked Brent-style against one checkpoint taken at sweeps 1, 2, 4, ...)
+the shared loop skips whole periods of the cycle and returns exactly what
+running all ``max_iter`` sweeps would.
 """
 
 from __future__ import annotations
@@ -40,11 +44,48 @@ __all__ = ["IterationReport", "solve_nash", "solve_best_channel"]
 
 @dataclass(frozen=True)
 class IterationReport:
-    """Convergence record of one best-response or fixed-point run."""
+    """Convergence record of one fixed-point run; ``stop`` names why it ended:
+    ``"converged"``, ``"cycle"`` (an exact repeat, carried to ``max_iter``),
+    ``"overflow"`` (a non-finite iterate) or ``"cap"``."""
 
     converged: bool
     iterations: int
     final_change: float
+    stop: str
+
+
+def _interference(instance: NetworkInstance, alloc: np.ndarray, regime: str) -> np.ndarray:
+    dense = regime == "dense"
+    return leader_interference(instance, alloc[1:]) if dense else np.zeros(instance.carriers)
+
+
+def _iterate(step, alloc: np.ndarray, max_iter: int, tol: float):
+    """Apply the in-place sweep ``step`` until the largest power change drops
+    below ``tol``, an iterate turns non-finite or ``max_iter`` sweeps ran;
+    returns the last finite iterate and its ``IterationReport``."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    change, stop, checkpoint, mark, sweep = np.inf, "cap", None, 0, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while sweep < max_iter:
+            sweep += 1
+            previous = alloc.copy()
+            step(alloc)
+            if not np.all(np.isfinite(alloc)):
+                return previous, IterationReport(False, sweep, change, "overflow")
+            change = float(np.abs(alloc - previous).max())
+            if change < tol:
+                return alloc, IterationReport(True, sweep, change, "converged")
+            if stop == "cap":
+                state = alloc.tobytes()
+                if state == checkpoint:
+                    # sweeps mark+1..sweep passed every check and repeat
+                    # with this period; jump by whole periods
+                    stop = "cycle"
+                    sweep = max_iter - (max_iter - sweep) % (sweep - mark)
+                elif sweep & (sweep - 1) == 0:
+                    checkpoint, mark = state, sweep
+    return alloc, IterationReport(False, sweep, change, stop)
 
 
 def solve_nash(
@@ -59,35 +100,19 @@ def solve_nash(
     Each update moves one player to its interference-adjusted best carrier
     at the optimal-SINR power.  Stops when the largest power change over a
     full sweep drops below ``tol``; cycling or divergence ends with
-    ``converged=False`` and the last iterate.
+    ``converged=False`` and the last iterate.  A run that enters an exact
+    cycle skips the repeated sweeps and returns the same iterate, change
+    and ``iterations == max_iter`` as running them all.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     gamma = model.gamma
-    alloc = empty_allocation(instance)
-    converged = False
-    change = np.inf
-    sweeps = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for sweeps in range(1, max_iter + 1):
-            previous = alloc.copy()
-            interference = (
-                leader_interference(instance, alloc[1:])
-                if regime == "dense"
-                else np.zeros(instance.carriers)
-            )
-            k, p = leader_respond(instance, interference, gamma)
-            alloc[0] = 0.0
-            alloc[0, k] = p
-            alloc[1:] = respond(instance, alloc[0], gamma)[0]
-            if not np.all(np.isfinite(alloc)):
-                alloc = previous
-                break
-            change = float(np.abs(alloc - previous).max())
-            if change < tol:
-                converged = True
-                break
-    report = IterationReport(converged=converged, iterations=sweeps, final_change=change)
+
+    def step(alloc):
+        k, p = leader_respond(instance, _interference(instance, alloc, regime), gamma)
+        alloc[0] = 0.0
+        alloc[0, k] = p
+        alloc[1:] = respond(instance, alloc[0], gamma)[0]
+
+    alloc, report = _iterate(step, empty_allocation(instance), max_iter, tol)
     diagnostics = {
         "solver": "nash_best_response",
         "sinr_target": gamma,
@@ -111,36 +136,19 @@ def solve_best_channel(
     produce.  When contention is strong enough the power recursion has no
     finite fixed point and the run reports ``converged=False``.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     gamma = model.gamma
     pins = instance.gains.argmax(axis=1).tolist()
-    alloc = empty_allocation(instance)
-    converged = False
-    change = np.inf
-    sweeps = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for sweeps in range(1, max_iter + 1):
-            previous = alloc.copy()
-            interference = (
-                leader_interference(instance, alloc[1:])
-                if regime == "dense"
-                else np.zeros(instance.carriers)
-            )
-            k0 = pins[0]
-            alloc[0, k0] = gamma * (instance.sigma2 + interference[k0]) / instance.g0[k0]
-            for f in range(instance.followers):
-                k = pins[f + 1]
-                denom = instance.sigma2 + instance.h0[k] * alloc[0, k]
-                alloc[f + 1, k] = gamma * denom / instance.gf[f, k]
-            if not np.all(np.isfinite(alloc)):
-                alloc = previous
-                break
-            change = float(np.abs(alloc - previous).max())
-            if change < tol:
-                converged = True
-                break
-    report = IterationReport(converged=converged, iterations=sweeps, final_change=change)
+
+    def step(alloc):
+        k0 = pins[0]
+        interference = _interference(instance, alloc, regime)
+        alloc[0, k0] = gamma * (instance.sigma2 + interference[k0]) / instance.g0[k0]
+        for f in range(instance.followers):
+            k = pins[f + 1]
+            denom = instance.sigma2 + instance.h0[k] * alloc[0, k]
+            alloc[f + 1, k] = gamma * denom / instance.gf[f, k]
+
+    alloc, report = _iterate(step, empty_allocation(instance), max_iter, tol)
     diagnostics = {
         "solver": "best_channel_fixed_point",
         "sinr_target": gamma,

@@ -191,9 +191,9 @@ def main(argv=None) -> int:
     p_verify.add_argument("--rates", default=None)
     p_verify.add_argument("--grid-size", type=int, dest="grid_size", default=300)
     p_verify.add_argument(
-        "--tolerance", type=float, default=1e-3,
-        help="relative-gain tolerance of the leader and nash checks; stackelberg "
-             "follower checks always use 1e-6",
+        "--tolerance", type=float, default=None,
+        help="relative-gain tolerance of every check (default: 1e-3 for leader "
+             "and nash checks, 1e-6 for stackelberg follower checks)",
     )
     p_verify.set_defaults(func=_cmd_verify)
 

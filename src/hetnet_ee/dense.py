@@ -51,7 +51,7 @@ from .model import (
 __all__ = ["CarrierCandidates", "solve_dense"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CarrierCandidates:
     """Per-carrier bookkeeping of the leader's candidate actions.
 

@@ -173,27 +173,23 @@ def run_scheme(scheme: str, instance, model, regime: str):
 
 def verify_scheme(
     scheme: str, instance, model, allocation, regime: str, grid_size: int = 300,
-    tol: float = 1e-3,
+    tol: float | None = None,
 ) -> list[DeviationReport]:
     """Oracle reports for one scheme's output, one per checked player.
 
-    ``tol`` applies to the leader check of ``stackelberg`` and to every
-    ``nash`` check; ``stackelberg`` follower checks keep the follower
-    oracle's own 1e-6.  The best-channel heuristic claims no equilibrium,
+    A ``tol`` applies to every check; ``None`` keeps each oracle's own
+    default (1e-3 for leader and ``nash`` checks, 1e-6 for ``stackelberg``
+    follower checks).  The best-channel heuristic claims no equilibrium,
     so it gets no reports.
     """
+    kw = {"grid_size": grid_size} if tol is None else {"grid_size": grid_size, "tol": tol}
     if scheme == "stackelberg":
-        reports = [
-            verify_leader_stackelberg(
-                instance, model, allocation, regime, grid_size=grid_size, tol=tol
-            )
-        ]
-        return reports + [
-            verify_follower(instance, model, f, allocation, grid_size=grid_size)
+        return [verify_leader_stackelberg(instance, model, allocation, regime, **kw)] + [
+            verify_follower(instance, model, f, allocation, **kw)
             for f in range(instance.followers)
         ]
     if scheme == "nash":
-        return verify_nash(instance, model, allocation, regime, grid_size=grid_size, tol=tol)
+        return verify_nash(instance, model, allocation, regime, **kw)
     return []
 
 

@@ -63,7 +63,7 @@ def _frozen_array(values, shape, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkInstance:
     """Immutable channel data for one realization of the game.
 
@@ -73,6 +73,7 @@ class NetworkInstance:
     the leader's receiver.  ``rates[n]`` is player ``n``'s transmission
     rate in bits/s.  Requires ``K >= F + 1``.  ``gains`` stacks the
     own-signal gains of all players, ``(F+1, K)`` with the leader's first.
+    Compared by identity; ``digest()`` compares content.
     """
 
     g0: np.ndarray
@@ -128,7 +129,7 @@ class NetworkInstance:
         return h.hexdigest()[:16]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumResult:
     """Solver output: allocation plus recomputed per-player facts.
 

@@ -14,10 +14,115 @@ from hetnet_ee import (
     solve_nash,
     verify_nash,
 )
+from hetnet_ee import baselines
+from hetnet_ee.baselines import IterationReport
 from hetnet_ee.model import respond
 from conftest import random_instance
 
 GAMMA = 1.2564312086261697
+
+# (seed, period) of K=5 F=4 dense Nash runs that cycle at 5 dB; seeds 88
+# and 458 enter their cycle at sweep 19, the others by sweep 2
+CYCLING = [(4, 2), (88, 2), (17, 3), (305, 4), (458, 5)]
+CAPS = [1, 2, 3, 7, 999, 1000, 1001]
+
+
+def cycling_instance(seed):
+    return sample_instance(5, 4, mean_cross=0.5, snr_db=5.0, seed=seed)
+
+
+def plain_iterate(step, alloc, max_iter, tol):
+    """Reference fixed-point loop that runs every sweep, no cycle skip."""
+    converged, change, sweeps, stop = False, np.inf, 0, "cap"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sweeps in range(1, max_iter + 1):
+            previous = alloc.copy()
+            step(alloc)
+            if not np.all(np.isfinite(alloc)):
+                alloc, stop = previous, "overflow"
+                break
+            change = float(np.abs(alloc - previous).max())
+            if change < tol:
+                converged, stop = True, "converged"
+                break
+    return alloc, IterationReport(converged, sweeps, change, stop)
+
+
+def assert_same_run(fast, plain):
+    (res, report), (ref, ref_report) = fast, plain
+    assert res.allocation.tobytes() == ref.allocation.tobytes()
+    assert res.utilities.tobytes() == ref.utilities.tobytes()
+    assert res.active_carriers == ref.active_carriers
+    assert report.converged == ref_report.converged
+    assert report.iterations == ref_report.iterations
+    assert np.float64(report.final_change).tobytes() == np.float64(
+        ref_report.final_change).tobytes()
+    expected_stop = {"cycle": "cap"}.get(report.stop, report.stop)
+    assert ref_report.stop == expected_stop
+
+
+def run_both(monkeypatch, solver, inst, model, regime, **kw):
+    fast = solver(inst, model, regime, **kw)
+    with monkeypatch.context() as m:
+        m.setattr(baselines, "_iterate", plain_iterate)
+        plain = solver(inst, model, regime, **kw)
+    return fast, plain
+
+
+class TestCycleSkip:
+    @pytest.mark.parametrize("seed,period", CYCLING)
+    def test_matches_plain_loop_bit_for_bit(self, model, monkeypatch, seed, period):
+        inst = cycling_instance(seed)
+        for max_iter in CAPS:
+            for tol in (1e-10, 0.0):
+                fast, plain = run_both(monkeypatch, solve_nash, inst, model, "dense",
+                                       max_iter=max_iter, tol=tol)
+                assert_same_run(fast, plain)
+        report = solve_nash(inst, model, "dense")[1]
+        assert report.stop == "cycle" and report.iterations == 1000
+
+    @pytest.mark.parametrize("seed,period", CYCLING)
+    def test_iterate_repeats_with_the_period(self, model, seed, period):
+        inst = cycling_instance(seed)
+        last = solve_nash(inst, model, "dense")[0].allocation
+        back = solve_nash(inst, model, "dense", max_iter=1000 - period)[0].allocation
+        before = solve_nash(inst, model, "dense", max_iter=999)[0].allocation
+        assert last.tobytes() == back.tobytes() != before.tobytes()
+
+    def test_skips_almost_every_sweep(self, model, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return respond(*args)
+
+        monkeypatch.setattr(baselines, "respond", counting)
+        _, report = solve_nash(cycling_instance(4), model, "dense")
+        assert report.iterations == 1000 and len(calls) < 60
+
+    def test_exact_fixed_point_with_zero_tol_jumps_to_the_cap(self, model, monkeypatch):
+        # tol=0 never converges; the sparse fixed point repeats with period 1
+        inst = random_instance(np.random.default_rng(37))
+        fast, plain = run_both(monkeypatch, solve_nash, inst, model, "sparse", tol=0.0)
+        assert_same_run(fast, plain)
+        report = fast[1]
+        assert report.stop == "cycle" and report.iterations == 1000
+        assert report.final_change == 0.0 and not report.converged
+
+    def test_random_runs_match_plain_loop(self, model, monkeypatch):
+        rng = np.random.default_rng(38)
+        for _ in range(30):
+            inst = random_instance(rng, k_range=(2, 6), f_range=(0, 4))
+            for solver in (solve_nash, solve_best_channel):
+                for regime in ("dense", "sparse"):
+                    fast, plain = run_both(monkeypatch, solver, inst, model, regime,
+                                           max_iter=int(rng.integers(1, 200)))
+                    assert_same_run(fast, plain)
+
+    def test_stop_names(self, model):
+        inst = cycling_instance(4)
+        assert solve_nash(inst, model, "dense", max_iter=1)[1].stop == "cap"
+        assert solve_nash(inst, model, "sparse")[1].stop == "converged"
 
 
 class TestNashDynamics:
@@ -145,6 +250,7 @@ class TestBestChannel:
             warnings.simplefilter("error")
             res, report = solve_best_channel(inst, model, "dense")
         assert not report.converged and report.iterations == 352
+        assert report.stop == "overflow"
         assert np.all(np.isfinite(res.allocation)) and np.all(np.isfinite(res.utilities))
 
     def test_carriers_stay_pinned(self, model):

@@ -1,15 +1,17 @@
 """The benchmark under ``bench/`` drives the package by name: the traced
 ``<module>.<function>`` targets of ``bench/run.py``, the top-level names the
-bench scripts import, the dense solver's candidate table and the Nash sweep
-cap.  These checks read the scripts without running them."""
+bench scripts import, the dense solver's candidate table, the Nash sweep
+cap and the iteration-report fields.  These checks read the scripts without
+running them."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
 
 import hetnet_ee
-from hetnet_ee import EfficiencyModel, sample_instance, solve_dense, solve_nash
+from hetnet_ee import EfficiencyModel, IterationReport, sample_instance, solve_dense, solve_nash
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -57,3 +59,9 @@ def test_nash_sweep_cap_is_an_int_default():
     # bench/tracing.py reads it to count the Nash runs that hit the cap
     cap = inspect.signature(solve_nash).parameters["max_iter"].default
     assert isinstance(cap, int) and cap >= 1
+
+
+def test_iteration_report_keeps_the_traced_fields():
+    # bench/tracing.py counts sweeps and capped runs from these two fields
+    names = {f.name for f in dataclasses.fields(IterationReport)}
+    assert {"converged", "iterations"} <= names

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hetnet_ee import cli
 from hetnet_ee.cli import main
 from hetnet_ee.harness import CSV_HEADER, read_records
 
@@ -93,6 +94,27 @@ class TestVerify:
         assert "PASS scheme=stackelberg" in captured
         # stackelberg trials must all certify
         assert "FAIL scheme=stackelberg" not in captured
+
+    @pytest.mark.parametrize("flag,expected", [
+        ((), [1e-3, 1e-6, 1e-6]),
+        (("--tolerance", "0.5"), [0.5, 0.5, 0.5]),
+    ])
+    def test_tolerance_reaches_every_check(self, tmp_path, capsys, monkeypatch, flag,
+                                           expected):
+        out = tmp_path / "run.csv"
+        run_cli("sweep", "--carriers", "3", "--followers", "2", "--snr-db", "0",
+                "--trials", "2", "--schemes", "stackelberg", "--verify-fraction", "0",
+                "--output", str(out))
+        seen, original = [], cli.verify_scheme
+
+        def recording(*args, **kw):
+            reports = original(*args, **kw)
+            seen.append([r.tolerance for r in reports])
+            return reports
+
+        monkeypatch.setattr(cli, "verify_scheme", recording)
+        run_cli("verify", "--input", str(out), "--grid-size", "100", *flag)
+        assert seen == [expected, expected]
 
     def test_exit_code_clean_when_all_pass(self, tmp_path, capsys):
         out = tmp_path / "run.csv"

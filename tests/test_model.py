@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hetnet_ee import EfficiencyModel, NetworkInstance, sample_instance, utility
+from hetnet_ee import EfficiencyModel, NetworkInstance, sample_instance, solve_dense, utility
 from hetnet_ee.model import (
     all_utilities,
     empty_allocation,
@@ -60,6 +60,16 @@ class TestNetworkInstance:
         c = sample_instance(4, 2, seed=12)
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
+
+    def test_equality_is_identity_and_hash_works(self):
+        # array-holding dataclasses compare by identity; digest() compares content
+        model = EfficiencyModel(m=2)
+        a, b = sample_instance(5, 4, seed=1), sample_instance(5, 4, seed=1)
+        ra, rb = solve_dense(a, model), solve_dense(b, model)
+        ca, cb = ra.diagnostics["candidate_table"][0], rb.diagnostics["candidate_table"][0]
+        for x, y in ((a, b), (ra, rb), (ca, cb)):
+            assert x == x and x != y
+            assert len({hash(x), hash(y)}) == 2 and {x: 1}[x] == 1
 
 
 class TestSinr:

@@ -12,7 +12,7 @@ deviation oracles, and drives seeded Monte-Carlo sweeps from the
 
 from .baselines import IterationReport, solve_best_channel, solve_nash
 from .dense import solve_dense
-from .efficiency import EfficiencyModel, NoRootError, optimal_sinr
+from .efficiency import EfficiencyModel, optimal_sinr
 from .harness import ScenarioConfig, run_sweep, summarize, write_records
 from .model import EquilibriumResult, NetworkInstance, sample_instance, utility
 from .oracle import (
@@ -32,7 +32,6 @@ __all__ = [
     "EquilibriumResult",
     "IterationReport",
     "NetworkInstance",
-    "NoRootError",
     "ScenarioConfig",
     "brute_force_stackelberg",
     "optimal_sinr",

@@ -116,7 +116,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 
 def _cmd_gamma(args: argparse.Namespace) -> int:
     model = EfficiencyModel(m=args.m_exponent)
-    print(f"{optimal_sinr(model, args.tol):.15g}")
+    print(f"{optimal_sinr(model):.15g}")
     return 0
 
 
@@ -132,9 +132,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     checked = 0
     skipped = 0
     for scheme, regime, snr_db, carriers, followers, trial, seed in trials:
-        if scheme == "best_channel":
-            skipped += 1
-            continue
         instance = sample_instance(
             carriers,
             followers,
@@ -144,11 +141,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             rates=rates,
             seed=seed,
         )
-        result, _ = run_scheme(scheme, instance, model, regime)
+        result, converged = run_scheme(scheme, instance, model, regime)
         reports = verify_scheme(
-            scheme, instance, model, result.allocation, regime,
+            scheme, instance, model, result.allocation, converged, regime,
             grid_size=args.grid_size, tol=args.tolerance,
         )
+        if not reports:
+            # no equilibrium claimed: best channel, or Nash that did not converge
+            skipped += 1
         for rep in reports:
             checked += 1
             status = "PASS" if rep.passed else "FAIL"
@@ -180,7 +180,6 @@ def main(argv=None) -> int:
 
     p_gamma = sub.add_parser("gamma", help="print the optimal SINR operating point")
     p_gamma.add_argument("--m-exponent", type=int, dest="m_exponent", default=2)
-    p_gamma.add_argument("--tol", type=float, default=1e-12)
     p_gamma.set_defaults(func=_cmd_gamma)
 
     p_verify = sub.add_parser("verify", help="re-certify recorded trials with the oracle")

@@ -124,14 +124,12 @@ def _build_carrier(instance, model, gamma, k, best, second) -> CarrierCandidates
     nominees = tuple(rows.tolist())
     count = len(nominees)
 
-    eta = np.zeros(count)
-    targets = np.zeros(count)
-    acc = 0.0
-    for i, f in enumerate(nominees):
-        acc = acc + instance.hf[f, k] / instance.gf[f, k]
-        eta[i] = acc
-        feedback = h0k * gamma * eta[i] / g0k
-        targets[i] = optimal_sinr_with_feedback(model, feedback)
+    # cumulative interference ratio of the top-l nominees, and the leader's
+    # feedback-adjusted SINR target when they share the carrier
+    eta = np.cumsum(instance.hf[rows, k] / gb)
+    targets = np.array(
+        [optimal_sinr_with_feedback(model, c) for c in (h0k * gamma * eta / g0k).tolist()]
+    )
 
     # indifference boundaries: leader power at which nominee i stops
     # preferring this carrier over its second-best

@@ -10,9 +10,14 @@ package:
   transmitter whose interferers scale their own power with its SINR
   (coefficient ``c`` measures that feedback).
 
-Both are solved by geometric-grid bracketing followed by plain bisection,
-using a reduced residual that stays well scaled for large ``m``.  The first
-root depends only on ``m``: each model solves it once, as its ``gamma``.
+Both are solved by one safeguarded Newton iteration on a reduced residual
+that stays well scaled for large ``m``.  Near zero the residual behaves like
+``(m - 1) x > 0``, and it is negative at ``x = m`` and at ``x = 1/c``, so
+``(0, min(m, 1/c)]`` brackets the root for every ``m >= 2`` and ``c >= 0``.
+Each step shrinks that bracket by the residual's sign and falls back to
+bisection when the Newton step leaves it; the loop ends when a step no
+longer moves the iterate.  The first root depends only on ``m``: each model
+solves it once, as its ``gamma``.
 """
 
 from __future__ import annotations
@@ -25,20 +30,9 @@ import numpy as np
 
 __all__ = [
     "EfficiencyModel",
-    "NoRootError",
     "optimal_sinr",
     "optimal_sinr_with_feedback",
 ]
-
-# bracketing scan for the root equations (geometric grid, see optimal_sinr)
-_SCAN_LO = 1e-9
-_SCAN_HI = 1e3
-_SCAN_POINTS = 256
-_MAX_BISECT = 200
-
-
-class NoRootError(RuntimeError):
-    """No sign change could be bracketed for a root equation."""
 
 
 @dataclass(frozen=True)
@@ -82,70 +76,45 @@ class EfficiencyModel:
         return optimal_sinr(self)
 
 
-def _reduced_residual(x: float, m: int, feedback: float) -> float:
-    # (x - c x^2) f'(x) - f(x) shares its sign with this expression after
-    # dividing out (1 - e^-x)^(m-1) > 0; the reduced form never underflows.
-    return m * x * math.exp(-x) * (1.0 - feedback * x) + math.expm1(-x)
-
-
-def optimal_sinr_with_feedback(
-    model: EfficiencyModel, feedback: float, tol: float = 1e-12
-) -> float:
+def optimal_sinr_with_feedback(model: EfficiencyModel, feedback: float) -> float:
     """Positive root of ``(x - feedback*x**2) * f'(x) = f(x)``.
 
     ``feedback`` is the quadratic self-interference coefficient; it must be
-    nonnegative.  All positive roots lie in ``(0, 1/feedback)`` because the
-    left side is negative beyond that point, so the returned root always
-    satisfies ``feedback * root < 1``.  With ``feedback == 0`` this reduces
-    exactly to :func:`optimal_sinr`.
-
-    Raises :class:`NoRootError` if no sign change exists on the scan grid,
-    which signals a success function violating the one-positive-root
-    premise.
+    finite and nonnegative.  The root is the unique sign change of the
+    reduced residual on ``(0, min(m, 1/feedback)]``, so ``feedback * root
+    < 1`` and ``root < m`` always hold.  With ``feedback == 0`` this is
+    :func:`optimal_sinr`.  The result is accurate to a few ulps.
     """
-    if feedback < 0.0:
-        raise ValueError("feedback coefficient must be nonnegative")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    m = model.m
-    hi = _SCAN_HI if feedback == 0.0 else min(_SCAN_HI, 1.0 / feedback)
-    grid = np.geomspace(_SCAN_LO, hi, _SCAN_POINTS)
-    vals = m * grid * np.exp(-grid) * (1.0 - feedback * grid) + np.expm1(-grid)
-    signs = np.sign(vals)
-    flips = np.nonzero(signs[1:] * signs[:-1] < 0)[0]
-    exact = np.nonzero(signs == 0)[0]
-    if exact.size:
-        return float(grid[exact[0]])
-    if not flips.size:
-        raise NoRootError(
-            f"no positive root of the optimal-SINR equation for m={m}, "
-            f"feedback={feedback} on (0, {hi}]"
-        )
-    lo, up = float(grid[flips[0]]), float(grid[flips[0] + 1])
-    flo = _reduced_residual(lo, m, feedback)
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + up)
-        fmid = _reduced_residual(mid, m, feedback)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
+    if not 0.0 <= feedback < math.inf:
+        raise ValueError(f"feedback coefficient must be finite and nonnegative, got {feedback}")
+    m, c = int(model.m), float(feedback)
+    lo = 0.0
+    x = hi = float(m) if c == 0.0 else min(float(m), 1.0 / c)
+    while True:
+        # (x - c x^2) f'(x) - f(x) shares its sign with r after dividing out
+        # (1 - e^-x)^(m-1) > 0; the reduced form never underflows
+        e = math.exp(-x)
+        r = m * x * e * (1.0 - c * x) + math.expm1(-x)
+        if r > 0.0:
+            lo = x
+        elif r < 0.0:
+            hi = x
         else:
-            up = mid
-        if up - lo <= tol * mid and abs(fmid) <= tol:
-            break
-    root = 0.5 * (lo + up)
-    resid = (root - feedback * root * root) * model.derivative(root) - model.value(root)
-    if abs(resid) >= tol:
-        raise NoRootError(
-            f"bisection stalled for m={m}, feedback={feedback}: residual {resid:.3e}"
-        )
-    return root
+            return x
+        slope = e * (m * (1.0 - x - 2.0 * c * x + c * x * x) - 1.0)
+        step = x - r / slope if slope else math.nan
+        if step == x:
+            return x
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+            if step in (lo, hi):
+                return x
+        x = step
 
 
-def optimal_sinr(model: EfficiencyModel, tol: float = 1e-12) -> float:
+def optimal_sinr(model: EfficiencyModel) -> float:
     """SINR maximizing successes per unit power: root of ``x*f'(x) = f(x)``.
 
     Also the maximizer of ``f(x)/x``, which is how tests cross-check it.
     """
-    return optimal_sinr_with_feedback(model, 0.0, tol)
+    return optimal_sinr_with_feedback(model, 0.0)

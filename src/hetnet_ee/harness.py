@@ -13,8 +13,9 @@ CSV with the fixed header::
 
 Floats are written with 12 significant digits; ``verified`` is filled for
 the configurable fraction of trials that get re-certified by the deviation
-oracles (equilibrium schemes only; the best-channel heuristic claims no
-equilibrium property, so its records are never marked).
+oracles (equilibrium claims only: the best-channel heuristic and a Nash
+run that did not converge claim no equilibrium, so their records are never
+marked).  A scheme that raises stops the sweep.
 """
 
 from __future__ import annotations
@@ -102,6 +103,8 @@ class ScenarioConfig:
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}")
         for k in self.carriers:
+            if k < 2:
+                raise ValueError(f"carrier count {k} < 2: the stackelberg solvers need two")
             if k < self.followers + 1:
                 raise ValueError(
                     f"carrier count {k} violates K >= F+1 with F={self.followers}"
@@ -172,15 +175,17 @@ def run_scheme(scheme: str, instance, model, regime: str):
 
 
 def verify_scheme(
-    scheme: str, instance, model, allocation, regime: str, grid_size: int = 300,
-    tol: float | None = None,
+    scheme: str, instance, model, allocation, converged: bool, regime: str,
+    grid_size: int = 300, tol: float | None = None,
 ) -> list[DeviationReport]:
     """Oracle reports for one scheme's output, one per checked player.
 
     A ``tol`` applies to every check; ``None`` keeps each oracle's own
     default (1e-3 for leader and ``nash`` checks, 1e-6 for ``stackelberg``
-    follower checks).  The best-channel heuristic claims no equilibrium,
-    so it gets no reports.
+    follower checks).  Only equilibrium claims are checked: the
+    best-channel heuristic and a Nash run that did not converge (``converged``
+    is the flag :func:`run_scheme` returned) claim none, so they get no
+    reports.
     """
     kw = {"grid_size": grid_size} if tol is None else {"grid_size": grid_size, "tol": tol}
     if scheme == "stackelberg":
@@ -188,7 +193,7 @@ def verify_scheme(
             verify_follower(instance, model, f, allocation, **kw)
             for f in range(instance.followers)
         ]
-    if scheme == "nash":
+    if scheme == "nash" and converged:
         return verify_nash(instance, model, allocation, regime, **kw)
     return []
 
@@ -215,21 +220,11 @@ def run_sweep(config: ScenarioConfig) -> Iterator[SweepRecord]:
                 )
                 digest = instance.digest()
                 for scheme in config.schemes:
-                    try:
-                        result, converged = run_scheme(scheme, instance, model, config.regime)
-                    except Exception:
-                        # record the failure, keep sweeping
-                        for player in range(config.followers + 1):
-                            yield SweepRecord(
-                                scheme, config.regime, snr_db, carriers,
-                                config.followers, trial, trial_seed, player,
-                                math.nan, None, False, "", digest,
-                            )
-                        continue
+                    result, converged = run_scheme(scheme, instance, model, config.regime)
                     reports = (
                         verify_scheme(
-                            scheme, instance, model, result.allocation, config.regime,
-                            config.verify_grid,
+                            scheme, instance, model, result.allocation, converged,
+                            config.regime, config.verify_grid,
                         )
                         if do_verify
                         else []

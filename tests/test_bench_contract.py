@@ -1,8 +1,8 @@
 """The benchmark under ``bench/`` drives the package by name: the traced
 ``<module>.<function>`` targets of ``bench/run.py``, the top-level names the
-bench scripts import, the dense solver's candidate table, the Nash sweep
-cap and the iteration-report fields.  These checks read the scripts without
-running them."""
+bench scripts import, the γ call of its set-up probe, the dense solver's
+candidate table, the Nash sweep cap and the iteration-report fields.  These
+checks read the scripts without running them."""
 
 import ast
 import dataclasses
@@ -65,3 +65,21 @@ def test_iteration_report_keeps_the_traced_fields():
     # bench/tracing.py counts sweeps and capped runs from these two fields
     names = {f.name for f in dataclasses.fields(IterationReport)}
     assert {"converged", "iterations"} <= names
+
+
+def test_setup_probe_gamma_call_runs():
+    # bench/run.py times a cold import up to this one call in a child process
+    code = None
+    for node in _tree("run.py").body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SETUP_CODE" for t in node.targets
+        ):
+            code = ast.literal_eval(node.value)
+    assert code
+    calls = [
+        node.value for node in ast.parse(code.format(modules=())).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["gamma"]
+    ]
+    assert len(calls) == 1
+    expr = compile(ast.Expression(calls[0]), "SETUP_CODE", "eval")
+    assert eval(expr, {"hetnet_ee": hetnet_ee}) == EfficiencyModel(m=2).gamma

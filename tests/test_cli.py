@@ -116,6 +116,22 @@ class TestVerify:
         run_cli("verify", "--input", str(out), "--grid-size", "100", *flag)
         assert seen == [expected, expected]
 
+    def test_unconverged_nash_trials_are_skipped(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        run_cli("sweep", "--carriers", "5", "--followers", "4", "--snr-db", "0,10,20",
+                "--trials", "8", "--seed", "9", "--schemes", "stackelberg,nash",
+                "--regime", "dense", "--verify-fraction", "0", "--output", str(out))
+        stuck = {(r.snr_db, r.trial) for r in read_records(out) if not r.converged}
+        assert len(stuck) == 2
+        capsys.readouterr()
+        assert run_cli("verify", "--input", str(out)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # 24 stackelberg and 22 nash trials, five checks each
+        assert lines[-1] == "verified 230 checks, 0 failures, 2 trials skipped"
+        for snr_db, trial in stuck:
+            assert not any(f"scheme=nash snr_db={snr_db:g} K=5 F=4 trial={trial} " in line
+                           for line in lines)
+
     def test_exit_code_clean_when_all_pass(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         run_cli("sweep", "--carriers", "3", "--followers", "1", "--snr-db", "0",

@@ -11,12 +11,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hetnet_ee import (
+    EfficiencyModel,
     NetworkInstance,
     optimal_sinr,
     sample_instance,
     solve_dense,
     solve_sparse,
     utility,
+    verify_follower,
+    verify_leader_stackelberg,
 )
 from hetnet_ee.model import rank_carriers, respond, sinr
 from conftest import random_instance
@@ -334,3 +337,18 @@ class TestCandidateTable:
         res = solve_dense(inst, model)
         assert res.active_carriers == (1,)
         assert_allclose(res.allocation[0, 1], GAMMA * 2.0 / 4.0, rtol=1e-9)
+
+
+class TestLargeExponent:
+    @pytest.mark.parametrize("m", [20, 50, 100])
+    def test_solves_and_certifies(self, m):
+        # seeds 4 (m=20), 3/28/38 (m=50) and 19/27/34 (m=100) need feedback
+        # roots where the unreduced residual's rounding noise exceeds 1e-12,
+        # so a bisection closed by an absolute residual check rejected them
+        model = EfficiencyModel(m=m)
+        for seed in range(40):
+            inst = sample_instance(5, 4, snr_db=10.0, seed=seed)
+            alloc = solve_dense(inst, model).allocation
+            assert verify_leader_stackelberg(inst, model, alloc, "dense").passed, seed
+            for f in range(inst.followers):
+                assert verify_follower(inst, model, f, alloc).passed, (seed, f)

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hetnet_ee import (
@@ -86,14 +88,13 @@ class TestDerivative:
 class TestOptimalSinr:
     @pytest.mark.parametrize("m", sorted(GAMMA))
     def test_frozen_values(self, m):
-        assert_allclose(optimal_sinr(EfficiencyModel(m=m)), GAMMA[m], rtol=1e-9)
+        assert_allclose(optimal_sinr(EfficiencyModel(m=m)), GAMMA[m], rtol=1e-15)
 
     @pytest.mark.parametrize("m", sorted(GAMMA))
     def test_defining_residual(self, m):
         model = EfficiencyModel(m=m)
-        tol = 1e-12
-        g = optimal_sinr(model, tol)
-        assert abs(g * model.derivative(g) - model.value(g)) < tol
+        g = optimal_sinr(model)
+        assert abs(g * model.derivative(g) - model.value(g)) < 1e-12
 
     @pytest.mark.parametrize("m", [2, 10])
     def test_maximizes_success_per_sinr(self, m):
@@ -114,10 +115,6 @@ class TestOptimalSinr:
         signs = signs[signs != 0]  # exact-zero underflow at tiny x is not a crossing
         assert int((np.diff(signs) != 0).sum()) == 1
 
-    def test_invalid_tolerance(self, model):
-        with pytest.raises(ValueError):
-            optimal_sinr(model, tol=0.0)
-
 
 class TestModelGamma:
     @pytest.mark.parametrize("m", [2, 5, 10])
@@ -127,9 +124,9 @@ class TestModelGamma:
     def test_solved_once_per_model(self, monkeypatch):
         calls = []
 
-        def counting(model, *args):
+        def counting(model):
             calls.append(model)
-            return optimal_sinr(model, *args)
+            return optimal_sinr(model)
 
         monkeypatch.setattr(efficiency, "optimal_sinr", counting)
         model = EfficiencyModel(m=3)
@@ -161,7 +158,7 @@ class TestFeedbackAdjustedSinr:
 
     @pytest.mark.parametrize("a", sorted(GAMMA_FEEDBACK))
     def test_frozen_values(self, model, a):
-        assert_allclose(optimal_sinr_with_feedback(model, a), GAMMA_FEEDBACK[a], rtol=1e-9)
+        assert_allclose(optimal_sinr_with_feedback(model, a), GAMMA_FEEDBACK[a], rtol=1e-15)
 
     @pytest.mark.parametrize("a", [0.03, 0.1, 0.7, 5.0])
     def test_bracketing_oracle(self, model, a):
@@ -190,10 +187,29 @@ class TestFeedbackAdjustedSinr:
         assert 0.0 < a * g < 1.0
 
     def test_residual_at_root(self, model):
-        a, tol = 0.37, 1e-12
-        g = optimal_sinr_with_feedback(model, a, tol)
-        assert abs((g - a * g * g) * model.derivative(g) - model.value(g)) < tol
+        a = 0.37
+        g = optimal_sinr_with_feedback(model, a)
+        assert abs((g - a * g * g) * model.derivative(g) - model.value(g)) < 1e-12
 
     def test_negative_feedback_rejected(self, model):
         with pytest.raises(ValueError):
             optimal_sinr_with_feedback(model, -0.5)
+
+    @pytest.mark.parametrize("a", [math.inf, math.nan])
+    def test_non_finite_feedback_rejected(self, model, a):
+        with pytest.raises(ValueError):
+            optimal_sinr_with_feedback(model, a)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(2, 100),
+        a=st.one_of(st.just(0.0), st.floats(-12.0, 6.0).map(lambda e: 10.0**e)),
+    )
+    def test_root_is_the_sign_change_inside_the_bracket(self, m, a):
+        def reduced(x):
+            # (x - a x^2) f'(x) - f(x) divided by (1 - e^-x)^(m-1) > 0
+            return m * x * math.exp(-x) * (1.0 - a * x) + math.expm1(-x)
+
+        g = optimal_sinr_with_feedback(EfficiencyModel(m=m), a)
+        assert 0.0 < g < (m if a == 0.0 else min(m, 1.0 / a))
+        assert reduced(g * (1.0 - 1e-13)) > 0.0 > reduced(g * (1.0 + 1e-13))

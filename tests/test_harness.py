@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hetnet_ee import EfficiencyModel, ScenarioConfig, optimal_sinr, sample_instance
+from hetnet_ee import harness
 from hetnet_ee.harness import (
     CSV_HEADER,
     SweepRecord,
@@ -41,6 +42,7 @@ class TestScenarioConfig:
         dict(regime="duplex"),
         dict(carriers=(2,), followers=4),
         dict(verify_fraction=1.5),
+        dict(carriers=(1,), followers=0),
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):
@@ -90,6 +92,29 @@ class TestRunSweep:
         assert all(r.verified == "pass" for r in stackelberg)
         best = [r for r in records if r.scheme == "best_channel"]
         assert all(r.verified == "" for r in best)
+
+    def test_unconverged_nash_is_not_verified(self):
+        # two of these Nash runs cycle without converging
+        cfg = tiny_config(carriers=(5,), followers=4, snr_db=(0.0, 10.0, 20.0), trials=8,
+                          seed=9, verify_fraction=1.0)
+        records = list(run_sweep(cfg))
+        stuck = {(r.snr_db, r.trial) for r in records if not r.converged}
+        assert len(stuck) == 2
+        for r in records:
+            assert r.verified == ("pass" if r.converged else ""), r
+
+    def test_scheme_errors_propagate(self, monkeypatch):
+        def broken(instance, model):
+            raise ZeroDivisionError("solver bug")
+
+        monkeypatch.setattr(harness, "solve_dense", broken)
+        with pytest.raises(ZeroDivisionError, match="solver bug"):
+            list(run_sweep(tiny_config()))
+
+    def test_large_exponent_sweep_has_no_nan_rows(self):
+        records = list(run_sweep(ScenarioConfig(m_exponent=50, trials=20, seed=3)))
+        assert len(records) == 7 * 20 * 3 * 5
+        assert not any(math.isnan(r.utility) for r in records)
 
 
 class TestCsvRoundTrip:

@@ -1,25 +1,16 @@
 """Comparison schemes: simultaneous-move Nash and the best-channel heuristic.
 
-Both schemes give every player the same myopic power rule, transmit on one
-carrier at exactly the optimal SINR given the interference currently seen
-there.  They differ in how the carrier is chosen:
+Every player transmits on one carrier at exactly the optimal SINR given the
+interference seen there.  The schemes differ in how carriers are chosen:
 
 * Nash dynamics re-pick the interference-adjusted best carrier on every
-  update (round-robin, leader first, followers in index order, starting
-  from silence).  A fixed point of this map is a Nash equilibrium of the
-  simultaneous-move game.
-* The best-channel heuristic pins each player to its raw best-gain
-  carrier and only iterates the powers.
-
-Neither iteration is guaranteed to converge; the report says whether it
-did and why it stopped.  Divergence (interference feeding back faster than
-it damps) is detected by non-finite powers and reported as
-``converged=False`` with the last finite iterate, never raised; the
-overflow on the way there is expected and raises no warning.  A sweep is
-a pure function of the allocation, so once an iterate repeats bit for bit
-(checked Brent-style against one checkpoint taken at sweeps 1, 2, 4, ...)
-the shared loop skips whole periods of the cycle and returns exactly what
-running all ``max_iter`` sweeps would.
+  update (round-robin, leader first, from silence); a fixed point is a Nash
+  equilibrium of the simultaneous-move game.  The iteration need not
+  converge and its report says why it stopped; divergence is reported with
+  the last finite iterate, never raised, and its overflow raises no warning.
+* The best-channel heuristic pins each player to its raw best-gain carrier.
+  Its power map is affine with one scalar gain ``b``, so its fixed point is
+  closed form and exists exactly when ``b < 1``.
 """
 
 from __future__ import annotations
@@ -46,7 +37,8 @@ __all__ = ["IterationReport", "solve_nash", "solve_best_channel"]
 class IterationReport:
     """Convergence record of one fixed-point run; ``stop`` names why it ended:
     ``"converged"``, ``"cycle"`` (an exact repeat, carried to ``max_iter``),
-    ``"overflow"`` (a non-finite iterate) or ``"cap"``."""
+    ``"overflow"`` (a non-finite iterate), ``"cap"`` or, for best-channel,
+    ``"infeasible"`` (no finite fixed point)."""
 
     converged: bool
     iterations: int
@@ -54,15 +46,12 @@ class IterationReport:
     stop: str
 
 
-def _interference(instance: NetworkInstance, alloc: np.ndarray, regime: str) -> np.ndarray:
-    dense = regime == "dense"
-    return leader_interference(instance, alloc[1:]) if dense else np.zeros(instance.carriers)
-
-
 def _iterate(step, alloc: np.ndarray, max_iter: int, tol: float):
     """Apply the in-place sweep ``step`` until the largest power change drops
     below ``tol``, an iterate turns non-finite or ``max_iter`` sweeps ran;
-    returns the last finite iterate and its ``IterationReport``."""
+    returns the last finite iterate and its ``IterationReport``.  An exact
+    repeat (checked Brent-style against one checkpoint re-taken at sweeps
+    1, 2, 4, ...) skips whole periods, returning what every sweep would."""
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     change, stop, checkpoint, mark, sweep = np.inf, "cap", None, 0, 0
@@ -104,10 +93,11 @@ def solve_nash(
     cycle skips the repeated sweeps and returns the same iterate, change
     and ``iterations == max_iter`` as running them all.
     """
-    gamma = model.gamma
+    gamma, dense, silent = model.gamma, regime == "dense", np.zeros(instance.carriers)
 
     def step(alloc):
-        k, p = leader_respond(instance, _interference(instance, alloc, regime), gamma)
+        interference = leader_interference(instance, alloc[1:]) if dense else silent
+        k, p = leader_respond(instance, interference, gamma)
         alloc[0] = 0.0
         alloc[0, k] = p
         alloc[1:] = respond(instance, alloc[0], gamma)[0]
@@ -126,33 +116,42 @@ def solve_best_channel(
     instance: NetworkInstance,
     model: EfficiencyModel,
     regime: str = "dense",
-    max_iter: int = 1000,
-    tol: float = 1e-10,
 ) -> tuple[EquilibriumResult, IterationReport]:
-    """Fixed-point power iteration with carriers pinned to raw best gains.
+    """Every player pinned to its raw best-gain carrier at the optimal SINR.
 
-    Carrier choices never change; powers chase the optimal-SINR level
-    against whatever interference the other pinned players currently
-    produce.  When contention is strong enough the power recursion has no
-    finite fixed point and the run reports ``converged=False``.
+    Only the leader's carrier ``k0`` couples anyone, so the target-SINR
+    powers (Foschini-Miljanic) are closed form: with ``eta`` the sum of
+    ``hf/gf`` on ``k0`` over the followers pinned there (0 in the sparse
+    regime), the leader's power solves ``p0 = A + b p0`` with
+    ``A = gamma sigma2 (1 + gamma eta) / g0[k0]`` and
+    ``b = gamma^2 h0[k0] eta / g0[k0]``; each follower's follows from it.
+    If ``b < 1`` the report says ``"converged"``.  Otherwise no finite powers
+    reach ``gamma`` on ``k0``: the report says ``converged=False`` and
+    ``"infeasible"``, and the leader and the followers pinned to ``k0`` get
+    all-zero rows (utility 0, the limit of their growing powers); every
+    other row is exact.  Reports have ``iterations == 0`` and
+    ``final_change == 0.0``; ``diagnostics["feedback_gain"]`` is ``b``.
     """
-    gamma = model.gamma
-    pins = instance.gains.argmax(axis=1).tolist()
-
-    def step(alloc):
-        k0 = pins[0]
-        interference = _interference(instance, alloc, regime)
-        alloc[0, k0] = gamma * (instance.sigma2 + interference[k0]) / instance.g0[k0]
-        for f in range(instance.followers):
-            k = pins[f + 1]
-            denom = instance.sigma2 + instance.h0[k] * alloc[0, k]
-            alloc[f + 1, k] = gamma * denom / instance.gf[f, k]
-
-    alloc, report = _iterate(step, empty_allocation(instance), max_iter, tol)
+    gamma, sigma2 = model.gamma, instance.sigma2
+    pins = instance.gains.argmax(axis=1)
+    k0 = pins[0]
+    coupled = (pins[1:] == k0) & (regime == "dense")
+    eta = float((instance.hf[coupled, k0] / instance.gf[coupled, k0]).sum())
+    b = float(gamma * gamma * instance.h0[k0] * eta / instance.g0[k0])
+    feasible = b < 1.0
+    alloc = empty_allocation(instance)
+    if feasible:
+        alloc[0, k0] = gamma * sigma2 * (1.0 + gamma * eta) / instance.g0[k0] / (1.0 - b)
+    f, k = np.arange(instance.followers), pins[1:]
+    alloc[f + 1, k] = gamma * (sigma2 + instance.h0[k] * alloc[0, k]) / instance.gf[f, k]
+    if not feasible:
+        alloc[1:][coupled] = 0.0
+    report = IterationReport(feasible, 0, 0.0, "converged" if feasible else "infeasible")
     diagnostics = {
         "solver": "best_channel_fixed_point",
         "sinr_target": gamma,
-        "pinned_carriers": tuple(pins),
+        "pinned_carriers": tuple(pins.tolist()),
+        "feedback_gain": b,
         "iteration_report": report,
     }
     return make_result(instance, model, alloc, regime, diagnostics), report

@@ -1,12 +1,17 @@
 """Tests for the Nash best-response dynamics and best-channel baselines."""
 
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hetnet_ee import (
+    EfficiencyModel,
     NetworkInstance,
     optimal_sinr,
     sample_instance,
@@ -16,7 +21,7 @@ from hetnet_ee import (
 )
 from hetnet_ee import baselines
 from hetnet_ee.baselines import IterationReport
-from hetnet_ee.model import respond
+from hetnet_ee.model import empty_allocation, leader_interference, make_result, respond
 from conftest import random_instance
 
 GAMMA = 1.2564312086261697
@@ -69,6 +74,71 @@ def run_both(monkeypatch, solver, inst, model, regime, **kw):
     return fast, plain
 
 
+def near_critical_instance(model, b):
+    """K=2, F=1, both pinned to carrier 0 with feedback gain ``b``."""
+    c = math.sqrt(b) / model.gamma
+    return NetworkInstance(g0=[1.0, 0.1], gf=[[1.0, 0.1]], h0=[c, 0.0], hf=[[c, 0.0]],
+                           sigma2=1.0)
+
+
+def best_channel_sweep(instance, gamma, regime):
+    """Reference best-channel sweep: the leader at gamma against the current
+    interference, then each follower in turn against the new leader row."""
+    pins = instance.gains.argmax(axis=1).tolist()
+
+    def step(alloc):
+        k0 = pins[0]
+        interference = (leader_interference(instance, alloc[1:]) if regime == "dense"
+                        else np.zeros(instance.carriers))
+        alloc[0, k0] = gamma * (instance.sigma2 + interference[k0]) / instance.g0[k0]
+        for f in range(instance.followers):
+            k = pins[f + 1]
+            denom = instance.sigma2 + instance.h0[k] * alloc[0, k]
+            alloc[f + 1, k] = gamma * denom / instance.gf[f, k]
+
+    return step
+
+
+def power_iteration(instance, model, regime, max_iter=1000, tol=1e-10):
+    """Reference best-channel solver: the sweep iterated from silence."""
+    return plain_iterate(best_channel_sweep(instance, model.gamma, regime),
+                         empty_allocation(instance), max_iter, tol)
+
+
+def polish(step, alloc, max_iter=100_000):
+    """Continue a sweep until no power moves by more than 1e-15 of the
+    largest; the iteration's absolute ``tol`` stops far sooner when powers
+    are small (high SNR)."""
+    alloc = alloc.copy()
+    for _ in range(max_iter):
+        previous = alloc.copy()
+        step(alloc)
+        if np.abs(alloc - previous).max() <= 1e-15 * alloc.max():
+            return alloc
+    raise AssertionError("reference sweep did not settle")
+
+
+@st.composite
+def edge_cases(draw):
+    """Aim-3 edges: F = 0 and K = F+1, zero cross gains, tied integer gains,
+    SNR -30..60 dB and m up to 100, in both regimes."""
+    k = draw(st.integers(2, 8))
+    f = draw(st.integers(0, k - 1) | st.integers(0, k - 1).map(lambda x: k - 1 - x))
+    snr_db = draw(st.floats(-30.0, 60.0))
+    if draw(st.booleans()):
+        inst = sample_instance(k, f, mean_cross=draw(st.sampled_from([0.0, 0.5, 2.0])),
+                               snr_db=snr_db, seed=draw(st.integers(0, 2**32)))
+    else:
+        def ints(lo, n):
+            return draw(st.lists(st.integers(lo, 3), min_size=n, max_size=n))
+
+        inst = NetworkInstance(
+            g0=ints(1, k), gf=np.reshape(ints(1, f * k), (f, k)), h0=ints(0, k),
+            hf=np.reshape(ints(0, f * k), (f, k)), sigma2=10.0 ** (-snr_db / 10.0))
+    model = EfficiencyModel(m=draw(st.sampled_from([2, 3, 5, 10, 100])))
+    return inst, model, draw(st.sampled_from(["dense", "sparse"]))
+
+
 class TestCycleSkip:
     @pytest.mark.parametrize("seed,period", CYCLING)
     def test_matches_plain_loop_bit_for_bit(self, model, monkeypatch, seed, period):
@@ -113,11 +183,10 @@ class TestCycleSkip:
         rng = np.random.default_rng(38)
         for _ in range(30):
             inst = random_instance(rng, k_range=(2, 6), f_range=(0, 4))
-            for solver in (solve_nash, solve_best_channel):
-                for regime in ("dense", "sparse"):
-                    fast, plain = run_both(monkeypatch, solver, inst, model, regime,
-                                           max_iter=int(rng.integers(1, 200)))
-                    assert_same_run(fast, plain)
+            for regime in ("dense", "sparse"):
+                fast, plain = run_both(monkeypatch, solve_nash, inst, model, regime,
+                                       max_iter=int(rng.integers(1, 200)))
+                assert_same_run(fast, plain)
 
     def test_stop_names(self, model):
         inst = cycling_instance(4)
@@ -242,16 +311,65 @@ class TestBestChannel:
         assert not report.converged
         assert np.all(np.isfinite(res.allocation))
 
-    def test_divergence_overflows_without_warning(self, model):
-        # the leader power overflows near the float limit before the
-        # iterate turns non-finite; the run reports the last finite one
+    def test_divergence_is_infeasible_without_warning(self, model):
+        # a power iteration overflows here after 352 sweeps; the closed
+        # form names the state instead
         inst = sample_instance(5, 4, mean_cross=0.5, snr_db=-5.0, seed=189)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res, report = solve_best_channel(inst, model, "dense")
-        assert not report.converged and report.iterations == 352
-        assert report.stop == "overflow"
+        assert not report.converged and report.stop == "infeasible"
+        assert report.iterations == 0 and res.diagnostics["feedback_gain"] >= 1.0
         assert np.all(np.isfinite(res.allocation)) and np.all(np.isfinite(res.utilities))
+
+    @pytest.mark.parametrize("b", [0.9, 0.99])
+    def test_near_critical_feedback_reaches_the_fixed_point(self, model, b):
+        inst = near_critical_instance(model, b)
+        res, report = solve_best_channel(inst, model, "dense")
+        assert report.converged and report.stop == "converged"
+        gamma, c = Fraction(model.gamma), Fraction(float(inst.h0[0]))
+        gain = gamma * gamma * c * c  # b as the inputs hold it, exactly
+        p0 = gamma * (1 + gamma * c) / (1 - gain)  # A / (1 - b)
+        assert abs(Fraction(float(res.allocation[0, 0])) / p0 - 1) <= 1e-14
+
+    def test_just_past_critical_feedback_is_infeasible(self, model):
+        inst = near_critical_instance(model, 1.0 + 1e-6)
+        res, report = solve_best_channel(inst, model, "dense")
+        assert not report.converged and report.stop == "infeasible"
+        assert res.diagnostics["feedback_gain"] >= 1.0
+        # leader and follower share carrier 0, the k0 coalition
+        assert not res.allocation.any() and res.active_carriers == (None, None)
+        assert np.array_equal(res.utilities, [0.0, 0.0])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=edge_cases())
+    def test_matches_the_power_iteration(self, case):
+        inst, model, regime = case
+        ref, ref_report = power_iteration(inst, model, regime)
+        res, report = solve_best_channel(inst, model, regime)
+        b = res.diagnostics["feedback_gain"]
+        assert report.converged == (b < 1.0)
+        assert np.all(np.isfinite(res.utilities))
+        if ref_report.converged != report.converged:
+            # still creeping toward a fixed point that exists
+            assert ref_report.stop == "cap" and b < 1.0
+        if not report.converged:
+            pins = inst.gains.argmax(axis=1)
+            coalition = pins == pins[0]
+            assert not res.allocation[coalition].any()
+            assert res.allocation[~coalition].tobytes() == ref[~coalition].tobytes()
+            return
+        if regime == "sparse":
+            assert res.allocation.tobytes() == ref.tobytes()
+        # the closed form is a fixed point of the swept map ...
+        moved = res.allocation.copy()
+        best_channel_sweep(inst, model.gamma, regime)(moved)
+        assert np.all(np.abs(moved - res.allocation) <= 1e-14 * res.allocation)
+        # ... and the one the iteration approaches
+        if ref_report.converged:
+            polished = polish(best_channel_sweep(inst, model.gamma, regime), ref)
+            ref_utilities = make_result(inst, model, polished, regime).utilities
+            assert_allclose(res.utilities, ref_utilities, rtol=1e-7, atol=0.0)
 
     def test_carriers_stay_pinned(self, model):
         rng = np.random.default_rng(36)

@@ -1,8 +1,9 @@
 """The benchmark under ``bench/`` drives the package by name: the traced
 ``<module>.<function>`` targets of ``bench/run.py``, the top-level names the
 bench scripts import, the γ call of its set-up probe, the dense solver's
-candidate table, the Nash sweep cap and the iteration-report fields.  These
-checks read the scripts without running them."""
+candidate table, the Nash sweep cap, the iteration-report fields and the
+best-channel ``(result, report)`` pair.  These checks read the scripts
+without running them."""
 
 import ast
 import dataclasses
@@ -11,7 +12,14 @@ import inspect
 from pathlib import Path
 
 import hetnet_ee
-from hetnet_ee import EfficiencyModel, IterationReport, sample_instance, solve_dense, solve_nash
+from hetnet_ee import (
+    EfficiencyModel,
+    IterationReport,
+    sample_instance,
+    solve_best_channel,
+    solve_dense,
+    solve_nash,
+)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -65,6 +73,15 @@ def test_iteration_report_keeps_the_traced_fields():
     # bench/tracing.py counts sweeps and capped runs from these two fields
     names = {f.name for f in dataclasses.fields(IterationReport)}
     assert {"converged", "iterations"} <= names
+
+
+def test_best_channel_reports_an_infeasible_run():
+    # bench/tracing.py unpacks (result, report) and counts runs with
+    # report.converged False as diverged
+    inst = sample_instance(5, 4, mean_cross=0.5, snr_db=-5.0, seed=189)
+    result, report = solve_best_channel(inst, EfficiencyModel(m=2), "dense")
+    assert isinstance(report, IterationReport) and report.converged is False
+    assert result.diagnostics["iteration_report"] is report
 
 
 def test_setup_probe_gamma_call_runs():

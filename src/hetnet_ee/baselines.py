@@ -48,10 +48,11 @@ class IterationReport:
 
 def _iterate(step, alloc: np.ndarray, max_iter: int, tol: float):
     """Apply the in-place sweep ``step`` until the largest power change drops
-    below ``tol``, an iterate turns non-finite or ``max_iter`` sweeps ran;
-    returns the last finite iterate and its ``IterationReport``.  An exact
-    repeat (checked Brent-style against one checkpoint re-taken at sweeps
-    1, 2, 4, ...) skips whole periods, returning what every sweep would."""
+    below ``tol`` times the largest power, an iterate turns non-finite or
+    ``max_iter`` sweeps ran; returns the last finite iterate and its
+    ``IterationReport``.  An exact repeat (checked Brent-style against one
+    checkpoint re-taken at sweeps 1, 2, 4, ...) skips whole periods,
+    returning what every sweep would."""
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     change, stop, checkpoint, mark, sweep = np.inf, "cap", None, 0, 0
@@ -63,7 +64,7 @@ def _iterate(step, alloc: np.ndarray, max_iter: int, tol: float):
             if not np.all(np.isfinite(alloc)):
                 return previous, IterationReport(False, sweep, change, "overflow")
             change = float(np.abs(alloc - previous).max())
-            if change < tol:
+            if change < tol * float(alloc.max()):
                 return alloc, IterationReport(True, sweep, change, "converged")
             if stop == "cap":
                 state = alloc.tobytes()
@@ -88,7 +89,8 @@ def solve_nash(
 
     Each update moves one player to its interference-adjusted best carrier
     at the optimal-SINR power.  Stops when the largest power change over a
-    full sweep drops below ``tol``; cycling or divergence ends with
+    full sweep drops below ``tol`` times the largest power, so ``converged``
+    means the same at every SNR; cycling or divergence ends with
     ``converged=False`` and the last iterate.  A run that enters an exact
     cycle skips the repeated sweeps and returns the same iterate, change
     and ``iterations == max_iter`` as running them all.

@@ -12,6 +12,8 @@ both carriers; the solver deterministically keeps the shared carrier.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .efficiency import EfficiencyModel
 from .model import (
     EquilibriumResult,
@@ -22,6 +24,8 @@ from .model import (
 )
 
 __all__ = ["solve_sparse"]
+
+_BRANCHES = np.array(["free", "stay", "move"])
 
 
 def solve_sparse(instance: NetworkInstance, model: EfficiencyModel) -> EquilibriumResult:
@@ -35,36 +39,29 @@ def solve_sparse(instance: NetworkInstance, model: EfficiencyModel) -> Equilibri
     """
     if instance.carriers < 2:
         raise ValueError("the sparse equilibrium needs at least two carriers")
-    gamma = model.gamma
-    sigma2 = instance.sigma2
+    gamma, sigma2 = model.gamma, instance.sigma2
     alloc = empty_allocation(instance)
 
-    best, second = (ranks.tolist() for ranks in rank_carriers(instance))
+    best, second = rank_carriers(instance)
     b0 = best[0]
     p0 = gamma * sigma2 / instance.g0[b0]
     alloc[0, b0] = p0
 
-    branches = []
-    for f in range(instance.followers):
-        bf, sf = best[f + 1], second[f + 1]
-        if bf != b0:
-            alloc[f + 1, bf] = gamma * sigma2 / instance.gf[f, bf]
-            branches.append("free")
-            continue
-        ratio = instance.gf[f, bf] / instance.gf[f, sf]
-        threshold = 1.0 + (instance.h0[bf] / instance.g0[bf]) * gamma
-        if ratio >= threshold:
-            # same arithmetic as the shared-carrier power in the dense
-            # solver, so the two agree bitwise when cross gains vanish
-            alloc[f + 1, bf] = gamma * (sigma2 + instance.h0[bf] * p0) / instance.gf[f, bf]
-            branches.append("stay")
-        else:
-            alloc[f + 1, sf] = gamma * sigma2 / instance.gf[f, sf]
-            branches.append("move")
+    f, best, second = np.arange(instance.followers), best[1:], second[1:]
+    contended = best == b0
+    ratio = instance.gf[f, best] / instance.gf[f, second]
+    threshold = 1.0 + (instance.h0[best] / instance.g0[best]) * gamma
+    stay = contended & (ratio >= threshold)
+    move = contended & ~stay
+    carrier = np.where(move, second, best)
+    # same arithmetic as the shared-carrier power in the dense solver, so
+    # the two agree bitwise when cross gains vanish
+    denom = np.where(stay, sigma2 + instance.h0[best] * p0, sigma2)
+    alloc[f + 1, carrier] = gamma * denom / instance.gf[f, carrier]
 
     diagnostics = {
         "solver": "sparse_closed_form",
         "sinr_target": gamma,
-        "follower_branches": tuple(branches),
+        "follower_branches": tuple(_BRANCHES[contended * 1 + move].tolist()),
     }
     return make_result(instance, model, alloc, "sparse", diagnostics)

@@ -57,10 +57,17 @@ def test_imported_names_resolve():
 
 
 def test_dense_candidate_table_has_stay_limits():
+    # bench/tracing.py reports dense.candidates_per_solve as the sum of
+    # stay_limit + 1 over the table: the slots 0..stay_limit each carrier
+    # scored, slot 0 being the cleared carrier
     res = solve_dense(sample_instance(5, 4, seed=3), EfficiencyModel(m=2))
     table = res.diagnostics["candidate_table"]
     assert len(table) == 5
     assert all(isinstance(cc.stay_limit, int) for cc in table)
+    scored = [len(cc.slot_values) for cc in table]
+    assert scored == [len(cc.slot_powers) for cc in table] == [len(cc.replacements) for cc in table]
+    assert sum(cc.stay_limit + 1 for cc in table) == sum(scored) == 7
+    assert res.diagnostics["winner_slots"] < scored[res.diagnostics["winner_carrier"]]
 
 
 def test_nash_sweep_cap_is_an_int_default():

@@ -6,8 +6,11 @@ a 200k-point bi-level grid search before the solver existed; its candidate
 numbers are frozen below.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
 from hetnet_ee import (
@@ -21,8 +24,9 @@ from hetnet_ee import (
     verify_follower,
     verify_leader_stackelberg,
 )
+from hetnet_ee.efficiency import optimal_sinr_with_feedback
 from hetnet_ee.model import rank_carriers, respond, sinr
-from conftest import random_instance
+from conftest import edge_cases, random_instance
 
 GAMMA = 1.2564312086261697
 
@@ -89,15 +93,15 @@ class TestWorkedExample:
         assert_allclose(c0.eta, [1.0 / 3.0], rtol=1e-15)
         assert_allclose(c0.sinr_targets, [0.90095508427324318], rtol=1e-9)
         assert c0.stay_limit == 1
-        assert_allclose(c0.slot_values, [0.44762080774651047], rtol=1e-9)
-        assert_allclose(c0.slot_powers, [0.78776580780546225], rtol=1e-9)
+        assert_allclose(c0.slot_values[1], 0.44762080774651047, rtol=1e-9)
+        assert_allclose(c0.slot_powers[1], 0.78776580780546225, rtol=1e-9)
         assert_allclose(c0.boundary_powers, [2.0], rtol=1e-12)
         assert_allclose(c0.boundary_values, [0.48185209242521708], rtol=1e-9)
         # the carrier without nominees offers the interference-free optimum
         c1 = table[1]
         assert c1.followers == ()
-        assert_allclose(c1.solo_power, GAMMA, rtol=1e-9)
-        assert_allclose(c1.solo_value, 0.40726437758907375, rtol=1e-9)
+        assert_allclose(c1.slot_powers[0], GAMMA, rtol=1e-9)
+        assert_allclose(c1.slot_values[0], 0.40726437758907375, rtol=1e-9)
 
     def test_equilibrium_clears_the_strong_carrier(self, model):
         # pushing the nominee off at its indifference power (0.4819) beats
@@ -282,9 +286,9 @@ class TestCandidateTable:
                 # equivalently feedback * target < 1
                 g0k, h0k = inst.g0[cc.carrier], inst.h0[cc.carrier]
                 for l in range(1, cc.stay_limit + 1):
-                    if cc.replacements[l - 1] == "infeasible":
+                    if cc.replacements[l] == "infeasible":
                         continue
-                    assert cc.slot_powers[l - 1] > 0.0
+                    assert cc.slot_powers[l] > 0.0
                     assert g0k - gamma * cc.sinr_targets[l - 1] * cc.eta[l - 1] * h0k > 0.0
 
     def test_stay_tests_match_scalar_reference(self, model):
@@ -337,6 +341,172 @@ class TestCandidateTable:
         res = solve_dense(inst, model)
         assert res.active_carriers == (1,)
         assert_allclose(res.allocation[0, 1], GAMMA * 2.0 / 4.0, rtol=1e-9)
+
+
+def reference_carrier(instance, model, k, best, second):
+    """Scalar reference for one carrier's row of the slot table: nominees
+    ranked one by one, slots scored and capped in per-nominee loops, and
+    the solo candidate coded apart.  Shared slots are listed from 1."""
+    gamma, sigma2 = model.gamma, instance.sigma2
+    g0k, h0k, rate0 = float(instance.g0[k]), float(instance.h0[k]), float(instance.rates[0])
+
+    def shared_power(target, eta):
+        return target * (1.0 + gamma * eta) * sigma2 / (g0k - gamma * target * eta * h0k)
+
+    def shared_value(target, eta):
+        return (model.value(target) * (g0k - target * gamma * eta * h0k) * rate0
+                / (target * (1.0 + gamma * eta) * sigma2))
+
+    rows = np.flatnonzero(best == k)
+    gb = instance.gf[rows, k]
+    gs = instance.gf[rows, second[rows]]
+    order = np.argsort(-(gb / gs), kind="stable")
+    rows, gb, gs = rows[order], gb[order], gs[order]
+    count = len(rows)
+    eta = np.cumsum(instance.hf[rows, k] / gb)
+    targets = np.array(
+        [optimal_sinr_with_feedback(model, c) for c in (h0k * gamma * eta / g0k).tolist()]
+    )
+    boundary_powers = np.zeros(count)
+    boundary_values = np.full(count, math.nan)
+    for i in range(count):
+        if gb[i] <= gs[i]:
+            boundary_powers[i] = 0.0
+        elif h0k == 0.0:
+            boundary_powers[i] = math.inf
+        else:
+            boundary_powers[i] = sigma2 * (gb[i] - gs[i]) / (h0k * gs[i])
+        if 0.0 < boundary_powers[i] < math.inf:
+            eta_prev = eta[i - 1] if i > 0 else 0.0
+            power = boundary_powers[i]
+            sinr_ = g0k * power / (sigma2 * (1.0 + gamma * eta_prev)
+                                   + gamma * eta_prev * h0k * power)
+            boundary_values[i] = rate0 * model.value(sinr_) / power
+    stays = gb * (g0k - targets * gamma * eta * h0k) > gs * (g0k + h0k * targets)
+    passing = np.flatnonzero(stays)
+    stay_limit = int(passing[-1]) + 1 if passing.size else 0
+    slot_powers = np.zeros(stay_limit)
+    slot_values = np.zeros(stay_limit)
+    replacements = [None] * stay_limit
+    for l in range(1, stay_limit + 1):
+        slot_powers[l - 1] = shared_power(targets[l - 1], eta[l - 1])
+        slot_values[l - 1] = shared_value(targets[l - 1], eta[l - 1])
+        if l < count and slot_powers[l - 1] < boundary_powers[l]:
+            if math.isinf(boundary_powers[l]):
+                replacements[l - 1] = "infeasible"
+            else:
+                slot_powers[l - 1] = boundary_powers[l]
+                slot_values[l - 1] = boundary_values[l]
+                replacements[l - 1] = "raise_to_boundary"
+        elif slot_powers[l - 1] > boundary_powers[l - 1]:
+            slot_powers[l - 1] = boundary_powers[l - 1]
+            slot_values[l - 1] = boundary_values[l - 1]
+            replacements[l - 1] = "drop_to_boundary"
+    solo_unconstrained = shared_power(gamma, 0.0)
+    if count == 0 or boundary_powers[0] <= solo_unconstrained:
+        solo_power, solo_value = solo_unconstrained, shared_value(gamma, 0.0)
+    elif math.isinf(boundary_powers[0]):
+        solo_power = solo_value = math.nan
+    else:
+        solo_power, solo_value = boundary_powers[0], boundary_values[0]
+    return dict(carrier=k, followers=tuple(rows.tolist()), theta=gb / gs, eta=eta,
+                sinr_targets=targets, stays=stays, stay_limit=stay_limit,
+                slot_powers=slot_powers, slot_values=slot_values,
+                boundary_powers=boundary_powers, boundary_values=boundary_values,
+                replacements=tuple(replacements), solo_power=solo_power,
+                solo_value=solo_value)
+
+
+def reference_dense(instance, model):
+    """Scalar reference solve: the reference rows, the winner as the max
+    over a candidate list keyed ``(value, -slots, -carrier)``, and the
+    follower rows assigned one by one.  Returns ``(table, winner, alloc)``;
+    ``winner`` is None in the degenerate fallback."""
+    gamma = model.gamma
+    best, second = rank_carriers(instance)
+    table = [reference_carrier(instance, model, k, best[1:], second[1:])
+             for k in range(instance.carriers)]
+    candidates = [
+        (cc["slot_values"][l - 1], l, cc["carrier"], cc["slot_powers"][l - 1], "shared")
+        for cc in table for l in range(1, cc["stay_limit"] + 1)
+        if cc["replacements"][l - 1] != "infeasible" and math.isfinite(cc["slot_values"][l - 1])
+    ]
+    candidates += [(cc["solo_value"], 0, cc["carrier"], cc["solo_power"], "solo")
+                   for cc in table if math.isfinite(cc["solo_value"])]
+    winner = max(candidates, key=lambda c: (c[0], -c[1], -c[2]), default=None)
+    alloc = np.zeros((instance.players, instance.carriers))
+    if winner is None:
+        b0 = int(best[0])
+        alloc[0, b0] = gamma * instance.sigma2 / instance.g0[b0]
+        alloc[1:] = respond(instance, alloc[0], gamma)[0]
+        return table, None, alloc
+    _, slots, k_hat, leader_power, kind = winner
+    alloc[0, k_hat] = leader_power
+    denom_shared = instance.sigma2 + instance.h0[k_hat] * leader_power
+    for i, f in enumerate(table[k_hat]["followers"]):
+        if i < slots:
+            alloc[f + 1, k_hat] = gamma * denom_shared / instance.gf[f, k_hat]
+        else:
+            s = second[f + 1]
+            alloc[f + 1, s] = gamma * instance.sigma2 / instance.gf[f, s]
+    for f in range(instance.followers):
+        if best[f + 1] != k_hat:
+            b = best[f + 1]
+            alloc[f + 1, b] = gamma * instance.sigma2 / instance.gf[f, b]
+    return table, winner, alloc
+
+
+def assert_floats_agree(actual, expected):
+    """Equal NaN pattern, and finite entries within 4e-16 relative: the
+    table's success rates come from array powers, the reference's from
+    scalar ones."""
+    actual, expected = np.asarray(actual, float), np.asarray(expected, float)
+    assert actual.shape == expected.shape
+    assert np.array_equal(np.isnan(actual), np.isnan(expected))
+    assert_allclose(actual, expected, rtol=4e-16, atol=0.0)
+
+
+class TestScalarReferenceEquivalence:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(case=edge_cases())
+    def test_matches_the_scalar_reference(self, case):
+        inst, model, _ = case
+        res = solve_dense(inst, model)
+        table, winner, alloc = reference_dense(inst, model)
+        d = res.diagnostics
+        assert res.allocation.tobytes() == alloc.tobytes()
+        if winner is None:
+            assert d["degenerate_fallback"] and d["winner_slots"] is None
+        else:
+            value, slots, k_hat, _, kind = winner
+            assert (d["winner_carrier"], d["winner_slots"], d["winner_kind"]) == (
+                k_hat, slots, kind)
+            assert_floats_agree(d["winner_value"], value)
+            # a solo win names no replacement, whatever its cap did
+            ref = table[k_hat]
+            replacement = ref["replacements"][slots - 1] if slots else None
+            assert d["winner_replacement"] == replacement
+            assert d["winner_stay_limit_original"] == ref["stay_limit"]
+            target = (float(ref["sinr_targets"][slots - 1])
+                      if slots and replacement is None else None)
+            assert d["winner_sinr_target"] == target
+        for cc, ref in zip(d["candidate_table"], table, strict=True):
+            assert (cc.carrier, cc.followers, cc.stay_limit) == (
+                ref["carrier"], ref["followers"], ref["stay_limit"])
+            assert cc.stays.tolist() == ref["stays"].tolist()
+            # slot 0 is the solo candidate; shared slots shift up by one
+            assert cc.replacements[1:] == ref["replacements"]
+            for name in ("theta", "eta", "sinr_targets", "boundary_powers",
+                         "boundary_values"):
+                assert_floats_agree(getattr(cc, name), ref[name])
+            solo_power, solo_value = ref["solo_power"], ref["solo_value"]
+            if cc.replacements[0] == "infeasible":
+                # the reference blanks an infeasible solo; the row keeps
+                # its uncapped optimum
+                assert math.isnan(solo_power) and math.isnan(solo_value)
+                solo_power, solo_value = cc.slot_powers[0], cc.slot_values[0]
+            assert_floats_agree(cc.slot_powers, [solo_power, *ref["slot_powers"]])
+            assert_floats_agree(cc.slot_values, [solo_value, *ref["slot_values"]])
 
 
 class TestLargeExponent:

@@ -7,25 +7,25 @@ Subcommands:
 * ``verify``     re-certify a CSV's recorded trials with the oracles
 * ``gamma``      print the optimal SINR operating point for an exponent
 
-Flags override the optional ``key=value`` config file passed with
-``--config``.  SNR ranges use ``start:stop:step`` in dB; list-valued flags
-(carriers, schemes, rates) are comma-separated.
+Scenario flags are the :class:`~hetnet_ee.harness.ScenarioConfig` fields
+(``--output`` for ``output_path``) and override the optional ``key=value``
+config file passed with ``--config``, whose keys are the field names.  SNR
+ranges use ``start:stop:step`` in dB; list-valued values (carriers,
+schemes, rates) are comma-separated.  A bad value exits with status 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
-from .efficiency import EfficiencyModel, optimal_sinr
+from .efficiency import optimal_sinr
 from .harness import (
-    SCHEMES,
+    ScenarioConfig,
     carrier_trend,
     config_from_values,
     load_config_file,
-    parse_carrier_list,
-    parse_rates,
-    parse_snr_points,
     read_records,
     run_scheme,
     run_sweep,
@@ -36,61 +36,31 @@ from .harness import (
 )
 from .model import sample_instance
 
-
-def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--carriers", help="carrier count or comma list, e.g. 5 or 2,3,5")
-    parser.add_argument("--followers", type=int, help="number of small cells")
-    parser.add_argument("--m-exponent", type=int, dest="m_exponent",
-                        help="packet-length exponent of the success curve (>= 2)")
-    parser.add_argument("--snr-db", dest="snr_db",
-                        help="SNR sweep, start:stop:step in dB (or comma list)")
-    parser.add_argument("--trials", type=int, help="trials per sweep point")
-    parser.add_argument("--seed", type=int, help="base seed for the campaign")
-    parser.add_argument("--schemes", help=f"comma list from {','.join(SCHEMES)}")
-    parser.add_argument("--regime", choices=("sparse", "dense"))
-    parser.add_argument("--mean-signal", type=float, dest="mean_signal",
-                        help="mean own-signal power gain (linear)")
-    parser.add_argument("--mean-cross", type=float, dest="mean_cross",
-                        help="mean cross-tier power gain (linear)")
-    parser.add_argument("--rates", help="per-player rate, scalar or comma list")
-    parser.add_argument("--output", dest="output_path", help="records CSV path")
-    parser.add_argument("--verify-fraction", type=float, dest="verify_fraction",
-                        help="fraction of trials re-certified by the oracle")
+_SCENARIO = tuple(f.name for f in fields(ScenarioConfig))
 
 
-def _build_config(args: argparse.Namespace):
-    file_values = load_config_file(args.config) if args.config else {}
-    overrides = {
-        "followers": args.followers,
-        "m_exponent": args.m_exponent,
-        "trials": args.trials,
-        "seed": args.seed,
-        "regime": args.regime,
-        "mean_signal": args.mean_signal,
-        "mean_cross": args.mean_cross,
-        "output_path": args.output_path,
-        "verify_fraction": args.verify_fraction,
-    }
-    if args.carriers is not None:
-        overrides["carriers"] = parse_carrier_list(args.carriers)
-    if args.snr_db is not None:
-        overrides["snr_db"] = parse_snr_points(args.snr_db)
-    if args.schemes is not None:
-        overrides["schemes"] = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-    if args.rates is not None:
-        overrides["rates"] = parse_rates(args.rates)
-    return config_from_values(file_values, overrides)
+def _add_scenario_flags(parser: argparse.ArgumentParser, names) -> None:
+    """One flag per named :class:`ScenarioConfig` field, kept as text for
+    :func:`config_from_values` to parse."""
+    for f in fields(ScenarioConfig):
+        if f.name in names:
+            flag = "--output" if f.name == "output_path" else "--" + f.name.replace("_", "-")
+            parser.add_argument(flag, dest=f.name, help=f.metadata["help"])
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+def _build_config(args: argparse.Namespace) -> ScenarioConfig:
+    config = getattr(args, "config", None)
+    file_values = load_config_file(config) if config else {}
+    return config_from_values(file_values, {name: getattr(args, name, None) for name in _SCENARIO})
+
+
+def _cmd_sweep(args: argparse.Namespace, config: ScenarioConfig) -> int:
     count = write_records(run_sweep(config), config.output_path)
     print(f"wrote {count} records to {config.output_path}")
     return 0
 
 
-def _cmd_summarize(args: argparse.Namespace) -> int:
+def _cmd_summarize(args: argparse.Namespace, config: ScenarioConfig) -> int:
     records = read_records(args.input)
     rows = summarize(records)
     if args.output == "-":
@@ -114,20 +84,18 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gamma(args: argparse.Namespace) -> int:
-    model = EfficiencyModel(m=args.m_exponent)
-    print(f"{optimal_sinr(model):.15g}")
+def _cmd_gamma(args: argparse.Namespace, config: ScenarioConfig) -> int:
+    print(f"{optimal_sinr(config.model()):.15g}")
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace, config: ScenarioConfig) -> int:
     records = read_records(args.input)
     trials = {}
     for r in records:
         key = (r.scheme, r.regime, r.snr_db, r.carriers, r.followers, r.trial, r.seed)
         trials.setdefault(key, None)
-    model = EfficiencyModel(m=args.m_exponent)
-    rates = parse_rates(args.rates) if args.rates else 1.0
+    model = config.model()
     failures = 0
     checked = 0
     skipped = 0
@@ -135,10 +103,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         instance = sample_instance(
             carriers,
             followers,
-            mean_signal=args.mean_signal,
-            mean_cross=args.mean_cross,
+            mean_signal=config.mean_signal,
+            mean_cross=config.mean_cross,
             snr_db=snr_db,
-            rates=rates,
+            rates=config.rates,
             seed=seed,
         )
         result, converged = run_scheme(scheme, instance, model, regime)
@@ -170,7 +138,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sweep = sub.add_parser("sweep", help="run a Monte-Carlo sweep and write CSV")
-    _add_scenario_flags(p_sweep)
+    p_sweep.add_argument("--config", help="key=value config file; flags override it")
+    _add_scenario_flags(p_sweep, _SCENARIO)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_sum = sub.add_parser("summarize", help="aggregate a sweep CSV")
@@ -179,15 +148,12 @@ def main(argv=None) -> int:
     p_sum.set_defaults(func=_cmd_summarize)
 
     p_gamma = sub.add_parser("gamma", help="print the optimal SINR operating point")
-    p_gamma.add_argument("--m-exponent", type=int, dest="m_exponent", default=2)
+    _add_scenario_flags(p_gamma, ("m_exponent",))
     p_gamma.set_defaults(func=_cmd_gamma)
 
     p_verify = sub.add_parser("verify", help="re-certify recorded trials with the oracle")
     p_verify.add_argument("--input", required=True, help="records CSV from `sweep`")
-    p_verify.add_argument("--m-exponent", type=int, dest="m_exponent", default=2)
-    p_verify.add_argument("--mean-signal", type=float, dest="mean_signal", default=1.0)
-    p_verify.add_argument("--mean-cross", type=float, dest="mean_cross", default=0.5)
-    p_verify.add_argument("--rates", default=None)
+    _add_scenario_flags(p_verify, ("m_exponent", "mean_signal", "mean_cross", "rates"))
     p_verify.add_argument("--grid-size", type=int, dest="grid_size", default=300)
     p_verify.add_argument(
         "--tolerance", type=float, default=None,
@@ -197,7 +163,11 @@ def main(argv=None) -> int:
     p_verify.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        config = _build_config(args)
+    except ValueError as exc:
+        sub.choices[args.command].error(str(exc))
+    return args.func(args, config)
 
 
 if __name__ == "__main__":

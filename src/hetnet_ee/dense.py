@@ -27,8 +27,7 @@ everyone else stays on their own best.  That is each follower's best
 response, except at a boundary slot: there the pushed nominee is exactly
 indifferent between carriers, its assigned row and its
 :func:`model.respond` row tie in utility, and the solver keeps it off the
-leader's carrier.  Only the degenerate fallback (no usable slot on any
-carrier) calls :func:`model.respond` directly.
+leader's carrier.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .model import (
     empty_allocation,
     make_result,
     rank_carriers,
-    respond,
 )
 
 __all__ = ["CarrierCandidates", "solve_dense"]
@@ -95,8 +93,6 @@ def solve_dense(instance: NetworkInstance, model: EfficiencyModel) -> Equilibriu
     carrier), the winning carrier and occupancy, and which boundary cap (if
     any) produced the winning power.
     """
-    if instance.carriers < 2:
-        raise ValueError("the dense equilibrium needs at least two carriers")
     gamma, sigma2, rate0 = model.gamma, instance.sigma2, float(instance.rates[0])
     carriers, followers = instance.carriers, np.arange(instance.followers)
     g0, h0 = instance.g0[:, None], instance.h0[:, None]
@@ -194,19 +190,9 @@ def solve_dense(instance: NetworkInstance, model: EfficiencyModel) -> Equilibriu
     }
 
     alloc = empty_allocation(instance)
-    if not usable.any():
-        # every carrier degenerate (no clearable carrier, no stable slot);
-        # fall back to the leader's interference-free optimum on its best
-        # own-gain carrier and let followers respond
-        b0 = int(ranks[0][0])
-        alloc[0, b0] = gamma * sigma2 / instance.g0[b0]
-        alloc[1:] = respond(instance, alloc[0], gamma)[0]
-        diagnostics.update(
-            {"winner_carrier": b0, "winner_slots": None, "degenerate_fallback": True}
-        )
-        return make_result(instance, model, alloc, "dense", diagnostics)
-
-    # slot-major scan: exact ties go to fewer shared slots, then lower carrier
+    # slot-major scan: exact ties go to fewer shared slots, then lower
+    # carrier.  K >= F+1 leaves some carrier without a nominee, and its
+    # slot 0 is always usable
     slots, k_hat = divmod(int(np.argmax(np.where(usable, values, -np.inf).T)), carriers)
     alloc[0, k_hat] = powers[k_hat, slots]
     # kept nominees share k_hat, pushed ones take their second-best carrier

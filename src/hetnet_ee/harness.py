@@ -7,10 +7,7 @@ comparisons are paired.  Trial seeds derive from
 byte a function of the configuration alone.
 
 Records stream out one per (point, trial, scheme, player) and serialize to
-CSV with the fixed header::
-
-    scheme,regime,snr_db,carriers,followers,trial,seed,player,utility,active_carrier,converged,verified
-
+CSV with one column per :class:`SweepRecord` field, in field order.
 Floats are written with 12 significant digits; ``verified`` is filled for
 the configurable fraction of trials that get re-certified by the deviation
 oracles (equilibrium claims only: the best-channel heuristic and a Nash
@@ -51,19 +48,45 @@ __all__ = [
     "paired_gap",
     "load_config_file",
     "config_from_values",
-    "parse_carrier_list",
-    "parse_snr_points",
-    "parse_rates",
 ]
 
 SCHEMES = ("stackelberg", "nash", "best_channel")
 
-CSV_HEADER = (
-    "scheme,regime,snr_db,carriers,followers,trial,seed,player,"
-    "utility,active_carrier,converged,verified"
-)
-
 _Z95 = 1.959963984540054
+
+
+def _split(text: str) -> list:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _ints(text: str) -> tuple:
+    return tuple(int(part) for part in _split(text))
+
+
+def _snr_points(text: str) -> tuple:
+    """Accept 'start:stop:step', a single value, or a comma list (dB)."""
+    if ":" in text:
+        start, stop, step = (float(p) for p in text.split(":"))
+        if step <= 0:
+            raise ValueError("SNR step must be positive")
+        points = []
+        value = start
+        while value <= stop + 1e-9:
+            points.append(round(value, 12))
+            value += step
+        return tuple(points)
+    return tuple(float(part) for part in _split(text))
+
+
+def _rates(text: str):
+    parts = [float(part) for part in _split(text)]
+    return parts[0] if len(parts) == 1 else tuple(parts)
+
+
+def _scenario(default, parse, help: str):
+    """A scenario field with the parser of its text form (a config-file
+    value or a flag) and its flag help."""
+    return field(default=default, metadata={"parse": parse, "help": help})
 
 
 @dataclass(frozen=True)
@@ -72,36 +95,44 @@ class ScenarioConfig:
 
     ``carriers`` may hold several counts (carrier-count sweeps); ``snr_db``
     holds the SNR points in dB.  ``rates`` is a scalar broadcast to all
-    players or a length-(followers+1) tuple.
+    players or a length-(followers+1) tuple.  Each field is a config-file
+    key and a ``sweep`` flag of the same name (``output_path`` is
+    ``--output``), whose text its metadata's ``parse`` reads.
     """
 
-    carriers: tuple = (5,)
-    followers: int = 4
-    m_exponent: int = 2
-    mean_signal: float = 1.0
-    mean_cross: float = 0.5
-    snr_db: tuple = (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
-    trials: int = 500
-    seed: int = 1
-    schemes: tuple = SCHEMES
-    regime: str = "dense"
-    rates: object = 1.0
-    output_path: str = "sweep.csv"
-    verify_fraction: float = 0.01
-    verify_grid: int = 300
+    carriers: tuple = _scenario((5,), _ints, "carrier count or comma list, e.g. 5 or 2,3,5")
+    followers: int = _scenario(4, int, "number of small cells")
+    m_exponent: int = _scenario(2, int, "packet-length exponent of the success curve (>= 2)")
+    mean_signal: float = _scenario(1.0, float, "mean own-signal power gain (linear)")
+    mean_cross: float = _scenario(0.5, float, "mean cross-tier power gain (linear)")
+    snr_db: tuple = _scenario(
+        (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0), _snr_points,
+        "SNR sweep, start:stop:step in dB (or comma list)",
+    )
+    trials: int = _scenario(500, int, "trials per sweep point")
+    seed: int = _scenario(1, int, "base seed for the campaign")
+    schemes: tuple = _scenario(
+        SCHEMES, lambda text: tuple(_split(text)), f"comma list from {','.join(SCHEMES)}"
+    )
+    regime: str = _scenario("dense", str, "sparse or dense")
+    rates: object = _scenario(1.0, _rates, "per-player rate, scalar or comma list")
+    output_path: str = _scenario("sweep.csv", str, "records CSV path")
+    verify_fraction: float = _scenario(
+        0.01, float, "fraction of trials re-certified by the oracle"
+    )
 
     def __post_init__(self):
         if not self.carriers or not self.snr_db:
             raise ValueError("carriers and snr_db must be nonempty")
         if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
         if not self.schemes:
             raise ValueError("at least one scheme is required")
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}; choose from {SCHEMES}")
         if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}")
+            raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         for k in self.carriers:
             if k < 2:
                 raise ValueError(f"carrier count {k} < 2: the stackelberg solvers need two")
@@ -110,7 +141,8 @@ class ScenarioConfig:
                     f"carrier count {k} violates K >= F+1 with F={self.followers}"
                 )
         if not 0.0 <= self.verify_fraction <= 1.0:
-            raise ValueError("verify_fraction must lie in [0, 1]")
+            raise ValueError(f"verify_fraction must lie in [0, 1], got {self.verify_fraction}")
+        self.model()  # rejects a bad m_exponent
 
     def model(self) -> EfficiencyModel:
         return EfficiencyModel(m=self.m_exponent)
@@ -135,10 +167,28 @@ class SweepRecord:
     instance_digest: str = field(default="", compare=False)
 
 
+_COLUMNS = tuple(f for f in fields(SweepRecord) if f.compare)
+CSV_HEADER = ",".join(f.name for f in _COLUMNS)
+_CELL_PARSERS = {
+    "str": str,
+    "float": float,
+    "int": int,
+    "Optional[int]": lambda text: None if text == "" else int(text),
+    "bool": lambda text: text == "true",
+}
+_ROW_PARSERS = tuple(_CELL_PARSERS[f.type] for f in _COLUMNS)
+
+
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _cells(values) -> str:
+    return ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values)
+
+
+# unrolled by hand: a loop over the fields is 2-3x slower per row, and
+# write_records runs this for every row of a sweep
 def _record_line(r: SweepRecord) -> str:
     return ",".join(
         (
@@ -224,7 +274,7 @@ def run_sweep(config: ScenarioConfig) -> Iterator[SweepRecord]:
                     reports = (
                         verify_scheme(
                             scheme, instance, model, result.allocation, converged,
-                            config.regime, config.verify_grid,
+                            config.regime,
                         )
                         if do_verify
                         else []
@@ -269,24 +319,9 @@ def read_records(path) -> list[SweepRecord]:
             raise ValueError(f"unexpected CSV header: {header!r}")
         for line in fh:
             parts = line.rstrip("\n").split(",")
-            if len(parts) != 12:
+            if len(parts) != len(_ROW_PARSERS):
                 raise ValueError(f"malformed CSV row: {line!r}")
-            records.append(
-                SweepRecord(
-                    scheme=parts[0],
-                    regime=parts[1],
-                    snr_db=float(parts[2]),
-                    carriers=int(parts[3]),
-                    followers=int(parts[4]),
-                    trial=int(parts[5]),
-                    seed=int(parts[6]),
-                    player=int(parts[7]),
-                    utility=float(parts[8]),
-                    active_carrier=None if parts[9] == "" else int(parts[9]),
-                    converged=parts[10] == "true",
-                    verified=parts[11],
-                )
-            )
+            records.append(SweepRecord(*[parse(text) for parse, text in zip(_ROW_PARSERS, parts)]))
     return records
 
 
@@ -314,12 +349,13 @@ class SummaryRow:
 
 
 def _stats(values: np.ndarray) -> tuple:
+    """Mean, sample standard deviation (0 for one value) and the 95% CI
+    half-width of the finite entries."""
     values = values[np.isfinite(values)]
     if values.size == 0:
         return math.nan, math.nan, math.nan
-    mean = float(values.mean())
-    std = float(values.std())
-    return mean, std, _Z95 * std / math.sqrt(values.size)
+    std = float(values.std(ddof=1)) if values.size > 1 else 0.0
+    return float(values.mean()), std, _Z95 * std / math.sqrt(values.size)
 
 
 def summarize(records: Iterable[SweepRecord]) -> list[SummaryRow]:
@@ -343,57 +379,24 @@ def summarize(records: Iterable[SweepRecord]) -> list[SummaryRow]:
             [np.mean(t["followers"]) if t["followers"] else math.nan for t in trialmap.values()]
         )
         converged = np.array([t["converged"] for t in trialmap.values()])
-        lm, ls, lc = _stats(leaders)
-        fm, fs, fc = _stats(follower_means)
+        # SummaryRow's fields in order: the point, its trial count, then
+        # the leader and follower statistics
         rows.append(
             SummaryRow(
-                scheme=key[0],
-                regime=key[1],
-                snr_db=key[2],
-                carriers=key[3],
-                followers=key[4],
-                trials=len(trialmap),
-                leader_mean=lm,
-                leader_std=ls,
-                leader_ci95=lc,
-                follower_mean=fm,
-                follower_std=fs,
-                follower_ci95=fc,
-                convergence_rate=float(converged.mean()),
+                *key, len(trialmap), *_stats(leaders), *_stats(follower_means),
+                float(converged.mean()),
             )
         )
     return rows
 
 
-SUMMARY_HEADER = (
-    "scheme,regime,snr_db,carriers,followers,trials,leader_mean,leader_std,"
-    "leader_ci95,follower_mean,follower_std,follower_ci95,convergence_rate"
-)
+SUMMARY_HEADER = _cells(f.name for f in fields(SummaryRow))
 
 
 def write_summary(rows: list[SummaryRow], fh) -> None:
     fh.write(SUMMARY_HEADER + "\n")
     for r in rows:
-        fh.write(
-            ",".join(
-                (
-                    r.scheme,
-                    r.regime,
-                    _fmt(r.snr_db),
-                    str(r.carriers),
-                    str(r.followers),
-                    str(r.trials),
-                    _fmt(r.leader_mean),
-                    _fmt(r.leader_std),
-                    _fmt(r.leader_ci95),
-                    _fmt(r.follower_mean),
-                    _fmt(r.follower_std),
-                    _fmt(r.follower_ci95),
-                    _fmt(r.convergence_rate),
-                )
-            )
-            + "\n"
-        )
+        fh.write(_cells(getattr(r, f.name) for f in fields(r)) + "\n")
 
 
 @dataclass(frozen=True)
@@ -421,11 +424,8 @@ def carrier_trend(
     picked = sorted((r for r in rows if r.scheme == scheme), key=lambda r: r.carriers)
     steps = []
     for a, b in zip(picked, picked[1:]):
-        mean_a = a.leader_mean if side == "leader" else a.follower_mean
-        mean_b = b.leader_mean if side == "leader" else b.follower_mean
-        ci_a = a.leader_ci95 if side == "leader" else a.follower_ci95
-        ci_b = b.leader_ci95 if side == "leader" else b.follower_ci95
-        slack = ci_a + ci_b
+        mean_a, mean_b = getattr(a, f"{side}_mean"), getattr(b, f"{side}_mean")
+        slack = getattr(a, f"{side}_ci95") + getattr(b, f"{side}_ci95")
         steps.append(
             TrendStep(
                 carriers_from=a.carriers,
@@ -476,15 +476,10 @@ def paired_gap(
             gaps.append(pair[scheme_a].utility - pair[scheme_b].utility)
         if not gaps:
             continue
-        arr = np.array(gaps)
-        std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+        mean_gap, _, ci95 = _stats(np.array(gaps))
         out.append(
             PairedGap(
-                snr_db=snr_db,
-                carriers=carriers,
-                trials=arr.size,
-                mean_gap=float(arr.mean()),
-                ci95=_Z95 * std / math.sqrt(arr.size),
+                snr_db=snr_db, carriers=carriers, trials=len(gaps), mean_gap=mean_gap, ci95=ci95
             )
         )
     return out
@@ -505,57 +500,20 @@ def load_config_file(path) -> dict:
     return values
 
 
-def parse_carrier_list(text: str) -> tuple:
-    return tuple(int(part) for part in text.split(",") if part.strip() != "")
-
-
-def parse_snr_points(text: str) -> tuple:
-    """Accept 'start:stop:step', a single value, or a comma list (dB)."""
-    if ":" in text:
-        start, stop, step = (float(p) for p in text.split(":"))
-        if step <= 0:
-            raise ValueError("SNR step must be positive")
-        points = []
-        value = start
-        while value <= stop + 1e-9:
-            points.append(round(value, 12))
-            value += step
-        return tuple(points)
-    return tuple(float(p) for p in text.split(",") if p.strip() != "")
-
-
-def parse_rates(text: str):
-    parts = [float(p) for p in text.split(",") if p.strip() != ""]
-    return parts[0] if len(parts) == 1 else tuple(parts)
-
-
-_PARSERS = {
-    "carriers": parse_carrier_list,
-    "followers": int,
-    "m_exponent": int,
-    "mean_signal": float,
-    "mean_cross": float,
-    "snr_db": parse_snr_points,
-    "trials": int,
-    "seed": int,
-    "schemes": lambda s: tuple(p.strip() for p in s.split(",") if p.strip()),
-    "regime": str,
-    "rates": parse_rates,
-    "output_path": str,
-    "verify_fraction": float,
-    "verify_grid": int,
-}
-
-
 def config_from_values(file_values: dict, overrides: dict) -> ScenarioConfig:
-    """Build a config from file values with CLI overrides on top."""
-    known = {f.name for f in fields(ScenarioConfig)}
-    merged: dict = {}
-    for key, raw in file_values.items():
-        if key not in known:
+    """Build a config from file values with flag overrides on top.
+
+    ``None`` overrides are unset flags.  Text values, from either source,
+    go through their field's parser; other values are taken as they are.
+    """
+    scenario = {f.name: f for f in fields(ScenarioConfig)}
+    merged = {**file_values, **{k: v for k, v in overrides.items() if v is not None}}
+    for key, value in merged.items():
+        if key not in scenario:
             raise ValueError(f"unknown config key {key!r}")
-        merged[key] = _PARSERS[key](raw) if isinstance(raw, str) else raw
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
+        if isinstance(value, str):
+            try:
+                merged[key] = scenario[key].metadata["parse"](value)
+            except ValueError as exc:
+                raise ValueError(f"bad {key} value {value!r}: {exc}") from None
     return ScenarioConfig(**merged)

@@ -37,8 +37,6 @@ def solve_sparse(instance: NetworkInstance, model: EfficiencyModel) -> Equilibri
     no contention), ``"stay"`` (shares the leader's carrier) or ``"move"``
     (second-best carrier).
     """
-    if instance.carriers < 2:
-        raise ValueError("the sparse equilibrium needs at least two carriers")
     gamma, sigma2 = model.gamma, instance.sigma2
     alloc = empty_allocation(instance)
 

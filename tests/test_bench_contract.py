@@ -1,24 +1,32 @@
 """The benchmark under ``bench/`` drives the package by name: the traced
 ``<module>.<function>`` targets of ``bench/run.py``, the top-level names the
 bench scripts import, the γ call of its set-up probe, the dense solver's
-candidate table, the Nash sweep cap, the iteration-report fields and the
-best-channel ``(result, report)`` pair.  These checks read the scripts
-without running them."""
+candidate table, the Nash sweep cap, the iteration-report fields, the
+best-channel ``(result, report)`` pair, the scenario keywords of its sweeps
+and the last line of ``verify`` that it parses.  These checks read the
+scripts without running them."""
 
 import ast
+import contextlib
 import dataclasses
 import importlib
 import inspect
+import io
+import re
 from pathlib import Path
 
 import hetnet_ee
 from hetnet_ee import (
     EfficiencyModel,
     IterationReport,
+    ScenarioConfig,
+    cli,
+    run_sweep,
     sample_instance,
     solve_best_channel,
     solve_dense,
     solve_nash,
+    write_records,
 )
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -107,3 +115,46 @@ def test_setup_probe_gamma_call_runs():
     assert len(calls) == 1
     expr = compile(ast.Expression(calls[0]), "SETUP_CODE", "eval")
     assert eval(expr, {"hetnet_ee": hetnet_ee}) == EfficiencyModel(m=2).gamma
+
+
+def _scenario_keywords():
+    # keywords of bench/workloads.py's ScenarioConfig(...) calls, with the
+    # dict(...) they unpack
+    calls = [node for node in ast.walk(_tree("workloads.py")) if isinstance(node, ast.Call)]
+    names = set()
+    for call in calls:
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "ScenarioConfig":
+            names.update(kw.arg for kw in call.keywords if kw.arg)
+        elif isinstance(call.func, ast.Name) and call.func.id == "dict":
+            names.update(kw.arg for kw in call.keywords)
+    return names
+
+
+def test_sweep_scenario_keywords_build_a_config(tmp_path):
+    keywords = dict(
+        carriers=(5,), followers=4, snr_db=(-5.0, 25.0), regime="dense", mean_cross=0.5,
+        m_exponent=2, trials=1, seed=3, schemes=("stackelberg",), verify_fraction=0.0,
+        output_path=str(tmp_path / "certify.csv"),
+    )
+    assert _scenario_keywords() == set(keywords)
+    config = ScenarioConfig(**keywords)
+    assert write_records(run_sweep(config), config.output_path) == 2 * 5
+
+
+def test_verify_prints_the_parsed_summary(tmp_path):
+    pattern = None
+    for node in _tree("workloads.py").body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "VERIFY_SUMMARY" for t in node.targets
+        ):
+            pattern = re.compile(ast.literal_eval(node.value.args[0]))
+    assert pattern
+    config = ScenarioConfig(carriers=(5,), snr_db=(10.0,), trials=2, seed=3,
+                            schemes=("stackelberg",), verify_fraction=0.0)
+    path = tmp_path / "certify.csv"
+    write_records(run_sweep(config), path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify", "--input", str(path)]) == 0
+    match = pattern.search(out.getvalue().splitlines()[-1])
+    assert match and match.groups() == ("10", "0", "0")

@@ -1,10 +1,12 @@
 """End-to-end tests of the hetnet-ee command line."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hetnet_ee import cli
+from hetnet_ee import ScenarioConfig, cli, harness
 from hetnet_ee.cli import main
 from hetnet_ee.harness import CSV_HEADER, read_records
 
@@ -22,6 +24,91 @@ class TestGamma:
     def test_other_exponent(self, capsys):
         run_cli("gamma", "--m-exponent", "10")
         assert_allclose(float(capsys.readouterr().out), 3.6149504270875306, rtol=1e-9)
+
+
+def built_config(monkeypatch, *args):
+    """The config a command would run with, without running it."""
+    seen = []
+    for name in ("_cmd_sweep", "_cmd_verify", "_cmd_gamma"):
+        monkeypatch.setattr(cli, name, lambda args, config: seen.append(config) or 0)
+    assert run_cli(*args) == 0
+    return seen[0]
+
+
+# a valid non-default text for every ScenarioConfig field
+FIELD_TEXT = {
+    "carriers": "6,7", "followers": "3", "m_exponent": "3", "mean_signal": "2",
+    "mean_cross": "0.25", "snr_db": "0:10:5", "trials": "7", "seed": "9",
+    "schemes": "nash, stackelberg", "regime": "sparse", "rates": "1,2,3,4",
+    "output_path": "x.csv", "verify_fraction": "0.5",
+}
+
+
+class TestScenarioFlags:
+    def test_every_field_is_a_flag_and_a_config_key(self, tmp_path, monkeypatch):
+        assert set(FIELD_TEXT) == {f.name for f in fields(ScenarioConfig)}
+        argv = []
+        for name, text in FIELD_TEXT.items():
+            flag = "--output" if name == "output_path" else "--" + name.replace("_", "-")
+            argv += [flag, text]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{name}={text}\n" for name, text in FIELD_TEXT.items()))
+        from_flags = built_config(monkeypatch, "sweep", *argv)
+        assert built_config(monkeypatch, "sweep", "--config", str(cfg)) == from_flags
+        default = ScenarioConfig()
+        for f in fields(ScenarioConfig):
+            assert getattr(from_flags, f.name) != getattr(default, f.name), f.name
+        assert from_flags.snr_db == (0.0, 5.0, 10.0)
+        assert from_flags.schemes == ("nash", "stackelberg")
+        assert from_flags.rates == (1.0, 2.0, 3.0, 4.0)
+
+    def test_readme_sweep_example(self, monkeypatch):
+        config = built_config(
+            monkeypatch, "sweep", "--carriers", "5", "--followers", "4", "--snr-db=-5:25:5",
+            "--trials", "500", "--seed", "1", "--schemes", "stackelberg,nash,best_channel",
+            "--regime", "dense", "--mean-cross", "0.5", "--output", "sweep.csv",
+        )
+        # a negative range start needs the '=' form: argparse reads a
+        # separate "-5:25:5" as a flag
+        assert config.snr_db == (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
+        assert config == ScenarioConfig()
+
+    @pytest.mark.parametrize("args,value", [
+        (("--trials", "0"), "0"),
+        (("--followers", "x"), "'x'"),
+        (("--regime", "bogus"), "'bogus'"),
+        (("--carriers", "1"), "1"),
+        (("--m-exponent", "1"), "1"),
+    ], ids=["trials", "followers", "regime", "carriers", "m_exponent"])
+    def test_bad_flag_value_exits_2(self, tmp_path, capsys, args, value):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("sweep", *args, "--output", str(tmp_path / "x.csv"))
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith("hetnet-ee sweep: error:") and value in error
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("line", ["trials=0", "verify_grid=300", "carriers"])
+    def test_bad_config_file_exits_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("sweep", "--config", str(cfg), "--output", str(tmp_path / "x.csv"))
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_verify_and_gamma_default_to_the_scenario(self, monkeypatch):
+        assert built_config(monkeypatch, "verify", "--input", "x.csv") == ScenarioConfig()
+        assert built_config(monkeypatch, "gamma") == ScenarioConfig()
+
+    def test_scheme_errors_keep_their_traceback(self, tmp_path, monkeypatch):
+        def broken(instance, model):
+            raise ZeroDivisionError("solver bug")
+
+        monkeypatch.setattr(harness, "solve_dense", broken)
+        with pytest.raises(ZeroDivisionError, match="solver bug"):
+            run_cli("sweep", "--carriers", "3", "--followers", "1", "--snr-db", "0",
+                    "--trials", "1", "--output", str(tmp_path / "x.csv"))
 
 
 class TestSweep:

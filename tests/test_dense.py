@@ -199,6 +199,13 @@ class TestReductionToSparse:
             assert_allclose(dense.utilities, sparse.utilities, rtol=1e-9)
 
 
+@pytest.mark.parametrize("solve", [solve_sparse, solve_dense])
+def test_single_carrier_is_rejected(solve, model):
+    # a valid instance (K >= F+1) that no leader can choose a carrier in
+    with pytest.raises(ValueError, match="two carriers"):
+        solve(sample_instance(1, 0, seed=0), model)
+
+
 class TestEquilibriumStructure:
     def test_single_band_rows(self, model):
         rng = np.random.default_rng(7)
@@ -475,21 +482,21 @@ class TestScalarReferenceEquivalence:
         table, winner, alloc = reference_dense(inst, model)
         d = res.diagnostics
         assert res.allocation.tobytes() == alloc.tobytes()
-        if winner is None:
-            assert d["degenerate_fallback"] and d["winner_slots"] is None
-        else:
-            value, slots, k_hat, _, kind = winner
-            assert (d["winner_carrier"], d["winner_slots"], d["winner_kind"]) == (
-                k_hat, slots, kind)
-            assert_floats_agree(d["winner_value"], value)
-            # a solo win names no replacement, whatever its cap did
-            ref = table[k_hat]
-            replacement = ref["replacements"][slots - 1] if slots else None
-            assert d["winner_replacement"] == replacement
-            assert d["winner_stay_limit_original"] == ref["stay_limit"]
-            target = (float(ref["sinr_targets"][slots - 1])
-                      if slots and replacement is None else None)
-            assert d["winner_sinr_target"] == target
+        # K >= F+1 leaves a carrier without nominees, whose solo slot wins
+        # when nothing else does
+        assert winner is not None
+        value, slots, k_hat, _, kind = winner
+        assert (d["winner_carrier"], d["winner_slots"], d["winner_kind"]) == (
+            k_hat, slots, kind)
+        assert_floats_agree(d["winner_value"], value)
+        # a solo win names no replacement, whatever its cap did
+        ref = table[k_hat]
+        replacement = ref["replacements"][slots - 1] if slots else None
+        assert d["winner_replacement"] == replacement
+        assert d["winner_stay_limit_original"] == ref["stay_limit"]
+        target = (float(ref["sinr_targets"][slots - 1])
+                  if slots and replacement is None else None)
+        assert d["winner_sinr_target"] == target
         for cc, ref in zip(d["candidate_table"], table, strict=True):
             assert (cc.carrier, cc.followers, cc.stay_limit) == (
                 ref["carrier"], ref["followers"], ref["stay_limit"])

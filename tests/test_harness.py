@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo sweep harness, CSV formats, and summaries."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -121,6 +122,9 @@ class TestCsvRoundTrip:
     def test_header_is_pinned(self):
         assert CSV_HEADER == ("scheme,regime,snr_db,carriers,followers,trial,"
                               "seed,player,utility,active_carrier,converged,verified")
+        assert harness.SUMMARY_HEADER == (
+            "scheme,regime,snr_db,carriers,followers,trials,leader_mean,leader_std,"
+            "leader_ci95,follower_mean,follower_std,follower_ci95,convergence_rate")
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tiny_config()
@@ -132,16 +136,23 @@ class TestCsvRoundTrip:
         assert b1.endswith(b"\n")
 
     def test_round_trip(self, tmp_path):
-        cfg = tiny_config()
+        cfg = tiny_config(verify_fraction=0.5)
         path = tmp_path / "s.csv"
         records = list(run_sweep(cfg))
+        # an infeasible best-channel row: no carrier, not converged
+        records.append(dataclasses.replace(records[-1], scheme="best_channel",
+                                           active_carrier=None, converged=False))
+        assert {r.verified for r in records} == {"pass", ""}
         write_records(records, path)
         back = read_records(path)
         assert len(back) == len(records)
         for a, b in zip(records, back):
-            assert (a.scheme, a.trial, a.player, a.active_carrier) == \
-                   (b.scheme, b.trial, b.player, b.active_carrier)
-            assert_allclose(a.utility, b.utility, rtol=1e-11)
+            for f in dataclasses.fields(SweepRecord):
+                if f.name in ("snr_db", "utility"):
+                    assert_allclose(getattr(b, f.name), getattr(a, f.name), rtol=1e-11)
+                elif f.compare:
+                    assert getattr(b, f.name) == getattr(a, f.name), f.name
+        assert (back[-1].active_carrier, back[-1].converged) == (None, False)
 
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -165,6 +176,16 @@ class TestSummarize:
         assert rows[0].leader_mean == 2.5
         assert rows[0].leader_std == 0.0
         assert rows[0].leader_ci95 == 0.0
+
+    def test_spread_is_the_sample_std(self):
+        utilities = [1.0, 2.0, 4.0, 8.0]
+        records = [synth_record(trial=t, utility=u) for t, u in enumerate(utilities)]
+        records += [synth_record(scheme="nash", trial=t, utility=0.0) for t in range(4)]
+        row = summarize(records)[0]
+        assert_allclose(row.leader_std, np.std(utilities, ddof=1), rtol=1e-15)
+        assert_allclose(row.leader_ci95, 1.959963984540054 * row.leader_std / 2, rtol=1e-15)
+        # a paired gap against zeros has the same spread, so the same CI
+        assert paired_gap(records, "stackelberg", "nash")[0].ci95 == row.leader_ci95
 
     def test_identical_trials_have_zero_spread(self):
         rows = summarize([synth_record(trial=t, utility=2.5) for t in range(4)])
@@ -255,6 +276,12 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("powerlevel=9001\n")
         with pytest.raises(ValueError):
+            config_from_values(load_config_file(path), {})
+
+    def test_verify_grid_is_not_a_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("verify_grid=300\n")
+        with pytest.raises(ValueError, match="unknown config key 'verify_grid'"):
             config_from_values(load_config_file(path), {})
 
     def test_malformed_line_rejected(self, tmp_path):

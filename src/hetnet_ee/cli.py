@@ -51,7 +51,12 @@ def _add_scenario_flags(parser: argparse.ArgumentParser, names) -> None:
 def _build_config(args: argparse.Namespace) -> ScenarioConfig:
     config = getattr(args, "config", None)
     file_values = load_config_file(config) if config else {}
-    return config_from_values(file_values, {name: getattr(args, name, None) for name in _SCENARIO})
+    overrides = {name: getattr(args, name, None) for name in _SCENARIO}
+    if args.command == "verify" and args.rates is not None:
+        # no --followers here (each CSV row has its F): check the list by itself
+        players = len(args.rates.split(","))
+        overrides.update(followers=str(players - 1), carriers=str(max(players, 2)))
+    return config_from_values(file_values, overrides)
 
 
 def _cmd_sweep(args: argparse.Namespace, config: ScenarioConfig) -> int:
@@ -76,7 +81,8 @@ def _cmd_summarize(args: argparse.Namespace, config: ScenarioConfig) -> int:
                 for step in carrier_trend(rows, scheme=scheme, side=side):
                     status = "ok" if step.ok else "VIOLATION"
                     print(
-                        f"trend {scheme} {side}: K={step.carriers_from}->{step.carriers_to} "
+                        f"trend {scheme} {side}: snr_db={step.snr_db:g} "
+                        f"K={step.carriers_from}->{step.carriers_to} "
                         f"mean {step.mean_from:.6g}->{step.mean_to:.6g} "
                         f"(slack {step.slack:.3g}) {status}",
                         file=sys.stderr,

@@ -35,6 +35,15 @@ __all__ = [
 ]
 
 
+def _sinr(x) -> np.ndarray:
+    """``x`` as an at least 1-d float array, so a scalar takes the array
+    loops and an array entry's last bit, not libm pow's (scalar ``**``)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(x < 0.0):
+        raise ValueError("SINR must be nonnegative")
+    return x
+
+
 @dataclass(frozen=True)
 class EfficiencyModel:
     """Packet success probability ``(1 - exp(-x))**m`` at SINR ``x``.
@@ -57,19 +66,14 @@ class EfficiencyModel:
 
     def value(self, x):
         """Success rate at SINR ``x`` (scalar or array), in [0, 1)."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise ValueError("SINR must be nonnegative")
-        out = (-np.expm1(-x)) ** self.m
-        return float(out) if out.ndim == 0 else out
+        out = (-np.expm1(-_sinr(x))) ** self.m
+        return float(out[0]) if np.ndim(x) == 0 else out
 
     def derivative(self, x):
         """Slope of the success rate at SINR ``x``."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise ValueError("SINR must be nonnegative")
-        out = self.m * np.exp(-x) * (-np.expm1(-x)) ** (self.m - 1)
-        return float(out) if out.ndim == 0 else out
+        s = _sinr(x)
+        out = self.m * np.exp(-s) * (-np.expm1(-s)) ** (self.m - 1)
+        return float(out[0]) if np.ndim(x) == 0 else out
 
     @cached_property
     def gamma(self) -> float:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -140,6 +141,14 @@ class ScenarioConfig:
                 raise ValueError(
                     f"carrier count {k} violates K >= F+1 with F={self.followers}"
                 )
+        if not 0.0 < self.mean_signal < math.inf:
+            raise ValueError(f"mean_signal must be positive and finite, got {self.mean_signal}")
+        if not 0.0 <= self.mean_cross < math.inf:
+            raise ValueError(f"mean_cross must be nonnegative and finite, got {self.mean_cross}")
+        rates = np.atleast_1d(np.asarray(self.rates, dtype=float))
+        fits = rates.shape in ((1,), (self.followers + 1,))
+        if not (fits and np.all((0.0 < rates) & (rates < math.inf))):
+            raise ValueError(f"rates must be 1 or F+1 positive finite values, got {self.rates!r}")
         if not 0.0 <= self.verify_fraction <= 1.0:
             raise ValueError(f"verify_fraction must lie in [0, 1], got {self.verify_fraction}")
         self.model()  # rejects a bad m_exponent
@@ -401,12 +410,13 @@ def write_summary(rows: list[SummaryRow], fh) -> None:
 
 @dataclass(frozen=True)
 class TrendStep:
-    """One carrier-count increment of the utility-versus-K trend check.
+    """One carrier-count step of the utility-versus-K trend at one point.
 
     The step is accepted when the mean does not drop by more than the two
     half-widths combined.
     """
 
+    snr_db: float
     carriers_from: int
     carriers_to: int
     mean_from: float
@@ -418,23 +428,21 @@ class TrendStep:
 def carrier_trend(
     rows: list[SummaryRow], *, scheme: str, side: str = "leader"
 ) -> list[TrendStep]:
-    """Check that mean utility is non-decreasing in the carrier count."""
+    """Check that mean utility is non-decreasing in the carrier count at
+    each ``(regime, snr_db, followers)`` point; steps never cross points."""
     if side not in ("leader", "follower"):
         raise ValueError("side must be 'leader' or 'follower'")
-    picked = sorted((r for r in rows if r.scheme == scheme), key=lambda r: r.carriers)
+    point = attrgetter("regime", "snr_db", "followers")
+    picked = sorted((r for r in rows if r.scheme == scheme), key=lambda r: (point(r), r.carriers))
     steps = []
     for a, b in zip(picked, picked[1:]):
+        if point(a) != point(b):
+            continue
         mean_a, mean_b = getattr(a, f"{side}_mean"), getattr(b, f"{side}_mean")
         slack = getattr(a, f"{side}_ci95") + getattr(b, f"{side}_ci95")
         steps.append(
-            TrendStep(
-                carriers_from=a.carriers,
-                carriers_to=b.carriers,
-                mean_from=mean_a,
-                mean_to=mean_b,
-                slack=slack,
-                ok=bool(mean_b >= mean_a - slack),
-            )
+            TrendStep(a.snr_db, a.carriers, b.carriers, mean_a, mean_b, slack,
+                      ok=bool(mean_b >= mean_a - slack))
         )
     return steps
 

@@ -3,18 +3,23 @@
 Every check here is independent of the closed-form solvers: utilities are
 recomputed from scratch and alternatives are enumerated on geometric power
 grids spanning eight decades around the natural power scale
-``gamma * sigma2 / max(own gain)``.  Follower reactions come from the
-shared best-response kernel :func:`model.respond`, and every leader search
-scores a matrix of candidate leader actions in one vectorized sweep.
+``gamma * sigma2 / max(own gain)``.
+
+Leader searches score blocks of actions in array passes: a block row is a
+support of one carrier (the grid) or two (the split probes), with the long
+power axis last.  Followers re-respond as :func:`model.respond` does, with
+its float comparisons and ties, among the support and the best carrier off
+it, whose score ``gf / sigma2`` is their switching threshold; interference
+is computed on the support only.
 
 * :func:`verify_follower` fixes everyone else and sweeps one follower over
   carriers x powers, plus its exact closed-form best response.
-* :func:`verify_leader_stackelberg` is bi-level: every candidate leader
-  action is evaluated with all followers re-responding, one sweep per
-  carrier, plus one sweep per carrier pair probing two-carrier power
-  splits (every weight x total at once) to attack the single-carrier claim.
-* :func:`verify_nash` is the unilateral version: the leader sweep runs
-  against the followers' fixed interference, one report per player.
+* :func:`verify_leader_stackelberg` is bi-level: every single-carrier grid
+  action is scored with all followers re-responding, and so is every
+  two-carrier split (each weight x total) on every carrier pair, to attack
+  the single-carrier claim.
+* :func:`verify_nash` is the unilateral version: the single-carrier sweep
+  runs against the followers' fixed interference, one report per player.
 * :func:`brute_force_stackelberg` returns the best single-carrier grid
   allocation of the bi-level sweep, used to generate trusted expected
   values before the solvers exist.
@@ -23,6 +28,7 @@ scores a matrix of candidate leader actions in one vectorized sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -39,6 +45,7 @@ __all__ = [
 
 GRID_DECADES = 4  # grid spans 10**-GRID_DECADES .. 10**+GRID_DECADES times center
 SPLIT_WEIGHTS = 11
+PIECE_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -79,44 +86,67 @@ def _report(player, claimed, best, action, tol) -> DeviationReport:
 
 
 def power_grid(center: float, grid_size: int) -> np.ndarray:
-    span = 10.0**GRID_DECADES
-    return np.geomspace(center / span, center * span, grid_size)
+    """``np.geomspace`` from ``center / 10**GRID_DECADES`` to ``center *
+    10**GRID_DECADES``, bit for bit: its own steps, without its set-up."""
+    lo, hi = center / 10.0**GRID_DECADES, center * 10.0**GRID_DECADES
+    grid = 10.0 ** np.linspace(np.log10(lo), np.log10(hi), grid_size)
+    grid[0], grid[-1] = lo, hi
+    return grid
 
 
-def _one_carrier(instance: NetworkInstance, k: int, powers: np.ndarray) -> np.ndarray:
-    """Leader actions putting each of ``powers`` on carrier ``k``, (N, K)."""
-    actions = np.zeros((powers.size, instance.carriers))
-    actions[:, k] = powers
-    return actions
+def _leader_sweep(instance, model, support, powers, interference) -> np.ndarray:
+    """Leader utility ``rate * sum_k f(sinr_k) / sum_k p_k``, ``(B, N)``, of
+    the actions putting ``powers[b, :, n]`` on carriers ``support[b]``."""
+    sinr = instance.g0[support][..., None] * powers / (instance.sigma2 + interference)
+    return float(instance.rates[0]) * model.value(sinr).sum(axis=1) / powers.sum(axis=1)
 
 
-def _leader_sweep(instance, model, actions, interference) -> np.ndarray:
-    """Leader utility ``rate * sum_k f(sinr_k) / sum_k p_k`` of each row of
-    an (N, K) matrix of leader actions against the given interference."""
-    sinr = instance.g0 * actions / (instance.sigma2 + interference)
-    return float(instance.rates[0]) * model.value(sinr).sum(axis=-1) / actions.sum(axis=-1)
+def _follower_choice(instance, support, gf, denom):
+    """Each follower's carrier against a block of actions, as ``respond``
+    picks it; ``gf`` and ``denom = sigma2 + h0 * p`` are taken on
+    ``support``, whose rows hold one or two ascending carriers.  Returns
+    ``chosen[b, s, f, n]`` (``f`` picks ``support[b, s]``) and the
+    off-support rivals ``(B, 1, F)``, which a carrier above must beat strictly."""
+    scores = gf / denom[:, :, None]
+    off = (np.arange(instance.carriers) != support[..., None]).all(axis=1)
+    quiet = np.where(off[:, None], instance.gf / instance.sigma2, -np.inf)
+    rival, bar = quiet.argmax(axis=-1)[:, None], quiet.max(axis=-1)[:, None]
+    bar = np.where(rival < support[..., None], bar, np.nextafter(bar, -np.inf))
+    chosen = scores > bar[..., None]
+    if support.shape[1] == 2:
+        lower = scores[:, 0] >= scores[:, 1]
+        chosen[:, 0] &= lower
+        chosen[:, 1] &= ~lower
+    return chosen, rival
 
 
-def _bilevel_sweep(instance, model, gamma, regime, actions) -> np.ndarray:
-    """:func:`_leader_sweep` with every follower re-responding to each row."""
-    if regime == "dense":
-        interference = leader_interference(instance, respond(instance, actions, gamma)[0])
-    else:
-        interference = 0.0
-    return _leader_sweep(instance, model, actions, interference)
+def _bilevel_sweep(instance, model, gamma, regime, support, powers) -> np.ndarray:
+    """:func:`_leader_sweep` with every follower re-responding; dense blocks
+    go in row pieces of about ``PIECE_CELLS`` (action, follower) cells."""
+    if regime != "dense":
+        return _leader_sweep(instance, model, support, powers, 0.0)
+    rows = max(1, PIECE_CELLS // (powers[0].size * max(instance.followers, 1)))
+    utilities = []
+    for i in range(0, len(support), rows):
+        s, p = support[i:i + rows], powers[i:i + rows]
+        gf, denom = instance.gf.T[s][..., None], instance.sigma2 + instance.h0[s][..., None] * p
+        chosen = _follower_choice(instance, s, gf, denom)[0]
+        # hf-weighted follower powers, masked to the chosen carrier in place
+        terms = gamma * denom[:, :, None] / gf
+        terms *= instance.hf.T[s][..., None]
+        np.copyto(terms, 0.0, where=~chosen)
+        utilities.append(_leader_sweep(instance, model, s, p, terms.sum(axis=2)))
+    return utilities[0] if len(utilities) == 1 else np.concatenate(utilities)
 
 
 def _best_carrier_action(instance, grid, score):
     """Best single-carrier leader action on the power grid, as
-    ``(utility, carrier, power)``; ``score`` maps (N, K) actions to
+    ``(utility, carrier, power)``; ``score`` maps a block of actions to
     utilities.  Ties go to the lower carrier, then the lower power."""
-    best = (-np.inf, 0, float(grid[0]))
-    for k in range(instance.carriers):
-        utilities = score(_one_carrier(instance, k, grid))
-        i = int(np.argmax(utilities))
-        if utilities[i] > best[0]:
-            best = (float(utilities[i]), k, float(grid[i]))
-    return best
+    carriers = np.arange(instance.carriers)[:, None]
+    utilities = score(carriers, np.broadcast_to(grid, (carriers.size, 1, grid.size)))
+    k, i = divmod(int(np.argmax(utilities)), grid.size)
+    return float(utilities[k, i]), k, float(grid[i])
 
 
 def _leader_grid(instance, gamma, grid_size):
@@ -187,8 +217,8 @@ def verify_leader_stackelberg(
     gamma = model.gamma
     claimed = utility(instance, model, 0, allocation, regime)
 
-    def score(actions):
-        return _bilevel_sweep(instance, model, gamma, regime, actions)
+    def score(support, powers):
+        return _bilevel_sweep(instance, model, gamma, regime, support, powers)
 
     best, k, p = _best_carrier_action(instance, _leader_grid(instance, gamma, grid_size), score)
     action: dict = {"carrier": k, "power": p, "source": "grid"}
@@ -196,24 +226,16 @@ def verify_leader_stackelberg(
     if instance.carriers >= 2:
         totals = _leader_grid(instance, gamma, max(grid_size // 10, 12))
         weights = np.linspace(0.0, 1.0, SPLIT_WEIGHTS)
-        # rows run over weights, then totals
-        shares = (weights[:, None] * totals).ravel()
-        rests = ((1.0 - weights)[:, None] * totals).ravel()
-        for k1 in range(instance.carriers):
-            for k2 in range(k1 + 1, instance.carriers):
-                actions = _one_carrier(instance, k1, shares)
-                actions[:, k2] = rests
-                values = score(actions)
-                i = int(np.argmax(values))
-                if values[i] > best:
-                    w, t = divmod(i, totals.size)
-                    best = float(values[i])
-                    action = {
-                        "carriers": (k1, k2),
-                        "weight": float(weights[w]),
-                        "total_power": float(totals[t]),
-                        "source": "split",
-                    }
+        # one block row per carrier pair; columns run over weights, then totals
+        pairs = np.array(list(combinations(range(instance.carriers), 2)))
+        split = np.multiply.outer([weights, 1.0 - weights], totals).reshape(2, -1)
+        values = score(pairs, np.broadcast_to(split, (len(pairs), *split.shape)))
+        pair, rest = divmod(int(np.argmax(values)), values.shape[1])
+        if values[pair, rest] > best:
+            w, t = divmod(rest, totals.size)
+            best = float(values[pair, rest])
+            action = {"carriers": tuple(pairs[pair].tolist()), "weight": float(weights[w]),
+                      "total_power": float(totals[t]), "source": "split"}
 
     return _report(0, claimed, best, action, tol)
 
@@ -238,14 +260,14 @@ def verify_nash(
     else:
         fixed = np.zeros(instance.carriers)
 
-    def score(actions):
-        return _leader_sweep(instance, model, actions, fixed)
+    def score(support, powers):
+        return _leader_sweep(instance, model, support, powers, fixed[support][..., None])
 
     best, k, p = _best_carrier_action(instance, _leader_grid(instance, gamma, grid_size), score)
     action: dict = {"carrier": k, "power": p, "source": "grid"}
     # the gamma-targeting closed form on the best adjusted carrier
     k, p = leader_respond(instance, fixed, gamma)
-    closed = float(score(_one_carrier(instance, k, np.array([p])))[0])
+    closed = float(score(np.array([[k]]), np.array([[[p]]]))[0, 0])
     if closed > best:
         best = closed
         action = {"carrier": k, "power": float(p), "source": "closed_form"}
@@ -274,7 +296,7 @@ def brute_force_stackelberg(
     _, k, p = _best_carrier_action(
         instance,
         _leader_grid(instance, gamma, grid_size),
-        lambda actions: _bilevel_sweep(instance, model, gamma, regime, actions),
+        lambda support, powers: _bilevel_sweep(instance, model, gamma, regime, support, powers),
     )
     allocation = np.zeros((instance.players, instance.carriers))
     allocation[0, k] = p

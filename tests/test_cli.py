@@ -1,6 +1,7 @@
 """End-to-end tests of the hetnet-ee command line."""
 
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from numpy.testing import assert_allclose
 from hetnet_ee import ScenarioConfig, cli, harness
 from hetnet_ee.cli import main
 from hetnet_ee.harness import CSV_HEADER, read_records
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*args):
@@ -79,7 +83,13 @@ class TestScenarioFlags:
         (("--regime", "bogus"), "'bogus'"),
         (("--carriers", "1"), "1"),
         (("--m-exponent", "1"), "1"),
-    ], ids=["trials", "followers", "regime", "carriers", "m_exponent"])
+        (("--mean-signal", "0"), "0.0"),
+        (("--mean-signal", "inf"), "inf"),
+        (("--mean-cross", "-1"), "-1.0"),
+        (("--rates", "1,2"), "(1.0, 2.0)"),
+        (("--rates", "-1"), "-1.0"),
+    ], ids=["trials", "followers", "regime", "carriers", "m_exponent", "mean_signal",
+            "infinite_mean_signal", "mean_cross", "rates_count", "rate_sign"])
     def test_bad_flag_value_exits_2(self, tmp_path, capsys, args, value):
         with pytest.raises(SystemExit) as exit_info:
             run_cli("sweep", *args, "--output", str(tmp_path / "x.csv"))
@@ -167,8 +177,47 @@ class TestSummarize:
         captured = capsys.readouterr()
         assert "trend stackelberg leader" in captured.err
 
+    def test_trend_steps_stay_within_one_snr_point(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        run_cli("sweep", "--carriers", "2,3,5", "--followers", "1", "--snr-db=-5,5,15",
+                "--trials", "20", "--schemes", "stackelberg,nash", "--verify-fraction", "0",
+                "--output", str(out))
+        capsys.readouterr()
+        run_cli("summarize", "--input", str(out))
+        lines = capsys.readouterr().err.splitlines()
+        steps = {line.split(" mean ")[0] for line in lines}
+        assert steps == {
+            f"trend {scheme} {side}: snr_db={snr} K={a}->{b}"
+            for scheme in ("stackelberg", "nash") for side in ("leader", "follower")
+            for snr in (-5, 5, 15) for a, b in ((2, 3), (3, 5))
+        }
+        assert len(lines) == len(steps)
+        assert not any("VIOLATION" in line for line in lines)
+
 
 class TestVerify:
+    @pytest.mark.parametrize("flags,expected,code", [
+        ((), "verify_default.out", 0),
+        # a negative tolerance fails every check whose search comes within
+        # that margin of the claim, which pins FAIL lines and exit code 1
+        (("--tolerance=-3e-4", "--grid-size", "150"), "verify_strict.out", 1),
+    ], ids=["default", "strict"])
+    def test_output_is_pinned(self, capsys, flags, expected, code):
+        """A fixed CSV of seeded stackelberg and nash trials, dense and
+        sparse, prints what the respond-based leader sweep printed."""
+        assert run_cli("verify", "--input", str(DATA / "verify_small.csv"), *flags) == code
+        assert capsys.readouterr().out == (DATA / expected).read_text()
+
+    def test_rates_list_fitting_the_csv_is_accepted(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        run_cli("sweep", "--carriers", "3", "--followers", "1", "--snr-db", "0",
+                "--trials", "2", "--schemes", "stackelberg", "--rates", "1,2",
+                "--verify-fraction", "0", "--output", str(out))
+        capsys.readouterr()
+        assert run_cli("verify", "--input", str(out), "--rates", "1,2", "--grid-size", "150") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "verified 4 checks, 0 failures, 0 trials skipped"
+
     def test_recertifies_recorded_trials(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         run_cli("sweep", "--carriers", "4", "--followers", "2", "--snr-db", "10",

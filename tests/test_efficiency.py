@@ -68,6 +68,16 @@ class TestSuccessCurve:
             EfficiencyModel(m=bad)
 
 
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_scalar_and_array_agree_bitwise(self, m):
+        model = EfficiencyModel(m=m)
+        x = np.random.default_rng(m).uniform(0.0, 30.0, 20_000)
+        for curve in (model.value, model.derivative):
+            alone = np.array([curve(float(v)) for v in x])
+            assert np.array_equal(alone, curve(x))
+            assert isinstance(curve(float(x[0])), float)
+
+
 class TestDerivative:
     def test_flat_at_origin(self, model):
         assert model.derivative(0.0) == 0.0

@@ -44,10 +44,27 @@ class TestScenarioConfig:
         dict(carriers=(2,), followers=4),
         dict(verify_fraction=1.5),
         dict(carriers=(1,), followers=0),
+        dict(mean_signal=0.0),
+        dict(mean_signal=-1.0),
+        dict(mean_signal=math.inf),
+        dict(mean_signal=math.nan),
+        dict(mean_cross=-0.5),
+        dict(mean_cross=math.inf),
+        dict(mean_cross=math.nan),
+        dict(rates=0.0),
+        dict(rates=math.inf),
+        dict(rates=(1.0, -2.0)),
+        dict(rates=(1.0, math.nan)),
+        dict(rates=(1.0, 2.0, 3.0)),
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):
             tiny_config(**bad)
+
+
+    @pytest.mark.parametrize("rates", [2.0, (1.0, 2.0)])
+    def test_accepts_rates_that_fit(self, rates):
+        assert tiny_config(rates=rates).rates == rates
 
 
 class TestRunSweep:
@@ -231,6 +248,19 @@ class TestTrendAndGap:
         assert steps[0].ok            # 1.0 -> 2.0 rises
         assert steps[1].ok            # 1.99 is a within-noise dip
         assert not steps[2].ok        # 0.5 is a real violation
+
+    def test_carrier_trend_compares_within_one_snr_point(self):
+        # utility rises with K at each SNR but falls with SNR, so comparing
+        # across points would report drops
+        records = [
+            synth_record(snr_db=snr, carriers=k, trial=t, utility=10.0 - snr + k + 0.01 * t)
+            for snr in (-5.0, 5.0, 15.0) for k in (2, 3, 5) for t in range(5)
+        ]
+        steps = carrier_trend(summarize(records), scheme="stackelberg")
+        assert [(s.snr_db, s.carriers_from, s.carriers_to) for s in steps] == [
+            (snr, a, b) for snr in (-5.0, 5.0, 15.0) for a, b in ((2, 3), (3, 5))
+        ]
+        assert all(s.ok for s in steps)
 
     def test_paired_gap_matches_hand_computation(self):
         records = []

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
 from hetnet_ee import (
+    EfficiencyModel,
     NetworkInstance,
     brute_force_stackelberg,
     sample_instance,
@@ -16,7 +18,102 @@ from hetnet_ee import (
     verify_leader_stackelberg,
     verify_nash,
 )
-from conftest import random_instance
+from hetnet_ee.model import leader_interference, leader_respond, respond
+from hetnet_ee import oracle
+from hetnet_ee.oracle import SPLIT_WEIGHTS, _follower_choice, power_grid
+from conftest import edge_cases, random_instance
+
+
+# Reference leader searches that spell every candidate out as a full
+# (N, K) action row and take the followers from `respond`: one sweep per
+# carrier and one per carrier pair.  The oracle's block scorer must
+# reproduce their verdicts, actions and utilities.
+
+def _ref_actions(instance, carrier_powers):
+    """(N, K) leader actions, column k holding carrier_powers[k]."""
+    n = len(next(iter(carrier_powers.values())))
+    actions = np.zeros((n, instance.carriers))
+    for k, powers in carrier_powers.items():
+        actions[:, k] = powers
+    return actions
+
+
+def _ref_sweep(instance, model, actions, interference):
+    sinr = instance.g0 * actions / (instance.sigma2 + interference)
+    return float(instance.rates[0]) * model.value(sinr).sum(axis=-1) / actions.sum(axis=-1)
+
+
+def _ref_bilevel(instance, model, regime, actions):
+    if regime == "dense":
+        interference = leader_interference(instance, respond(instance, actions, model.gamma)[0])
+    else:
+        interference = 0.0
+    return _ref_sweep(instance, model, actions, interference)
+
+
+def _ref_grid(instance, model, grid_size):
+    center = model.gamma * instance.sigma2 / float(instance.g0.max())
+    return np.geomspace(center / 1e4, center * 1e4, grid_size)
+
+
+def _ref_best_carrier(instance, grid, score):
+    best = (-np.inf, 0, float(grid[0]))
+    for k in range(instance.carriers):
+        utilities = score(_ref_actions(instance, {k: grid}))
+        i = int(np.argmax(utilities))
+        if utilities[i] > best[0]:
+            best = (float(utilities[i]), k, float(grid[i]))
+    return best
+
+
+def ref_leader_stackelberg(instance, model, regime, grid_size=300):
+    """(best utility, deviating action) of the bi-level leader search."""
+    def score(actions):
+        return _ref_bilevel(instance, model, regime, actions)
+
+    best, k, p = _ref_best_carrier(instance, _ref_grid(instance, model, grid_size), score)
+    action = {"carrier": k, "power": p, "source": "grid"}
+    totals = _ref_grid(instance, model, max(grid_size // 10, 12))
+    weights = np.linspace(0.0, 1.0, SPLIT_WEIGHTS)
+    shares = (weights[:, None] * totals).ravel()
+    rests = ((1.0 - weights)[:, None] * totals).ravel()
+    for k1 in range(instance.carriers):
+        for k2 in range(k1 + 1, instance.carriers):
+            values = score(_ref_actions(instance, {k1: shares, k2: rests}))
+            i = int(np.argmax(values))
+            if values[i] > best:
+                w, t = divmod(i, totals.size)
+                best = float(values[i])
+                action = {"carriers": (k1, k2), "weight": float(weights[w]),
+                          "total_power": float(totals[t]), "source": "split"}
+    return best, action
+
+
+def ref_nash_leader(instance, model, allocation, regime, grid_size=300):
+    """(best utility, deviating action) of the unilateral leader search."""
+    fixed = (leader_interference(instance, allocation[1:]) if regime == "dense"
+             else np.zeros(instance.carriers))
+
+    def score(actions):
+        return _ref_sweep(instance, model, actions, fixed)
+
+    best, k, p = _ref_best_carrier(instance, _ref_grid(instance, model, grid_size), score)
+    action = {"carrier": k, "power": p, "source": "grid"}
+    k, p = leader_respond(instance, fixed, model.gamma)
+    closed = float(score(_ref_actions(instance, {k: [p]}))[0])
+    if closed > best:
+        best, action = closed, {"carrier": k, "power": float(p), "source": "closed_form"}
+    return best, action
+
+
+def ref_brute_force(instance, model, regime, grid_size=300):
+    _, k, p = _ref_best_carrier(
+        instance, _ref_grid(instance, model, grid_size),
+        lambda actions: _ref_bilevel(instance, model, regime, actions))
+    allocation = np.zeros((instance.players, instance.carriers))
+    allocation[0, k] = p
+    allocation[1:] = respond(instance, allocation[0], model.gamma)[0]
+    return allocation
 
 
 class TestVerifyFollower:
@@ -185,3 +282,115 @@ class TestReportSemantics:
         res = solve_sparse(inst, model)
         rep = verify_leader_stackelberg(inst, model, res.allocation, "sparse")
         assert rep.passed == (rep.relative_gain <= rep.tolerance)
+
+
+def _assert_same_search(report, claimed, best, action):
+    """The reference's verdict and deviating action, and its best utility
+    to 1e-12 relative."""
+    assert report.deviating_action == action
+    assert report.best_found_utility == pytest.approx(best, rel=1e-12, abs=0.0)
+    gain = (best - claimed) / claimed if claimed > 0.0 else (np.inf if best > 0.0 else 0.0)
+    assert report.passed == (gain <= report.tolerance)
+
+
+def _assert_matches_reference(inst, model, allocation, regime):
+    claimed = utility(inst, model, 0, allocation, regime)
+    report = verify_leader_stackelberg(inst, model, allocation, regime)
+    _assert_same_search(report, claimed, *ref_leader_stackelberg(inst, model, regime))
+    nash = verify_nash(inst, model, allocation, regime)[0]
+    _assert_same_search(nash, claimed, *ref_nash_leader(inst, model, allocation, regime))
+
+
+class TestBlockScorer:
+    """The carrier-blocked leader searches against the respond-based reference."""
+
+    def test_power_grid_is_geomspace_bit_for_bit(self):
+        rng = np.random.default_rng(92)
+        for center in np.concatenate([10.0 ** rng.uniform(-40.0, 40.0, 2000), rng.random(200)]):
+            for size in (12, 30, 100, 300):
+                expected = np.geomspace(center / 1e4, center * 1e4, size)
+                assert np.array_equal(power_grid(float(center), size), expected)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=edge_cases())
+    def test_edge_cases_match_the_reference(self, case):
+        inst, model, regime = case
+        solve = solve_dense if regime == "dense" else solve_sparse
+        allocation = solve(inst, model).allocation
+        for scale in (1.0, 1.05):
+            perturbed = allocation.copy()
+            perturbed[0] *= scale
+            _assert_matches_reference(inst, model, perturbed, regime)
+        forced = brute_force_stackelberg(inst, model, regime)
+        expected = ref_brute_force(inst, model, regime)
+        assert np.array_equal(forced != 0.0, expected != 0.0)
+        assert_allclose(forced, expected, rtol=1e-12, atol=0.0)
+
+    def test_perturbed_dense_leaders_match_the_reference(self, model):
+        rng = np.random.default_rng(90)
+        for seed in range(500):
+            inst = sample_instance(5, 4, snr_db=float(rng.uniform(-5.0, 25.0)), seed=seed)
+            allocation = solve_dense(inst, model).allocation.copy()
+            allocation[0] *= float(rng.choice([0.9, 0.99, 1.0, 1.001, 1.05, 1.5]))
+            claimed = utility(inst, model, 0, allocation, "dense")
+            report = verify_leader_stackelberg(inst, model, allocation, "dense")
+            _assert_same_search(report, claimed, *ref_leader_stackelberg(inst, model, "dense"))
+            if seed % 5 == 0:
+                nash = verify_nash(inst, model, allocation, "dense")[0]
+                _assert_same_search(nash, claimed,
+                                    *ref_nash_leader(inst, model, allocation, "dense"))
+                forced = brute_force_stackelberg(inst, model, "dense")
+                assert_allclose(forced, ref_brute_force(inst, model, "dense"), rtol=1e-12, atol=0.0)
+
+    def test_row_pieces_match_the_reference(self, model, monkeypatch):
+        """Blocks too large for one piece are scored in row pieces; the
+        pieces must join to the same search."""
+        monkeypatch.setattr(oracle, "PIECE_CELLS", 3000)
+        for seed in range(5):
+            inst = sample_instance(7, 5, mean_cross=2.0, seed=seed)
+            allocation = solve_dense(inst, model).allocation
+            _assert_matches_reference(inst, model, allocation, "dense")
+            assert_allclose(brute_force_stackelberg(inst, model, "dense"),
+                            ref_brute_force(inst, model, "dense"), rtol=1e-12, atol=0.0)
+
+    def test_overflowing_follower_power_off_its_carrier(self, model):
+        """A subnormal gain makes the follower power there overflow; the
+        follower never picks that carrier, so it must add nothing."""
+        inst = NetworkInstance(g0=[1.0, 2.0, 1.5], gf=[[1.0, 1e-310, 0.5]], h0=[0.5] * 3,
+                               hf=[[0.3] * 3], sigma2=0.1)
+        allocation = solve_dense(inst, model).allocation
+        with np.errstate(over="ignore"):
+            _assert_matches_reference(inst, model, allocation, "dense")
+
+    def test_follower_choice_is_respond_on_tied_gains(self):
+        """Integer gains, unit noise and integer powers make scores tie
+        exactly; the scorer must break every tie as `respond` does."""
+        rng = np.random.default_rng(91)
+        gamma = EfficiencyModel(m=2).gamma
+        for _ in range(200):
+            k = int(rng.integers(2, 7))
+            f = int(rng.integers(1, k))
+            inst = NetworkInstance(
+                g0=rng.integers(1, 4, k), gf=rng.integers(1, 4, (f, k)),
+                h0=rng.integers(0, 3, k), hf=rng.integers(0, 3, (f, k)), sigma2=1.0)
+            levels = np.arange(6.0)
+            blocks = [np.arange(k)[:, None]]
+            blocks.append(np.array([(a, b) for a in range(k) for b in range(a + 1, k)]))
+            for support in blocks:
+                width = support.shape[1]
+                powers = np.stack(np.meshgrid(*[levels] * width, indexing="ij"), 0)
+                powers = np.broadcast_to(powers.reshape(width, -1), (len(support), width,
+                                                                    levels.size**width))
+                denom = inst.sigma2 + inst.h0[support][..., None] * powers
+                chosen, rival = _follower_choice(inst, support, inst.gf.T[support][..., None],
+                                                 denom)
+                assert not np.any(chosen.sum(axis=1) > 1)
+                picked = np.where(chosen.any(axis=1),
+                                  (support[:, :, None, None] * chosen).sum(axis=1),
+                                  rival[:, 0, :, None])
+                actions = np.zeros((len(support), powers.shape[-1], k))
+                for s in range(width):
+                    np.put_along_axis(actions, support[:, None, s:s + 1],
+                                      powers[:, s, :, None], axis=2)
+                _, carriers = respond(inst, actions, gamma)
+                assert np.array_equal(picked, carriers.transpose(0, 2, 1))

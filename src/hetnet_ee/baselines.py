@@ -23,9 +23,9 @@ from .efficiency import EfficiencyModel
 from .model import (
     EquilibriumResult,
     NetworkInstance,
+    best_response,
+    denominators,
     empty_allocation,
-    leader_interference,
-    leader_respond,
     make_result,
     respond,
 )
@@ -95,13 +95,10 @@ def solve_nash(
     cycle skips the repeated sweeps and returns the same iterate, change
     and ``iterations == max_iter`` as running them all.
     """
-    gamma, dense, silent = model.gamma, regime == "dense", np.zeros(instance.carriers)
+    gamma = model.gamma
 
     def step(alloc):
-        interference = leader_interference(instance, alloc[1:]) if dense else silent
-        k, p = leader_respond(instance, interference, gamma)
-        alloc[0] = 0.0
-        alloc[0, k] = p
+        alloc[0] = best_response(instance.g0, denominators(instance, alloc, regime)[0], gamma)[0]
         alloc[1:] = respond(instance, alloc[0], gamma)[0]
 
     alloc, report = _iterate(step, empty_allocation(instance), max_iter, tol)

@@ -11,7 +11,9 @@ Scenario flags are the :class:`~hetnet_ee.harness.ScenarioConfig` fields
 (``--output`` for ``output_path``) and override the optional ``key=value``
 config file passed with ``--config``, whose keys are the field names.  SNR
 ranges use ``start:stop:step`` in dB; list-valued values (carriers,
-schemes, rates) are comma-separated.  A bad value exits with status 2.
+schemes, rates) are comma-separated.  A bad value, an unreadable or foreign
+``--input`` CSV, or a ``verify --rates`` list that does not fit a row's F
+exits with status 2.
 """
 
 from __future__ import annotations
@@ -59,6 +61,14 @@ def _build_config(args: argparse.Namespace) -> ScenarioConfig:
     return config_from_values(file_values, overrides)
 
 
+def _read_input(path):
+    """The records of an ``--input`` CSV; a bad file is a usage error."""
+    try:
+        return read_records(path)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentError(None, f"cannot read --input {path}: {exc}") from None
+
+
 def _cmd_sweep(args: argparse.Namespace, config: ScenarioConfig) -> int:
     count = write_records(run_sweep(config), config.output_path)
     print(f"wrote {count} records to {config.output_path}")
@@ -66,8 +76,7 @@ def _cmd_sweep(args: argparse.Namespace, config: ScenarioConfig) -> int:
 
 
 def _cmd_summarize(args: argparse.Namespace, config: ScenarioConfig) -> int:
-    records = read_records(args.input)
-    rows = summarize(records)
+    rows = summarize(_read_input(args.input))
     if args.output == "-":
         write_summary(rows, sys.stdout)
     else:
@@ -96,15 +105,18 @@ def _cmd_gamma(args: argparse.Namespace, config: ScenarioConfig) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, config: ScenarioConfig) -> int:
-    records = read_records(args.input)
-    trials = {}
-    for r in records:
-        key = (r.scheme, r.regime, r.snr_db, r.carriers, r.followers, r.trial, r.seed)
-        trials.setdefault(key, None)
+    trials = dict.fromkeys(
+        (r.scheme, r.regime, r.snr_db, r.carriers, r.followers, r.trial, r.seed)
+        for r in _read_input(args.input)
+    )
+    if isinstance(config.rates, tuple):
+        # a rate list needs F+1 values for every row's F
+        misfits = sorted({key[4] for key in trials} - {len(config.rates) - 1})
+        if misfits:
+            raise argparse.ArgumentError(None, f"--rates has {len(config.rates)} values, but "
+                                         f"{args.input} has rows with F={misfits[0]}")
     model = config.model()
-    failures = 0
-    checked = 0
-    skipped = 0
+    failures = checked = skipped = 0
     for scheme, regime, snr_db, carriers, followers, trial, seed in trials:
         instance = sample_instance(
             carriers,
@@ -125,11 +137,9 @@ def _cmd_verify(args: argparse.Namespace, config: ScenarioConfig) -> int:
             skipped += 1
         for rep in reports:
             checked += 1
-            status = "PASS" if rep.passed else "FAIL"
-            if not rep.passed:
-                failures += 1
+            failures += not rep.passed
             print(
-                f"{status} scheme={scheme} snr_db={snr_db:g} K={carriers} F={followers} "
+                f"{'PASS' if rep.passed else 'FAIL'} scheme={scheme} snr_db={snr_db:g} K={carriers} F={followers} "
                 f"trial={trial} player={rep.player} gain={rep.relative_gain:.3e}"
             )
     print(f"verified {checked} checks, {failures} failures, {skipped} trials skipped")
@@ -173,7 +183,10 @@ def main(argv=None) -> int:
         config = _build_config(args)
     except ValueError as exc:
         sub.choices[args.command].error(str(exc))
-    return args.func(args, config)
+    try:
+        return args.func(args, config)
+    except argparse.ArgumentError as exc:
+        sub.choices[args.command].error(str(exc))
 
 
 if __name__ == "__main__":

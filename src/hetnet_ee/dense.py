@@ -33,7 +33,6 @@ leader's carrier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -63,8 +62,9 @@ class CarrierCandidates:
     ``stays``, ``boundary_powers`` and ``boundary_values`` are indexed by
     nominee rank, so entry ``i`` belongs to slot ``i+1``.  ``stays[i]`` is
     that slot's stay test (its last nominee still prefers this carrier at
-    the leader's unconstrained shared optimum) and ``stay_limit`` the
-    largest slot passing it.  ``slot_powers``, ``slot_values`` and
+    the leader's unconstrained shared optimum: that power is below its
+    boundary) and ``stay_limit`` the largest slot passing it; a scored slot
+    failing it is dropped by the cap.  ``slot_powers``, ``slot_values`` and
     ``replacements`` are indexed by slot ``l = 0..stay_limit``, slot 0
     being the cleared carrier: powers and values are after the boundary
     cap, and ``replacements[l]`` names its step (``None``,
@@ -118,8 +118,12 @@ def solve_dense(instance: NetworkInstance, model: EfficiencyModel) -> Equilibriu
 
     gb_t, gs_t, theta = table(gb[nominees]), table(gs[nominees]), table(ratio[nominees])
     eta = np.cumsum(table(instance.hf[nominees, ks] / gb[nominees], 0.0), axis=1)
-    feedback = instance.h0[ks] * gamma * eta[ks, cols] / instance.g0[ks]
-    targets = table(list(map(partial(optimal_sinr_with_feedback, model), feedback.tolist())))
+    with np.errstate(over="ignore"):
+        feedback = instance.h0[ks] * gamma * eta[ks, cols] / instance.g0[ks]
+    # a subnormal g0 can overflow the feedback: no SINR target exists, and
+    # the NaN left in its place keeps the slot from being scored
+    targets = table([optimal_sinr_with_feedback(model, c) if c < np.inf else np.nan
+                     for c in feedback.tolist()])
     targets[:, 0] = gamma
 
     # indifference boundaries: leader power at which a nominee stops
@@ -139,14 +143,19 @@ def solve_dense(instance: NetworkInstance, model: EfficiencyModel) -> Equilibriu
     # feedback, and the received power its SINR target needs
     net_gain = g0 - targets * gamma * eta * h0
     received = targets * (1.0 + gamma * eta) * sigma2
-    stays = gb_t * net_gain > gs_t * (g0 + h0 * targets)
+    # a subnormal g0 can overflow the power; such a slot's value is below
+    # any normal carrier's, so it never wins
+    with np.errstate(over="ignore", divide="ignore"):
+        powers = (received / net_gain)[:, :-1]
+    values = (model.value(targets) * net_gain * rate0 / received)[:, :-1]
+    # the stay test, "the last nominee still prefers this carrier at the
+    # slot's uncapped power", is that power below the nominee's boundary
+    stays = powers < boundary[:, :-1]
     slot = np.arange(instance.followers + 1)
-    stay_limit = np.where(stays[:, :-1], slot, 0).max(axis=1)
+    stay_limit = np.where(stays, slot, 0).max(axis=1)
 
     # the one cap rule, against the next nominee's boundary (raise) and the
     # slot's own (drop; none for slot 0)
-    powers = (received / net_gain)[:, :-1]
-    values = (model.value(targets) * net_gain * rate0 / received)[:, :-1]
     below = powers < boundary[:, 1:]
     infeasible = below & (boundary[:, 1:] == np.inf)
     raised, dropped = below & ~infeasible, ~below & (powers > boundary[:, :-1])
@@ -155,9 +164,6 @@ def solve_dense(instance: NetworkInstance, model: EfficiencyModel) -> Equilibriu
     values = np.choose(codes, (values, boundary_values[:, 1:], boundary_values[:, :-1], values))
 
     scored = slot <= stay_limit[:, None]
-    # stay-test consistency audit (diagnostic only): the test should hold
-    # at every slot up to the stay limit, not just at the limit itself
-    violations = tuple(map(tuple, np.argwhere(scored & (slot > 0) & ~stays[:, :-1]).tolist()))
     # a cap can land on a degenerate boundary (exactly tied gains), and
     # such a slot carries no usable value
     usable = scored & ~infeasible & np.isfinite(values)
@@ -186,7 +192,6 @@ def solve_dense(instance: NetworkInstance, model: EfficiencyModel) -> Equilibriu
         "candidate_table": tuple(
             map(record, range(carriers), starts.tolist(), counts.tolist(), limits)
         ),
-        "stay_test_violations": violations,
     }
 
     alloc = empty_allocation(instance)

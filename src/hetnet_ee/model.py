@@ -6,8 +6,10 @@ plain ``(F+1, K)`` float arrays with one row per player; all entries are
 nonnegative and rows of equilibrium outputs have at most one nonzero entry.
 
 Whole-instance quantities are arrays with one row per player, computed for
-all players at once: the own-signal gains, the SINR matrix (:func:`sinr`),
-the utilities and each player's two strongest carriers (:func:`rank_carriers`).
+all players at once: the own-signal gains, the SINR denominators
+(:func:`denominators`) and matrix (:func:`sinr`), the utilities and each
+player's two strongest carriers (:func:`rank_carriers`).  Every player
+best-responds by one rule, :func:`best_response`.
 
 Two interference regimes share the follower SINR but differ for the leader:
 
@@ -34,8 +36,9 @@ __all__ = [
     "EquilibriumResult",
     "empty_allocation",
     "leader_interference",
-    "leader_respond",
+    "best_response",
     "respond",
+    "denominators",
     "sinr",
     "utility",
     "all_utilities",
@@ -159,41 +162,45 @@ def leader_interference(instance: NetworkInstance, follower_powers) -> np.ndarra
     return np.einsum("fk,...fk->...k", instance.hf, follower_powers)
 
 
-def respond(instance: NetworkInstance, leader_powers, gamma: float):
-    """Every follower's single-carrier best response to the leader's powers.
+def best_response(gains, denom, gamma: float):
+    """Every player's single-carrier best response, the one rule of the game.
 
-    Follower ``f`` picks the carrier maximizing ``gf[f] / (sigma2 + h0 * p0)``
-    (ties to the lowest index) and transmits ``gamma`` times that
-    denominator over its gain there, which puts its SINR exactly at the
-    operating point ``gamma``.  Maps leader powers ``(..., K)`` to follower
-    powers ``(..., F, K)`` and chosen carriers ``(..., F)``.
+    Picks the carrier maximizing gain over noise plus interference, ``gains
+    / denom`` (ties to the lowest index), at the power ``gamma * denom /
+    gains`` that puts the SINR there at ``gamma``; other powers are exact
+    zeros.  Broadcasts; returns the powers and the chosen carriers.
+    """
+    carriers = np.argmax(gains / denom, axis=-1)
+    chosen = np.arange(np.shape(gains)[-1]) == carriers[..., None]
+    return np.where(chosen, gamma * denom, 0.0) / gains, carriers
+
+
+def respond(instance: NetworkInstance, leader_powers, gamma: float):
+    """Every follower's :func:`best_response` to the leader's powers.
+
+    Maps leader powers ``(..., K)`` to follower powers ``(..., F, K)`` and
+    chosen carriers ``(..., F)``.
     """
     denom = (instance.sigma2 + instance.h0 * np.asarray(leader_powers, dtype=float))[..., None, :]
-    carriers = np.argmax(instance.gf / denom, axis=-1)
-    chosen = np.arange(instance.carriers) == carriers[..., None]
-    return np.where(chosen, gamma * denom / instance.gf, 0.0), carriers
+    return best_response(instance.gf, denom, gamma)
 
 
-def leader_respond(instance: NetworkInstance, interference, gamma: float):
-    """The leader's single-carrier best response to fixed interference.
-
-    Picks the carrier maximizing ``g0 / (sigma2 + interference)`` (ties to
-    the lowest index) and returns it with the power that puts the leader's
-    SINR there exactly at ``gamma``.
-    """
-    k = int(np.argmax(instance.g0 / (instance.sigma2 + interference)))
-    return k, gamma * (instance.sigma2 + interference[k]) / instance.g0[k]
-
-
-def sinr(instance: NetworkInstance, allocation, regime: str) -> np.ndarray:
-    """SINR of every player on every carrier, ``(F+1, K)``."""
+def denominators(instance: NetworkInstance, allocation, regime: str) -> np.ndarray:
+    """Noise plus interference of every player on every carrier, ``(F+1, K)``:
+    followers see ``h0 * p0``, the leader sees :func:`leader_interference`
+    in the dense regime and noise only in the sparse one."""
     _check_regime(regime)
     allocation = np.asarray(allocation, dtype=float)
     denom = np.empty_like(allocation)
     interference = leader_interference(instance, allocation[1:]) if regime == "dense" else 0.0
     denom[0] = instance.sigma2 + interference
     denom[1:] = instance.sigma2 + instance.h0 * allocation[0]
-    return instance.gains * allocation / denom
+    return denom
+
+
+def sinr(instance: NetworkInstance, allocation, regime: str) -> np.ndarray:
+    """SINR of every player on every carrier, ``(F+1, K)``."""
+    return instance.gains * allocation / denominators(instance, allocation, regime)
 
 
 def all_utilities(

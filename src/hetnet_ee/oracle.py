@@ -5,21 +5,23 @@ recomputed from scratch and alternatives are enumerated on geometric power
 grids spanning eight decades around the natural power scale
 ``gamma * sigma2 / max(own gain)``.
 
-Leader searches score blocks of actions in array passes: a block row is a
-support of one carrier (the grid) or two (the split probes), with the long
-power axis last.  Followers re-respond as :func:`model.respond` does, with
-its float comparisons and ties, among the support and the best carrier off
-it, whose score ``gf / sigma2`` is their switching threshold; interference
-is computed on the support only.
+One unilateral check serves every player: others fixed, it sweeps the
+player over carriers x powers against its row of :func:`model.denominators`
+and scores its exact :func:`model.best_response` alike.
 
-* :func:`verify_follower` fixes everyone else and sweeps one follower over
-  carriers x powers, plus its exact closed-form best response.
+Bi-level leader searches score blocks of actions in array passes: a block
+row is a support of one carrier (the grid) or two (the split probes), with
+the long power axis last.  Followers re-respond as :func:`model.respond`
+does, with its float comparisons and ties, among the support and the best
+carrier off it, whose score ``gf / sigma2`` is their switching threshold;
+interference is computed on the support only.
+
+* :func:`verify_follower` is the unilateral check of one follower.
 * :func:`verify_leader_stackelberg` is bi-level: every single-carrier grid
   action is scored with all followers re-responding, and so is every
   two-carrier split (each weight x total) on every carrier pair, to attack
   the single-carrier claim.
-* :func:`verify_nash` is the unilateral version: the single-carrier sweep
-  runs against the followers' fixed interference, one report per player.
+* :func:`verify_nash` is the unilateral check of every player.
 * :func:`brute_force_stackelberg` returns the best single-carrier grid
   allocation of the bi-level sweep, used to generate trusted expected
   values before the solvers exist.
@@ -33,7 +35,7 @@ from itertools import combinations
 import numpy as np
 
 from .efficiency import EfficiencyModel
-from .model import NetworkInstance, leader_interference, leader_respond, respond, utility
+from .model import NetworkInstance, best_response, denominators, respond, utility
 
 __all__ = [
     "DeviationReport",
@@ -131,9 +133,12 @@ def _bilevel_sweep(instance, model, gamma, regime, support, powers) -> np.ndarra
         s, p = support[i:i + rows], powers[i:i + rows]
         gf, denom = instance.gf.T[s][..., None], instance.sigma2 + instance.h0[s][..., None] * p
         chosen = _follower_choice(instance, s, gf, denom)[0]
-        # hf-weighted follower powers, masked to the chosen carrier in place
-        terms = gamma * denom[:, :, None] / gf
-        terms *= instance.hf.T[s][..., None]
+        # hf-weighted follower powers, masked to the chosen carrier in place;
+        # a subnormal gain overflows (and inf * 0 is NaN) only off it, where
+        # the mask drops the value
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = gamma * denom[:, :, None] / gf
+            terms *= instance.hf.T[s][..., None]
         np.copyto(terms, 0.0, where=~chosen)
         utilities.append(_leader_sweep(instance, model, s, p, terms.sum(axis=2)))
     return utilities[0] if len(utilities) == 1 else np.concatenate(utilities)
@@ -149,8 +154,35 @@ def _best_carrier_action(instance, grid, score):
     return float(utilities[k, i]), k, float(grid[i])
 
 
-def _leader_grid(instance, gamma, grid_size):
-    return power_grid(gamma * instance.sigma2 / float(instance.g0.max()), grid_size)
+def _grid(instance, gamma, player, grid_size):
+    """The power grid centred on ``player``'s natural scale."""
+    return power_grid(gamma * instance.sigma2 / float(instance.gains[player].max()), grid_size)
+
+
+def _unilateral(instance, model, player, allocation, regime, grid_size, tol) -> DeviationReport:
+    """Deviation search for one player with every other row fixed: every
+    carrier on a power grid centred on the player's best gain, then its
+    exact :func:`best_response`, scored alike.  Ties go to the lower
+    carrier, then the lower power, then the grid."""
+    if grid_size < 100:
+        raise ValueError("grid_size must be at least 100")
+    gamma, gains, rate = model.gamma, instance.gains[player], float(instance.rates[player])
+    claimed = utility(instance, model, player, allocation, regime)
+    denom = denominators(instance, allocation, regime)[player]
+
+    grid = _grid(instance, gamma, player, grid_size)
+    utilities = rate * model.value(gains[:, None] * grid / denom[:, None]) / grid
+    k, i = divmod(int(np.argmax(utilities)), grid.size)
+    best = float(utilities[k, i])
+    action = {"carrier": k, "power": float(grid[i]), "source": "grid"}
+
+    powers, k = best_response(gains, denom, gamma)
+    k, p = int(k), float(powers[k])
+    closed = rate * model.value(gains[k] * p / denom[k]) / p
+    if closed > best:
+        best = closed
+        action = {"carrier": k, "power": p, "source": "closed_form"}
+    return _report(player, claimed, best, action, tol)
 
 
 def verify_follower(
@@ -161,39 +193,9 @@ def verify_follower(
     grid_size: int = 300,
     tol: float = 1e-6,
 ) -> DeviationReport:
-    """Deviation search for one follower with all other rows fixed.
-
-    Sweeps every carrier over a geometric power grid and additionally
-    evaluates the exact closed-form best response; the follower's SINR
-    depends only on the leader's row, so the result holds in both regimes.
-    """
-    if grid_size < 100:
-        raise ValueError("grid_size must be at least 100")
-    allocation = np.asarray(allocation, dtype=float)
-    gamma = model.gamma
-    claimed = utility(instance, model, f + 1, allocation, "dense")
-    rate = float(instance.rates[f + 1])
-    denom = instance.sigma2 + instance.h0 * allocation[0]
-
-    center = gamma * instance.sigma2 / float(instance.gf[f].max())
-    grid = power_grid(center, grid_size)
-    sinr = instance.gf[f][:, None] * grid[None, :] / denom[:, None]
-    utilities = rate * model.value(sinr) / grid[None, :]
-    flat = int(np.argmax(utilities))
-    best_k, best_i = np.unravel_index(flat, utilities.shape)
-    best = float(utilities[best_k, best_i])
-    action = {"carrier": int(best_k), "power": float(grid[best_i]), "source": "grid"}
-
-    responses, carriers = respond(instance, allocation[0], gamma)
-    trial = allocation.copy()
-    trial[f + 1] = responses[f]
-    br_utility = utility(instance, model, f + 1, trial, "dense")
-    if br_utility > best:
-        k = int(carriers[f])
-        best = br_utility
-        action = {"carrier": k, "power": float(responses[f, k]), "source": "closed_form"}
-
-    return _report(f + 1, claimed, best, action, tol)
+    """Unilateral deviation search for follower ``f`` (player ``f+1``); its
+    SINR depends only on the leader's row, so this holds in both regimes."""
+    return _unilateral(instance, model, f + 1, allocation, "dense", grid_size, tol)
 
 
 def verify_leader_stackelberg(
@@ -213,18 +215,17 @@ def verify_leader_stackelberg(
     """
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
-    allocation = np.asarray(allocation, dtype=float)
     gamma = model.gamma
     claimed = utility(instance, model, 0, allocation, regime)
 
     def score(support, powers):
         return _bilevel_sweep(instance, model, gamma, regime, support, powers)
 
-    best, k, p = _best_carrier_action(instance, _leader_grid(instance, gamma, grid_size), score)
+    best, k, p = _best_carrier_action(instance, _grid(instance, gamma, 0, grid_size), score)
     action: dict = {"carrier": k, "power": p, "source": "grid"}
 
     if instance.carriers >= 2:
-        totals = _leader_grid(instance, gamma, max(grid_size // 10, 12))
+        totals = _grid(instance, gamma, 0, max(grid_size // 10, 12))
         weights = np.linspace(0.0, 1.0, SPLIT_WEIGHTS)
         # one block row per carrier pair; columns run over weights, then totals
         pairs = np.array(list(combinations(range(instance.carriers), 2)))
@@ -249,35 +250,10 @@ def verify_nash(
     tol: float = 1e-3,
 ) -> list[DeviationReport]:
     """Unilateral deviation search for every player, others held fixed."""
-    if grid_size < 100:
-        raise ValueError("grid_size must be at least 100")
-    allocation = np.asarray(allocation, dtype=float)
-    gamma = model.gamma
-
-    claimed = utility(instance, model, 0, allocation, regime)
-    if regime == "dense":
-        fixed = leader_interference(instance, allocation[1:])
-    else:
-        fixed = np.zeros(instance.carriers)
-
-    def score(support, powers):
-        return _leader_sweep(instance, model, support, powers, fixed[support][..., None])
-
-    best, k, p = _best_carrier_action(instance, _leader_grid(instance, gamma, grid_size), score)
-    action: dict = {"carrier": k, "power": p, "source": "grid"}
-    # the gamma-targeting closed form on the best adjusted carrier
-    k, p = leader_respond(instance, fixed, gamma)
-    closed = float(score(np.array([[k]]), np.array([[[p]]]))[0, 0])
-    if closed > best:
-        best = closed
-        action = {"carrier": k, "power": float(p), "source": "closed_form"}
-    reports = [_report(0, claimed, best, action, tol)]
-
-    for f in range(instance.followers):
-        reports.append(
-            verify_follower(instance, model, f, allocation, grid_size=grid_size, tol=tol)
-        )
-    return reports
+    return [
+        _unilateral(instance, model, player, allocation, regime, grid_size, tol)
+        for player in range(instance.players)
+    ]
 
 
 def brute_force_stackelberg(
@@ -295,7 +271,7 @@ def brute_force_stackelberg(
     gamma = model.gamma
     _, k, p = _best_carrier_action(
         instance,
-        _leader_grid(instance, gamma, grid_size),
+        _grid(instance, gamma, 0, grid_size),
         lambda support, powers: _bilevel_sweep(instance, model, gamma, regime, support, powers),
     )
     allocation = np.zeros((instance.players, instance.carriers))

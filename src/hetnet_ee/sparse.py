@@ -48,7 +48,7 @@ def solve_sparse(instance: NetworkInstance, model: EfficiencyModel) -> Equilibri
     f, best, second = np.arange(instance.followers), best[1:], second[1:]
     contended = best == b0
     ratio = instance.gf[f, best] / instance.gf[f, second]
-    threshold = 1.0 + (instance.h0[best] / instance.g0[best]) * gamma
+    threshold = 1.0 + (instance.h0[b0] / instance.g0[b0]) * gamma
     stay = contended & (ratio >= threshold)
     move = contended & ~stay
     carrier = np.where(move, second, best)

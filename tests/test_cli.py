@@ -218,6 +218,21 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "verified 4 checks, 0 failures, 0 trials skipped"
 
+    def test_rates_list_not_fitting_a_row_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        run_cli("sweep", "--carriers", "3", "--followers", "1", "--snr-db", "0",
+                "--trials", "1", "--schemes", "stackelberg", "--verify-fraction", "0",
+                "--output", str(out))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("verify", "--input", str(out), "--rates", "1,2,3")
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = captured.err.splitlines()[-1]
+        assert error.startswith("hetnet-ee verify: error: --rates has 3 values")
+        assert f"{out} has rows with F=1" in error
+
     def test_recertifies_recorded_trials(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         run_cli("sweep", "--carriers", "4", "--followers", "2", "--snr-db", "10",
@@ -275,3 +290,22 @@ class TestVerify:
                 "--output", str(out))
         capsys.readouterr()
         assert run_cli("verify", "--input", str(out), "--grid-size", "150") == 0
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command", ["summarize", "verify"])
+    @pytest.mark.parametrize("text", [
+        None,
+        "scheme,player\nnash,0\n",
+        CSV_HEADER + "\nstackelberg,dense\n",
+        CSV_HEADER + "\n" + ",".join(["x"] * len(CSV_HEADER.split(","))) + "\n",
+    ], ids=["missing", "foreign_header", "short_row", "bad_value"])
+    def test_bad_input_csv_exits_2(self, tmp_path, capsys, command, text):
+        path = tmp_path / "in.csv"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(command, "--input", str(path))
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith(f"hetnet-ee {command}: error: cannot read --input {path}: ")

@@ -7,10 +7,11 @@ from numpy.testing import assert_allclose
 from hetnet_ee import EfficiencyModel, NetworkInstance, sample_instance, solve_dense, utility
 from hetnet_ee.model import (
     all_utilities,
+    best_response,
+    denominators,
     empty_allocation,
     leader_interference,
     make_result,
-    leader_respond,
     rank_carriers,
     respond,
     sinr,
@@ -250,18 +251,34 @@ class TestRespond:
 
 
 class TestLeaderRespond:
+    """The leader's move is :func:`best_response` to its row of denominators."""
+
     def test_hits_gamma_on_the_best_adjusted_carrier(self, model):
         inst = simple_instance(hf=[[1.0, 0.0]])
         alloc = empty_allocation(inst)
         alloc[1, 0] = 3.0  # interference 3 on carrier 0: 2/4 < 1/1
-        k, p = leader_respond(inst, leader_interference(inst, alloc[1:]), GAMMA)
-        assert k == 1 and p == GAMMA
-        alloc[0, k] = p
+        powers, k = best_response(inst.g0, denominators(inst, alloc, "dense")[0], GAMMA)
+        assert k == 1 and powers.tolist() == [0.0, GAMMA]
+        alloc[0] = powers
         assert_allclose(sinr(inst, alloc, "dense")[0, k], GAMMA, rtol=1e-15)
 
     def test_ties_pick_the_lowest_index(self):
         inst = simple_instance(g0=[1.0, 2.0])
-        assert leader_respond(inst, np.array([0.0, 1.0]), GAMMA)[0] == 0
+        assert best_response(inst.g0, inst.sigma2 + np.array([0.0, 1.0]), GAMMA)[1] == 0
+
+    def test_sparse_leader_sees_noise_only(self):
+        inst = simple_instance()
+        alloc = empty_allocation(inst)
+        alloc[1] = [5.0, 5.0]
+        assert denominators(inst, alloc, "sparse")[0].tolist() == [inst.sigma2] * 2
+        assert_allclose(denominators(inst, alloc, "dense")[0], [6.0, 2.0], rtol=1e-15)
+
+    def test_subnormal_gain_gets_an_exact_zero(self):
+        """A power off the chosen carrier is zero before the division, so a
+        subnormal gain there can neither overflow nor warn."""
+        powers, k = best_response(np.array([1.0, 1e-310, 0.5]), np.full(3, 1e10), GAMMA)
+        assert k == 0 and powers[1:].tolist() == [0.0, 0.0]
+        assert powers[0] == GAMMA * 1e10
 
 
 class TestUtility:

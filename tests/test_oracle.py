@@ -1,5 +1,7 @@
 """Tests for the brute-force deviation oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hetnet_ee import (
     NetworkInstance,
     brute_force_stackelberg,
     sample_instance,
+    solve_best_channel,
     solve_dense,
     solve_nash,
     solve_sparse,
@@ -18,7 +21,7 @@ from hetnet_ee import (
     verify_leader_stackelberg,
     verify_nash,
 )
-from hetnet_ee.model import leader_interference, leader_respond, respond
+from hetnet_ee.model import leader_interference, respond
 from hetnet_ee import oracle
 from hetnet_ee.oracle import SPLIT_WEIGHTS, _follower_choice, power_grid
 from conftest import edge_cases, random_instance
@@ -89,6 +92,13 @@ def ref_leader_stackelberg(instance, model, regime, grid_size=300):
     return best, action
 
 
+def ref_leader_respond(instance, interference, gamma):
+    """The leader's closed-form response to fixed interference, spelled out
+    apart from the shared best-response rule."""
+    k = int(np.argmax(instance.g0 / (instance.sigma2 + interference)))
+    return k, gamma * (instance.sigma2 + interference[k]) / instance.g0[k]
+
+
 def ref_nash_leader(instance, model, allocation, regime, grid_size=300):
     """(best utility, deviating action) of the unilateral leader search."""
     fixed = (leader_interference(instance, allocation[1:]) if regime == "dense"
@@ -99,7 +109,7 @@ def ref_nash_leader(instance, model, allocation, regime, grid_size=300):
 
     best, k, p = _ref_best_carrier(instance, _ref_grid(instance, model, grid_size), score)
     action = {"carrier": k, "power": p, "source": "grid"}
-    k, p = leader_respond(instance, fixed, model.gamma)
+    k, p = ref_leader_respond(instance, fixed, model.gamma)
     closed = float(score(_ref_actions(instance, {k: [p]}))[0])
     if closed > best:
         best, action = closed, {"carrier": k, "power": float(p), "source": "closed_form"}
@@ -359,8 +369,7 @@ class TestBlockScorer:
         inst = NetworkInstance(g0=[1.0, 2.0, 1.5], gf=[[1.0, 1e-310, 0.5]], h0=[0.5] * 3,
                                hf=[[0.3] * 3], sigma2=0.1)
         allocation = solve_dense(inst, model).allocation
-        with np.errstate(over="ignore"):
-            _assert_matches_reference(inst, model, allocation, "dense")
+        _assert_matches_reference(inst, model, allocation, "dense")
 
     def test_follower_choice_is_respond_on_tied_gains(self):
         """Integer gains, unit noise and integer powers make scores tie
@@ -394,3 +403,116 @@ class TestBlockScorer:
                                       powers[:, s, :, None], axis=2)
                 _, carriers = respond(inst, actions, gamma)
                 assert np.array_equal(picked, carriers.transpose(0, 2, 1))
+
+
+# Reference unilateral checks as they stood before the shared rule: the
+# follower sweep with its closed form re-scored through a copied
+# allocation, and the leader sweep against fixed interference with its own
+# closed form.  `_unilateral` must reproduce their reports exactly.
+
+def ref_verify_follower(instance, model, f, allocation, grid_size=300, tol=1e-6):
+    allocation = np.asarray(allocation, dtype=float)
+    gamma = model.gamma
+    claimed = utility(instance, model, f + 1, allocation, "dense")
+    rate = float(instance.rates[f + 1])
+    denom = instance.sigma2 + instance.h0 * allocation[0]
+    grid = power_grid(gamma * instance.sigma2 / float(instance.gf[f].max()), grid_size)
+    utilities = rate * model.value(instance.gf[f][:, None] * grid[None, :] / denom[:, None])
+    utilities = utilities / grid[None, :]
+    best_k, best_i = np.unravel_index(int(np.argmax(utilities)), utilities.shape)
+    best = float(utilities[best_k, best_i])
+    action = {"carrier": int(best_k), "power": float(grid[best_i]), "source": "grid"}
+    responses, carriers = respond(instance, allocation[0], gamma)
+    trial = allocation.copy()
+    trial[f + 1] = responses[f]
+    br_utility = utility(instance, model, f + 1, trial, "dense")
+    if br_utility > best:
+        k = int(carriers[f])
+        best = br_utility
+        action = {"carrier": k, "power": float(responses[f, k]), "source": "closed_form"}
+    return oracle._report(f + 1, claimed, best, action, tol)
+
+
+def ref_verify_nash(instance, model, allocation, regime, grid_size=300, tol=1e-3):
+    allocation = np.asarray(allocation, dtype=float)
+    claimed = utility(instance, model, 0, allocation, regime)
+    best, action = ref_nash_leader(instance, model, allocation, regime, grid_size)
+    return [oracle._report(0, claimed, best, action, tol)] + [
+        ref_verify_follower(instance, model, f, allocation, grid_size, tol)
+        for f in range(instance.followers)
+    ]
+
+
+def _assert_unilateral_matches(inst, model, allocation, regime, grid_size=300):
+    expected = ref_verify_nash(inst, model, allocation, regime, grid_size)
+    assert verify_nash(inst, model, allocation, regime, grid_size) == expected
+    for f in range(inst.followers):
+        report = verify_follower(inst, model, f, allocation, grid_size)
+        assert report == ref_verify_follower(inst, model, f, allocation, grid_size)
+
+
+class TestUnilateral:
+    """`verify_follower` and `verify_nash` share one check; every field of
+    its reports equals the pre-sharing reference, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=edge_cases())
+    def test_edge_cases_match_the_reference(self, case):
+        inst, model, regime = case
+        if regime == "dense":
+            allocation = solve_dense(inst, model).allocation
+        else:
+            allocation = solve_sparse(inst, model).allocation
+        _assert_unilateral_matches(inst, model, allocation, regime)
+        nash, _ = solve_nash(inst, model, regime)
+        _assert_unilateral_matches(inst, model, nash.allocation, regime, grid_size=120)
+        perturbed = allocation.copy()
+        perturbed[0] *= 1.05
+        perturbed[1:] *= 0.9
+        _assert_unilateral_matches(inst, model, perturbed, regime)
+
+    def test_perturbed_dense_solutions_match_the_reference(self, model):
+        rng = np.random.default_rng(93)
+        for seed in range(200):
+            inst = sample_instance(5, 4, snr_db=float(rng.uniform(-30.0, 60.0)), seed=seed)
+            allocation = solve_dense(inst, model).allocation.copy()
+            allocation *= rng.choice([0.5, 0.999, 1.0, 1.001, 2.0], size=(inst.players, 1))
+            _assert_unilateral_matches(inst, model, allocation, ("dense", "sparse")[seed % 2])
+
+    def test_tied_integer_gains_match_the_reference(self):
+        """Integer gains, unit noise and integer powers tie carriers and
+        grid points exactly; ties must break as before."""
+        rng = np.random.default_rng(94)
+        model = EfficiencyModel(m=2)
+        for _ in range(200):
+            k = int(rng.integers(2, 7))
+            f = int(rng.integers(0, k))
+            inst = NetworkInstance(
+                g0=rng.integers(1, 4, k), gf=rng.integers(1, 4, (f, k)),
+                h0=rng.integers(0, 3, k), hf=rng.integers(0, 3, (f, k)), sigma2=1.0)
+            allocation = rng.integers(0, 3, (f + 1, k)).astype(float)
+            for regime in ("dense", "sparse"):
+                _assert_unilateral_matches(inst, model, allocation, regime, grid_size=100)
+
+
+@pytest.mark.parametrize("regime", ["dense", "sparse"])
+def test_subnormal_gains_raise_no_warning(model, regime):
+    """A subnormal g0 on follower 0's best carrier overflows its feedback
+    and its slot powers, and subnormal follower gains overflow follower
+    powers off their carriers; every solver and oracle must discard those
+    values silently, and the equilibrium must still certify."""
+    inst = NetworkInstance(g0=[1.0, 1e-310, 1.5, 0.7],
+                           gf=[[1.0, 2.0, 1e-310, 0.5], [1e-310, 0.3, 1.0, 2.0]],
+                           h0=[0.5] * 4, hf=[[0.3] * 4] * 2, sigma2=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = (solve_dense if regime == "dense" else solve_sparse)(inst, model)
+        nash, report = solve_nash(inst, model, regime)
+        solve_best_channel(inst, model, regime)
+        assert np.all(np.isfinite(result.allocation))
+        assert verify_leader_stackelberg(inst, model, result.allocation, regime).passed
+        assert all(verify_follower(inst, model, f, result.allocation).passed
+                   for f in range(inst.followers))
+        assert report.converged
+        assert all(r.passed for r in verify_nash(inst, model, nash.allocation, regime))
+        brute_force_stackelberg(inst, model, regime)

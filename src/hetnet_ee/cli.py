@@ -170,11 +170,12 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="re-certify recorded trials with the oracle")
     p_verify.add_argument("--input", required=True, help="records CSV from `sweep`")
     _add_scenario_flags(p_verify, ("m_exponent", "mean_signal", "mean_cross", "rates"))
-    p_verify.add_argument("--grid-size", type=int, dest="grid_size", default=300)
+    p_verify.add_argument("--grid-size", type=int, dest="grid_size", default=300,
+                          help="points in the stackelberg leader's power grid (at least 100)")
     p_verify.add_argument(
         "--tolerance", type=float, default=None,
         help="relative-gain tolerance of every check (default: 1e-3 for leader "
-             "and nash checks, 1e-6 for stackelberg follower checks)",
+             "and nash checks, 1e-12 for stackelberg follower checks)",
     )
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -239,16 +239,17 @@ def verify_scheme(
 ) -> list[DeviationReport]:
     """Oracle reports for one scheme's output, one per checked player.
 
-    A ``tol`` applies to every check; ``None`` keeps each oracle's own
-    default (1e-3 for leader and ``nash`` checks, 1e-6 for ``stackelberg``
-    follower checks).  Only equilibrium claims are checked: the
-    best-channel heuristic and a Nash run that did not converge (``converged``
-    is the flag :func:`run_scheme` returned) claim none, so they get no
-    reports.
+    ``grid_size`` sizes the stackelberg leader's power grid.  A ``tol``
+    applies to every check; ``None`` keeps each oracle's own default (1e-3
+    for leader and ``nash`` checks, 1e-12 for ``stackelberg`` follower
+    checks).  Only equilibrium claims are checked: the best-channel
+    heuristic and a Nash run that did not converge (``converged`` is the
+    flag :func:`run_scheme` returned) claim none, so they get no reports.
     """
-    kw = {"grid_size": grid_size} if tol is None else {"grid_size": grid_size, "tol": tol}
+    kw = {} if tol is None else {"tol": tol}
     if scheme == "stackelberg":
-        return [verify_leader_stackelberg(instance, model, allocation, regime, **kw)] + [
+        leader = verify_leader_stackelberg(instance, model, allocation, regime, grid_size, **kw)
+        return [leader] + [
             verify_follower(instance, model, f, allocation, **kw)
             for f in range(instance.followers)
         ]

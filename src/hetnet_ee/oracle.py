@@ -1,41 +1,49 @@
-"""Brute-force certification of equilibria by exhaustive deviation search.
+"""Certification of equilibria, independent of the closed-form solvers.
 
-Every check here is independent of the closed-form solvers: utilities are
-recomputed from scratch and alternatives are enumerated on geometric power
-grids spanning eight decades around the natural power scale
-``gamma * sigma2 / max(own gain)``.
+Every check recomputes utilities from scratch; ``f`` is the success curve.
 
-One unilateral check serves every player: others fixed, it sweeps the
-player over carriers x powers against its row of :func:`model.denominators`
-and scores its exact :func:`model.best_response` alike.
+**The unilateral check** (:func:`verify_follower`, and every player of
+:func:`verify_nash`) is exact.  With the other rows fixed, the player's
+denominators ``d_k`` (its row of :func:`model.denominators`) are constant;
+with ``a_k = g_k / d_k``, any action ``p``, multi-carrier included, earns::
 
-Bi-level leader searches score blocks of actions in array passes: a block
-row is a support of one carrier (the grid) or two (the split probes), with
-the long power axis last.  Followers re-respond as :func:`model.respond`
-does, with its float comparisons and ties, among the support and the best
-carrier off it, whose score ``gf / sigma2`` is their switching threshold;
-interference is computed on the support only.
+    U(p) = rate * sum_k f(a_k p_k) / sum_k p_k
+        <= rate * max_k f(a_k p_k) / p_k       (mediant: sum x / sum y <= max x/y)
+        <= rate * max_k a_k * phi*             (f(a p) / p = a f(a p) / (a p) <= a phi*)
 
-* :func:`verify_follower` is the unilateral check of one follower.
-* :func:`verify_leader_stackelberg` is bi-level: every single-carrier grid
-  action is scored with all followers re-responding, and so is every
-  two-carrier split (each weight x total) on every carrier pair, to attack
-  the single-carrier claim.
-* :func:`verify_nash` is the unilateral check of every player.
-* :func:`brute_force_stackelberg` returns the best single-carrier grid
-  allocation of the bi-level sweep, used to generate trusted expected
-  values before the solvers exist.
+where ``phi* = max_x f(x)/x``.  The best response (SINR ``gamma`` on the
+argmax carrier) attains the bound, so it is the best deviation.  ``phi*``
+comes from a golden-section search on ``f(x)/x``, not from the solvers'
+Newton root.
+
+**The leader check** (:func:`verify_leader_stackelberg`) is bi-level and
+rests on a lemma: a leader action ``p`` on several carriers never beats its
+best single-carrier part ``p_k e_k``.  Under ``p`` a follower's score on
+another carrier ``j``, ``gf_j / (sigma2 + h0_j p_j)``, is at most its score
+``gf_j / sigma2`` under ``p_k e_k``, and its score on ``k`` is unchanged.
+So every follower that picks ``k`` under ``p_k e_k`` picks it under ``p``
+(lowest-index ties and monotone rounding keep this); more followers on
+``k`` mean more interference, so the leader's SINR on ``k`` is at most its
+SINR under ``p_k e_k``, and the mediant step gives ``U(p) <= max_k U(p_k
+e_k)`` in both regimes.  The search scores single-carrier actions only, in
+blocks of one row per carrier with the power axis last; followers
+re-respond as :func:`model.respond` does, with its float comparisons and
+ties, between the action's carrier and their best carrier off it, whose
+score ``gf / sigma2`` is their switching threshold.
+:func:`brute_force_stackelberg` returns the best grid allocation, used to
+generate trusted expected values apart from the solvers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
 
 import numpy as np
 
 from .efficiency import EfficiencyModel
-from .model import NetworkInstance, best_response, denominators, respond, utility
+from .model import NetworkInstance, denominators, respond, utility
 
 __all__ = [
     "DeviationReport",
@@ -47,7 +55,9 @@ __all__ = [
 
 GRID_DECADES = 4  # grid spans 10**-GRID_DECADES .. 10**+GRID_DECADES times center
 SPLIT_WEIGHTS = 11
+PART_WEIGHTS = np.linspace(0.0, 1.0, SPLIT_WEIGHTS)[1:]  # the nonzero split weights
 PIECE_CELLS = 1 << 18
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -97,32 +107,27 @@ def power_grid(center: float, grid_size: int) -> np.ndarray:
 
 
 def _leader_sweep(instance, model, support, powers, interference) -> np.ndarray:
-    """Leader utility ``rate * sum_k f(sinr_k) / sum_k p_k``, ``(B, N)``, of
-    the actions putting ``powers[b, :, n]`` on carriers ``support[b]``."""
+    """Leader utility ``rate * f(sinr) / p``, ``(B, N)``, of the actions
+    putting ``powers[b, 0, n]`` on carrier ``support[b, 0]``."""
     sinr = instance.g0[support][..., None] * powers / (instance.sigma2 + interference)
-    return float(instance.rates[0]) * model.value(sinr).sum(axis=1) / powers.sum(axis=1)
+    return float(instance.rates[0]) * model.value(sinr)[:, 0] / powers[:, 0]
 
 
 def _follower_choice(instance, support, gf, denom):
-    """Each follower's carrier against a block of actions, as ``respond``
-    picks it; ``gf`` and ``denom = sigma2 + h0 * p`` are taken on
-    ``support``, whose rows hold one or two ascending carriers.  Returns
-    ``chosen[b, s, f, n]`` (``f`` picks ``support[b, s]``) and the
-    off-support rivals ``(B, 1, F)``, which a carrier above must beat strictly."""
+    """Each follower's carrier against a block of single-carrier actions, as
+    ``respond`` picks it; ``gf`` and ``denom = sigma2 + h0 * p`` are taken
+    on ``support``, one carrier per row.  Returns ``chosen[b, 0, f, n]``
+    (``f`` picks ``support[b, 0]``) and the off-support rivals ``(B, 1, F)``,
+    which a carrier above must beat strictly."""
     scores = gf / denom[:, :, None]
-    off = (np.arange(instance.carriers) != support[..., None]).all(axis=1)
+    off = np.arange(instance.carriers) != support
     quiet = np.where(off[:, None], instance.gf / instance.sigma2, -np.inf)
     rival, bar = quiet.argmax(axis=-1)[:, None], quiet.max(axis=-1)[:, None]
     bar = np.where(rival < support[..., None], bar, np.nextafter(bar, -np.inf))
-    chosen = scores > bar[..., None]
-    if support.shape[1] == 2:
-        lower = scores[:, 0] >= scores[:, 1]
-        chosen[:, 0] &= lower
-        chosen[:, 1] &= ~lower
-    return chosen, rival
+    return scores > bar[..., None], rival
 
 
-def _bilevel_sweep(instance, model, gamma, regime, support, powers) -> np.ndarray:
+def _bilevel_sweep(instance, model, regime, support, powers) -> np.ndarray:
     """:func:`_leader_sweep` with every follower re-responding; dense blocks
     go in row pieces of about ``PIECE_CELLS`` (action, follower) cells."""
     if regime != "dense":
@@ -137,52 +142,64 @@ def _bilevel_sweep(instance, model, gamma, regime, support, powers) -> np.ndarra
         # a subnormal gain overflows (and inf * 0 is NaN) only off it, where
         # the mask drops the value
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = gamma * denom[:, :, None] / gf
+            terms = model.gamma * denom[:, :, None] / gf
             terms *= instance.hf.T[s][..., None]
         np.copyto(terms, 0.0, where=~chosen)
         utilities.append(_leader_sweep(instance, model, s, p, terms.sum(axis=2)))
     return utilities[0] if len(utilities) == 1 else np.concatenate(utilities)
 
 
-def _best_carrier_action(instance, grid, score):
-    """Best single-carrier leader action on the power grid, as
-    ``(utility, carrier, power)``; ``score`` maps a block of actions to
-    utilities.  Ties go to the lower carrier, then the lower power."""
+def _best_carrier_action(instance, model, regime, grid):
+    """Best single-carrier leader action on the power grid, every follower
+    re-responding, as ``(utility, carrier, power)``.  Ties go to the lower
+    carrier, then the earlier grid point."""
     carriers = np.arange(instance.carriers)[:, None]
-    utilities = score(carriers, np.broadcast_to(grid, (carriers.size, 1, grid.size)))
+    powers = np.broadcast_to(grid, (carriers.size, 1, grid.size))
+    utilities = _bilevel_sweep(instance, model, regime, carriers, powers)
     k, i = divmod(int(np.argmax(utilities)), grid.size)
     return float(utilities[k, i]), k, float(grid[i])
 
 
-def _grid(instance, gamma, player, grid_size):
-    """The power grid centred on ``player``'s natural scale."""
-    return power_grid(gamma * instance.sigma2 / float(instance.gains[player].max()), grid_size)
+def _leader_grid(instance, model, grid_size):
+    """The power grid centred on the leader's natural scale."""
+    return power_grid(model.gamma * instance.sigma2 / float(instance.g0.max()), grid_size)
 
 
-def _unilateral(instance, model, player, allocation, regime, grid_size, tol) -> DeviationReport:
-    """Deviation search for one player with every other row fixed: every
-    carrier on a power grid centred on the player's best gain, then its
-    exact :func:`best_response`, scored alike.  Ties go to the lower
-    carrier, then the lower power, then the grid."""
-    if grid_size < 100:
-        raise ValueError("grid_size must be at least 100")
-    gamma, gains, rate = model.gamma, instance.gains[player], float(instance.rates[player])
+@cache
+def _peak_efficiency(model: EfficiencyModel) -> float:
+    """``phi* = max_x f(x)/x`` by golden-section search (Kiefer 1953).
+
+    ``f(x)/x`` rises while ``x f'(x) > f(x)`` and falls after, with its
+    peak below ``m``, so it is unimodal on ``(0, m)``.  The search keeps
+    the better interior point until the points meet in float; the peak is
+    flat, so the best value found is ``phi*`` to the rounding of ``f``."""
+    lo, hi = 0.0, float(model.m)
+    c, d = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
+    fc, fd = model.value(c) / c, model.value(d) / d
+    while lo < c < d < hi:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - GOLDEN * (hi - lo)
+            fc = model.value(c) / c
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + GOLDEN * (hi - lo)
+            fd = model.value(d) / d
+    return max(fc, fd)
+
+
+def _unilateral(instance, model, player, allocation, regime, tol) -> DeviationReport:
+    """The best deviation of one player with every other row fixed: the
+    bound ``rate * max_k(g_k / d_k) * phi*`` (module docstring), attained
+    by the player's best response, which is the reported action."""
+    gains, rate = instance.gains[player], float(instance.rates[player])
     claimed = utility(instance, model, player, allocation, regime)
     denom = denominators(instance, allocation, regime)[player]
-
-    grid = _grid(instance, gamma, player, grid_size)
-    utilities = rate * model.value(gains[:, None] * grid / denom[:, None]) / grid
-    k, i = divmod(int(np.argmax(utilities)), grid.size)
-    best = float(utilities[k, i])
-    action = {"carrier": k, "power": float(grid[i]), "source": "grid"}
-
-    powers, k = best_response(gains, denom, gamma)
-    k, p = int(k), float(powers[k])
-    closed = rate * model.value(gains[k] * p / denom[k]) / p
-    if closed > best:
-        best = closed
-        action = {"carrier": k, "power": p, "source": "closed_form"}
-    return _report(player, claimed, best, action, tol)
+    ratios = gains / denom
+    k = int(np.argmax(ratios))
+    power = model.gamma * float(denom[k]) / float(gains[k])
+    best = rate * float(ratios[k]) * _peak_efficiency(model)
+    return _report(player, claimed, best, {"carrier": k, "power": power, "source": "bound"}, tol)
 
 
 def verify_follower(
@@ -190,12 +207,11 @@ def verify_follower(
     model: EfficiencyModel,
     f: int,
     allocation,
-    grid_size: int = 300,
-    tol: float = 1e-6,
+    tol: float = 1e-12,
 ) -> DeviationReport:
-    """Unilateral deviation search for follower ``f`` (player ``f+1``); its
+    """Unilateral deviation check of follower ``f`` (player ``f+1``); its
     SINR depends only on the leader's row, so this holds in both regimes."""
-    return _unilateral(instance, model, f + 1, allocation, "dense", grid_size, tol)
+    return _unilateral(instance, model, f + 1, allocation, "dense", tol)
 
 
 def verify_leader_stackelberg(
@@ -208,37 +224,21 @@ def verify_leader_stackelberg(
 ) -> DeviationReport:
     """Bi-level deviation search for the leader.
 
-    Every grid action is scored against freshly computed follower best
-    responses.  Single-carrier sweeps cover each carrier; two-carrier
-    splits are probed on a coarse power grid with an 11-point convex
-    weight sweep, a cheap attempt to falsify single-carrier optimality.
+    Every single-carrier action on the grid is scored against freshly
+    computed follower best responses.  The grid is ``grid_size`` powers
+    spanning eight decades around ``gamma * sigma2 / max(g0)``, plus ``w *
+    t`` for the nonzero weights ``w`` of an 11-point convex sweep and the
+    totals ``t`` of a coarse grid: every part of those two-carrier splits,
+    so by the module's lemma the search is no weaker than probing them.
     """
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
-    gamma = model.gamma
     claimed = utility(instance, model, 0, allocation, regime)
-
-    def score(support, powers):
-        return _bilevel_sweep(instance, model, gamma, regime, support, powers)
-
-    best, k, p = _best_carrier_action(instance, _grid(instance, gamma, 0, grid_size), score)
-    action: dict = {"carrier": k, "power": p, "source": "grid"}
-
-    if instance.carriers >= 2:
-        totals = _grid(instance, gamma, 0, max(grid_size // 10, 12))
-        weights = np.linspace(0.0, 1.0, SPLIT_WEIGHTS)
-        # one block row per carrier pair; columns run over weights, then totals
-        pairs = np.array(list(combinations(range(instance.carriers), 2)))
-        split = np.multiply.outer([weights, 1.0 - weights], totals).reshape(2, -1)
-        values = score(pairs, np.broadcast_to(split, (len(pairs), *split.shape)))
-        pair, rest = divmod(int(np.argmax(values)), values.shape[1])
-        if values[pair, rest] > best:
-            w, t = divmod(rest, totals.size)
-            best = float(values[pair, rest])
-            action = {"carriers": tuple(pairs[pair].tolist()), "weight": float(weights[w]),
-                      "total_power": float(totals[t]), "source": "split"}
-
-    return _report(0, claimed, best, action, tol)
+    totals = _leader_grid(instance, model, max(grid_size // 10, 12))
+    parts = np.multiply.outer(PART_WEIGHTS, totals).ravel()
+    grid = np.concatenate([_leader_grid(instance, model, grid_size), parts])
+    best, k, p = _best_carrier_action(instance, model, regime, grid)
+    return _report(0, claimed, best, {"carrier": k, "power": p, "source": "grid"}, tol)
 
 
 def verify_nash(
@@ -246,12 +246,11 @@ def verify_nash(
     model: EfficiencyModel,
     allocation,
     regime: str,
-    grid_size: int = 300,
     tol: float = 1e-3,
 ) -> list[DeviationReport]:
-    """Unilateral deviation search for every player, others held fixed."""
+    """Unilateral deviation check of every player, others held fixed."""
     return [
-        _unilateral(instance, model, player, allocation, regime, grid_size, tol)
+        _unilateral(instance, model, player, allocation, regime, tol)
         for player in range(instance.players)
     ]
 
@@ -268,13 +267,9 @@ def brute_force_stackelberg(
     best responses it induces).  Meant for small instances; accuracy is
     bounded by the grid resolution.
     """
-    gamma = model.gamma
-    _, k, p = _best_carrier_action(
-        instance,
-        _grid(instance, gamma, 0, grid_size),
-        lambda support, powers: _bilevel_sweep(instance, model, gamma, regime, support, powers),
-    )
+    grid = _leader_grid(instance, model, grid_size)
+    _, k, p = _best_carrier_action(instance, model, regime, grid)
     allocation = np.zeros((instance.players, instance.carriers))
     allocation[0, k] = p
-    allocation[1:] = respond(instance, allocation[0], gamma)[0]
+    allocation[1:] = respond(instance, allocation[0], model.gamma)[0]
     return allocation

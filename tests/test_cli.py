@@ -247,7 +247,7 @@ class TestVerify:
         assert "FAIL scheme=stackelberg" not in captured
 
     @pytest.mark.parametrize("flag,expected", [
-        ((), [1e-3, 1e-6, 1e-6]),
+        ((), [1e-3, 1e-12, 1e-12]),
         (("--tolerance", "0.5"), [0.5, 0.5, 0.5]),
     ])
     def test_tolerance_reaches_every_check(self, tmp_path, capsys, monkeypatch, flag,

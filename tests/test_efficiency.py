@@ -147,8 +147,8 @@ class TestModelGamma:
             solve_nash(inst, model, regime)
             solve_best_channel(inst, model, regime)
             verify_leader_stackelberg(inst, model, alloc, regime, grid_size=100)
-            verify_follower(inst, model, 0, alloc, grid_size=100)
-            verify_nash(inst, model, alloc, regime, grid_size=100)
+            verify_follower(inst, model, 0, alloc)
+            verify_nash(inst, model, alloc, regime)
         assert calls == [model]
         assert model.gamma == GAMMA_M3
         assert EfficiencyModel(m=4).gamma != model.gamma and len(calls) == 2

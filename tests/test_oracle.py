@@ -1,10 +1,14 @@
-"""Tests for the brute-force deviation oracles."""
+"""Tests for the deviation oracles."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from hetnet_ee import (
@@ -21,16 +25,17 @@ from hetnet_ee import (
     verify_leader_stackelberg,
     verify_nash,
 )
-from hetnet_ee.model import leader_interference, respond
-from hetnet_ee import oracle
+from hetnet_ee.model import all_utilities, denominators, leader_interference, respond
+from hetnet_ee import efficiency, oracle
 from hetnet_ee.oracle import SPLIT_WEIGHTS, _follower_choice, power_grid
 from conftest import edge_cases, random_instance
 
 
 # Reference leader searches that spell every candidate out as a full
 # (N, K) action row and take the followers from `respond`: one sweep per
-# carrier and one per carrier pair.  The oracle's block scorer must
-# reproduce their verdicts, actions and utilities.
+# carrier, and for the search before the single-sub-band lemma one per
+# carrier pair.  The oracle's block scorer must reproduce the single-carrier
+# search's verdicts, actions and utilities.
 
 def _ref_actions(instance, carrier_powers):
     """(N, K) leader actions, column k holding carrier_powers[k]."""
@@ -70,7 +75,19 @@ def _ref_best_carrier(instance, grid, score):
 
 
 def ref_leader_stackelberg(instance, model, regime, grid_size=300):
-    """(best utility, deviating action) of the bi-level leader search."""
+    """(best utility, deviating action) of the bi-level leader search: the
+    fine grid, then every part w * t of the coarse weight x total splits."""
+    totals = _ref_grid(instance, model, max(grid_size // 10, 12))
+    parts = (np.linspace(0.0, 1.0, SPLIT_WEIGHTS)[1:, None] * totals).ravel()
+    grid = np.concatenate([_ref_grid(instance, model, grid_size), parts])
+    best, k, p = _ref_best_carrier(
+        instance, grid, lambda actions: _ref_bilevel(instance, model, regime, actions))
+    return best, {"carrier": k, "power": p, "source": "grid"}
+
+
+def ref_split_probe_search(instance, model, regime, grid_size=300):
+    """(best utility, deviating action) of the leader search before the
+    lemma: the fine grid and every two-carrier split probe."""
     def score(actions):
         return _ref_bilevel(instance, model, regime, actions)
 
@@ -156,26 +173,44 @@ class TestVerifyFollower:
         assert rep.claimed_utility == 0.0
         assert np.isinf(rep.relative_gain)
 
-    def test_grid_size_floor(self, model):
-        inst = sample_instance(4, 2, seed=62)
-        with pytest.raises(ValueError):
-            verify_follower(inst, model, 0, np.zeros((3, 4)), grid_size=50)
-
-    def test_grid_never_beats_closed_form_meaningfully(self, model):
-        """The closed-form response is exact; the grid can trail it only by
-        resolution error."""
+    def test_best_deviation_is_the_bound(self, model):
+        """A silent follower's best deviation is the exact bound, attained
+        by its best response."""
         rng = np.random.default_rng(51)
         for _ in range(10):
             inst = random_instance(rng)
             alloc = np.zeros((inst.players, inst.carriers))
             alloc[0, 0] = 1.0
-            rep = verify_follower(inst, model, 0, alloc, tol=1e-6)
-            # claimed is 0 here, so best_found is the true optimum; it must
-            # come from the closed form or sit within grid error of it
-            assert rep.deviating_action["source"] in ("closed_form", "grid")
+            rep = verify_follower(inst, model, 0, alloc)
+            assert rep.deviating_action["source"] == "bound"
+            k, p = rep.deviating_action["carrier"], rep.deviating_action["power"]
+            alloc[1, k] = p
+            attained = utility(inst, model, 1, alloc, "dense")
+            assert attained == pytest.approx(rep.best_found_utility, rel=1e-14, abs=0.0)
+
+    def test_slightly_perturbed_power_fails_at_the_default(self, model):
+        """A power off the optimum by 1e-5 loses about 4e-11 of utility, a
+        second-order loss that the 1e-12 default sees and 1e-6 does not."""
+        rng = np.random.default_rng(64)
+        for seed in range(20):
+            inst = sample_instance(5, 4, snr_db=float(rng.uniform(-5.0, 25.0)), seed=seed)
+            allocation = solve_dense(inst, model).allocation
+            for f in range(inst.followers):
+                assert verify_follower(inst, model, f, allocation).passed
+                moved = allocation.copy()
+                moved[f + 1] *= 1.0 + 1e-5
+                rep = verify_follower(inst, model, f, moved)
+                assert rep.tolerance == 1e-12 and not rep.passed
+                assert 1e-11 < rep.relative_gain < 1e-10
+                assert verify_follower(inst, model, f, moved, tol=1e-6).passed
 
 
 class TestVerifyLeader:
+    def test_grid_size_floor(self, model):
+        inst = sample_instance(4, 2, seed=62)
+        with pytest.raises(ValueError):
+            verify_leader_stackelberg(inst, model, np.zeros((3, 4)), "dense", grid_size=50)
+
     def test_sparse_equilibrium_passes(self, model):
         rng = np.random.default_rng(52)
         for _ in range(15):
@@ -303,12 +338,27 @@ def _assert_same_search(report, claimed, best, action):
     assert report.passed == (gain <= report.tolerance)
 
 
+def _assert_near_search(report, inst, allocation, regime, claimed, best, action):
+    """The exact bound against a grid and closed-form reference: its best
+    to 1e-14 relative (so never below it by more), its carrier where the
+    best gain ratio is unique, and its verdict at the report's tolerance."""
+    assert report.deviating_action["source"] == "bound"
+    assert abs(report.best_found_utility - best) <= 1e-14 * best
+    row = report.player
+    ratios = np.sort(inst.gains[row] / denominators(inst, allocation, regime)[row])
+    if ratios.size < 2 or ratios[-2] < ratios[-1] * (1.0 - 1e-12):
+        assert report.deviating_action["carrier"] == action["carrier"]
+    gain = (best - claimed) / claimed if claimed > 0.0 else (np.inf if best > 0.0 else 0.0)
+    assert report.passed == (gain <= report.tolerance)
+
+
 def _assert_matches_reference(inst, model, allocation, regime):
     claimed = utility(inst, model, 0, allocation, regime)
     report = verify_leader_stackelberg(inst, model, allocation, regime)
     _assert_same_search(report, claimed, *ref_leader_stackelberg(inst, model, regime))
     nash = verify_nash(inst, model, allocation, regime)[0]
-    _assert_same_search(nash, claimed, *ref_nash_leader(inst, model, allocation, regime))
+    _assert_near_search(nash, inst, allocation, regime, claimed,
+                        *ref_nash_leader(inst, model, allocation, regime))
 
 
 class TestBlockScorer:
@@ -347,7 +397,7 @@ class TestBlockScorer:
             _assert_same_search(report, claimed, *ref_leader_stackelberg(inst, model, "dense"))
             if seed % 5 == 0:
                 nash = verify_nash(inst, model, allocation, "dense")[0]
-                _assert_same_search(nash, claimed,
+                _assert_near_search(nash, inst, allocation, "dense", claimed,
                                     *ref_nash_leader(inst, model, allocation, "dense"))
                 forced = brute_force_stackelberg(inst, model, "dense")
                 assert_allclose(forced, ref_brute_force(inst, model, "dense"), rtol=1e-12, atol=0.0)
@@ -383,32 +433,111 @@ class TestBlockScorer:
                 g0=rng.integers(1, 4, k), gf=rng.integers(1, 4, (f, k)),
                 h0=rng.integers(0, 3, k), hf=rng.integers(0, 3, (f, k)), sigma2=1.0)
             levels = np.arange(6.0)
-            blocks = [np.arange(k)[:, None]]
-            blocks.append(np.array([(a, b) for a in range(k) for b in range(a + 1, k)]))
-            for support in blocks:
-                width = support.shape[1]
-                powers = np.stack(np.meshgrid(*[levels] * width, indexing="ij"), 0)
-                powers = np.broadcast_to(powers.reshape(width, -1), (len(support), width,
-                                                                    levels.size**width))
-                denom = inst.sigma2 + inst.h0[support][..., None] * powers
-                chosen, rival = _follower_choice(inst, support, inst.gf.T[support][..., None],
-                                                 denom)
-                assert not np.any(chosen.sum(axis=1) > 1)
-                picked = np.where(chosen.any(axis=1),
-                                  (support[:, :, None, None] * chosen).sum(axis=1),
-                                  rival[:, 0, :, None])
-                actions = np.zeros((len(support), powers.shape[-1], k))
-                for s in range(width):
-                    np.put_along_axis(actions, support[:, None, s:s + 1],
-                                      powers[:, s, :, None], axis=2)
-                _, carriers = respond(inst, actions, gamma)
-                assert np.array_equal(picked, carriers.transpose(0, 2, 1))
+            support = np.arange(k)[:, None]
+            powers = np.broadcast_to(levels, (k, 1, levels.size))
+            denom = inst.sigma2 + inst.h0[support][..., None] * powers
+            chosen, rival = _follower_choice(inst, support, inst.gf.T[support][..., None], denom)
+            picked = np.where(chosen[:, 0], support[:, :, None], rival[:, 0, :, None])
+            actions = np.zeros((k, levels.size, k))
+            actions[np.arange(k), :, np.arange(k)] = levels
+            _, carriers = respond(inst, actions, gamma)
+            assert np.array_equal(picked, carriers.transpose(0, 2, 1))
 
 
-# Reference unilateral checks as they stood before the shared rule: the
-# follower sweep with its closed form re-scored through a copied
-# allocation, and the leader sweep against fixed interference with its own
-# closed form.  `_unilateral` must reproduce their reports exactly.
+def _lemma_utility(inst, model, regime, leader):
+    """The leader's utility under ``leader`` powers with every follower
+    responding, scored apart from the oracle's block sweep."""
+    allocation = np.vstack([leader, respond(inst, leader, model.gamma)[0]])
+    return float(all_utilities(inst, model, allocation, regime)[0])
+
+
+class TestSingleBandLemma:
+    """A multi-carrier leader action never beats its best single-carrier
+    part, which is why the leader check scores single carriers only."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=edge_cases(), seed=st.integers(0, 2**32))
+    def test_no_split_beats_its_best_part(self, case, seed):
+        inst, model, regime = case
+        rng = np.random.default_rng(seed)
+        center = model.gamma * inst.sigma2 / float(inst.g0.max())
+        for _ in range(20):
+            width = int(rng.integers(2, min(3, inst.carriers) + 1))
+            support = rng.choice(inst.carriers, size=width, replace=False)
+            leader = np.zeros(inst.carriers)
+            leader[support] = center * 10.0 ** rng.uniform(-4.0, 4.0, width)
+            parts = []
+            for k in support:
+                part = np.zeros(inst.carriers)
+                part[k] = leader[k]
+                parts.append(_lemma_utility(inst, model, regime, part))
+            best = max(parts)
+            assert _lemma_utility(inst, model, regime, leader) <= best + 4 * np.spacing(best)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=edge_cases())
+    def test_search_is_no_weaker_than_the_split_probes(self, case):
+        inst, model, regime = case
+        solve = solve_dense if regime == "dense" else solve_sparse
+        allocation = solve(inst, model).allocation
+        report = verify_leader_stackelberg(inst, model, allocation, regime)
+        assert report.best_found_utility >= ref_split_probe_search(inst, model, regime)[0]
+
+    def test_perturbed_dense_leaders_are_no_weaker(self, model):
+        rng = np.random.default_rng(95)
+        for seed in range(150):
+            inst = sample_instance(5, 4, snr_db=float(rng.uniform(-5.0, 25.0)), seed=seed)
+            allocation = solve_dense(inst, model).allocation.copy()
+            allocation[0] *= float(rng.choice([0.9, 1.0, 1.001, 1.5]))
+            report = verify_leader_stackelberg(inst, model, allocation, "dense")
+            assert report.best_found_utility >= ref_split_probe_search(inst, model, "dense")[0]
+
+
+class TestPeakEfficiency:
+    """``phi* = max f(x)/x``, the constant of the unilateral bound."""
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 10, 50, 100])
+    def test_is_f_over_x_at_gamma(self, m):
+        # rounding in f spreads its values near the flat peak by up to about
+        # m/4 ulps, so the search's best and f(gamma)/gamma differ by that
+        model = EfficiencyModel(m=m)
+        expected = model.value(model.gamma) / model.gamma
+        assert abs(oracle._peak_efficiency(model) - expected) <= 16 * np.spacing(expected)
+
+    def test_does_not_use_the_newton_root(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the oracle must not solve for the optimal SINR")
+
+        monkeypatch.setattr(efficiency, "optimal_sinr_with_feedback", forbidden)
+        monkeypatch.setattr(efficiency, "optimal_sinr", forbidden)
+        oracle._peak_efficiency.cache_clear()
+        assert oracle._peak_efficiency(EfficiencyModel(m=7)) > 0.0
+
+    def test_cached_at_the_first_check_not_at_import(self):
+        code = (
+            "from hetnet_ee import EfficiencyModel, sample_instance, verify_follower\n"
+            "from hetnet_ee.oracle import _peak_efficiency as peak\n"
+            "import numpy as np\n"
+            "before = peak.cache_info().currsize\n"
+            "inst, model = sample_instance(3, 1, seed=1), EfficiencyModel(m=2)\n"
+            "for _ in range(3):\n"
+            "    verify_follower(inst, model, 0, np.ones((2, 3)))\n"
+            "info = peak.cache_info()\n"
+            "print(before, info.currsize, info.misses)\n"
+        )
+        src = str(Path(oracle.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["0", "1", "1"]
+
+
+# Reference unilateral checks as they stood before the exact bound: the
+# follower sweep over carriers x grid powers with its closed form re-scored
+# through a copied allocation, and the leader sweep against fixed
+# interference with its own closed form.  The bound must reproduce their
+# best utility to 1e-14, their carrier and their verdicts.
 
 def ref_verify_follower(instance, model, f, allocation, grid_size=300, tol=1e-6):
     allocation = np.asarray(allocation, dtype=float)
@@ -444,16 +573,22 @@ def ref_verify_nash(instance, model, allocation, regime, grid_size=300, tol=1e-3
 
 
 def _assert_unilateral_matches(inst, model, allocation, regime, grid_size=300):
-    expected = ref_verify_nash(inst, model, allocation, regime, grid_size)
-    assert verify_nash(inst, model, allocation, regime, grid_size) == expected
+    reports = verify_nash(inst, model, allocation, regime)
+    pairs = list(zip(reports, ref_verify_nash(inst, model, allocation, regime, grid_size)))
     for f in range(inst.followers):
-        report = verify_follower(inst, model, f, allocation, grid_size)
-        assert report == ref_verify_follower(inst, model, f, allocation, grid_size)
+        report = verify_follower(inst, model, f, allocation)
+        assert report.tolerance == 1e-12
+        pairs.append((report, ref_verify_follower(inst, model, f, allocation, grid_size)))
+    assert [r.tolerance for r in reports] == [1e-3] * inst.players
+    for report, ref in pairs:
+        assert (report.player, report.claimed_utility) == (ref.player, ref.claimed_utility)
+        _assert_near_search(report, inst, allocation, regime, ref.claimed_utility,
+                            ref.best_found_utility, ref.deviating_action)
 
 
 class TestUnilateral:
-    """`verify_follower` and `verify_nash` share one check; every field of
-    its reports equals the pre-sharing reference, bit for bit."""
+    """`verify_follower` and `verify_nash` share one exact check, which
+    matches the grid and closed-form reference to 1e-14."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(case=edge_cases())
@@ -481,7 +616,7 @@ class TestUnilateral:
 
     def test_tied_integer_gains_match_the_reference(self):
         """Integer gains, unit noise and integer powers tie carriers and
-        grid points exactly; ties must break as before."""
+        grid points exactly; multi-carrier rows are claims the bound covers."""
         rng = np.random.default_rng(94)
         model = EfficiencyModel(m=2)
         for _ in range(200):

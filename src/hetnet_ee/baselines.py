@@ -11,6 +11,10 @@ interference seen there.  The schemes differ in how carriers are chosen:
 * The best-channel heuristic pins each player to its raw best-gain carrier.
   Its power map is affine with one scalar gain ``b``, so its fixed point is
   closed form and exists exactly when ``b < 1``.
+
+Both run on every trial of a batch (:func:`nash_batch`,
+:func:`best_channel_batch`); :func:`solve_nash` and
+:func:`solve_best_channel` are their one-instance calls, with reports.
 """
 
 from __future__ import annotations
@@ -22,15 +26,18 @@ import numpy as np
 from .efficiency import EfficiencyModel
 from .model import (
     EquilibriumResult,
+    InstanceBatch,
     NetworkInstance,
     best_response,
     denominators,
     empty_allocation,
     make_result,
     respond,
+    stack_instances,
 )
 
-__all__ = ["IterationReport", "solve_nash", "solve_best_channel"]
+__all__ = ["IterationReport", "nash_batch", "solve_nash", "best_channel_batch",
+           "solve_best_channel"]
 
 
 @dataclass(frozen=True)
@@ -46,36 +53,70 @@ class IterationReport:
     stop: str
 
 
+_STOPS = ("converged", "cycle", "overflow", "cap")
+_CONVERGED, _CYCLE, _OVERFLOW, _CAP = range(len(_STOPS))
+
+
 def _iterate(step, alloc: np.ndarray, max_iter: int, tol: float):
-    """Apply the in-place sweep ``step`` until the largest power change drops
-    below ``tol`` times the largest power, an iterate turns non-finite or
-    ``max_iter`` sweeps ran; returns the last finite iterate and its
-    ``IterationReport``.  An exact repeat (checked Brent-style against one
-    checkpoint re-taken at sweeps 1, 2, 4, ...) skips whole periods,
-    returning what every sweep would."""
+    """Apply the in-place sweep ``step`` to every trial's iterate, row ``t``
+    of ``alloc``, until the row's largest power change drops below ``tol``
+    times its largest power, it turns non-finite or ``max_iter`` sweeps ran;
+    returns the last finite iterates and one ``IterationReport`` per row.
+    Rows run in lockstep, and a stopped row is put back after each sweep.
+    An exact repeat (checked Brent-style against one checkpoint re-taken at
+    sweeps 1, 2, 4, ...) skips whole periods, returning what every sweep
+    would."""
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    change, stop, checkpoint, mark, sweep = np.inf, "cap", None, 0, 0
+    rows = len(alloc)
+    change, stop = np.full(rows, np.inf), np.full(rows, _CAP)
+    sweeps, running = np.zeros(rows, dtype=int), np.ones(rows, dtype=bool)
+    checkpoint, mark, sweep = None, 0, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while sweep < max_iter:
+        while running.any():
             sweep += 1
             previous = alloc.copy()
             step(alloc)
-            if not np.all(np.isfinite(alloc)):
-                return previous, IterationReport(False, sweep, change, "overflow")
-            change = float(np.abs(alloc - previous).max())
-            if change < tol * float(alloc.max()):
-                return alloc, IterationReport(True, sweep, change, "converged")
-            if stop == "cap":
-                state = alloc.tobytes()
-                if state == checkpoint:
-                    # sweeps mark+1..sweep passed every check and repeat
-                    # with this period; jump by whole periods
-                    stop = "cycle"
-                    sweep = max_iter - (max_iter - sweep) % (sweep - mark)
-                elif sweep & (sweep - 1) == 0:
-                    checkpoint, mark = state, sweep
-    return alloc, IterationReport(False, sweep, change, stop)
+            sweeps += running
+            finite = np.isfinite(alloc).all(axis=(1, 2))
+            stop[running & ~finite] = _OVERFLOW
+            running &= finite
+            np.copyto(alloc, previous, where=~running[:, None, None])
+            moved = np.abs(alloc - previous).max(axis=(1, 2))
+            change = np.where(running, moved, change)
+            done = running & (moved < tol * alloc.max(axis=(1, 2)))
+            stop[done] = _CONVERGED
+            running &= ~done
+            if checkpoint is not None:
+                # rows still looking whose bytes repeat the checkpoint passed
+                # every check over sweeps mark+1..sweep and repeat with this
+                # period; jump by whole periods
+                same = (alloc.view(np.int64) == checkpoint).all(axis=(1, 2))
+                repeat = running & (stop == _CAP) & same
+                stop[repeat] = _CYCLE
+                sweeps[repeat] = max_iter - (max_iter - sweep) % (sweep - mark)
+            if sweep & (sweep - 1) == 0:
+                checkpoint, mark = alloc.view(np.int64).copy(), sweep
+            running &= sweeps < max_iter
+    reports = [
+        IterationReport(s == _CONVERGED, n, c, _STOPS[s])
+        for s, n, c in zip(stop.tolist(), sweeps.tolist(), change.tolist())
+    ]
+    return alloc, reports
+
+
+def nash_batch(batch: InstanceBatch, model: EfficiencyModel, regime: str = "dense",
+               max_iter: int = 1000, tol: float = 1e-10):
+    """:func:`solve_nash`'s dynamics on every trial: the last iterates
+    ``(T, F+1, K)`` and one ``IterationReport`` per trial."""
+    gamma = model.gamma
+
+    def step(alloc):
+        leader = best_response(batch.g0, denominators(batch, alloc, regime)[:, 0], gamma)[0]
+        alloc[:, 0] = leader
+        alloc[:, 1:] = respond(batch, leader, gamma)[0]
+
+    return _iterate(step, empty_allocation(batch), max_iter, tol)
 
 
 def solve_nash(
@@ -95,20 +136,44 @@ def solve_nash(
     cycle skips the repeated sweeps and returns the same iterate, change
     and ``iterations == max_iter`` as running them all.
     """
-    gamma = model.gamma
-
-    def step(alloc):
-        alloc[0] = best_response(instance.g0, denominators(instance, alloc, regime)[0], gamma)[0]
-        alloc[1:] = respond(instance, alloc[0], gamma)[0]
-
-    alloc, report = _iterate(step, empty_allocation(instance), max_iter, tol)
+    alloc, (report,) = nash_batch(stack_instances((instance,)), model, regime, max_iter, tol)
     diagnostics = {
         "solver": "nash_best_response",
-        "sinr_target": gamma,
+        "sinr_target": model.gamma,
         "update_order": "leader_first_round_robin",
         "iteration_report": report,
     }
-    return make_result(instance, model, alloc, regime, diagnostics), report
+    return make_result(instance, model, alloc[0], regime, diagnostics), report
+
+
+def best_channel_batch(batch: InstanceBatch, model: EfficiencyModel, regime: str = "dense"):
+    """:func:`solve_best_channel` on every trial: the allocations ``(T, F+1,
+    K)``, the pinned carriers ``(T, F+1)`` and the feedback gains ``b``
+    ``(T,)``; a trial is feasible when its ``b < 1``."""
+    gamma, sigma2, g0, h0 = model.gamma, batch.sigma2[:, 0], batch.g0, batch.h0
+    rows, followers = np.arange(batch.trials), np.arange(batch.followers)
+    pins = batch.gains.argmax(axis=-1)
+    k0 = pins[:, 0]
+    coupled = (pins[:, 1:] == k0[:, None]) & (regime == "dense")
+    # eta sums the coupled followers' hf/gf as one array of just those
+    # terms, so its rounding does not depend on where they sit among F
+    terms = np.divide(batch.hf[rows, :, k0], batch.gf[rows, :, k0],
+                      out=np.zeros(coupled.shape), where=coupled)
+    terms = np.take_along_axis(terms, np.argsort(~coupled, axis=1, kind="stable"), axis=1)
+    sizes = coupled.sum(axis=1)
+    eta = np.zeros(batch.trials)
+    for size in np.unique(sizes).tolist():
+        eta[sizes == size] = terms[sizes == size, :size].sum(axis=1)
+    g0k = g0[rows, k0]
+    b = gamma * gamma * h0[rows, k0] * eta / g0k
+    feasible = b < 1.0
+    alloc = np.zeros(batch.gains.shape)
+    alloc[rows, 0, k0] = np.divide(gamma * sigma2 * (1.0 + gamma * eta) / g0k, 1.0 - b,
+                                   out=np.zeros(batch.trials), where=feasible)
+    k, trial = pins[:, 1:], rows[:, None]
+    powers = gamma * (sigma2[:, None] + h0[trial, k] * alloc[trial, 0, k]) / batch.gf[trial, followers, k]
+    alloc[trial, followers + 1, k] = np.where(coupled & ~feasible[:, None], 0.0, powers)
+    return alloc, pins, b
 
 
 def solve_best_channel(
@@ -131,26 +196,14 @@ def solve_best_channel(
     other row is exact.  Reports have ``iterations == 0`` and
     ``final_change == 0.0``; ``diagnostics["feedback_gain"]`` is ``b``.
     """
-    gamma, sigma2 = model.gamma, instance.sigma2
-    pins = instance.gains.argmax(axis=1)
-    k0 = pins[0]
-    coupled = (pins[1:] == k0) & (regime == "dense")
-    eta = float((instance.hf[coupled, k0] / instance.gf[coupled, k0]).sum())
-    b = float(gamma * gamma * instance.h0[k0] * eta / instance.g0[k0])
-    feasible = b < 1.0
-    alloc = empty_allocation(instance)
-    if feasible:
-        alloc[0, k0] = gamma * sigma2 * (1.0 + gamma * eta) / instance.g0[k0] / (1.0 - b)
-    f, k = np.arange(instance.followers), pins[1:]
-    alloc[f + 1, k] = gamma * (sigma2 + instance.h0[k] * alloc[0, k]) / instance.gf[f, k]
-    if not feasible:
-        alloc[1:][coupled] = 0.0
+    alloc, pins, b = best_channel_batch(stack_instances((instance,)), model, regime)
+    feasible = bool(b[0] < 1.0)
     report = IterationReport(feasible, 0, 0.0, "converged" if feasible else "infeasible")
     diagnostics = {
         "solver": "best_channel_fixed_point",
-        "sinr_target": gamma,
-        "pinned_carriers": tuple(pins.tolist()),
-        "feedback_gain": b,
+        "sinr_target": model.gamma,
+        "pinned_carriers": tuple(pins[0].tolist()),
+        "feedback_gain": float(b[0]),
         "iteration_report": report,
     }
-    return make_result(instance, model, alloc, regime, diagnostics), report
+    return make_result(instance, model, alloc[0], regime, diagnostics), report

@@ -28,6 +28,10 @@ response, except at a boundary slot: there the pushed nominee is exactly
 indifferent between carriers, its assigned row and its
 :func:`model.respond` row tie in utility, and the solver keeps it off the
 leader's carrier.
+
+:func:`dense_batch` solves every trial of a batch at once;
+:func:`solve_dense` is its one-instance call, with the slot table as
+diagnostics.
 """
 
 from __future__ import annotations
@@ -39,13 +43,14 @@ import numpy as np
 from .efficiency import EfficiencyModel, optimal_sinr_with_feedback
 from .model import (
     EquilibriumResult,
+    InstanceBatch,
     NetworkInstance,
-    empty_allocation,
     make_result,
     rank_carriers,
+    stack_instances,
 )
 
-__all__ = ["CarrierCandidates", "solve_dense"]
+__all__ = ["CarrierCandidates", "dense_batch", "solve_dense"]
 
 # boundary-cap steps by code: 0 none, 1 raise, 2 drop, 3 infeasible
 _REPLACEMENTS = np.array(
@@ -86,45 +91,47 @@ class CarrierCandidates:
     replacements: tuple
 
 
-def solve_dense(instance: NetworkInstance, model: EfficiencyModel) -> EquilibriumResult:
-    """Hierarchical equilibrium of the dense-regime game.
-
-    Diagnostics carry the slot table (one :class:`CarrierCandidates` per
-    carrier), the winning carrier and occupancy, and which boundary cap (if
-    any) produced the winning power.
-    """
-    gamma, sigma2, rate0 = model.gamma, instance.sigma2, float(instance.rates[0])
-    carriers, followers = instance.carriers, np.arange(instance.followers)
-    g0, h0 = instance.g0[:, None], instance.h0[:, None]
-    ranks = rank_carriers(instance)
-    best, second = ranks[0][1:], ranks[1][1:]
-    gb, gs = instance.gf[followers, best], instance.gf[followers, second]
+def dense_batch(batch: InstanceBatch, model: EfficiencyModel):
+    """Dense-regime equilibrium of every trial: the allocations ``(T, F+1,
+    K)`` and the slot tables, a dict of arrays with the trial axis first."""
+    gamma, sigma2 = model.gamma, batch.sigma2[:, :, None]
+    trials, carriers, count = batch.trials, batch.carriers, batch.followers
+    trial, followers = np.arange(trials)[:, None], np.arange(count)
+    g0, h0, rate0 = batch.g0[:, :, None], batch.h0[:, :, None], batch.rates[:, :1, None]
+    best, second = (order[:, 1:] for order in rank_carriers(batch))
+    # the gains on those carriers: a follower's two largest
+    ranked = np.sort(batch.gf, axis=-1)
+    gb, gs = ranked[:, :, -1], ranked[:, :, -2]
 
     # row k, column l >= 1: carrier k's l-th nominee, strongest ratio first
     # and ties to the lower follower index; column 0 is the solo slot.
     # Columns past a carrier's nominees are NaN padding, and the last one
     # always is, so every slot has a next nominee
     ratio = gb / gs
-    nominees = np.lexsort((-ratio, best))
-    counts = np.bincount(best, minlength=carriers)
-    starts = np.cumsum(counts) - counts
-    ks = best[nominees]
-    cols = followers + 1 - starts[ks]
+    nominees = np.lexsort((-ratio, best), axis=-1)
+    counts = np.bincount((best + carriers * trial).ravel(), minlength=trials * carriers)
+    counts = counts.reshape(trials, carriers)
+    starts = counts.cumsum(axis=1) - counts
+    ks = best[trial, nominees]
+    cols = followers + 1 - starts[trial, ks]
+    # each nominee's cell in the flattened (T, K, F+2) table
+    cells = (trial * carriers + ks) * (count + 2) + cols
 
     def table(values, fill=np.nan):
-        out = np.full((carriers, instance.followers + 2), fill)
-        out[ks, cols] = values
-        return out
+        out = np.empty(trials * carriers * (count + 2))
+        out.fill(fill)
+        out[cells] = values
+        return out.reshape(trials, carriers, count + 2)
 
-    gb_t, gs_t, theta = table(gb[nominees]), table(gs[nominees]), table(ratio[nominees])
-    eta = np.cumsum(table(instance.hf[nominees, ks] / gb[nominees], 0.0), axis=1)
+    gb_t, gs_t = table(gb[trial, nominees]), table(gs[trial, nominees])
+    eta = table(batch.hf[trial, nominees, ks] / gb[trial, nominees], 0.0).cumsum(axis=-1)
     with np.errstate(over="ignore"):
-        feedback = instance.h0[ks] * gamma * eta[ks, cols] / instance.g0[ks]
+        feedback = batch.h0[trial, ks] * gamma * eta.take(cells) / batch.g0[trial, ks]
     # a subnormal g0 can overflow the feedback: no SINR target exists, and
     # the NaN left in its place keeps the slot from being scored
-    targets = table([optimal_sinr_with_feedback(model, c) if c < np.inf else np.nan
-                     for c in feedback.tolist()])
-    targets[:, 0] = gamma
+    targets = table(np.array([optimal_sinr_with_feedback(model, c) if c < np.inf else np.nan
+                              for c in feedback.ravel().tolist()]).reshape(feedback.shape))
+    targets[:, :, 0] = gamma
 
     # indifference boundaries: leader power at which a nominee stops
     # preferring this carrier over its second-best; zero cross gain puts
@@ -133,11 +140,12 @@ def solve_dense(instance: NetworkInstance, model: EfficiencyModel) -> Equilibriu
     with np.errstate(divide="ignore", invalid="ignore"):
         boundary = np.where(gb_t <= gs_t, 0.0, sigma2 * (gb_t - gs_t) / (h0 * gs_t))
     # leader value at a boundary, with the nominees ranked above it sharing
-    at = np.where((boundary > 0.0) & (boundary < np.inf), boundary, np.nan)[:, 1:]
-    above = eta[:, :-1]
+    at = np.where((boundary > 0.0) & (boundary < np.inf), boundary, np.nan)[:, :, 1:]
+    above = eta[:, :, :-1]
     sinr = g0 * at / (sigma2 * (1.0 + gamma * above) + gamma * above * h0 * at)
-    boundary_values = np.full_like(boundary, np.nan)
-    boundary_values[:, 1:] = rate0 * model.value(sinr) / at
+    boundary_values = np.empty_like(boundary)
+    boundary_values[:, :, 0] = np.nan
+    boundary_values[:, :, 1:] = rate0 * model.value(sinr) / at
 
     # each slot's shared optimum: the leader's gain net of the nominees'
     # feedback, and the received power its SINR target needs
@@ -146,78 +154,97 @@ def solve_dense(instance: NetworkInstance, model: EfficiencyModel) -> Equilibriu
     # a subnormal g0 can overflow the power; such a slot's value is below
     # any normal carrier's, so it never wins
     with np.errstate(over="ignore", divide="ignore"):
-        powers = (received / net_gain)[:, :-1]
-    values = (model.value(targets) * net_gain * rate0 / received)[:, :-1]
+        powers = (received / net_gain)[:, :, :-1]
+    values = (model.value(targets) * net_gain * rate0 / received)[:, :, :-1]
     # the stay test, "the last nominee still prefers this carrier at the
     # slot's uncapped power", is that power below the nominee's boundary
-    stays = powers < boundary[:, :-1]
-    slot = np.arange(instance.followers + 1)
-    stay_limit = np.where(stays, slot, 0).max(axis=1)
+    stays = powers < boundary[:, :, :-1]
+    slot = np.arange(count + 1)
+    stay_limit = np.where(stays, slot, 0).max(axis=-1)
 
     # the one cap rule, against the next nominee's boundary (raise) and the
     # slot's own (drop; none for slot 0)
-    below = powers < boundary[:, 1:]
-    infeasible = below & (boundary[:, 1:] == np.inf)
-    raised, dropped = below & ~infeasible, ~below & (powers > boundary[:, :-1])
+    below = powers < boundary[:, :, 1:]
+    infeasible = below & (boundary[:, :, 1:] == np.inf)
+    raised, dropped = below & ~infeasible, ~below & (powers > boundary[:, :, :-1])
     codes = raised + 2 * dropped + 3 * infeasible
-    powers = np.choose(codes, (powers, boundary[:, 1:], boundary[:, :-1], powers))
-    values = np.choose(codes, (values, boundary_values[:, 1:], boundary_values[:, :-1], values))
+    powers = codes.choose((powers, boundary[:, :, 1:], boundary[:, :, :-1], powers))
+    values = codes.choose((values, boundary_values[:, :, 1:], boundary_values[:, :, :-1], values))
 
-    scored = slot <= stay_limit[:, None]
+    scored = slot <= stay_limit[:, :, None]
     # a cap can land on a degenerate boundary (exactly tied gains), and
     # such a slot carries no usable value
     usable = scored & ~infeasible & np.isfinite(values)
+
+    # slot-major scan: exact ties go to fewer shared slots, then lower
+    # carrier.  K >= F+1 leaves some carrier without a nominee, and its
+    # slot 0 is always usable
+    scan = np.where(usable, values, -np.inf).swapaxes(1, 2).reshape(trials, -1)
+    winner = scan.argmax(axis=1)
+    slots, k_hat = winner // carriers, winner % carriers
+    rows = trial[:, 0]
+    alloc = np.zeros(batch.gains.shape)
+    leader = powers[rows, k_hat, slots]
+    alloc[rows, 0, k_hat] = leader
+    # kept nominees share k_hat, pushed ones take their second-best carrier
+    shared = best == k_hat[:, None]
+    kept = shared & (cols[trial, nominees.argsort(axis=1)] <= slots[:, None])
+    moved = np.where(shared & ~kept, second, best)
+    denom = np.where(kept, batch.sigma2 + (batch.h0[rows, k_hat] * leader)[:, None], batch.sigma2)
+    alloc[trial, followers + 1, moved] = gamma * denom / batch.gf[trial, followers, moved]
+    tables = dict(
+        nominees=nominees, counts=counts, starts=starts, theta=gb_t / gs_t, eta=eta,
+        targets=targets, stays=stays, stay_limit=stay_limit, powers=powers, values=values,
+        boundary=boundary, boundary_values=boundary_values, codes=codes,
+        winner_carrier=k_hat, winner_slots=slots,
+    )
+    return alloc, tables
+
+
+def solve_dense(instance: NetworkInstance, model: EfficiencyModel) -> EquilibriumResult:
+    """Hierarchical equilibrium of the dense-regime game.
+
+    Diagnostics carry the slot table (one :class:`CarrierCandidates` per
+    carrier), the winning carrier and occupancy, and which boundary cap (if
+    any) produced the winning power.
+    """
+    alloc, tables = dense_batch(stack_instances((instance,)), model)
+    t = {name: value[0] for name, value in tables.items()}
+    nominees, codes, targets = t["nominees"], t["codes"], t["targets"]
 
     def record(k, start, count, limit):
         nominee, scored_slots = slice(1, count + 1), slice(0, limit + 1)
         return CarrierCandidates(
             carrier=k,
             followers=tuple(nominees[start : start + count].tolist()),
-            theta=theta[k, nominee],
-            eta=eta[k, nominee],
+            theta=t["theta"][k, nominee],
+            eta=t["eta"][k, nominee],
             sinr_targets=targets[k, nominee],
-            stays=stays[k, nominee],
+            stays=t["stays"][k, nominee],
             stay_limit=limit,
-            slot_powers=powers[k, scored_slots],
-            slot_values=values[k, scored_slots],
-            boundary_powers=boundary[k, nominee],
-            boundary_values=boundary_values[k, nominee],
+            slot_powers=t["powers"][k, scored_slots],
+            slot_values=t["values"][k, scored_slots],
+            boundary_powers=t["boundary"][k, nominee],
+            boundary_values=t["boundary_values"][k, nominee],
             replacements=tuple(_REPLACEMENTS[codes[k, scored_slots]]),
         )
 
-    limits = stay_limit.tolist()
+    limits = t["stay_limit"].tolist()
+    k_hat, slots = int(t["winner_carrier"]), int(t["winner_slots"])
+    replacement = _REPLACEMENTS[codes[k_hat, slots]] if slots else None
     diagnostics = {
         "solver": "dense_candidate_search",
-        "sinr_target": gamma,
-        "candidate_table": tuple(
-            map(record, range(carriers), starts.tolist(), counts.tolist(), limits)
+        "sinr_target": model.gamma,
+        "candidate_table": tuple(map(record, range(instance.carriers), t["starts"].tolist(),
+                                     t["counts"].tolist(), limits)),
+        "winner_carrier": k_hat,
+        "winner_slots": slots,
+        "winner_value": float(t["values"][k_hat, slots]),
+        "winner_kind": "shared" if slots else "solo",
+        "winner_replacement": replacement,
+        "winner_stay_limit_original": limits[k_hat],
+        "winner_sinr_target": (
+            float(targets[k_hat, slots]) if slots and replacement is None else None
         ),
     }
-
-    alloc = empty_allocation(instance)
-    # slot-major scan: exact ties go to fewer shared slots, then lower
-    # carrier.  K >= F+1 leaves some carrier without a nominee, and its
-    # slot 0 is always usable
-    slots, k_hat = divmod(int(np.argmax(np.where(usable, values, -np.inf).T)), carriers)
-    alloc[0, k_hat] = powers[k_hat, slots]
-    # kept nominees share k_hat, pushed ones take their second-best carrier
-    kept = (best == k_hat) & (cols[np.argsort(nominees)] <= slots)
-    moved = np.where((best == k_hat) & ~kept, second, best)
-    denom = np.where(kept, sigma2 + instance.h0[k_hat] * alloc[0, k_hat], sigma2)
-    alloc[followers + 1, moved] = gamma * denom / instance.gf[followers, moved]
-
-    replacement = _REPLACEMENTS[codes[k_hat, slots]] if slots else None
-    diagnostics.update(
-        {
-            "winner_carrier": k_hat,
-            "winner_slots": slots,
-            "winner_value": float(values[k_hat, slots]),
-            "winner_kind": "shared" if slots else "solo",
-            "winner_replacement": replacement,
-            "winner_stay_limit_original": limits[k_hat],
-            "winner_sinr_target": (
-                float(targets[k_hat, slots]) if slots and replacement is None else None
-            ),
-        }
-    )
-    return make_result(instance, model, alloc, "dense", diagnostics)
+    return make_result(instance, model, alloc[0], "dense", diagnostics)

@@ -38,8 +38,10 @@ __all__ = [
 def _sinr(x) -> np.ndarray:
     """``x`` as an at least 1-d float array, so a scalar takes the array
     loops and an array entry's last bit, not libm pow's (scalar ``**``)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < 0.0):
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        x = x.reshape(1)
+    if (x < 0.0).any():
         raise ValueError("SINR must be nonnegative")
     return x
 

@@ -6,13 +6,19 @@ comparisons are paired.  Trial seeds derive from
 ``SeedSequence((base_seed, point_index, trial))``, making every output
 byte a function of the configuration alone.
 
-Records stream out one per (point, trial, scheme, player) and serialize to
-CSV with one column per :class:`SweepRecord` field, in field order.
-Floats are written with 12 significant digits; ``verified`` is filled for
-the configurable fraction of trials that get re-certified by the deviation
-oracles (equilibrium claims only: the best-channel heuristic and a Nash
-run that did not converge claim no equilibrium, so their records are never
-marked).  A scheme that raises stops the sweep.
+Every trial of one carrier count, across all its SNR points, is solved as
+one stacked :class:`~hetnet_ee.model.InstanceBatch`, in chunks of at most
+``CHUNK_CELLS`` slot-table cells: each scheme runs once per chunk through
+its batch solver (the same code its ``solve_*`` function runs on one
+instance), and each trial still draws from its own generator, so a record
+does not depend on the chunking.  Records stream out one per (point, trial,
+scheme, player) and serialize to CSV with one column per
+:class:`SweepRecord` field, in field order.  Floats are written with 12
+significant digits; ``verified`` is filled for the configurable fraction of
+trials that get re-certified by the deviation oracles (equilibrium claims
+only: the best-channel heuristic and a Nash run that did not converge
+claim no equilibrium, so their records are never marked).  A scheme that
+raises stops the sweep before its chunk yields a record.
 """
 
 from __future__ import annotations
@@ -24,12 +30,12 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .baselines import solve_best_channel, solve_nash
-from .dense import solve_dense
+from .baselines import best_channel_batch, nash_batch, solve_best_channel, solve_nash
+from .dense import dense_batch, solve_dense
 from .efficiency import EfficiencyModel
-from .model import REGIMES, sample_instance
-from .oracle import DeviationReport, verify_follower, verify_leader_stackelberg, verify_nash
-from .sparse import solve_sparse
+from .model import REGIMES, outcomes, sample_batch
+from .oracle import DeviationReport, verify_followers, verify_leader_stackelberg, verify_nash
+from .sparse import solve_sparse, sparse_batch
 
 __all__ = [
     "SCHEMES",
@@ -52,6 +58,10 @@ __all__ = [
 ]
 
 SCHEMES = ("stackelberg", "nash", "best_channel")
+# trials per chunk are capped so that a chunk's (T, K, F+2) slot tables
+# hold at most this many cells: past a few trials per chunk a K=64, F=32
+# sweep gains little speed, and each doubling adds resident memory
+CHUNK_CELLS = 1 << 13
 
 _Z95 = 1.959963984540054
 
@@ -233,6 +243,22 @@ def run_scheme(scheme: str, instance, model, regime: str):
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+def run_batch(scheme: str, batch, model, regime: str):
+    """:func:`run_scheme` for every trial of a batch; returns the
+    allocations ``(T, F+1, K)`` and the converged flags ``(T,)``."""
+    if scheme == "stackelberg":
+        solve = sparse_batch if regime == "sparse" else dense_batch
+        alloc = solve(batch, model)[0]
+        return alloc, np.ones(batch.trials, dtype=bool)
+    if scheme == "nash":
+        alloc, reports = nash_batch(batch, model, regime)
+        return alloc, np.array([r.converged for r in reports])
+    if scheme == "best_channel":
+        alloc, _, b = best_channel_batch(batch, model, regime)
+        return alloc, b < 1.0
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
 def verify_scheme(
     scheme: str, instance, model, allocation, converged: bool, regime: str,
     grid_size: int = 300, tol: float | None = None,
@@ -249,64 +275,57 @@ def verify_scheme(
     kw = {} if tol is None else {"tol": tol}
     if scheme == "stackelberg":
         leader = verify_leader_stackelberg(instance, model, allocation, regime, grid_size, **kw)
-        return [leader] + [
-            verify_follower(instance, model, f, allocation, **kw)
-            for f in range(instance.followers)
-        ]
+        return [leader] + verify_followers(instance, model, allocation, **kw)
     if scheme == "nash" and converged:
         return verify_nash(instance, model, allocation, regime, **kw)
     return []
 
 
+def _chunk_records(config: ScenarioConfig, model, carriers: int, chunk: list):
+    """The records of one chunk of ``(point_index, snr_db, trial)`` triples
+    of one carrier count, solved as one batch."""
+    words = [np.random.SeedSequence((config.seed, point, trial)).generate_state(2)
+             for point, _, trial in chunk]
+    seeds = [int(w[0]) for w in words]
+    batch = sample_batch(
+        carriers, config.followers, seeds=seeds, snr_db=[snr for _, snr, _ in chunk],
+        mean_signal=config.mean_signal, mean_cross=config.mean_cross, rates=config.rates,
+    )
+    regime, followers, players = config.regime, config.followers, batch.players
+    solved = []
+    for scheme in config.schemes:
+        alloc, converged = run_batch(scheme, batch, model, regime)
+        utilities, active = outcomes(batch, model, alloc, regime)
+        solved.append((scheme, alloc, utilities.tolist(), active.tolist(), converged.tolist()))
+    for t, ((_, snr_db, trial), seed, word, digest) in enumerate(
+        zip(chunk, seeds, words, batch.digests())
+    ):
+        instance = batch.instance(t) if word[1] / 2.0**32 < config.verify_fraction else None
+        for scheme, alloc, utilities, active, converged in solved:
+            verdicts = {}
+            if instance is not None:
+                reports = verify_scheme(scheme, instance, model, alloc[t], converged[t], regime)
+                verdicts = {r.player: "pass" if r.passed else "fail" for r in reports}
+            for player in range(players):
+                carrier = active[t][player]
+                # positional: SweepRecord's field order
+                yield SweepRecord(
+                    scheme, regime, snr_db, carriers, followers, trial, seed, player,
+                    utilities[t][player], None if carrier < 0 else carrier, converged[t],
+                    verdicts.get(player, ""), digest,
+                )
+
+
 def run_sweep(config: ScenarioConfig) -> Iterator[SweepRecord]:
     """Run the campaign, yielding records in deterministic order."""
     model = config.model()
-    point_index = 0
-    for carriers in config.carriers:
-        for snr_db in config.snr_db:
-            for trial in range(config.trials):
-                seq = np.random.SeedSequence((config.seed, point_index, trial))
-                words = seq.generate_state(2)
-                trial_seed = int(words[0])
-                do_verify = words[1] / 2.0**32 < config.verify_fraction
-                instance = sample_instance(
-                    carriers,
-                    config.followers,
-                    mean_signal=config.mean_signal,
-                    mean_cross=config.mean_cross,
-                    snr_db=snr_db,
-                    rates=config.rates,
-                    seed=trial_seed,
-                )
-                digest = instance.digest()
-                for scheme in config.schemes:
-                    result, converged = run_scheme(scheme, instance, model, config.regime)
-                    reports = (
-                        verify_scheme(
-                            scheme, instance, model, result.allocation, converged,
-                            config.regime,
-                        )
-                        if do_verify
-                        else []
-                    )
-                    verdicts = {r.player: "pass" if r.passed else "fail" for r in reports}
-                    for player in range(instance.players):
-                        yield SweepRecord(
-                            scheme=scheme,
-                            regime=config.regime,
-                            snr_db=snr_db,
-                            carriers=carriers,
-                            followers=config.followers,
-                            trial=trial,
-                            seed=trial_seed,
-                            player=player,
-                            utility=float(result.utilities[player]),
-                            active_carrier=result.active_carriers[player],
-                            converged=converged,
-                            verified=verdicts.get(player, ""),
-                            instance_digest=digest,
-                        )
-            point_index += 1
+    points = len(config.snr_db)
+    for c, carriers in enumerate(config.carriers):
+        plan = [(c * points + p, snr_db, trial)
+                for p, snr_db in enumerate(config.snr_db) for trial in range(config.trials)]
+        size = max(1, CHUNK_CELLS // (carriers * (config.followers + 2)))
+        for start in range(0, len(plan), size):
+            yield from _chunk_records(config, model, carriers, plan[start:start + size])
 
 
 def write_records(records: Iterable[SweepRecord], path) -> int:

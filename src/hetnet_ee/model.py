@@ -9,7 +9,10 @@ Whole-instance quantities are arrays with one row per player, computed for
 all players at once: the own-signal gains, the SINR denominators
 (:func:`denominators`) and matrix (:func:`sinr`), the utilities and each
 player's two strongest carriers (:func:`rank_carriers`).  Every player
-best-responds by one rule, :func:`best_response`.
+best-responds by one rule, :func:`best_response`.  The same functions take
+an :class:`InstanceBatch`, ``T`` instances of one shape stacked on a leading
+trial axis, and then return arrays with that axis first; the solvers work
+on batches, and a single instance is the batch of one.
 
 Two interference regimes share the follower SINR but differ for the leader:
 
@@ -33,6 +36,7 @@ from .efficiency import EfficiencyModel
 __all__ = [
     "REGIMES",
     "NetworkInstance",
+    "InstanceBatch",
     "EquilibriumResult",
     "empty_allocation",
     "leader_interference",
@@ -44,6 +48,9 @@ __all__ = [
     "all_utilities",
     "rank_carriers",
     "sample_instance",
+    "sample_batch",
+    "stack_instances",
+    "outcomes",
     "make_result",
 ]
 
@@ -60,10 +67,31 @@ def _frozen_array(values, shape, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
+
+
+def _checked_arrays(lead: tuple, k: int, f: int, g0, gf, h0, hf, sigma2, rates) -> tuple:
+    """The checks of :class:`NetworkInstance` on arrays with leading axes
+    ``lead``; returns ``g0, gf, h0, hf, rates`` as frozen float arrays."""
+    g0 = _frozen_array(g0, lead + (k,), "g0")
+    gf = _frozen_array(gf, lead + (f, k), "gf")
+    h0 = _frozen_array(h0, lead + (k,), "h0")
+    hf = _frozen_array(hf, lead + (f, k), "hf")
+    rates = _frozen_array(rates, lead + (f + 1,), "rates")
+    if k < f + 1:
+        raise ValueError(f"need at least F+1={f + 1} carriers, got K={k}")
+    if (g0 <= 0.0).any() or (gf <= 0.0).any():
+        raise ValueError("signal gains must be strictly positive")
+    if (h0 < 0.0).any() or (hf < 0.0).any():
+        raise ValueError("cross gains must be nonnegative")
+    if not np.all((sigma2 > 0.0) & (sigma2 < np.inf)):
+        raise ValueError("noise power sigma2 must be positive")
+    if (rates <= 0.0).any():
+        raise ValueError("rates must be strictly positive")
+    return g0, gf, h0, hf, rates
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,23 +117,11 @@ class NetworkInstance:
     def __post_init__(self):
         k = np.size(self.g0)
         f = 0 if np.size(self.gf) == 0 else np.shape(self.gf)[0]
-        object.__setattr__(self, "g0", _frozen_array(self.g0, (k,), "g0"))
-        object.__setattr__(self, "gf", _frozen_array(self.gf, (f, k), "gf"))
-        object.__setattr__(self, "h0", _frozen_array(self.h0, (k,), "h0"))
-        object.__setattr__(self, "hf", _frozen_array(self.hf, (f, k), "hf"))
         rates = np.ones(f + 1) if self.rates is None else self.rates
-        object.__setattr__(self, "rates", _frozen_array(rates, (f + 1,), "rates"))
-        if k < f + 1:
-            raise ValueError(f"need at least F+1={f + 1} carriers, got K={k}")
-        if np.any(self.g0 <= 0.0) or np.any(self.gf <= 0.0):
-            raise ValueError("signal gains must be strictly positive")
-        if np.any(self.h0 < 0.0) or np.any(self.hf < 0.0):
-            raise ValueError("cross gains must be nonnegative")
-        if not (np.isfinite(self.sigma2) and self.sigma2 > 0.0):
-            raise ValueError("noise power sigma2 must be positive")
-        if np.any(self.rates <= 0.0):
-            raise ValueError("rates must be strictly positive")
-        gains = np.vstack([self.g0, self.gf])
+        checked = _checked_arrays((), k, f, self.g0, self.gf, self.h0, self.hf, self.sigma2, rates)
+        for name, arr in zip(("g0", "gf", "h0", "hf", "rates"), checked):
+            object.__setattr__(self, name, arr)
+        gains = np.concatenate([self.g0[None], self.gf])
         gains.setflags(write=False)
         object.__setattr__(self, "gains", gains)
 
@@ -123,13 +139,72 @@ class NetworkInstance:
 
     def digest(self) -> str:
         """Short content hash, used to assert paired-trial discipline."""
+        return stack_instances((self,)).digests()[0]
+
+
+@dataclass(frozen=True, eq=False)
+class InstanceBatch:
+    """``T`` instances of one shape, stacked on a leading trial axis.
+
+    The fields are :class:`NetworkInstance`'s with that axis first:
+    ``gains`` is ``(T, F+1, K)``, ``h0`` ``(T, K)``, ``hf`` ``(T, F, K)``
+    and ``rates`` ``(T, F+1)``; ``sigma2`` is ``(T, 1)`` so that it
+    broadcasts over carriers, and ``g0``/``gf`` are views of ``gains``.
+    Built by :func:`sample_batch` and :func:`stack_instances`, which hold
+    the checks; the constructor checks nothing.
+    """
+
+    gains: np.ndarray
+    h0: np.ndarray
+    hf: np.ndarray
+    sigma2: np.ndarray
+    rates: np.ndarray
+
+    @property
+    def g0(self) -> np.ndarray:
+        return self.gains[:, 0]
+
+    @property
+    def gf(self) -> np.ndarray:
+        return self.gains[:, 1:]
+
+    @property
+    def trials(self) -> int:
+        return self.gains.shape[0]
+
+    @property
+    def carriers(self) -> int:
+        return self.gains.shape[2]
+
+    @property
+    def followers(self) -> int:
+        return self.hf.shape[1]
+
+    @property
+    def players(self) -> int:
+        return self.followers + 1
+
+    def instance(self, t: int) -> NetworkInstance:
+        """Trial ``t`` as a :class:`NetworkInstance`."""
+        return NetworkInstance(g0=self.g0[t], gf=self.gf[t], h0=self.h0[t], hf=self.hf[t],
+                               sigma2=float(self.sigma2[t, 0]), rates=self.rates[t])
+
+    def digests(self) -> list:
+        """Every trial's :meth:`NetworkInstance.digest`: a hash of its
+        ``g0, gf, h0, hf, rates, sigma2`` bytes."""
         import hashlib
 
-        h = hashlib.sha256()
-        for arr in (self.g0, self.gf, self.h0, self.hf, self.rates):
-            h.update(np.ascontiguousarray(arr).tobytes())
-        h.update(np.float64(self.sigma2).tobytes())
-        return h.hexdigest()[:16]
+        rows = np.concatenate([a.reshape(self.trials, -1) for a in
+                               (self.gains, self.h0, self.hf, self.rates, self.sigma2)], axis=1)
+        return [hashlib.sha256(row.tobytes()).hexdigest()[:16] for row in rows]
+
+
+def stack_instances(instances) -> InstanceBatch:
+    """Instances of one shape as an :class:`InstanceBatch`, in order."""
+    return InstanceBatch(*(np.array([getattr(i, name) for i in instances])
+                           for name in ("gains", "h0", "hf")),
+                         sigma2=np.array([[i.sigma2] for i in instances], dtype=float),
+                         rates=np.array([i.rates for i in instances]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +225,7 @@ class EquilibriumResult:
 
 
 def empty_allocation(instance: NetworkInstance) -> np.ndarray:
-    return np.zeros((instance.players, instance.carriers))
+    return np.zeros(instance.gains.shape)
 
 
 def leader_interference(instance: NetworkInstance, follower_powers) -> np.ndarray:
@@ -159,7 +234,7 @@ def leader_interference(instance: NetworkInstance, follower_powers) -> np.ndarra
     Maps follower powers ``(..., F, K)`` to per-carrier interference
     ``(..., K)``; with no followers it is zero.
     """
-    return np.einsum("fk,...fk->...k", instance.hf, follower_powers)
+    return np.einsum("...fk,...fk->...k", instance.hf, follower_powers)
 
 
 def best_response(gains, denom, gamma: float):
@@ -192,9 +267,10 @@ def denominators(instance: NetworkInstance, allocation, regime: str) -> np.ndarr
     _check_regime(regime)
     allocation = np.asarray(allocation, dtype=float)
     denom = np.empty_like(allocation)
-    interference = leader_interference(instance, allocation[1:]) if regime == "dense" else 0.0
-    denom[0] = instance.sigma2 + interference
-    denom[1:] = instance.sigma2 + instance.h0 * allocation[0]
+    interference = (leader_interference(instance, allocation[..., 1:, :])
+                    if regime == "dense" else 0.0)
+    denom[..., 0, :] = instance.sigma2 + interference
+    denom[..., 1:, :] = (instance.sigma2 + instance.h0 * allocation[..., 0, :])[..., None, :]
     return denom
 
 
@@ -212,10 +288,10 @@ def all_utilities(
     yields 0, the exact limit for success curves flat at the origin.
     """
     allocation = np.asarray(allocation, dtype=float)
-    totals = allocation.sum(axis=1)
-    successes = model.value(sinr(instance, allocation, regime)).sum(axis=1)
+    totals = allocation.sum(axis=-1)
+    successes = model.value(sinr(instance, allocation, regime)).sum(axis=-1)
     return np.divide(
-        instance.rates * successes, totals, out=np.zeros(instance.players), where=totals != 0.0
+        instance.rates * successes, totals, out=np.zeros(totals.shape), where=totals != 0.0
     )
 
 
@@ -231,8 +307,33 @@ def rank_carriers(instance: NetworkInstance):
     index arrays; ties go to the lower index."""
     if instance.carriers < 2:
         raise ValueError("carrier ranking needs at least two carriers")
-    order = np.argsort(-instance.gains, axis=1, kind="stable")
-    return order[:, 0], order[:, 1]
+    order = (-instance.gains).argsort(axis=-1, kind="stable")
+    return order[..., 0], order[..., 1]
+
+
+def _draw(seeds, carriers: int, followers: int, mean_signal: float, mean_cross: float):
+    """Own-signal and cross gains of one ``default_rng(seed)`` generator per
+    seed (built directly, as ``default_rng`` builds it), two
+    ``(T, F+1, K)`` arrays whose row 0 is the leader's (``g0``, ``h0``).
+
+    Each generator draws ``g0, gf, h0, hf`` in that order as one
+    standard-exponential stream; ``exponential(scale)`` is ``scale`` times
+    that draw, bit for bit.  ``mean_cross=0`` draws no cross gains."""
+    if mean_signal <= 0.0:
+        raise ValueError("mean_signal must be positive")
+    if mean_cross < 0.0:
+        raise ValueError("mean_cross must be nonnegative")
+    shape = (followers + 1, carriers)
+    draws = np.empty((len(seeds), 2 if mean_cross > 0 else 1) + shape)
+    for row, seed in zip(draws, seeds):
+        np.random.Generator(np.random.PCG64(seed)).standard_exponential(out=row)
+    own = draws[:, 0] * mean_signal
+    cross = draws[:, 1] * mean_cross if mean_cross > 0 else np.zeros_like(own)
+    return own, cross
+
+
+def _noise_power(mean_signal: float, snr_db: float) -> float:
+    return mean_signal / 10.0 ** (snr_db / 10.0)
 
 
 def sample_instance(
@@ -256,23 +357,46 @@ def sample_instance(
     Draw order is fixed (g0, gf, h0, hf) so instances are reproducible
     from the integer seed alone.
     """
-    if mean_signal <= 0.0:
-        raise ValueError("mean_signal must be positive")
-    if mean_cross < 0.0:
-        raise ValueError("mean_cross must be nonnegative")
-    rng = np.random.default_rng(seed)
-    g0 = rng.exponential(mean_signal, size=carriers)
-    gf = rng.exponential(mean_signal, size=(followers, carriers))
-    h0 = rng.exponential(mean_cross, size=carriers) if mean_cross > 0 else np.zeros(carriers)
-    hf = (
-        rng.exponential(mean_cross, size=(followers, carriers))
-        if mean_cross > 0
-        else np.zeros((followers, carriers))
-    )
-    sigma2 = mean_signal / 10.0 ** (snr_db / 10.0)
+    own, cross = _draw((seed,), carriers, followers, mean_signal, mean_cross)
     if rates is not None:
-        rates = np.broadcast_to(np.asarray(rates, dtype=float), (followers + 1,)).copy()
-    return NetworkInstance(g0=g0, gf=gf, h0=h0, hf=hf, sigma2=sigma2, rates=rates)
+        rates = np.broadcast_to(np.asarray(rates, dtype=float), (followers + 1,))
+    return NetworkInstance(g0=own[0, 0], gf=own[0, 1:], h0=cross[0, 0], hf=cross[0, 1:],
+                           sigma2=_noise_power(mean_signal, snr_db), rates=rates)
+
+
+def sample_batch(
+    carriers: int,
+    followers: int,
+    *,
+    seeds,
+    snr_db,
+    mean_signal: float = 1.0,
+    mean_cross: float = 0.5,
+    rates=None,
+) -> InstanceBatch:
+    """:func:`sample_instance` for every ``(seed, snr_db)`` pair, as one
+    checked batch: trial ``t`` is bit for bit ``sample_instance(...,
+    snr_db=snr_db[t], seed=seeds[t])``."""
+    own, cross = _draw(seeds, carriers, followers, mean_signal, mean_cross)
+    lead = (len(own),)
+    sigma2 = np.array([[_noise_power(mean_signal, snr)] for snr in snr_db])
+    rates = np.broadcast_to(np.asarray(1.0 if rates is None else rates, dtype=float),
+                            lead + (followers + 1,))
+    checked = _checked_arrays(lead, carriers, followers, own[:, 0], own[:, 1:], cross[:, 0],
+                              cross[:, 1:], sigma2, rates)
+    return InstanceBatch(own, *checked[2:4], sigma2=sigma2, rates=checked[4])
+
+
+def outcomes(instance: NetworkInstance, model: EfficiencyModel, allocation, regime: str):
+    """Every player's utility and active carrier (-1 for an all-zero row)
+    under ``allocation``, which is checked for shape and signs."""
+    allocation = np.asarray(allocation, dtype=float)
+    if allocation.shape != instance.gains.shape:
+        raise ValueError("allocation has wrong shape")
+    if (allocation < 0.0).any():
+        raise ValueError("powers must be nonnegative")
+    active = np.where(allocation.any(axis=-1), allocation.argmax(axis=-1), -1)
+    return all_utilities(instance, model, allocation, regime), active
 
 
 def make_result(
@@ -283,22 +407,13 @@ def make_result(
     diagnostics: Optional[dict] = None,
 ) -> EquilibriumResult:
     """Package an allocation with recomputed utilities and active carriers."""
-    allocation = np.asarray(allocation, dtype=float)
-    if allocation.shape != (instance.players, instance.carriers):
-        raise ValueError("allocation has wrong shape")
-    if np.any(allocation < 0.0):
-        raise ValueError("powers must be nonnegative")
-    allocation = allocation.copy()
+    allocation = np.array(allocation, dtype=float)
     allocation.setflags(write=False)
-    active = tuple(
-        k if on else None
-        for k, on in zip(allocation.argmax(axis=1).tolist(), allocation.any(axis=1).tolist())
-    )
-    utilities = all_utilities(instance, model, allocation, regime)
+    utilities, active = outcomes(instance, model, allocation, regime)
     utilities.setflags(write=False)
     return EquilibriumResult(
         allocation=allocation,
         utilities=utilities,
-        active_carriers=active,
+        active_carriers=tuple(None if k < 0 else k for k in active.tolist()),
         diagnostics=diagnostics or {},
     )

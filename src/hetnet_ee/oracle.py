@@ -43,11 +43,12 @@ from functools import cache
 import numpy as np
 
 from .efficiency import EfficiencyModel
-from .model import NetworkInstance, denominators, respond, utility
+from .model import NetworkInstance, all_utilities, denominators, respond, utility
 
 __all__ = [
     "DeviationReport",
     "verify_follower",
+    "verify_followers",
     "verify_leader_stackelberg",
     "verify_nash",
     "brute_force_stackelberg",
@@ -188,18 +189,24 @@ def _peak_efficiency(model: EfficiencyModel) -> float:
     return max(fc, fd)
 
 
-def _unilateral(instance, model, player, allocation, regime, tol) -> DeviationReport:
-    """The best deviation of one player with every other row fixed: the
-    bound ``rate * max_k(g_k / d_k) * phi*`` (module docstring), attained
-    by the player's best response, which is the reported action."""
-    gains, rate = instance.gains[player], float(instance.rates[player])
-    claimed = utility(instance, model, player, allocation, regime)
-    denom = denominators(instance, allocation, regime)[player]
+def _unilateral(instance, model, players, allocation, regime, tol) -> list[DeviationReport]:
+    """The best deviation of each of ``players`` with every other row fixed:
+    the bound ``rate * max_k(g_k / d_k) * phi*`` (module docstring),
+    attained by the player's best response, which is the reported action.
+    One utilities pass and one denominators pass serve every player."""
+    players = list(players)
+    claimed = all_utilities(instance, model, allocation, regime)[players].tolist()
+    denom = denominators(instance, allocation, regime)[players]
+    gains = instance.gains[players]
     ratios = gains / denom
-    k = int(np.argmax(ratios))
-    power = model.gamma * float(denom[k]) / float(gains[k])
-    best = rate * float(ratios[k]) * _peak_efficiency(model)
-    return _report(player, claimed, best, {"carrier": k, "power": power, "source": "bound"}, tol)
+    k = np.argmax(ratios, axis=1)[:, None]
+    power = (model.gamma * np.take_along_axis(denom, k, 1) / np.take_along_axis(gains, k, 1))
+    best = instance.rates[players] * np.take_along_axis(ratios, k, 1)[:, 0] * _peak_efficiency(model)
+    return [
+        _report(player, u, b, {"carrier": c, "power": p, "source": "bound"}, tol)
+        for player, u, b, c, p in zip(players, claimed, best.tolist(), k[:, 0].tolist(),
+                                      power[:, 0].tolist())
+    ]
 
 
 def verify_follower(
@@ -211,7 +218,17 @@ def verify_follower(
 ) -> DeviationReport:
     """Unilateral deviation check of follower ``f`` (player ``f+1``); its
     SINR depends only on the leader's row, so this holds in both regimes."""
-    return _unilateral(instance, model, f + 1, allocation, "dense", tol)
+    return _unilateral(instance, model, (f + 1,), allocation, "dense", tol)[0]
+
+
+def verify_followers(
+    instance: NetworkInstance,
+    model: EfficiencyModel,
+    allocation,
+    tol: float = 1e-12,
+) -> list[DeviationReport]:
+    """:func:`verify_follower` of every follower, in order."""
+    return _unilateral(instance, model, range(1, instance.players), allocation, "dense", tol)
 
 
 def verify_leader_stackelberg(
@@ -249,10 +266,7 @@ def verify_nash(
     tol: float = 1e-3,
 ) -> list[DeviationReport]:
     """Unilateral deviation check of every player, others held fixed."""
-    return [
-        _unilateral(instance, model, player, allocation, regime, tol)
-        for player in range(instance.players)
-    ]
+    return _unilateral(instance, model, range(instance.players), allocation, regime, tol)
 
 
 def brute_force_stackelberg(

@@ -18,8 +18,14 @@ from hetnet_ee import (
     verify_nash,
 )
 from hetnet_ee import baselines
-from hetnet_ee.baselines import IterationReport
-from hetnet_ee.model import empty_allocation, leader_interference, make_result, respond
+from hetnet_ee.baselines import IterationReport, nash_batch
+from hetnet_ee.model import (
+    empty_allocation,
+    leader_interference,
+    make_result,
+    respond,
+    stack_instances,
+)
 from conftest import edge_cases, random_instance
 
 GAMMA = 1.2564312086261697
@@ -51,6 +57,13 @@ def plain_iterate(step, alloc, max_iter, tol):
     return alloc, IterationReport(converged, sweeps, change, stop)
 
 
+def plain_batch_iterate(step, alloc, max_iter, tol):
+    """:func:`plain_iterate` on the one-trial iterate of a ``solve_nash``
+    call, reported as the batch loop reports, one report per trial."""
+    alloc, report = plain_iterate(step, alloc, max_iter, tol)
+    return alloc, [report]
+
+
 def assert_same_run(fast, plain):
     (res, report), (ref, ref_report) = fast, plain
     assert res.allocation.tobytes() == ref.allocation.tobytes()
@@ -67,7 +80,7 @@ def assert_same_run(fast, plain):
 def run_both(monkeypatch, solver, inst, model, regime, **kw):
     fast = solver(inst, model, regime, **kw)
     with monkeypatch.context() as m:
-        m.setattr(baselines, "_iterate", plain_iterate)
+        m.setattr(baselines, "_iterate", plain_batch_iterate)
         plain = solver(inst, model, regime, **kw)
     return fast, plain
 
@@ -163,6 +176,20 @@ class TestCycleSkip:
                 fast, plain = run_both(monkeypatch, solve_nash, inst, model, regime,
                                        max_iter=int(rng.integers(1, 200)))
                 assert_same_run(fast, plain)
+
+    def test_batch_rows_match_single_runs(self, model):
+        # cycles of periods 2-5, entered at different sweeps, beside
+        # converging runs: each row stops on its own
+        rows = [cycling_instance(seed) for seed, _ in CYCLING]
+        rows += [sample_instance(5, 4, mean_cross=0.5, snr_db=5.0, seed=s) for s in (1, 2)]
+        batch = stack_instances(rows)
+        for max_iter in CAPS:
+            alloc, reports = nash_batch(batch, model, "dense", max_iter=max_iter)
+            for t, inst in enumerate(rows):
+                res, report = solve_nash(inst, model, "dense", max_iter=max_iter)
+                assert alloc[t].tobytes() == res.allocation.tobytes(), (max_iter, t)
+                assert reports[t] == report, (max_iter, t)
+        assert {r.stop for r in reports} == {"cycle", "converged"}
 
     def test_stop_names(self, model):
         inst = cycling_instance(4)

@@ -112,10 +112,11 @@ class TestScenarioFlags:
         assert built_config(monkeypatch, "gamma") == ScenarioConfig()
 
     def test_scheme_errors_keep_their_traceback(self, tmp_path, monkeypatch):
-        def broken(instance, model):
+        def broken(batch, model):
             raise ZeroDivisionError("solver bug")
 
-        monkeypatch.setattr(harness, "solve_dense", broken)
+        # sweeps run the stackelberg scheme through the dense batch solver
+        monkeypatch.setattr(harness, "dense_batch", broken)
         with pytest.raises(ZeroDivisionError, match="solver bug"):
             run_cli("sweep", "--carriers", "3", "--followers", "1", "--snr-db", "0",
                     "--trials", "1", "--output", str(tmp_path / "x.csv"))

@@ -1,14 +1,18 @@
 """Tests for the Monte-Carlo sweep harness, CSV formats, and summaries."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
 from hetnet_ee import EfficiencyModel, ScenarioConfig, optimal_sinr, sample_instance
 from hetnet_ee import harness
+from hetnet_ee.model import outcomes, stack_instances
+from conftest import edge_cases
 from hetnet_ee.harness import (
     CSV_HEADER,
     SweepRecord,
@@ -122,10 +126,11 @@ class TestRunSweep:
             assert r.verified == ("pass" if r.converged else ""), r
 
     def test_scheme_errors_propagate(self, monkeypatch):
-        def broken(instance, model):
+        def broken(batch, model):
             raise ZeroDivisionError("solver bug")
 
-        monkeypatch.setattr(harness, "solve_dense", broken)
+        # sweeps run the stackelberg scheme through the dense batch solver
+        monkeypatch.setattr(harness, "dense_batch", broken)
         with pytest.raises(ZeroDivisionError, match="solver bug"):
             list(run_sweep(tiny_config()))
 
@@ -133,6 +138,80 @@ class TestRunSweep:
         records = list(run_sweep(ScenarioConfig(m_exponent=50, trials=20, seed=3)))
         assert len(records) == 7 * 20 * 3 * 5
         assert not any(math.isnan(r.utility) for r in records)
+
+
+# sweeps whose CSV bytes are pinned: all three schemes, a quarter of the
+# trials certified, SNR from -30 to 60 dB, m = 2 and 5; the dense one has
+# cycling Nash runs (those of test_unconverged_nash_is_not_verified) and
+# the sparse one per-player rates
+GOLDEN = {
+    "dense": (
+        dict(carriers=(5, 7), followers=4, snr_db=(0.0, 10.0, 20.0, -30.0, 60.0), trials=8,
+             seed=9, m_exponent=2, regime="dense", verify_fraction=0.25),
+        "9c0273d4ec057eeda7edccde7dd1352fd3c157b1ae11b15f0de9131cc39a7d41",
+    ),
+    "sparse": (
+        dict(carriers=(3, 6), followers=2, snr_db=(-30.0, 0.0, 25.0, 60.0), trials=10, seed=4,
+             m_exponent=5, regime="sparse", mean_cross=2.0, rates=(1.0, 2.0, 0.5),
+             verify_fraction=0.25),
+        "8248f2954ac0532db7d44cdfab3f1bbfa49d102a42f2909f2babcc659d84acd1",
+    ),
+}
+
+
+def sweep_sha(tmp_path, **kw):
+    path = tmp_path / "golden.csv"
+    write_records(run_sweep(ScenarioConfig(output_path=str(path), **kw)), path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_bytes(self, tmp_path, name):
+        kw, sha = GOLDEN[name]
+        records = list(run_sweep(ScenarioConfig(**kw)))
+        assert {r.verified for r in records} >= {"pass", ""}
+        if name == "dense":
+            assert not all(r.converged for r in records if r.scheme == "nash")
+        assert sweep_sha(tmp_path, **kw) == sha
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    @pytest.mark.parametrize("size", [1, 7])
+    def test_bytes_do_not_depend_on_the_chunks(self, tmp_path, monkeypatch, name, size):
+        kw, sha = GOLDEN[name]
+        # every trial alone, or the largest carrier count in chunks of 7
+        cells = max(kw["carriers"]) * (kw["followers"] + 2)
+        monkeypatch.setattr(harness, "CHUNK_CELLS", 1 if size == 1 else size * cells)
+        sizes = []
+
+        def spy(*args, seeds, **kwargs):
+            sizes.append(len(seeds))
+            return sample_batch(*args, seeds=seeds, **kwargs)
+
+        sample_batch = harness.sample_batch
+        monkeypatch.setattr(harness, "sample_batch", spy)
+        assert sweep_sha(tmp_path, **kw) == sha
+        assert size in sizes and (size > 1 or set(sizes) == {1})
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=edge_cases())
+    def test_batch_rows_equal_single_runs(self, case):
+        inst, model, regime = case
+        k, f = inst.carriers, inst.followers
+        # the edge case between two drawn instances of its shape
+        rows = [sample_instance(k, f, snr_db=snr, seed=seed) for snr, seed in ((-10.0, 1), (40.0, 2))]
+        rows.insert(1, inst)
+        batch = stack_instances(rows)
+        for scheme in harness.SCHEMES:
+            alloc, converged = harness.run_batch(scheme, batch, model, regime)
+            utilities, active = outcomes(batch, model, alloc, regime)
+            for t, instance in enumerate(rows):
+                result, single = harness.run_scheme(scheme, instance, model, regime)
+                assert alloc[t].tobytes() == result.allocation.tobytes(), (scheme, t)
+                assert utilities[t].tobytes() == result.utilities.tobytes(), (scheme, t)
+                assert [None if c < 0 else c for c in active[t].tolist()] == list(
+                    result.active_carriers)
+                assert converged[t] == single
 
 
 class TestCsvRoundTrip:

@@ -14,6 +14,7 @@ from hetnet_ee.model import (
     make_result,
     rank_carriers,
     respond,
+    sample_batch,
     sinr,
 )
 from conftest import random_instance
@@ -412,6 +413,31 @@ class TestSampling:
             sample_instance(3, 1, mean_signal=0.0, seed=1)
         with pytest.raises(ValueError):
             sample_instance(3, 1, mean_cross=-0.1, seed=1)
+        with pytest.raises(ValueError):
+            sample_batch(3, 1, seeds=[1], snr_db=[0.0], mean_cross=-0.1)
+
+    def test_draws_match_the_generator_reference(self):
+        # one default_rng per instance drawing g0, gf, h0, hf in that order
+        rng = np.random.default_rng(77)
+        ref = (rng.exponential(2.0, 4), rng.exponential(2.0, (2, 4)),
+               rng.exponential(0.5, 4), rng.exponential(0.5, (2, 4)))
+        inst = sample_instance(4, 2, mean_signal=2.0, mean_cross=0.5, seed=77)
+        for name, arr in zip(("g0", "gf", "h0", "hf"), ref):
+            assert getattr(inst, name).tobytes() == arr.tobytes(), name
+
+    @pytest.mark.parametrize("mean_cross,rates", [(0.5, None), (0.0, (1.0, 2.0, 3.0))])
+    def test_batch_rows_are_the_single_draws(self, mean_cross, rates):
+        seeds, snrs = [5, 6, 7], [-30.0, 0.0, 60.0]
+        batch = sample_batch(4, 2, seeds=seeds, snr_db=snrs, mean_signal=2.0,
+                             mean_cross=mean_cross, rates=rates)
+        for t, (seed, snr) in enumerate(zip(seeds, snrs)):
+            inst = sample_instance(4, 2, mean_signal=2.0, mean_cross=mean_cross, snr_db=snr,
+                                   rates=rates, seed=seed)
+            row = batch.instance(t)
+            for name in ("g0", "gf", "h0", "hf", "rates"):
+                assert getattr(row, name).tobytes() == getattr(inst, name).tobytes(), name
+            assert row.sigma2 == inst.sigma2
+            assert batch.digests()[t] == row.digest() == inst.digest()
 
     def test_rates_broadcast(self):
         inst = sample_instance(3, 2, rates=2.5, seed=4)

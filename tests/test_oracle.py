@@ -27,7 +27,7 @@ from hetnet_ee import (
 )
 from hetnet_ee.model import all_utilities, denominators, leader_interference, respond
 from hetnet_ee import efficiency, oracle
-from hetnet_ee.oracle import SPLIT_WEIGHTS, _follower_choice, power_grid
+from hetnet_ee.oracle import SPLIT_WEIGHTS, _follower_choice, power_grid, verify_followers
 from conftest import edge_cases, random_instance
 
 
@@ -575,8 +575,9 @@ def ref_verify_nash(instance, model, allocation, regime, grid_size=300, tol=1e-3
 def _assert_unilateral_matches(inst, model, allocation, regime, grid_size=300):
     reports = verify_nash(inst, model, allocation, regime)
     pairs = list(zip(reports, ref_verify_nash(inst, model, allocation, regime, grid_size)))
-    for f in range(inst.followers):
-        report = verify_follower(inst, model, f, allocation)
+    followers = [verify_follower(inst, model, f, allocation) for f in range(inst.followers)]
+    assert verify_followers(inst, model, allocation) == followers
+    for f, report in enumerate(followers):
         assert report.tolerance == 1e-12
         pairs.append((report, ref_verify_follower(inst, model, f, allocation, grid_size)))
     assert [r.tolerance for r in reports] == [1e-3] * inst.players
@@ -587,8 +588,8 @@ def _assert_unilateral_matches(inst, model, allocation, regime, grid_size=300):
 
 
 class TestUnilateral:
-    """`verify_follower` and `verify_nash` share one exact check, which
-    matches the grid and closed-form reference to 1e-14."""
+    """`verify_follower`, `verify_followers` and `verify_nash` share one
+    exact check, which matches the grid and closed-form reference to 1e-14."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(case=edge_cases())

@@ -1,5 +1,7 @@
 """Tests for the closed-form sparse-regime equilibrium."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -66,6 +68,16 @@ class TestWorkedBranches:
         moved = res.allocation.copy()
         moved[1] = [0.0, gamma / 1.0]
         assert_allclose(utility(inst, model, 1, moved, "sparse"), stay_u, rtol=1e-12)
+
+    def test_subnormal_gain_raises_no_warning(self, model):
+        # a best-to-second gain ratio would overflow here
+        inst = NetworkInstance(g0=[1.0, 1e-310], gf=[[1.0, 1e-310]], h0=[0.5, 0.5],
+                               hf=[[0.5, 0.5]], sigma2=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve_sparse(inst, model)
+        assert res.active_carriers == (0, 0)
+        assert res.diagnostics["follower_branches"] == ("stay",)
 
     def test_needs_two_carriers(self, model):
         inst = NetworkInstance(g0=[1.0], gf=np.zeros((0, 1)), h0=[0.0],

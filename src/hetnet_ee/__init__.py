@@ -5,8 +5,9 @@ orthogonal carriers and independently maximize bits-per-joule.  The
 package solves the hierarchical equilibrium in closed form when small-cell
 interference is negligible (:func:`solve_sparse`) and by per-carrier
 candidate search when it is not (:func:`solve_dense`), provides Nash and
-best-channel baselines, certifies every equilibrium with brute-force
-deviation oracles, and drives seeded Monte-Carlo sweeps from the
+best-channel baselines, certifies every equilibrium with deviation oracles
+(an exact bound for unilateral deviations, a bi-level grid search for the
+Stackelberg leader), and drives seeded Monte-Carlo sweeps from the
 ``hetnet-ee`` CLI.
 """
 

@@ -26,17 +26,18 @@ from .efficiency import optimal_sinr
 from .harness import (
     ScenarioConfig,
     carrier_trend,
+    chunked,
     config_from_values,
     load_config_file,
     read_records,
-    run_scheme,
+    run_batch,
     run_sweep,
     summarize,
     verify_scheme,
     write_records,
     write_summary,
 )
-from .model import sample_instance
+from .model import sample_batch
 
 _SCENARIO = tuple(f.name for f in fields(ScenarioConfig))
 
@@ -115,23 +116,27 @@ def _cmd_verify(args: argparse.Namespace, config: ScenarioConfig) -> int:
         if misfits:
             raise argparse.ArgumentError(None, f"--rates has {len(config.rates)} values, but "
                                          f"{args.input} has rows with F={misfits[0]}")
+    # replay each (scheme, regime, K, F) group's trials as the sweep solved
+    # them, in batches; report in the CSV's trial order
+    groups: dict = {}
+    for key in trials:
+        groups.setdefault((key[0], key[1], key[3], key[4]), []).append(key)
     model = config.model()
+    for (scheme, regime, carriers, followers), keys in groups.items():
+        for chunk in chunked(keys, carriers, followers):
+            batch = sample_batch(
+                carriers, followers, seeds=[key[6] for key in chunk],
+                snr_db=[key[2] for key in chunk], mean_signal=config.mean_signal,
+                mean_cross=config.mean_cross, rates=config.rates,
+            )
+            alloc, converged = run_batch(scheme, batch, model, regime)
+            for t, key in enumerate(chunk):
+                trials[key] = verify_scheme(
+                    scheme, batch.instance(t), model, alloc[t], converged[t], regime,
+                    grid_size=args.grid_size, tol=args.tolerance,
+                )
     failures = checked = skipped = 0
-    for scheme, regime, snr_db, carriers, followers, trial, seed in trials:
-        instance = sample_instance(
-            carriers,
-            followers,
-            mean_signal=config.mean_signal,
-            mean_cross=config.mean_cross,
-            snr_db=snr_db,
-            rates=config.rates,
-            seed=seed,
-        )
-        result, converged = run_scheme(scheme, instance, model, regime)
-        reports = verify_scheme(
-            scheme, instance, model, result.allocation, converged, regime,
-            grid_size=args.grid_size, tol=args.tolerance,
-        )
+    for (scheme, _, snr_db, carriers, followers, trial, _), reports in trials.items():
         if not reports:
             # no equilibrium claimed: best channel, or Nash that did not converge
             skipped += 1
@@ -170,8 +175,9 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="re-certify recorded trials with the oracle")
     p_verify.add_argument("--input", required=True, help="records CSV from `sweep`")
     _add_scenario_flags(p_verify, ("m_exponent", "mean_signal", "mean_cross", "rates"))
-    p_verify.add_argument("--grid-size", type=int, dest="grid_size", default=300,
-                          help="points in the stackelberg leader's power grid (at least 100)")
+    p_verify.add_argument("--grid-size", type=int, dest="grid_size",
+                          help="points in the stackelberg leader's power grid, at least 100 "
+                               "(default: the oracle's)")
     p_verify.add_argument(
         "--tolerance", type=float, default=None,
         help="relative-gain tolerance of every check (default: 1e-3 for leader "

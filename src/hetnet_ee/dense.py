@@ -63,7 +63,8 @@ class CarrierCandidates:
     """One carrier's row of the leader's slot table.
 
     ``followers`` lists the carrier's nominees strongest ratio first;
-    ``theta``, ``eta`` (cumulative interference ratio), ``sinr_targets``,
+    ``theta`` (best-to-second gain ratio, ``inf`` past the float range),
+    ``eta`` (cumulative interference ratio), ``sinr_targets``,
     ``stays``, ``boundary_powers`` and ``boundary_values`` are indexed by
     nominee rank, so entry ``i`` belongs to slot ``i+1``.  ``stays[i]`` is
     that slot's stay test (its last nominee still prefers this carrier at
@@ -100,15 +101,14 @@ def dense_batch(batch: InstanceBatch, model: EfficiencyModel):
     g0, h0, rate0 = batch.g0[:, :, None], batch.h0[:, :, None], batch.rates[:, :1, None]
     best, second = (order[:, 1:] for order in rank_carriers(batch))
     # the gains on those carriers: a follower's two largest
-    ranked = np.sort(batch.gf, axis=-1)
-    gb, gs = ranked[:, :, -1], ranked[:, :, -2]
+    gb, gs = batch.gf[trial, followers, best], batch.gf[trial, followers, second]
 
     # row k, column l >= 1: carrier k's l-th nominee, strongest ratio first
     # and ties to the lower follower index; column 0 is the solo slot.
     # Columns past a carrier's nominees are NaN padding, and the last one
-    # always is, so every slot has a next nominee
-    ratio = gb / gs
-    nominees = np.lexsort((-ratio, best), axis=-1)
+    # always is, so every slot has a next nominee.  The key gs / gb lies in
+    # (0, 1], where gb / gs overflows on a subnormal gs
+    nominees = np.lexsort((gs / gb, best), axis=-1)
     counts = np.bincount((best + carriers * trial).ravel(), minlength=trials * carriers)
     counts = counts.reshape(trials, carriers)
     starts = counts.cumsum(axis=1) - counts
@@ -134,15 +134,18 @@ def dense_batch(batch: InstanceBatch, model: EfficiencyModel):
     targets[:, :, 0] = gamma
 
     # indifference boundaries: leader power at which a nominee stops
-    # preferring this carrier over its second-best; zero cross gain puts
-    # the boundary out of reach (x/0 = inf; the 0/0 of tied gains is
-    # replaced by 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # preferring this carrier over its second-best; with zero cross gain,
+    # or past the float range (a tiny gs), it is out of reach (x/0 and the
+    # overflow are inf; the 0/0 of tied gains is replaced by 0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         boundary = np.where(gb_t <= gs_t, 0.0, sigma2 * (gb_t - gs_t) / (h0 * gs_t))
+        theta = gb_t / gs_t
     # leader value at a boundary, with the nominees ranked above it sharing
     at = np.where((boundary > 0.0) & (boundary < np.inf), boundary, np.nan)[:, :, 1:]
     above = eta[:, :, :-1]
-    sinr = g0 * at / (sigma2 * (1.0 + gamma * above) + gamma * above * h0 * at)
+    # a boundary near the float range can overflow the SINR; f(inf) = 1
+    with np.errstate(over="ignore"):
+        sinr = g0 * at / (sigma2 * (1.0 + gamma * above) + gamma * above * h0 * at)
     boundary_values = np.empty_like(boundary)
     boundary_values[:, :, 0] = np.nan
     boundary_values[:, :, 1:] = rate0 * model.value(sinr) / at
@@ -193,7 +196,7 @@ def dense_batch(batch: InstanceBatch, model: EfficiencyModel):
     denom = np.where(kept, batch.sigma2 + (batch.h0[rows, k_hat] * leader)[:, None], batch.sigma2)
     alloc[trial, followers + 1, moved] = gamma * denom / batch.gf[trial, followers, moved]
     tables = dict(
-        nominees=nominees, counts=counts, starts=starts, theta=gb_t / gs_t, eta=eta,
+        nominees=nominees, counts=counts, starts=starts, theta=theta, eta=eta,
         targets=targets, stays=stays, stay_limit=stay_limit, powers=powers, values=values,
         boundary=boundary, boundary_values=boundary_values, codes=codes,
         winner_carrier=k_hat, winner_slots=slots,

@@ -30,12 +30,12 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .baselines import best_channel_batch, nash_batch, solve_best_channel, solve_nash
-from .dense import dense_batch, solve_dense
+from .baselines import best_channel_batch, nash_batch
+from .dense import dense_batch
 from .efficiency import EfficiencyModel
 from .model import REGIMES, outcomes, sample_batch
 from .oracle import DeviationReport, verify_followers, verify_leader_stackelberg, verify_nash
-from .sparse import solve_sparse, sparse_batch
+from .sparse import sparse_batch
 
 __all__ = [
     "SCHEMES",
@@ -45,7 +45,9 @@ __all__ = [
     "SummaryRow",
     "TrendStep",
     "PairedGap",
+    "run_batch",
     "run_sweep",
+    "chunked",
     "verify_scheme",
     "write_records",
     "read_records",
@@ -227,25 +229,9 @@ def _record_line(r: SweepRecord) -> str:
     )
 
 
-def run_scheme(scheme: str, instance, model, regime: str):
-    """Dispatch one scheme; returns (result, converged flag)."""
-    if scheme == "stackelberg":
-        result = solve_sparse(instance, model) if regime == "sparse" else solve_dense(
-            instance, model
-        )
-        return result, True
-    if scheme == "nash":
-        result, report = solve_nash(instance, model, regime)
-        return result, report.converged
-    if scheme == "best_channel":
-        result, report = solve_best_channel(instance, model, regime)
-        return result, report.converged
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 def run_batch(scheme: str, batch, model, regime: str):
-    """:func:`run_scheme` for every trial of a batch; returns the
-    allocations ``(T, F+1, K)`` and the converged flags ``(T,)``."""
+    """Run one scheme on every trial of a batch by its batch solver; returns
+    the allocations ``(T, F+1, K)`` and the converged flags ``(T,)``."""
     if scheme == "stackelberg":
         solve = sparse_batch if regime == "sparse" else dense_batch
         alloc = solve(batch, model)[0]
@@ -261,24 +247,33 @@ def run_batch(scheme: str, batch, model, regime: str):
 
 def verify_scheme(
     scheme: str, instance, model, allocation, converged: bool, regime: str,
-    grid_size: int = 300, tol: float | None = None,
+    grid_size: int | None = None, tol: float | None = None,
 ) -> list[DeviationReport]:
     """Oracle reports for one scheme's output, one per checked player.
 
-    ``grid_size`` sizes the stackelberg leader's power grid.  A ``tol``
-    applies to every check; ``None`` keeps each oracle's own default (1e-3
+    ``grid_size`` sizes the stackelberg leader's power grid; a ``tol``
+    applies to every check.  ``None`` keeps the oracles' own defaults (1e-3
     for leader and ``nash`` checks, 1e-12 for ``stackelberg`` follower
     checks).  Only equilibrium claims are checked: the best-channel
-    heuristic and a Nash run that did not converge (``converged`` is the
-    flag :func:`run_scheme` returned) claim none, so they get no reports.
+    heuristic and a Nash run that did not converge (the flag of
+    :func:`run_batch`) claim none, so they get no reports.
     """
     kw = {} if tol is None else {"tol": tol}
     if scheme == "stackelberg":
-        leader = verify_leader_stackelberg(instance, model, allocation, regime, grid_size, **kw)
+        grid = {} if grid_size is None else {"grid_size": grid_size}
+        leader = verify_leader_stackelberg(instance, model, allocation, regime, **grid, **kw)
         return [leader] + verify_followers(instance, model, allocation, **kw)
     if scheme == "nash" and converged:
         return verify_nash(instance, model, allocation, regime, **kw)
     return []
+
+
+def chunked(trials: list, carriers: int, followers: int) -> Iterator[list]:
+    """``trials`` of one shape in order, in runs of as many as fit one
+    batch of at most ``CHUNK_CELLS`` slot-table cells."""
+    size = max(1, CHUNK_CELLS // (carriers * (followers + 2)))
+    for start in range(0, len(trials), size):
+        yield trials[start:start + size]
 
 
 def _chunk_records(config: ScenarioConfig, model, carriers: int, chunk: list):
@@ -323,9 +318,8 @@ def run_sweep(config: ScenarioConfig) -> Iterator[SweepRecord]:
     for c, carriers in enumerate(config.carriers):
         plan = [(c * points + p, snr_db, trial)
                 for p, snr_db in enumerate(config.snr_db) for trial in range(config.trials)]
-        size = max(1, CHUNK_CELLS // (carriers * (config.followers + 2)))
-        for start in range(0, len(plan), size):
-            yield from _chunk_records(config, model, carriers, plan[start:start + size])
+        for chunk in chunked(plan, carriers, config.followers):
+            yield from _chunk_records(config, model, carriers, chunk)
 
 
 def write_records(records: Iterable[SweepRecord], path) -> int:

@@ -332,10 +332,6 @@ def _draw(seeds, carriers: int, followers: int, mean_signal: float, mean_cross: 
     return own, cross
 
 
-def _noise_power(mean_signal: float, snr_db: float) -> float:
-    return mean_signal / 10.0 ** (snr_db / 10.0)
-
-
 def sample_instance(
     carriers: int,
     followers: int,
@@ -355,13 +351,10 @@ def sample_instance(
     mean per-carrier signal-to-noise ratio.
 
     Draw order is fixed (g0, gf, h0, hf) so instances are reproducible
-    from the integer seed alone.
+    from the integer seed alone: the one trial of a :func:`sample_batch`.
     """
-    own, cross = _draw((seed,), carriers, followers, mean_signal, mean_cross)
-    if rates is not None:
-        rates = np.broadcast_to(np.asarray(rates, dtype=float), (followers + 1,))
-    return NetworkInstance(g0=own[0, 0], gf=own[0, 1:], h0=cross[0, 0], hf=cross[0, 1:],
-                           sigma2=_noise_power(mean_signal, snr_db), rates=rates)
+    return sample_batch(carriers, followers, seeds=(seed,), snr_db=(snr_db,),
+                        mean_signal=mean_signal, mean_cross=mean_cross, rates=rates).instance(0)
 
 
 def sample_batch(
@@ -374,12 +367,12 @@ def sample_batch(
     mean_cross: float = 0.5,
     rates=None,
 ) -> InstanceBatch:
-    """:func:`sample_instance` for every ``(seed, snr_db)`` pair, as one
-    checked batch: trial ``t`` is bit for bit ``sample_instance(...,
-    snr_db=snr_db[t], seed=seeds[t])``."""
+    """One checked batch of instances, trial ``t`` drawn from ``seeds[t]``
+    at ``snr_db[t]`` as :func:`sample_instance` describes; every sampled
+    instance is drawn here."""
     own, cross = _draw(seeds, carriers, followers, mean_signal, mean_cross)
     lead = (len(own),)
-    sigma2 = np.array([[_noise_power(mean_signal, snr)] for snr in snr_db])
+    sigma2 = np.array([[mean_signal / 10.0 ** (snr / 10.0)] for snr in snr_db])
     rates = np.broadcast_to(np.asarray(1.0 if rates is None else rates, dtype=float),
                             lead + (followers + 1,))
     checked = _checked_arrays(lead, carriers, followers, own[:, 0], own[:, 1:], cross[:, 0],

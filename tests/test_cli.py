@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hetnet_ee import ScenarioConfig, cli, harness
+from hetnet_ee import (
+    ScenarioConfig,
+    cli,
+    harness,
+    sample_instance,
+    solve_best_channel,
+    solve_dense,
+    solve_nash,
+    solve_sparse,
+)
 from hetnet_ee.cli import main
 from hetnet_ee.harness import CSV_HEADER, read_records
 
@@ -283,6 +292,64 @@ class TestVerify:
         for snr_db, trial in stuck:
             assert not any(f"scheme=nash snr_db={snr_db:g} K=5 F=4 trial={trial} " in line
                            for line in lines)
+
+    def test_interleaved_trials_replay_as_single_runs(self, tmp_path, capsys, monkeypatch):
+        """Schemes, regimes and carrier counts interleaved in one CSV: the
+        batched replay prints, in CSV trial order, what solving and checking
+        each trial alone prints, whatever the chunk size."""
+        records = []
+        for regime, carriers, seed in (("dense", "3,4", 3), ("sparse", "3", 4)):
+            out = tmp_path / f"{regime}.csv"
+            run_cli("sweep", "--carriers", carriers, "--followers", "2", "--snr-db=-10,10,40",
+                    "--trials", "3", "--seed", str(seed), "--regime", regime,
+                    "--verify-fraction", "0", "--output", str(out))
+            records += read_records(out)
+        trials: dict = {}
+        for r in records:
+            trials.setdefault((r.scheme, r.regime, r.snr_db, r.carriers, r.followers, r.trial,
+                               r.seed), []).append(r)
+        keys = list(trials)
+        order = np.random.default_rng(0).permutation(len(keys))
+        path = tmp_path / "mixed.csv"
+        harness.write_records((r for i in order for r in trials[keys[i]]), path)
+
+        expected, model = [], ScenarioConfig().model()
+        for i in order:
+            scheme, regime, snr_db, carriers, followers, trial, seed = keys[i]
+            inst = sample_instance(carriers, followers, snr_db=snr_db, seed=seed)
+            if scheme == "stackelberg":
+                solve = solve_sparse if regime == "sparse" else solve_dense
+                result, converged = solve(inst, model), True
+            else:
+                solve = solve_nash if scheme == "nash" else solve_best_channel
+                result, report = solve(inst, model, regime)
+                converged = report.converged
+            for rep in harness.verify_scheme(scheme, inst, model, result.allocation, converged,
+                                             regime):
+                expected.append(
+                    f"{'PASS' if rep.passed else 'FAIL'} scheme={scheme} snr_db={snr_db:g} "
+                    f"K={carriers} F={followers} trial={trial} player={rep.player} "
+                    f"gain={rep.relative_gain:.3e}")
+
+        sizes = []
+
+        def spy(*args, seeds, **kwargs):
+            sizes.append(len(seeds))
+            return sample_batch(*args, seeds=seeds, **kwargs)
+
+        sample_batch = cli.sample_batch
+        monkeypatch.setattr(cli, "sample_batch", spy)
+        capsys.readouterr()
+        outputs = []
+        for cells in (harness.CHUNK_CELLS, 1):
+            monkeypatch.setattr(harness, "CHUNK_CELLS", cells)
+            sizes.clear()
+            run_cli("verify", "--input", str(path))
+            outputs.append(capsys.readouterr().out)
+            # one batch per (scheme, regime, K, F) group, or one per trial
+            assert sizes == ([9] * 9 if cells > 1 else [1] * 81)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[:-1] == expected
 
     def test_exit_code_clean_when_all_pass(self, tmp_path, capsys):
         out = tmp_path / "run.csv"

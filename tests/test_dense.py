@@ -7,6 +7,7 @@ numbers are frozen below.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from hetnet_ee import (
     NetworkInstance,
     optimal_sinr,
     sample_instance,
+    solve_best_channel,
     solve_dense,
+    solve_nash,
     solve_sparse,
     utility,
     verify_follower,
@@ -343,6 +346,36 @@ class TestCandidateTable:
         res = solve_dense(inst, model)
         assert res.active_carriers == (1,)
         assert_allclose(res.allocation[0, 1], GAMMA * 2.0 / 4.0, rtol=1e-9)
+
+    def test_subnormal_second_gain_raises_no_warning(self, model):
+        # the best-to-second gain ratio and the SINR at the nominee's
+        # boundary (2e304) are past the float range
+        inst = NetworkInstance(g0=[1.0, 1.0], gf=[[1.0, 1e-310]], h0=[0.5, 0.5],
+                               hf=[[0.5, 0.5]], sigma2=1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve_dense(inst, model)
+            solve_sparse(inst, model)
+            for regime in ("dense", "sparse"):
+                solve_nash(inst, model, regime)
+                solve_best_channel(inst, model, regime)
+        row = res.diagnostics["candidate_table"][0]
+        assert row.theta.tolist() == [math.inf]
+        assert_allclose(row.boundary_powers, [2e304], rtol=1e-12)
+        assert res.active_carriers == (1, 0)
+        assert verify_leader_stackelberg(inst, model, res.allocation, "dense").passed
+        assert verify_follower(inst, model, 0, res.allocation).passed
+
+    def test_ratios_past_the_float_range_are_ranked(self, model):
+        # both ratios overflow; the larger one (follower 0) ranks first and
+        # has the higher boundary, with the rows in either order
+        gf = [[1.0, 1e-310, 1e-310], [1.0, 2e-310, 1e-310]]
+        for rows in ([0, 1], [1, 0]):
+            inst = NetworkInstance(g0=[1.0] * 3, gf=np.array(gf)[rows], h0=[0.5] * 3,
+                                   hf=[[0.5] * 3] * 2, sigma2=1e-6)
+            row = solve_dense(inst, model).diagnostics["candidate_table"][0]
+            assert row.followers == tuple(rows)
+            assert_allclose(row.boundary_powers, [2e304, 1e304], rtol=1e-12)
 
 
 def reference_carrier(instance, model, k, best, second):

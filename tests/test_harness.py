@@ -9,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
-from hetnet_ee import EfficiencyModel, ScenarioConfig, optimal_sinr, sample_instance
+from hetnet_ee import (
+    EfficiencyModel,
+    ScenarioConfig,
+    optimal_sinr,
+    sample_instance,
+    solve_best_channel,
+    solve_dense,
+    solve_nash,
+    solve_sparse,
+)
 from hetnet_ee import harness
 from hetnet_ee.model import outcomes, stack_instances
 from conftest import edge_cases
@@ -202,16 +211,34 @@ class TestBatchedSweep:
         rows = [sample_instance(k, f, snr_db=snr, seed=seed) for snr, seed in ((-10.0, 1), (40.0, 2))]
         rows.insert(1, inst)
         batch = stack_instances(rows)
+        # stackelberg has no report: it always converges
+        stackelberg = solve_sparse if regime == "sparse" else solve_dense
+        single = {
+            "stackelberg": lambda instance: (stackelberg(instance, model), None),
+            "nash": lambda instance: solve_nash(instance, model, regime),
+            "best_channel": lambda instance: solve_best_channel(instance, model, regime),
+        }
         for scheme in harness.SCHEMES:
             alloc, converged = harness.run_batch(scheme, batch, model, regime)
             utilities, active = outcomes(batch, model, alloc, regime)
             for t, instance in enumerate(rows):
-                result, single = harness.run_scheme(scheme, instance, model, regime)
+                result, report = single[scheme](instance)
                 assert alloc[t].tobytes() == result.allocation.tobytes(), (scheme, t)
                 assert utilities[t].tobytes() == result.utilities.tobytes(), (scheme, t)
                 assert [None if c < 0 else c for c in active[t].tolist()] == list(
                     result.active_carriers)
-                assert converged[t] == single
+                assert converged[t] == (report is None or report.converged)
+
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=edge_cases())
+    def test_batch_rows_are_certified(self, case):
+        inst, model, regime = case
+        batch = stack_instances([inst])
+        for scheme in harness.SCHEMES:
+            alloc, converged = harness.run_batch(scheme, batch, model, regime)
+            reports = harness.verify_scheme(scheme, inst, model, alloc[0], converged[0], regime)
+            assert all(r.passed for r in reports), (scheme, reports)
 
 
 class TestCsvRoundTrip:

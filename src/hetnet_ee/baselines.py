@@ -26,7 +26,6 @@ import numpy as np
 from .efficiency import EfficiencyModel
 from .model import (
     EquilibriumResult,
-    InstanceBatch,
     NetworkInstance,
     best_response,
     denominators,
@@ -105,7 +104,7 @@ def _iterate(step, alloc: np.ndarray, max_iter: int, tol: float):
     return alloc, reports
 
 
-def nash_batch(batch: InstanceBatch, model: EfficiencyModel, regime: str = "dense",
+def nash_batch(batch: NetworkInstance, model: EfficiencyModel, regime: str = "dense",
                max_iter: int = 1000, tol: float = 1e-10):
     """:func:`solve_nash`'s dynamics on every trial: the last iterates
     ``(T, F+1, K)`` and one ``IterationReport`` per trial."""
@@ -146,7 +145,7 @@ def solve_nash(
     return make_result(instance, model, alloc[0], regime, diagnostics), report
 
 
-def best_channel_batch(batch: InstanceBatch, model: EfficiencyModel, regime: str = "dense"):
+def best_channel_batch(batch: NetworkInstance, model: EfficiencyModel, regime: str = "dense"):
     """:func:`solve_best_channel` on every trial: the allocations ``(T, F+1,
     K)``, the pinned carriers ``(T, F+1)`` and the feedback gains ``b``
     ``(T,)``; a trial is feasible when its ``b < 1``."""

@@ -12,8 +12,9 @@ Scenario flags are the :class:`~hetnet_ee.harness.ScenarioConfig` fields
 config file passed with ``--config``, whose keys are the field names.  SNR
 ranges use ``start:stop:step`` in dB; list-valued values (carriers,
 schemes, rates) are comma-separated.  A bad value, an unreadable or foreign
-``--input`` CSV, or a ``verify --rates`` list that does not fit a row's F
-exits with status 2.
+``--input`` CSV, a malformed row (an unknown scheme or regime, or for
+``verify`` a trial whose instance cannot be built), or a ``verify --rates``
+list that does not fit a row's F exits with status 2.
 """
 
 from __future__ import annotations
@@ -124,11 +125,14 @@ def _cmd_verify(args: argparse.Namespace, config: ScenarioConfig) -> int:
     model = config.model()
     for (scheme, regime, carriers, followers), keys in groups.items():
         for chunk in chunked(keys, carriers, followers):
-            batch = sample_batch(
-                carriers, followers, seeds=[key[6] for key in chunk],
-                snr_db=[key[2] for key in chunk], mean_signal=config.mean_signal,
-                mean_cross=config.mean_cross, rates=config.rates,
-            )
+            try:
+                batch = sample_batch(
+                    carriers, followers, seeds=[key[6] for key in chunk],
+                    snr_db=[key[2] for key in chunk], mean_signal=config.mean_signal,
+                    mean_cross=config.mean_cross, rates=config.rates)
+            except ValueError as exc:
+                raise argparse.ArgumentError(None, f"cannot read --input {args.input}: rows "
+                                             f"with K={carriers} F={followers}: {exc}") from None
             alloc, converged = run_batch(scheme, batch, model, regime)
             for t, key in enumerate(chunk):
                 trials[key] = verify_scheme(

@@ -43,7 +43,6 @@ import numpy as np
 from .efficiency import EfficiencyModel, optimal_sinr_with_feedback
 from .model import (
     EquilibriumResult,
-    InstanceBatch,
     NetworkInstance,
     make_result,
     rank_carriers,
@@ -92,7 +91,7 @@ class CarrierCandidates:
     replacements: tuple
 
 
-def dense_batch(batch: InstanceBatch, model: EfficiencyModel):
+def dense_batch(batch: NetworkInstance, model: EfficiencyModel):
     """Dense-regime equilibrium of every trial: the allocations ``(T, F+1,
     K)`` and the slot tables, a dict of arrays with the trial axis first."""
     gamma, sigma2 = model.gamma, batch.sigma2[:, :, None]

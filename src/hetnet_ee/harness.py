@@ -7,18 +7,19 @@ comparisons are paired.  Trial seeds derive from
 byte a function of the configuration alone.
 
 Every trial of one carrier count, across all its SNR points, is solved as
-one stacked :class:`~hetnet_ee.model.InstanceBatch`, in chunks of at most
-``CHUNK_CELLS`` slot-table cells: each scheme runs once per chunk through
-its batch solver (the same code its ``solve_*`` function runs on one
-instance), and each trial still draws from its own generator, so a record
-does not depend on the chunking.  Records stream out one per (point, trial,
-scheme, player) and serialize to CSV with one column per
-:class:`SweepRecord` field, in field order.  Floats are written with 12
-significant digits; ``verified`` is filled for the configurable fraction of
-trials that get re-certified by the deviation oracles (equilibrium claims
-only: the best-channel heuristic and a Nash run that did not converge
-claim no equilibrium, so their records are never marked).  A scheme that
-raises stops the sweep before its chunk yields a record.
+one batch (a :class:`~hetnet_ee.model.NetworkInstance` with a leading trial
+axis), in chunks of at most ``CHUNK_CELLS`` slot-table cells: each scheme
+runs once per chunk through its batch solver (the same code its
+``solve_*`` function runs on one instance), and each trial still draws
+from its own generator, so a record does not depend on the chunking.
+Records stream out one per (point, trial, scheme, player) and serialize to
+CSV with one column per :class:`SweepRecord` field, in field order.  Floats
+are written with 12 significant digits; ``verified`` is filled for the
+configurable fraction of trials that get re-certified by the deviation
+oracles (equilibrium claims only: the best-channel heuristic and a Nash
+run that did not converge claim no equilibrium, so their records are never
+marked).  A scheme that raises stops the sweep before its chunk yields a
+record.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .baselines import best_channel_batch, nash_batch
 from .dense import dense_batch
 from .efficiency import EfficiencyModel
-from .model import REGIMES, outcomes, sample_batch
+from .model import REGIMES, _noise_power, outcomes, sample_batch
 from .oracle import DeviationReport, verify_followers, verify_leader_stackelberg, verify_nash
 from .sparse import sparse_batch
 
@@ -139,6 +140,9 @@ class ScenarioConfig:
             raise ValueError("carriers and snr_db must be nonempty")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.followers < 0 or self.seed < 0:
+            raise ValueError(f"followers and seed must be nonnegative: {self.followers}, "
+                             f"{self.seed}")
         if not self.schemes:
             raise ValueError("at least one scheme is required")
         for s in self.schemes:
@@ -157,6 +161,9 @@ class ScenarioConfig:
             raise ValueError(f"mean_signal must be positive and finite, got {self.mean_signal}")
         if not 0.0 <= self.mean_cross < math.inf:
             raise ValueError(f"mean_cross must be nonnegative and finite, got {self.mean_cross}")
+        for snr in self.snr_db:
+            if not 0.0 < _noise_power(self.mean_signal, snr) < math.inf:
+                raise ValueError(f"snr_db {snr} gives a noise power not positive and finite")
         rates = np.atleast_1d(np.asarray(self.rates, dtype=float))
         fits = rates.shape in ((1,), (self.followers + 1,))
         if not (fits and np.all((0.0 < rates) & (rates < math.inf))):
@@ -271,7 +278,7 @@ def verify_scheme(
 def chunked(trials: list, carriers: int, followers: int) -> Iterator[list]:
     """``trials`` of one shape in order, in runs of as many as fit one
     batch of at most ``CHUNK_CELLS`` slot-table cells."""
-    size = max(1, CHUNK_CELLS // (carriers * (followers + 2)))
+    size = max(1, CHUNK_CELLS // max(1, carriers * (followers + 2)))
     for start in range(0, len(trials), size):
         yield trials[start:start + size]
 
@@ -342,7 +349,8 @@ def read_records(path) -> list[SweepRecord]:
             raise ValueError(f"unexpected CSV header: {header!r}")
         for line in fh:
             parts = line.rstrip("\n").split(",")
-            if len(parts) != len(_ROW_PARSERS):
+            if (len(parts) != len(_ROW_PARSERS) or parts[0] not in SCHEMES
+                    or parts[1] not in REGIMES):
                 raise ValueError(f"malformed CSV row: {line!r}")
             records.append(SweepRecord(*[parse(text) for parse, text in zip(_ROW_PARSERS, parts)]))
     return records

@@ -9,10 +9,11 @@ Whole-instance quantities are arrays with one row per player, computed for
 all players at once: the own-signal gains, the SINR denominators
 (:func:`denominators`) and matrix (:func:`sinr`), the utilities and each
 player's two strongest carriers (:func:`rank_carriers`).  Every player
-best-responds by one rule, :func:`best_response`.  The same functions take
-an :class:`InstanceBatch`, ``T`` instances of one shape stacked on a leading
-trial axis, and then return arrays with that axis first; the solvers work
-on batches, and a single instance is the batch of one.
+best-responds by one rule, :func:`best_response`.  A
+:class:`NetworkInstance` may hold a batch, ``T`` instances of one shape
+stacked on a leading trial axis; the same functions take it and then
+return arrays with that axis first.  The solvers work on batches, and a
+single instance is the batch of one.
 
 Two interference regimes share the follower SINR but differ for the leader:
 
@@ -26,7 +27,9 @@ Gains are linear power gains throughout; decibels appear only at the CLI.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -36,7 +39,6 @@ from .efficiency import EfficiencyModel
 __all__ = [
     "REGIMES",
     "NetworkInstance",
-    "InstanceBatch",
     "EquilibriumResult",
     "empty_allocation",
     "leader_interference",
@@ -57,12 +59,6 @@ __all__ = [
 REGIMES = ("sparse", "dense")
 
 
-def _check_regime(regime: str) -> str:
-    if regime not in REGIMES:
-        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
-    return regime
-
-
 def _frozen_array(values, shape, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.shape != shape:
@@ -73,38 +69,19 @@ def _frozen_array(values, shape, name: str) -> np.ndarray:
     return arr
 
 
-def _checked_arrays(lead: tuple, k: int, f: int, g0, gf, h0, hf, sigma2, rates) -> tuple:
-    """The checks of :class:`NetworkInstance` on arrays with leading axes
-    ``lead``; returns ``g0, gf, h0, hf, rates`` as frozen float arrays."""
-    g0 = _frozen_array(g0, lead + (k,), "g0")
-    gf = _frozen_array(gf, lead + (f, k), "gf")
-    h0 = _frozen_array(h0, lead + (k,), "h0")
-    hf = _frozen_array(hf, lead + (f, k), "hf")
-    rates = _frozen_array(rates, lead + (f + 1,), "rates")
-    if k < f + 1:
-        raise ValueError(f"need at least F+1={f + 1} carriers, got K={k}")
-    if (g0 <= 0.0).any() or (gf <= 0.0).any():
-        raise ValueError("signal gains must be strictly positive")
-    if (h0 < 0.0).any() or (hf < 0.0).any():
-        raise ValueError("cross gains must be nonnegative")
-    if not np.all((sigma2 > 0.0) & (sigma2 < np.inf)):
-        raise ValueError("noise power sigma2 must be positive")
-    if (rates <= 0.0).any():
-        raise ValueError("rates must be strictly positive")
-    return g0, gf, h0, hf, rates
-
-
 @dataclass(frozen=True, eq=False)
 class NetworkInstance:
-    """Immutable channel data for one realization of the game.
+    """Immutable channel data for one realization of the game, or a batch
+    of ``T`` of one shape with a leading trial axis on every array.
 
     ``g0[k]``/``gf[f, k]`` are own-signal gains of the leader and of
     follower ``f`` on carrier ``k``; ``h0[k]`` is the leader's cross gain
     into follower receivers and ``hf[f, k]`` the follower's cross gain into
     the leader's receiver.  ``rates[n]`` is player ``n``'s transmission
-    rate in bits/s.  Requires ``K >= F + 1``.  ``gains`` stacks the
-    own-signal gains of all players, ``(F+1, K)`` with the leader's first.
-    Compared by identity; ``digest()`` compares content.
+    rate in bits/s.  Requires ``K >= F + 1``.  ``gains`` stacks ``g0`` and
+    ``gf``, ``(F+1, K)`` (``(T, F+1, K)``); ``sigma2`` is a float (``(T,
+    1)``, to broadcast over carriers).  Compared by identity; ``digest()``
+    compares content.
     """
 
     g0: np.ndarray
@@ -115,96 +92,87 @@ class NetworkInstance:
     rates: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        k = np.size(self.g0)
-        f = 0 if np.size(self.gf) == 0 else np.shape(self.gf)[0]
-        rates = np.ones(f + 1) if self.rates is None else self.rates
-        checked = _checked_arrays((), k, f, self.g0, self.gf, self.h0, self.hf, self.sigma2, rates)
-        for name, arr in zip(("g0", "gf", "h0", "hf", "rates"), checked):
-            object.__setattr__(self, name, arr)
-        gains = np.concatenate([self.g0[None], self.gf])
+        shape = np.shape(self.g0)
+        lead, k = shape[:-1], shape[-1] if shape else 0
+        f = np.shape(self.gf)[-2] if np.ndim(self.gf) > 1 else 0
+        g0 = _frozen_array(self.g0, lead + (k,), "g0")
+        gf = _frozen_array(self.gf, lead + (f, k), "gf")
+        h0 = _frozen_array(self.h0, lead + (k,), "h0")
+        hf = _frozen_array(self.hf, lead + (f, k), "hf")
+        rates = _frozen_array(np.ones(lead + (f + 1,)) if self.rates is None else self.rates,
+                              lead + (f + 1,), "rates")
+        sigma2 = _frozen_array(self.sigma2, lead + (1,) if lead else (), "sigma2")
+        if k < f + 1:
+            raise ValueError(f"need at least F+1={f + 1} carriers, got K={k}")
+        if (g0 <= 0.0).any() or (gf <= 0.0).any():
+            raise ValueError("signal gains must be strictly positive")
+        if (h0 < 0.0).any() or (hf < 0.0).any():
+            raise ValueError("cross gains must be nonnegative")
+        if (sigma2 <= 0.0).any():
+            raise ValueError("noise power sigma2 must be positive")
+        if (rates <= 0.0).any():
+            raise ValueError("rates must be strictly positive")
+        gains = np.concatenate([g0[..., None, :], gf], axis=-2)
         gains.setflags(write=False)
-        object.__setattr__(self, "gains", gains)
-
-    @property
-    def carriers(self) -> int:
-        return self.g0.size
-
-    @property
-    def followers(self) -> int:
-        return self.gf.shape[0]
-
-    @property
-    def players(self) -> int:
-        return self.followers + 1
-
-    def digest(self) -> str:
-        """Short content hash, used to assert paired-trial discipline."""
-        return stack_instances((self,)).digests()[0]
-
-
-@dataclass(frozen=True, eq=False)
-class InstanceBatch:
-    """``T`` instances of one shape, stacked on a leading trial axis.
-
-    The fields are :class:`NetworkInstance`'s with that axis first:
-    ``gains`` is ``(T, F+1, K)``, ``h0`` ``(T, K)``, ``hf`` ``(T, F, K)``
-    and ``rates`` ``(T, F+1)``; ``sigma2`` is ``(T, 1)`` so that it
-    broadcasts over carriers, and ``g0``/``gf`` are views of ``gains``.
-    Built by :func:`sample_batch` and :func:`stack_instances`, which hold
-    the checks; the constructor checks nothing.
-    """
-
-    gains: np.ndarray
-    h0: np.ndarray
-    hf: np.ndarray
-    sigma2: np.ndarray
-    rates: np.ndarray
-
-    @property
-    def g0(self) -> np.ndarray:
-        return self.gains[:, 0]
-
-    @property
-    def gf(self) -> np.ndarray:
-        return self.gains[:, 1:]
+        _fill(self, gains, h0, hf, sigma2 if lead else float(sigma2), rates)
 
     @property
     def trials(self) -> int:
-        return self.gains.shape[0]
+        return self.h0.size // self.carriers
 
     @property
     def carriers(self) -> int:
-        return self.gains.shape[2]
+        return self.g0.shape[-1]
 
     @property
     def followers(self) -> int:
-        return self.hf.shape[1]
+        return self.gf.shape[-2]
 
     @property
     def players(self) -> int:
         return self.followers + 1
 
     def instance(self, t: int) -> NetworkInstance:
-        """Trial ``t`` as a :class:`NetworkInstance`."""
-        return NetworkInstance(g0=self.g0[t], gf=self.gf[t], h0=self.h0[t], hf=self.hf[t],
-                               sigma2=float(self.sigma2[t, 0]), rates=self.rates[t])
+        """Trial ``t`` of a batch, as one instance sharing its arrays."""
+        return _fill(object.__new__(NetworkInstance), self.gains[t], self.h0[t], self.hf[t],
+                     float(self.sigma2[t, 0]), self.rates[t])
 
     def digests(self) -> list:
-        """Every trial's :meth:`NetworkInstance.digest`: a hash of its
-        ``g0, gf, h0, hf, rates, sigma2`` bytes."""
-        import hashlib
+        """A short content hash of each trial, ``g0, gf, h0, hf, rates,
+        sigma2`` bytes; used to assert paired-trial discipline."""
+        import hashlib  # here, not at the top: it adds about 6 ms to a cold import
 
-        rows = np.concatenate([a.reshape(self.trials, -1) for a in
+        rows = np.concatenate([np.reshape(a, (self.trials, -1)) for a in
                                (self.gains, self.h0, self.hf, self.rates, self.sigma2)], axis=1)
         return [hashlib.sha256(row.tobytes()).hexdigest()[:16] for row in rows]
 
+    def digest(self) -> str:
+        """:meth:`digests` of one instance (of a batch's first trial)."""
+        return self.digests()[0]
 
-def stack_instances(instances) -> InstanceBatch:
-    """Instances of one shape as an :class:`InstanceBatch`, in order."""
-    return InstanceBatch(*(np.array([getattr(i, name) for i in instances])
-                           for name in ("gains", "h0", "hf")),
-                         sigma2=np.array([[i.sigma2] for i in instances], dtype=float),
-                         rates=np.array([i.rates for i in instances]))
+
+def _fill(instance: NetworkInstance, gains, h0, hf, sigma2, rates) -> NetworkInstance:
+    """Set ``instance``'s arrays from checked, frozen ones (``g0`` and ``gf``
+    as views of ``gains``); derived instances skip the constructor's checks."""
+    vars(instance).update(gains=gains, g0=gains[..., 0, :], gf=gains[..., 1:, :], h0=h0, hf=hf,
+                          sigma2=sigma2, rates=rates)
+    return instance
+
+
+_STACKED = attrgetter("gains", "h0", "hf", "sigma2", "rates")
+
+
+def stack_instances(instances) -> NetworkInstance:
+    """Instances of one shape as one batch, in order; a batch of one holds
+    views of the instance's arrays, not copies."""
+    if len(instances) == 1:
+        arrays = [np.asarray(arr)[None] for arr in _STACKED(instances[0])]
+    else:
+        arrays = [np.array(column) for column in zip(*map(_STACKED, instances))]
+    for arr in arrays:
+        arr.setflags(write=False)
+    gains, h0, hf, sigma2, rates = arrays
+    return _fill(object.__new__(NetworkInstance), gains, h0, hf, sigma2[:, None], rates)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +232,8 @@ def denominators(instance: NetworkInstance, allocation, regime: str) -> np.ndarr
     """Noise plus interference of every player on every carrier, ``(F+1, K)``:
     followers see ``h0 * p0``, the leader sees :func:`leader_interference`
     in the dense regime and noise only in the sparse one."""
-    _check_regime(regime)
+    if regime not in REGIMES:
+        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
     allocation = np.asarray(allocation, dtype=float)
     denom = np.empty_like(allocation)
     interference = (leader_interference(instance, allocation[..., 1:, :])
@@ -323,6 +292,8 @@ def _draw(seeds, carriers: int, followers: int, mean_signal: float, mean_cross: 
         raise ValueError("mean_signal must be positive")
     if mean_cross < 0.0:
         raise ValueError("mean_cross must be nonnegative")
+    if followers < 0:
+        raise ValueError(f"followers must be nonnegative, got {followers}")
     shape = (followers + 1, carriers)
     draws = np.empty((len(seeds), 2 if mean_cross > 0 else 1) + shape)
     for row, seed in zip(draws, seeds):
@@ -330,6 +301,17 @@ def _draw(seeds, carriers: int, followers: int, mean_signal: float, mean_cross: 
     own = draws[:, 0] * mean_signal
     cross = draws[:, 1] * mean_cross if mean_cross > 0 else np.zeros_like(own)
     return own, cross
+
+
+def _noise_power(mean_signal: float, snr_db: float) -> float:
+    """``mean_signal / 10**(snr_db/10)``, the noise power at a mean SNR;
+    ``inf`` or 0 where the power of ten under- or overflows."""
+    try:
+        return mean_signal / 10.0 ** (snr_db / 10.0)
+    except ZeroDivisionError:
+        return math.inf
+    except OverflowError:
+        return 0.0
 
 
 def sample_instance(
@@ -366,18 +348,15 @@ def sample_batch(
     mean_signal: float = 1.0,
     mean_cross: float = 0.5,
     rates=None,
-) -> InstanceBatch:
+) -> NetworkInstance:
     """One checked batch of instances, trial ``t`` drawn from ``seeds[t]``
     at ``snr_db[t]`` as :func:`sample_instance` describes; every sampled
     instance is drawn here."""
     own, cross = _draw(seeds, carriers, followers, mean_signal, mean_cross)
-    lead = (len(own),)
-    sigma2 = np.array([[mean_signal / 10.0 ** (snr / 10.0)] for snr in snr_db])
+    sigma2 = np.array([_noise_power(mean_signal, snr) for snr in snr_db])[:, None]
     rates = np.broadcast_to(np.asarray(1.0 if rates is None else rates, dtype=float),
-                            lead + (followers + 1,))
-    checked = _checked_arrays(lead, carriers, followers, own[:, 0], own[:, 1:], cross[:, 0],
-                              cross[:, 1:], sigma2, rates)
-    return InstanceBatch(own, *checked[2:4], sigma2=sigma2, rates=checked[4])
+                            (len(own), followers + 1))
+    return NetworkInstance(own[:, 0], own[:, 1:], cross[:, 0], cross[:, 1:], sigma2, rates)
 
 
 def outcomes(instance: NetworkInstance, model: EfficiencyModel, allocation, regime: str):

@@ -26,7 +26,7 @@ So every follower that picks ``k`` under ``p_k e_k`` picks it under ``p``
 ``k`` mean more interference, so the leader's SINR on ``k`` is at most its
 SINR under ``p_k e_k``, and the mediant step gives ``U(p) <= max_k U(p_k
 e_k)`` in both regimes.  The search scores single-carrier actions only, in
-blocks of one row per carrier with the power axis last; followers
+one table of a row per carrier and a column per grid power; followers
 re-respond as :func:`model.respond` does, with its float comparisons and
 ties, between the action's carrier and their best carrier off it, whose
 score ``gf / sigma2`` is their switching threshold.
@@ -107,56 +107,44 @@ def power_grid(center: float, grid_size: int) -> np.ndarray:
     return grid
 
 
-def _leader_sweep(instance, model, support, powers, interference) -> np.ndarray:
-    """Leader utility ``rate * f(sinr) / p``, ``(B, N)``, of the actions
-    putting ``powers[b, 0, n]`` on carrier ``support[b, 0]``."""
-    sinr = instance.g0[support][..., None] * powers / (instance.sigma2 + interference)
-    return float(instance.rates[0]) * model.value(sinr)[:, 0] / powers[:, 0]
-
-
-def _follower_choice(instance, support, gf, denom):
-    """Each follower's carrier against a block of single-carrier actions, as
-    ``respond`` picks it; ``gf`` and ``denom = sigma2 + h0 * p`` are taken
-    on ``support``, one carrier per row.  Returns ``chosen[b, 0, f, n]``
-    (``f`` picks ``support[b, 0]``) and the off-support rivals ``(B, 1, F)``,
-    which a carrier above must beat strictly."""
-    scores = gf / denom[:, :, None]
-    off = np.arange(instance.carriers) != support
-    quiet = np.where(off[:, None], instance.gf / instance.sigma2, -np.inf)
-    rival, bar = quiet.argmax(axis=-1)[:, None], quiet.max(axis=-1)[:, None]
-    bar = np.where(rival < support[..., None], bar, np.nextafter(bar, -np.inf))
-    return scores > bar[..., None], rival
-
-
-def _bilevel_sweep(instance, model, regime, support, powers) -> np.ndarray:
-    """:func:`_leader_sweep` with every follower re-responding; dense blocks
-    go in row pieces of about ``PIECE_CELLS`` (action, follower) cells."""
-    if regime != "dense":
-        return _leader_sweep(instance, model, support, powers, 0.0)
-    rows = max(1, PIECE_CELLS // (powers[0].size * max(instance.followers, 1)))
-    utilities = []
-    for i in range(0, len(support), rows):
-        s, p = support[i:i + rows], powers[i:i + rows]
-        gf, denom = instance.gf.T[s][..., None], instance.sigma2 + instance.h0[s][..., None] * p
-        chosen = _follower_choice(instance, s, gf, denom)[0]
-        # hf-weighted follower powers, masked to the chosen carrier in place;
-        # a subnormal gain overflows (and inf * 0 is NaN) only off it, where
-        # the mask drops the value
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = model.gamma * denom[:, :, None] / gf
-            terms *= instance.hf.T[s][..., None]
-        np.copyto(terms, 0.0, where=~chosen)
-        utilities.append(_leader_sweep(instance, model, s, p, terms.sum(axis=2)))
-    return utilities[0] if len(utilities) == 1 else np.concatenate(utilities)
+def _follower_choice(instance, rows, denom):
+    """Each follower's carrier under actions on carrier ``rows[r]`` alone,
+    as ``respond`` picks it, with ``denom[r, n] = sigma2 + h0 * p`` there:
+    ``chosen[r, f, n]`` (``f`` picks ``rows[r]``), else the rival ``(R,
+    F)``, its best carrier off ``rows[r]`` by ``gf / sigma2``, which a score
+    there must beat strictly, or tie from a lower index."""
+    off = (rows[:, None] != np.arange(instance.carriers))[:, None]
+    quiet = np.where(off, instance.gf / instance.sigma2, -np.inf)
+    rival, bar = quiet.argmax(axis=-1), quiet.max(axis=-1)
+    bar = np.where(rival < rows[:, None], bar, np.nextafter(bar, -np.inf))
+    return instance.gf.T[rows][..., None] / denom[:, None] > bar[..., None], rival
 
 
 def _best_carrier_action(instance, model, regime, grid):
     """Best single-carrier leader action on the power grid, every follower
-    re-responding, as ``(utility, carrier, power)``.  Ties go to the lower
-    carrier, then the earlier grid point."""
-    carriers = np.arange(instance.carriers)[:, None]
-    powers = np.broadcast_to(grid, (carriers.size, 1, grid.size))
-    utilities = _bilevel_sweep(instance, model, regime, carriers, powers)
+    re-responding, as ``(utility, carrier, power)``; ties go to the lower
+    carrier, then the earlier grid point.  The ``(K, N)`` table of leader
+    utilities ``rate * f(sinr) / p`` is scored in row pieces of about
+    ``PIECE_CELLS`` (action, follower) cells."""
+    carriers = np.arange(instance.carriers)
+    rows = max(1, PIECE_CELLS // (grid.size * max(instance.followers, 1)))
+    utilities = []
+    for s in (carriers[i:i + rows] for i in range(0, carriers.size, rows)):
+        interference = 0.0
+        if regime == "dense":
+            gf, denom = instance.gf.T[s][..., None], instance.sigma2 + instance.h0[s, None] * grid
+            chosen = _follower_choice(instance, s, denom)[0]
+            # hf-weighted follower powers, masked to the chosen carrier in
+            # place; a subnormal gain overflows (and inf * 0 is NaN) only off
+            # it, where the mask drops the value
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = model.gamma * denom[:, None] / gf
+                terms *= instance.hf.T[s][..., None]
+            np.copyto(terms, 0.0, where=~chosen)
+            interference = terms.sum(axis=1)
+        sinr = instance.g0[s, None] * grid / (instance.sigma2 + interference)
+        utilities.append(float(instance.rates[0]) * model.value(sinr) / grid)
+    utilities = np.concatenate(utilities)
     k, i = divmod(int(np.argmax(utilities)), grid.size)
     return float(utilities[k, i]), k, float(grid[i])
 

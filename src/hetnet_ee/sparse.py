@@ -17,7 +17,6 @@ import numpy as np
 from .efficiency import EfficiencyModel
 from .model import (
     EquilibriumResult,
-    InstanceBatch,
     NetworkInstance,
     best_response,
     make_result,
@@ -31,7 +30,7 @@ __all__ = ["sparse_batch", "solve_sparse"]
 _BRANCHES = np.array(["free", "stay", "move"])
 
 
-def sparse_batch(batch: InstanceBatch, model: EfficiencyModel):
+def sparse_batch(batch: NetworkInstance, model: EfficiencyModel):
     """Sparse-regime equilibrium of every trial: the allocations ``(T, F+1,
     K)`` and every player's carrier ``(T, F+1)``."""
     gamma = model.gamma

@@ -158,3 +158,24 @@ def test_verify_prints_the_parsed_summary(tmp_path):
         assert cli.main(["verify", "--input", str(path)]) == 0
     match = pattern.search(out.getvalue().splitlines()[-1])
     assert match and match.groups() == ("10", "0", "0")
+
+
+def test_check_samples_rebuilds_the_sweep_instances():
+    # bench/workloads.py check_samples rebuilds each sampled trial with
+    # sample_instance and fails the run unless its digest() equals the
+    # record's instance_digest
+    source = (BENCH / "workloads.py").read_text(encoding="utf-8")
+    assert "sample_instance(" in source and ".digest() != first.instance_digest" in source
+    for regime, carriers, followers, rates in (("dense", 5, 4, 1.0),
+                                               ("sparse", 6, 3, (1, 2, 3, 4))):
+        config = ScenarioConfig(carriers=(carriers,), followers=followers, regime=regime,
+                                snr_db=(-5.0, 25.0), trials=3, seed=5, mean_signal=2.0,
+                                mean_cross=0.25, rates=rates, verify_fraction=0.5)
+        records = list(run_sweep(config))
+        assert len(records) == 2 * 3 * len(config.schemes) * (followers + 1)
+        for r in records:
+            instance = sample_instance(
+                r.carriers, r.followers, mean_signal=config.mean_signal,
+                mean_cross=config.mean_cross, snr_db=r.snr_db, rates=config.rates, seed=r.seed,
+            )
+            assert instance.digest() == r.instance_digest

@@ -97,8 +97,16 @@ class TestScenarioFlags:
         (("--mean-cross", "-1"), "-1.0"),
         (("--rates", "1,2"), "(1.0, 2.0)"),
         (("--rates", "-1"), "-1.0"),
+        (("--followers", "-1"), "-1"),
+        (("--seed", "-1"), "-1"),
+        (("--snr-db", "nan"), "nan"),
+        (("--snr-db", "inf"), "inf"),
+        (("--snr-db=-inf",), "-inf"),
+        (("--snr-db", "4000"), "4000"),
     ], ids=["trials", "followers", "regime", "carriers", "m_exponent", "mean_signal",
-            "infinite_mean_signal", "mean_cross", "rates_count", "rate_sign"])
+            "infinite_mean_signal", "mean_cross", "rates_count", "rate_sign",
+            "negative_followers", "negative_seed", "nan_snr", "infinite_snr",
+            "negative_infinite_snr", "noise_underflow"])
     def test_bad_flag_value_exits_2(self, tmp_path, capsys, args, value):
         with pytest.raises(SystemExit) as exit_info:
             run_cli("sweep", *args, "--output", str(tmp_path / "x.csv"))
@@ -120,15 +128,20 @@ class TestScenarioFlags:
         assert built_config(monkeypatch, "verify", "--input", "x.csv") == ScenarioConfig()
         assert built_config(monkeypatch, "gamma") == ScenarioConfig()
 
-    def test_scheme_errors_keep_their_traceback(self, tmp_path, monkeypatch):
+    def test_scheme_errors_keep_their_traceback(self, tmp_path, monkeypatch, capsys):
         def broken(batch, model):
             raise ZeroDivisionError("solver bug")
 
-        # sweeps run the stackelberg scheme through the dense batch solver
+        good = tmp_path / "good.csv"
+        run_cli("sweep", "--carriers", "3", "--followers", "1", "--snr-db", "0",
+                "--trials", "1", "--output", str(good))
+        # sweeps and verify run the stackelberg scheme through the dense batch solver
         monkeypatch.setattr(harness, "dense_batch", broken)
         with pytest.raises(ZeroDivisionError, match="solver bug"):
             run_cli("sweep", "--carriers", "3", "--followers", "1", "--snr-db", "0",
                     "--trials", "1", "--output", str(tmp_path / "x.csv"))
+        with pytest.raises(ZeroDivisionError, match="solver bug"):
+            run_cli("verify", "--input", str(good))
 
 
 class TestSweep:
@@ -360,14 +373,39 @@ class TestVerify:
         assert run_cli("verify", "--input", str(out), "--grid-size", "150") == 0
 
 
+def _csv(**cells):
+    """A one-row records CSV: a stackelberg dense K=5 F=4 row with ``cells``
+    replaced."""
+    row = dict(scheme="stackelberg", regime="dense", snr_db="10", carriers="5",
+               followers="4", trial="0", seed="7", player="0", utility="1",
+               active_carrier="0", converged="true", verified="")
+    row.update(cells)
+    return CSV_HEADER + "\n" + ",".join(row[name] for name in CSV_HEADER.split(",")) + "\n"
+
+
+# bad for both commands, then bad only for verify, which rebuilds each row
+BAD_INPUTS = {
+    "missing": None,
+    "foreign_header": "scheme,player\nnash,0\n",
+    "short_row": CSV_HEADER + "\nstackelberg,dense\n",
+    "bad_value": CSV_HEADER + "\n" + ",".join(["x"] * len(CSV_HEADER.split(","))) + "\n",
+    "unknown_scheme": _csv(scheme="bogus"),
+    "unknown_regime": _csv(regime="mixed"),
+}
+UNBUILDABLE = {
+    "nan_snr": _csv(snr_db="nan"),
+    "negative_infinite_snr": _csv(snr_db="-inf"),
+    "too_few_carriers": _csv(carriers="4"),
+    "negative_followers": _csv(followers="-1"),
+    "no_carriers": _csv(carriers="0", followers="0"),
+}
+
+
 class TestBadInput:
-    @pytest.mark.parametrize("command", ["summarize", "verify"])
-    @pytest.mark.parametrize("text", [
-        None,
-        "scheme,player\nnash,0\n",
-        CSV_HEADER + "\nstackelberg,dense\n",
-        CSV_HEADER + "\n" + ",".join(["x"] * len(CSV_HEADER.split(","))) + "\n",
-    ], ids=["missing", "foreign_header", "short_row", "bad_value"])
+    @pytest.mark.parametrize("command,text", [
+        pytest.param(command, text, id=f"{name}-{command}")
+        for name, text in BAD_INPUTS.items() for command in ("summarize", "verify")
+    ] + [pytest.param("verify", text, id=f"{name}-verify") for name, text in UNBUILDABLE.items()])
     def test_bad_input_csv_exits_2(self, tmp_path, capsys, command, text):
         path = tmp_path / "in.csv"
         if text is not None:

@@ -16,6 +16,7 @@ from hetnet_ee.model import (
     respond,
     sample_batch,
     sinr,
+    stack_instances,
 )
 from conftest import random_instance
 
@@ -72,6 +73,58 @@ class TestNetworkInstance:
         for x, y in ((a, b), (ra, rb), (ca, cb)):
             assert x == x and x != y
             assert len({hash(x), hash(y)}) == 2 and {x: 1}[x] == 1
+
+
+def simple_batch(**overrides):
+    """Three trials of :func:`simple_instance`'s data, stacked on a leading
+    axis by the constructor, with ``overrides`` in the middle trial only."""
+    base = dict(g0=[2.0, 1.0], gf=[[3.0, 1.0]], h0=[1.0, 0.5], hf=[[1.0, 0.2]], sigma2=[1.0],
+                rates=[1.0, 1.0])
+    rows = (base, {**base, **overrides}, base)
+    return NetworkInstance(**{name: [row[name] for row in rows] for name in base})
+
+
+class TestBatchInstance:
+    """The constructor checks a batch as it checks one instance."""
+
+    def test_rows_are_the_instances(self):
+        batch = simple_batch(sigma2=[3.0])
+        assert batch.trials == 3 and batch.gains.shape == (3, 2, 2)
+        assert batch.sigma2.shape == (3, 1)
+        row = batch.instance(1)
+        assert row.sigma2 == 3.0 and row.trials == 1
+        assert row.digest() == simple_instance(sigma2=3.0).digest() == batch.digests()[1]
+
+    def test_too_few_carriers(self):
+        with pytest.raises(ValueError, match="carriers"):
+            NetworkInstance(g0=[[1.0]] * 3, gf=[[[1.0]]] * 3, h0=[[0.0]] * 3,
+                            hf=[[[0.0]]] * 3, sigma2=[[1.0]] * 3)
+
+    @pytest.mark.parametrize("name,value,match", [
+        ("g0", [2.0, 0.0], "signal gains"),
+        ("gf", [[3.0, -1.0]], "signal gains"),
+        ("h0", [-1.0, 0.5], "cross gains"),
+        ("hf", [[1.0, -0.2]], "cross gains"),
+        ("sigma2", [0.0], "sigma2"),
+        ("sigma2", [np.inf], "sigma2"),
+        ("sigma2", [np.nan], "sigma2"),
+        ("rates", [1.0, 0.0], "rates"),
+    ], ids=["signal_gain", "follower_gain", "cross_gain", "follower_cross_gain", "zero_noise",
+            "infinite_noise", "nan_noise", "rate"])
+    def test_bad_value_in_one_trial(self, name, value, match):
+        with pytest.raises(ValueError, match=match):
+            simple_batch(**{name: value})
+
+    def test_arrays_are_immutable(self):
+        batches = (simple_batch(), stack_instances([simple_instance()] * 3),
+                   stack_instances([simple_instance()]))
+        for batch in batches + (batches[0].instance(1), batches[1].instance(2)):
+            for name in ("g0", "gf", "h0", "hf", "gains", "rates"):
+                with pytest.raises(ValueError):
+                    getattr(batch, name).flat[0] = 5.0
+        for batch in batches:
+            with pytest.raises(ValueError):
+                batch.sigma2[0, 0] = 5.0
 
 
 class TestSinr:
@@ -430,14 +483,15 @@ class TestSampling:
         seeds, snrs = [5, 6, 7], [-30.0, 0.0, 60.0]
         batch = sample_batch(4, 2, seeds=seeds, snr_db=snrs, mean_signal=2.0,
                              mean_cross=mean_cross, rates=rates)
-        for t, (seed, snr) in enumerate(zip(seeds, snrs)):
-            inst = sample_instance(4, 2, mean_signal=2.0, mean_cross=mean_cross, snr_db=snr,
-                                   rates=rates, seed=seed)
-            row = batch.instance(t)
-            for name in ("g0", "gf", "h0", "hf", "rates"):
-                assert getattr(row, name).tobytes() == getattr(inst, name).tobytes(), name
-            assert row.sigma2 == inst.sigma2
-            assert batch.digests()[t] == row.digest() == inst.digest()
+        insts = [sample_instance(4, 2, mean_signal=2.0, mean_cross=mean_cross, snr_db=snr,
+                                 rates=rates, seed=seed) for seed, snr in zip(seeds, snrs)]
+        for source in (batch, stack_instances(insts)):
+            for t, inst in enumerate(insts):
+                row = source.instance(t)
+                for name in ("g0", "gf", "h0", "hf", "rates"):
+                    assert getattr(row, name).tobytes() == getattr(inst, name).tobytes(), name
+                assert row.sigma2 == inst.sigma2
+                assert source.digests()[t] == row.digest() == inst.digest()
 
     def test_rates_broadcast(self):
         inst = sample_instance(3, 2, rates=2.5, seed=4)

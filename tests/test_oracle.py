@@ -433,11 +433,10 @@ class TestBlockScorer:
                 g0=rng.integers(1, 4, k), gf=rng.integers(1, 4, (f, k)),
                 h0=rng.integers(0, 3, k), hf=rng.integers(0, 3, (f, k)), sigma2=1.0)
             levels = np.arange(6.0)
-            support = np.arange(k)[:, None]
-            powers = np.broadcast_to(levels, (k, 1, levels.size))
-            denom = inst.sigma2 + inst.h0[support][..., None] * powers
-            chosen, rival = _follower_choice(inst, support, inst.gf.T[support][..., None], denom)
-            picked = np.where(chosen[:, 0], support[:, :, None], rival[:, 0, :, None])
+            rows = np.arange(k)
+            denom = inst.sigma2 + inst.h0[:, None] * levels
+            chosen, rival = _follower_choice(inst, rows, denom)
+            picked = np.where(chosen, rows[:, None, None], rival[..., None])
             actions = np.zeros((k, levels.size, k))
             actions[np.arange(k), :, np.arange(k)] = levels
             _, carriers = respond(inst, actions, gamma)

@@ -124,15 +124,25 @@ def _cmd_verify(args: argparse.Namespace, config: ScenarioConfig) -> int:
         groups.setdefault((key[0], key[1], key[3], key[4]), []).append(key)
     model = config.model()
     for (scheme, regime, carriers, followers), keys in groups.items():
+        def rebuild(rows):
+            return sample_batch(carriers, followers, seeds=[key[6] for key in rows],
+                                snr_db=[key[2] for key in rows], mean_signal=config.mean_signal,
+                                mean_cross=config.mean_cross, rates=config.rates)
+
         for chunk in chunked(keys, carriers, followers):
             try:
-                batch = sample_batch(
-                    carriers, followers, seeds=[key[6] for key in chunk],
-                    snr_db=[key[2] for key in chunk], mean_signal=config.mean_signal,
-                    mean_cross=config.mean_cross, rates=config.rates)
-            except ValueError as exc:
-                raise argparse.ArgumentError(None, f"cannot read --input {args.input}: rows "
-                                             f"with K={carriers} F={followers}: {exc}") from None
+                batch = rebuild(chunk)
+            except ValueError:
+                # name the chunk's first row that cannot be rebuilt by itself
+                for key in chunk:
+                    try:
+                        rebuild([key])
+                    except ValueError as exc:
+                        raise argparse.ArgumentError(
+                            None, f"cannot read --input {args.input}: row with K={carriers} "
+                                  f"F={followers} trial={key[5]} seed={key[6]} "
+                                  f"snr_db={key[2]:g}: {exc}") from None
+                raise
             alloc, converged = run_batch(scheme, batch, model, regime)
             for t, key in enumerate(chunk):
                 trials[key] = verify_scheme(

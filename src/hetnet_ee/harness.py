@@ -12,9 +12,10 @@ axis), in chunks of at most ``CHUNK_CELLS`` slot-table cells: each scheme
 runs once per chunk through its batch solver (the same code its
 ``solve_*`` function runs on one instance), and each trial still draws
 from its own generator, so a record does not depend on the chunking.
-Records stream out one per (point, trial, scheme, player) and serialize to
-CSV with one column per :class:`SweepRecord` field, in field order.  Floats
-are written with 12 significant digits; ``verified`` is filled for the
+Records stream out one per (point, trial, scheme, player) as slotted
+:class:`SweepRecord` dataclasses (mutable and unhashable) and serialize to
+CSV with one column per field, in field order, one format string per row.
+Floats are written with 12 significant digits; ``verified`` is filled for the
 configurable fraction of trials that get re-certified by the deviation
 oracles (equilibrium claims only: the best-channel heuristic and a Nash
 run that did not converge claim no equilibrium, so their records are never
@@ -176,9 +177,10 @@ class ScenarioConfig:
         return EfficiencyModel(m=self.m_exponent)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SweepRecord:
-    """One CSV row; ``instance_digest`` is kept in memory only."""
+    """One CSV row; ``instance_digest`` is kept in memory only.  Slotted, not
+    frozen: a sweep builds one per row, and frozen construction costs 10x."""
 
     scheme: str
     regime: str
@@ -207,33 +209,13 @@ _CELL_PARSERS = {
 _ROW_PARSERS = tuple(_CELL_PARSERS[f.type] for f in _COLUMNS)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _cells(values) -> str:
-    return ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values)
+    return ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in values)
 
 
-# unrolled by hand: a loop over the fields is 2-3x slower per row, and
-# write_records runs this for every row of a sweep
-def _record_line(r: SweepRecord) -> str:
-    return ",".join(
-        (
-            r.scheme,
-            r.regime,
-            _fmt(r.snr_db),
-            str(r.carriers),
-            str(r.followers),
-            str(r.trial),
-            str(r.seed),
-            str(r.player),
-            _fmt(r.utility),
-            "" if r.active_carrier is None else str(r.active_carrier),
-            "true" if r.converged else "false",
-            r.verified,
-        )
-    )
+# one CSV row, floats as ``_cells`` writes them; ``write_records`` passes
+# "" for no ``active_carrier`` and "true"/"false" for ``converged``
+_ROW = "%s,%s,%.12g,%s,%s,%s,%s,%s,%.12g,%s,%s,%s\n"
 
 
 def run_batch(scheme: str, batch, model, regime: str):
@@ -298,24 +280,22 @@ def _chunk_records(config: ScenarioConfig, model, carriers: int, chunk: list):
     for scheme in config.schemes:
         alloc, converged = run_batch(scheme, batch, model, regime)
         utilities, active = outcomes(batch, model, alloc, regime)
-        solved.append((scheme, alloc, utilities.tolist(), active.tolist(), converged.tolist()))
+        active = [[None if c < 0 else c for c in row] for row in active.tolist()]
+        solved.append((scheme, alloc, utilities.tolist(), active, converged.tolist()))
     for t, ((_, snr_db, trial), seed, word, digest) in enumerate(
         zip(chunk, seeds, words, batch.digests())
     ):
         instance = batch.instance(t) if word[1] / 2.0**32 < config.verify_fraction else None
         for scheme, alloc, utilities, active, converged in solved:
-            verdicts = {}
+            marks = [""] * players
             if instance is not None:
-                reports = verify_scheme(scheme, instance, model, alloc[t], converged[t], regime)
-                verdicts = {r.player: "pass" if r.passed else "fail" for r in reports}
-            for player in range(players):
-                carrier = active[t][player]
+                for r in verify_scheme(scheme, instance, model, alloc[t], converged[t], regime):
+                    marks[r.player] = "pass" if r.passed else "fail"
+            converged_t = converged[t]
+            for player, (utility, carrier, mark) in enumerate(zip(utilities[t], active[t], marks)):
                 # positional: SweepRecord's field order
-                yield SweepRecord(
-                    scheme, regime, snr_db, carriers, followers, trial, seed, player,
-                    utilities[t][player], None if carrier < 0 else carrier, converged[t],
-                    verdicts.get(player, ""), digest,
-                )
+                yield SweepRecord(scheme, regime, snr_db, carriers, followers, trial, seed, player,
+                                  utility, carrier, converged_t, mark, digest)
 
 
 def run_sweep(config: ScenarioConfig) -> Iterator[SweepRecord]:
@@ -334,8 +314,11 @@ def write_records(records: Iterable[SweepRecord], path) -> int:
     count = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for record in records:
-            fh.write(_record_line(record) + "\n")
+        for r in records:
+            fh.write(_ROW % (r.scheme, r.regime, r.snr_db, r.carriers, r.followers, r.trial,
+                             r.seed, r.player, r.utility,
+                             "" if r.active_carrier is None else r.active_carrier,
+                             "true" if r.converged else "false", r.verified))
             count += 1
     return count
 

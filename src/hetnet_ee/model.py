@@ -142,6 +142,8 @@ class NetworkInstance:
         sigma2`` bytes; used to assert paired-trial discipline."""
         import hashlib  # here, not at the top: it adds about 6 ms to a cold import
 
+        if not self.trials:
+            return []
         rows = np.concatenate([np.reshape(a, (self.trials, -1)) for a in
                                (self.gains, self.h0, self.hf, self.rates, self.sigma2)], axis=1)
         return [hashlib.sha256(row.tobytes()).hexdigest()[:16] for row in rows]
@@ -165,6 +167,8 @@ _STACKED = attrgetter("gains", "h0", "hf", "sigma2", "rates")
 def stack_instances(instances) -> NetworkInstance:
     """Instances of one shape as one batch, in order; a batch of one holds
     views of the instance's arrays, not copies."""
+    if not instances:
+        raise ValueError("no instances to stack")
     if len(instances) == 1:
         arrays = [np.asarray(arr)[None] for arr in _STACKED(instances[0])]
     else:

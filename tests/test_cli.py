@@ -415,3 +415,17 @@ class TestBadInput:
         assert exit_info.value.code == 2
         error = capsys.readouterr().err.splitlines()[-1]
         assert error.startswith(f"hetnet-ee {command}: error: cannot read --input {path}: ")
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_unbuildable_row_is_named(self, tmp_path, capsys, rows):
+        # the last row's SNR is NaN; rows before it are good trials of its group
+        lines = _csv(trial=str(rows - 1), seed="11", snr_db="nan").splitlines()
+        lines[1:1] = [_csv(trial=str(t), seed=str(7 + t)).splitlines()[1] for t in range(rows - 1)]
+        path = tmp_path / "in.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("verify", "--input", str(path))
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"hetnet-ee verify: error: cannot read --input {path}: row with K=5 F=4 "
+            f"trial={rows - 1} seed=11 snr_db=nan: sigma2 must be finite")

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hetnet_ee import (
@@ -20,7 +21,7 @@ from hetnet_ee import (
     solve_sparse,
 )
 from hetnet_ee import harness
-from hetnet_ee.model import outcomes, stack_instances
+from hetnet_ee.model import REGIMES, outcomes, stack_instances
 from conftest import edge_cases
 from hetnet_ee.harness import (
     CSV_HEADER,
@@ -151,8 +152,9 @@ class TestRunSweep:
 
 # sweeps whose CSV bytes are pinned: all three schemes, a quarter of the
 # trials certified, SNR from -30 to 60 dB, m = 2 and 5; the dense one has
-# cycling Nash runs (those of test_unconverged_nash_is_not_verified) and
-# the sparse one per-player rates
+# cycling Nash runs (those of test_unconverged_nash_is_not_verified), the
+# sparse one per-player rates, and the wide one the K=64 F=32 sparse shape
+# that writes 33 rows per scheme-trial
 GOLDEN = {
     "dense": (
         dict(carriers=(5, 7), followers=4, snr_db=(0.0, 10.0, 20.0, -30.0, 60.0), trials=8,
@@ -164,6 +166,11 @@ GOLDEN = {
              m_exponent=5, regime="sparse", mean_cross=2.0, rates=(1.0, 2.0, 0.5),
              verify_fraction=0.25),
         "8248f2954ac0532db7d44cdfab3f1bbfa49d102a42f2909f2babcc659d84acd1",
+    ),
+    "wide": (
+        dict(carriers=(64,), followers=32, snr_db=(0.0, 10.0, 20.0), trials=2, regime="sparse",
+             verify_fraction=0.25),
+        "84bd9a361e94fc86b4650f2a842a3dcaf315598be4ed716f187baeca38ce3011",
     ),
 }
 
@@ -200,7 +207,9 @@ class TestBatchedSweep:
         sample_batch = harness.sample_batch
         monkeypatch.setattr(harness, "sample_batch", spy)
         assert sweep_sha(tmp_path, **kw) == sha
-        assert size in sizes and (size > 1 or set(sizes) == {1})
+        # a plan shorter than the chunk is one chunk
+        plan = kw["trials"] * len(kw["snr_db"])
+        assert min(size, plan) in sizes and (size > 1 or set(sizes) == {1})
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(case=edge_cases())
@@ -282,6 +291,87 @@ class TestCsvRoundTrip:
         path.write_text("one,two\n1,2\n")
         with pytest.raises(ValueError):
             read_records(path)
+
+
+def _fmt(x):
+    return f"{x:.12g}"
+
+
+def reference_line(r: SweepRecord) -> str:
+    """Reference CSV row of one record, built cell by cell: floats with 12
+    significant digits, "" for no carrier, "true"/"false" for converged."""
+    return ",".join(
+        (
+            r.scheme,
+            r.regime,
+            _fmt(r.snr_db),
+            str(r.carriers),
+            str(r.followers),
+            str(r.trial),
+            str(r.seed),
+            str(r.player),
+            _fmt(r.utility),
+            "" if r.active_carrier is None else str(r.active_carrier),
+            "true" if r.converged else "false",
+            r.verified,
+        )
+    )
+
+
+# nan, infinities, signed zero, subnormals and a huge value, as Python and
+# as numpy floats
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e300, -1e300]
+CELL_FLOATS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.sampled_from(_EDGE_FLOATS).map(np.float64),
+    st.floats(),
+    st.floats().map(np.float64),
+)
+
+RECORDS = st.builds(
+    SweepRecord,
+    scheme=st.sampled_from(harness.SCHEMES),
+    regime=st.sampled_from(REGIMES),
+    snr_db=CELL_FLOATS | st.integers(-60, 60),
+    carriers=st.integers(2, 64),
+    followers=st.integers(0, 63),
+    trial=st.integers(0, 10**6),
+    seed=st.sampled_from([0, 2**32 - 1]) | st.integers(0, 2**32 - 1),
+    player=st.integers(0, 63),
+    utility=CELL_FLOATS,
+    active_carrier=st.sampled_from([None, 0]) | st.integers(0, 63),
+    converged=st.booleans(),
+    verified=st.sampled_from(["", "pass", "fail"]),
+    instance_digest=st.sampled_from(["", "0123456789abcdef"]),
+)
+
+
+class TestRowFormat:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(records=st.lists(RECORDS, max_size=12))
+    def test_rows_match_the_reference_and_read_back(self, tmp_path_factory, records):
+        path = tmp_path_factory.getbasetemp() / "rows.csv"
+        assert write_records(records, path) == len(records)
+        expected = "".join(line + "\n" for line in [CSV_HEADER] + list(map(reference_line, records)))
+        assert path.read_bytes() == expected.encode("utf-8")
+        back = read_records(path)
+        assert len(back) == len(records)
+        for a, b in zip(records, back):
+            for f in dataclasses.fields(SweepRecord):
+                if f.name in ("snr_db", "utility"):
+                    # the 12-digit text, read back: repr tells nan and -0.0 apart
+                    assert repr(getattr(b, f.name)) == repr(float(_fmt(getattr(a, f.name))))
+                elif f.compare:
+                    assert getattr(b, f.name) == getattr(a, f.name), f.name
+            assert b.instance_digest == ""
+
+    def test_record_type_is_slotted(self):
+        record = synth_record(utility=1.0)
+        assert not hasattr(record, "__dict__")
+        changed = dataclasses.replace(record, utility=2.0)
+        assert (changed.utility, record.utility) == (2.0, 1.0)
+        assert changed != record
+        assert dataclasses.replace(record, instance_digest="0123456789abcdef") == record
 
 
 def synth_record(scheme="stackelberg", snr_db=0.0, carriers=3, trial=0,

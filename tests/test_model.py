@@ -115,6 +115,14 @@ class TestBatchInstance:
         with pytest.raises(ValueError, match=match):
             simple_batch(**{name: value})
 
+    def test_empty_batch_has_no_digests(self):
+        batch = sample_batch(3, 1, seeds=[], snr_db=[])
+        assert batch.trials == 0 and batch.digests() == []
+
+    def test_stacking_nothing_is_rejected(self):
+        with pytest.raises(ValueError, match="no instances to stack"):
+            stack_instances([])
+
     def test_arrays_are_immutable(self):
         batches = (simple_batch(), stack_instances([simple_instance()] * 3),
                    stack_instances([simple_instance()]))

@@ -6,8 +6,8 @@ package solves the hierarchical equilibrium in closed form when small-cell
 interference is negligible (:func:`solve_sparse`) and by per-carrier
 candidate search when it is not (:func:`solve_dense`), provides Nash and
 best-channel baselines, certifies every equilibrium with deviation oracles
-(an exact bound for unilateral deviations, a bi-level grid search for the
-Stackelberg leader), and drives seeded Monte-Carlo sweeps from the
+(an exact bound for unilateral deviations, an exact bi-level certificate
+for the Stackelberg leader), and drives seeded Monte-Carlo sweeps from the
 ``hetnet-ee`` CLI.
 """
 

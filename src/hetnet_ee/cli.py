@@ -20,6 +20,7 @@ list that does not fit a row's F exits with status 2.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields
 
@@ -34,7 +35,7 @@ from .harness import (
     run_batch,
     run_sweep,
     summarize,
-    verify_scheme,
+    verify_batch,
     write_records,
     write_summary,
 )
@@ -61,6 +62,14 @@ def _build_config(args: argparse.Namespace) -> ScenarioConfig:
         players = len(args.rates.split(","))
         overrides.update(followers=str(players - 1), carriers=str(max(players, 2)))
     return config_from_values(file_values, overrides)
+
+
+def _tolerance(text: str) -> float:
+    """A finite ``--tolerance``: nan fails every check and inf passes every one."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _read_input(path):
@@ -144,22 +153,21 @@ def _cmd_verify(args: argparse.Namespace, config: ScenarioConfig) -> int:
                                   f"snr_db={key[2]:g}: {exc}") from None
                 raise
             alloc, converged = run_batch(scheme, batch, model, regime)
-            for t, key in enumerate(chunk):
-                trials[key] = verify_scheme(
-                    scheme, batch.instance(t), model, alloc[t], converged[t], regime,
-                    grid_size=args.grid_size, tol=args.tolerance,
-                )
+            checks = verify_batch(scheme, batch, model, alloc, converged, regime, args.tolerance)
+            rows = zip(checks.claims.tolist(), checks.gains.tolist(), checks.passed.tolist())
+            for key, (claims, gains, passed) in zip(chunk, rows):
+                trials[key] = list(zip(gains, passed)) if claims else []
     failures = checked = skipped = 0
-    for (scheme, _, snr_db, carriers, followers, trial, _), reports in trials.items():
-        if not reports:
+    for (scheme, _, snr_db, carriers, followers, trial, _), verdicts in trials.items():
+        if not verdicts:
             # no equilibrium claimed: best channel, or Nash that did not converge
             skipped += 1
-        for rep in reports:
+        for player, (gain, passed) in enumerate(verdicts):
             checked += 1
-            failures += not rep.passed
+            failures += not passed
             print(
-                f"{'PASS' if rep.passed else 'FAIL'} scheme={scheme} snr_db={snr_db:g} K={carriers} F={followers} "
-                f"trial={trial} player={rep.player} gain={rep.relative_gain:.3e}"
+                f"{'PASS' if passed else 'FAIL'} scheme={scheme} snr_db={snr_db:g} K={carriers} F={followers} "
+                f"trial={trial} player={player} gain={gain:.3e}"
             )
     print(f"verified {checked} checks, {failures} failures, {skipped} trials skipped")
     return 1 if failures else 0
@@ -189,13 +197,10 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="re-certify recorded trials with the oracle")
     p_verify.add_argument("--input", required=True, help="records CSV from `sweep`")
     _add_scenario_flags(p_verify, ("m_exponent", "mean_signal", "mean_cross", "rates"))
-    p_verify.add_argument("--grid-size", type=int, dest="grid_size",
-                          help="points in the stackelberg leader's power grid, at least 100 "
-                               "(default: the oracle's)")
     p_verify.add_argument(
-        "--tolerance", type=float, default=None,
-        help="relative-gain tolerance of every check (default: 1e-3 for leader "
-             "and nash checks, 1e-12 for stackelberg follower checks)",
+        "--tolerance", type=_tolerance, default=None,
+        help="relative-gain tolerance of every check, finite (default: 1e-9 for the "
+             "stackelberg leader, 1e-12 for stackelberg followers, 1e-3 for nash players)",
     )
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -17,10 +17,10 @@ Records stream out one per (point, trial, scheme, player) as slotted
 CSV with one column per field, in field order, one format string per row.
 Floats are written with 12 significant digits; ``verified`` is filled for the
 configurable fraction of trials that get re-certified by the deviation
-oracles (equilibrium claims only: the best-channel heuristic and a Nash
-run that did not converge claim no equilibrium, so their records are never
-marked).  A scheme that raises stops the sweep before its chunk yields a
-record.
+oracles, as one batch per chunk and scheme (equilibrium claims only: the
+best-channel heuristic and a Nash run that did not converge claim no
+equilibrium, so their records are never marked).  A scheme that raises
+stops the sweep before its chunk yields a record.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ import numpy as np
 from .baselines import best_channel_batch, nash_batch
 from .dense import dense_batch
 from .efficiency import EfficiencyModel
-from .model import REGIMES, _noise_power, outcomes, sample_batch
-from .oracle import DeviationReport, verify_followers, verify_leader_stackelberg, verify_nash
+from .model import REGIMES, _noise_power, outcomes, sample_batch, stack_instances
+from .oracle import Checks, nash_checks, stackelberg_checks
 from .sparse import sparse_batch
 
 __all__ = [
@@ -50,7 +50,7 @@ __all__ = [
     "run_batch",
     "run_sweep",
     "chunked",
-    "verify_scheme",
+    "verify_batch",
     "write_records",
     "read_records",
     "summarize",
@@ -234,27 +234,25 @@ def run_batch(scheme: str, batch, model, regime: str):
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def verify_scheme(
-    scheme: str, instance, model, allocation, converged: bool, regime: str,
-    grid_size: int | None = None, tol: float | None = None,
-) -> list[DeviationReport]:
-    """Oracle reports for one scheme's output, one per checked player.
+def verify_batch(
+    scheme: str, batch, model, allocation, converged, regime: str, tol: float | None = None,
+) -> Checks:
+    """Oracle checks of one scheme's outputs on every trial of a batch.
 
-    ``grid_size`` sizes the stackelberg leader's power grid; a ``tol``
-    applies to every check.  ``None`` keeps the oracles' own defaults (1e-3
-    for leader and ``nash`` checks, 1e-12 for ``stackelberg`` follower
-    checks).  Only equilibrium claims are checked: the best-channel
-    heuristic and a Nash run that did not converge (the flag of
-    :func:`run_batch`) claim none, so they get no reports.
+    A ``tol`` applies to every check; ``None`` keeps the oracles' own
+    defaults (1e-9 for the stackelberg leader, 1e-12 for stackelberg
+    followers, 1e-3 for ``nash`` players).  Only equilibrium claims are
+    checked: the best-channel heuristic and a Nash run that did not
+    converge (the flags of :func:`run_batch`) claim none, so their trials
+    get no reports.
     """
     kw = {} if tol is None else {"tol": tol}
     if scheme == "stackelberg":
-        grid = {} if grid_size is None else {"grid_size": grid_size}
-        leader = verify_leader_stackelberg(instance, model, allocation, regime, **grid, **kw)
-        return [leader] + verify_followers(instance, model, allocation, **kw)
-    if scheme == "nash" and converged:
-        return verify_nash(instance, model, allocation, regime, **kw)
-    return []
+        return stackelberg_checks(batch, model, allocation, regime, **kw)
+    if scheme == "nash":
+        return nash_checks(batch, model, allocation, regime, claims=converged, **kw)
+    none = np.empty((batch.trials, 0))
+    return Checks(none, none, none, none, (), (), np.zeros(batch.trials, dtype=bool))
 
 
 def chunked(trials: list, carriers: int, followers: int) -> Iterator[list]:
@@ -276,23 +274,27 @@ def _chunk_records(config: ScenarioConfig, model, carriers: int, chunk: list):
         mean_signal=config.mean_signal, mean_cross=config.mean_cross, rates=config.rates,
     )
     regime, followers, players = config.regime, config.followers, batch.players
+    # the trials picked for inline verification, checked as one batch
+    picked = [t for t, word in enumerate(words) if word[1] / 2.0**32 < config.verify_fraction]
+    sample = stack_instances([batch.instance(t) for t in picked]) if picked else None
+    blank = [""] * players
     solved = []
     for scheme in config.schemes:
         alloc, converged = run_batch(scheme, batch, model, regime)
         utilities, active = outcomes(batch, model, alloc, regime)
         active = [[None if c < 0 else c for c in row] for row in active.tolist()]
-        solved.append((scheme, alloc, utilities.tolist(), active, converged.tolist()))
-    for t, ((_, snr_db, trial), seed, word, digest) in enumerate(
-        zip(chunk, seeds, words, batch.digests())
-    ):
-        instance = batch.instance(t) if word[1] / 2.0**32 < config.verify_fraction else None
-        for scheme, alloc, utilities, active, converged in solved:
-            marks = [""] * players
-            if instance is not None:
-                for r in verify_scheme(scheme, instance, model, alloc[t], converged[t], regime):
-                    marks[r.player] = "pass" if r.passed else "fail"
+        marks = [blank] * len(chunk)
+        if picked:
+            checks = verify_batch(scheme, sample, model, alloc[picked], converged[picked], regime)
+            for t, claims, passed in zip(picked, checks.claims.tolist(), checks.passed.tolist()):
+                if claims:
+                    marks[t] = ["pass" if ok else "fail" for ok in passed]
+        solved.append((scheme, utilities.tolist(), active, converged.tolist(), marks))
+    for t, ((_, snr_db, trial), seed, digest) in enumerate(zip(chunk, seeds, batch.digests())):
+        for scheme, utilities, active, converged, marks in solved:
             converged_t = converged[t]
-            for player, (utility, carrier, mark) in enumerate(zip(utilities[t], active[t], marks)):
+            for player, (utility, carrier, mark) in enumerate(
+                    zip(utilities[t], active[t], marks[t])):
                 # positional: SweepRecord's field order
                 yield SweepRecord(scheme, regime, snr_db, carriers, followers, trial, seed, player,
                                   utility, carrier, converged_t, mark, digest)

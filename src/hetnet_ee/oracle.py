@@ -1,37 +1,49 @@
 """Certification of equilibria, independent of the closed-form solvers.
 
-Every check recomputes utilities from scratch; ``f`` is the success curve.
+Every check recomputes utilities from scratch for a batch (a
+:class:`~hetnet_ee.model.NetworkInstance` with a leading trial axis) and
+returns :class:`Checks`, arrays over trials and players, from which
+:class:`DeviationReport` objects are built only to be read; the
+``verify_*`` functions and :func:`brute_force_stackelberg` are one-instance
+calls.  ``f`` is the success curve and ``phi_c(x) = f(x) (1 - c x) / x``;
+``phi_c`` rises while ``(x - c x^2) f'(x) > f(x)`` and falls after, once,
+below ``min(m, 1/c)``, so a golden-section search (Kiefer 1953) on ``(0,
+min(m, 1/c)]`` finds its peak with no root solved.  ``phi* = max phi_0``
+is searched until the points meet in float.
 
-**The unilateral check** (:func:`verify_follower`, and every player of
-:func:`verify_nash`) is exact.  With the other rows fixed, the player's
-denominators ``d_k`` (its row of :func:`model.denominators`) are constant;
+**The unilateral check** (stackelberg followers, Nash players) is exact.
+With the other rows fixed, the player's denominators ``d_k`` are constant;
 with ``a_k = g_k / d_k``, any action ``p``, multi-carrier included, earns::
 
     U(p) = rate * sum_k f(a_k p_k) / sum_k p_k
         <= rate * max_k f(a_k p_k) / p_k       (mediant: sum x / sum y <= max x/y)
         <= rate * max_k a_k * phi*             (f(a p) / p = a f(a p) / (a p) <= a phi*)
 
-where ``phi* = max_x f(x)/x``.  The best response (SINR ``gamma`` on the
-argmax carrier) attains the bound, so it is the best deviation.  ``phi*``
-comes from a golden-section search on ``f(x)/x``, not from the solvers'
-Newton root.
+and the best response (SINR ``gamma`` on the argmax carrier) attains it.
 
-**The leader check** (:func:`verify_leader_stackelberg`) is bi-level and
-rests on a lemma: a leader action ``p`` on several carriers never beats its
-best single-carrier part ``p_k e_k``.  Under ``p`` a follower's score on
-another carrier ``j``, ``gf_j / (sigma2 + h0_j p_j)``, is at most its score
-``gf_j / sigma2`` under ``p_k e_k``, and its score on ``k`` is unchanged.
-So every follower that picks ``k`` under ``p_k e_k`` picks it under ``p``
+**The leader check** is exact too, every follower re-responding at the
+model's ``gamma`` as :func:`model.respond` picks.  A leader action ``p`` on
+several carriers never beats its best single-carrier part ``p_k e_k``: a
+follower's score on ``j != k``, ``gf_j / (sigma2 + h0_j p_j)``, is at most
+its score ``gf_j / sigma2`` under ``p_k e_k`` and its score on ``k`` is the
+same, so a follower on ``k`` under ``p_k e_k`` stays there under ``p``
 (lowest-index ties and monotone rounding keep this); more followers on
-``k`` mean more interference, so the leader's SINR on ``k`` is at most its
-SINR under ``p_k e_k``, and the mediant step gives ``U(p) <= max_k U(p_k
-e_k)`` in both regimes.  The search scores single-carrier actions only, in
-one table of a row per carrier and a column per grid power; followers
-re-respond as :func:`model.respond` does, with its float comparisons and
-ties, between the action's carrier and their best carrier off it, whose
-score ``gf / sigma2`` is their switching threshold.
-:func:`brute_force_stackelberg` returns the best grid allocation, used to
-generate trusted expected values apart from the solvers.
+``k`` mean more interference, and the mediant step gives ``U(p) <= max_k
+U(p_k e_k)``.  With the leader alone on ``k``, a follower's score there
+falls with ``p``, so it stays on ``k`` exactly below one switching power,
+found by bisection over the floats; these cut the powers into at most
+``F+1`` intervals (one in the sparse regime, where no follower reaches the
+leader) with a fixed set of followers on ``k``.  With ``eta = sum hf /
+gf`` over it, the leader's SINR ``x = g0 p / (sigma2 (1 + gamma eta) +
+gamma eta h0 p)`` rises with ``p`` below ``1/c``, ``c = gamma eta h0 /
+g0``, and its utility is ``rate g0 / (sigma2 (1 + gamma eta)) phi_c(x)``,
+so an interval's best power is its stationary point or an end.
+``GOLDEN_STEPS`` steps narrow the search below ``1e-10`` of its bracket,
+and the peak is quadratic, so its value is exact to the rounding of ``f``
+(measured for ``m`` up to 100).  Those powers and each switching power
+with its float neighbours are scored with every follower re-responding;
+the best is the leader's best deviation, and
+:func:`brute_force_stackelberg` returns it as an allocation.
 """
 
 from __future__ import annotations
@@ -39,26 +51,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .efficiency import EfficiencyModel
-from .model import NetworkInstance, all_utilities, denominators, respond, utility
+from .model import REGIMES, NetworkInstance, all_utilities, denominators, respond, stack_instances
 
-__all__ = [
-    "DeviationReport",
-    "verify_follower",
-    "verify_followers",
-    "verify_leader_stackelberg",
-    "verify_nash",
-    "brute_force_stackelberg",
-]
+__all__ = ["DeviationReport", "Checks", "stackelberg_checks", "nash_checks", "verify_follower",
+           "verify_followers", "verify_leader_stackelberg", "verify_nash",
+           "brute_force_stackelberg"]
 
-GRID_DECADES = 4  # grid spans 10**-GRID_DECADES .. 10**+GRID_DECADES times center
-SPLIT_WEIGHTS = 11
-PART_WEIGHTS = np.linspace(0.0, 1.0, SPLIT_WEIGHTS)[1:]  # the nonzero split weights
-PIECE_CELLS = 1 << 18
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_STEPS = 48
+# default tolerances: the exact stackelberg checks, and Nash players, whose
+# runs stop on a relative change
+LEADER_TOL, FOLLOWER_TOL, NASH_TOL = 1e-9, 1e-12, 1e-3
+_INF_BITS = int(np.float64(np.inf).view(np.int64))
 
 
 @dataclass(frozen=True)
@@ -67,7 +76,9 @@ class DeviationReport:
 
     ``relative_gain`` is ``(best_found - claimed) / claimed`` (infinite
     when a zero-utility claim has a positive alternative); the check passes
-    when the gain does not exceed ``tolerance``.
+    when the gain does not exceed ``tolerance``.  ``deviating_action`` is
+    the best deviation's carrier and power; a power past the float range
+    (a subnormal gain on that carrier) reads ``inf``.
     """
 
     player: int
@@ -79,199 +90,244 @@ class DeviationReport:
     passed: bool
 
 
-def _gain(claimed: float, best: float) -> float:
-    if claimed <= 0.0:
-        return np.inf if best > 0.0 else 0.0
-    return (best - claimed) / claimed
+class Checks(NamedTuple):
+    """Checks of every player over ``T`` trials: ``claimed`` utilities, the
+    ``best`` deviation's utility, ``carriers`` and ``powers``, ``(T, N)``;
+    ``sources`` and ``tolerances`` per player.  A trial whose ``claims``
+    entry is false claims no equilibrium and has no reports."""
+
+    claimed: np.ndarray
+    best: np.ndarray
+    carriers: np.ndarray
+    powers: np.ndarray
+    sources: tuple
+    tolerances: tuple
+    claims: np.ndarray
+
+    @property
+    def gains(self) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = (self.best - self.claimed) / self.claimed
+        return np.where(self.claimed > 0.0, ratio, np.where(self.best > 0.0, np.inf, 0.0))
+
+    @property
+    def passed(self) -> np.ndarray:
+        return self.gains <= np.array(self.tolerances)
+
+    def reports(self, t: int) -> list[DeviationReport]:
+        if not self.claims[t]:
+            return []
+        rows = (self.claimed, self.best, self.gains, self.carriers, self.powers)
+        return [DeviationReport(n, u, b, g, {"carrier": k, "power": p, "source": s}, tol, g <= tol)
+                for n, (u, b, g, k, p, s, tol) in enumerate(zip(
+                    *(r[t].tolist() for r in rows), self.sources, self.tolerances))]
 
 
-def _report(player, claimed, best, action, tol) -> DeviationReport:
-    gain = _gain(claimed, best)
-    return DeviationReport(
-        player=player,
-        claimed_utility=claimed,
-        best_found_utility=best,
-        relative_gain=gain,
-        deviating_action=action,
-        tolerance=tol,
-        passed=bool(gain <= tol),
-    )
+def _golden(model, c, meet=False):
+    """The argmax and the max of ``phi_c`` on ``(0, min(m, 1/c)]`` for each
+    entry of ``c``: ``GOLDEN_STEPS`` golden-section steps or, with ``meet``
+    (one entry), steps until the points meet in float."""
+    with np.errstate(divide="ignore"):
+        hi = np.minimum(float(model.m), 1.0 / c)
+    lo = np.zeros_like(hi)
 
+    def phi(x):
+        return model.value(x) * (1.0 - c * x) / x
 
-def power_grid(center: float, grid_size: int) -> np.ndarray:
-    """``np.geomspace`` from ``center / 10**GRID_DECADES`` to ``center *
-    10**GRID_DECADES``, bit for bit: its own steps, without its set-up."""
-    lo, hi = center / 10.0**GRID_DECADES, center * 10.0**GRID_DECADES
-    grid = 10.0 ** np.linspace(np.log10(lo), np.log10(hi), grid_size)
-    grid[0], grid[-1] = lo, hi
-    return grid
-
-
-def _follower_choice(instance, rows, denom):
-    """Each follower's carrier under actions on carrier ``rows[r]`` alone,
-    as ``respond`` picks it, with ``denom[r, n] = sigma2 + h0 * p`` there:
-    ``chosen[r, f, n]`` (``f`` picks ``rows[r]``), else the rival ``(R,
-    F)``, its best carrier off ``rows[r]`` by ``gf / sigma2``, which a score
-    there must beat strictly, or tie from a lower index."""
-    off = (rows[:, None] != np.arange(instance.carriers))[:, None]
-    quiet = np.where(off, instance.gf / instance.sigma2, -np.inf)
-    rival, bar = quiet.argmax(axis=-1), quiet.max(axis=-1)
-    bar = np.where(rival < rows[:, None], bar, np.nextafter(bar, -np.inf))
-    return instance.gf.T[rows][..., None] / denom[:, None] > bar[..., None], rival
-
-
-def _best_carrier_action(instance, model, regime, grid):
-    """Best single-carrier leader action on the power grid, every follower
-    re-responding, as ``(utility, carrier, power)``; ties go to the lower
-    carrier, then the earlier grid point.  The ``(K, N)`` table of leader
-    utilities ``rate * f(sinr) / p`` is scored in row pieces of about
-    ``PIECE_CELLS`` (action, follower) cells."""
-    carriers = np.arange(instance.carriers)
-    rows = max(1, PIECE_CELLS // (grid.size * max(instance.followers, 1)))
-    utilities = []
-    for s in (carriers[i:i + rows] for i in range(0, carriers.size, rows)):
-        interference = 0.0
-        if regime == "dense":
-            gf, denom = instance.gf.T[s][..., None], instance.sigma2 + instance.h0[s, None] * grid
-            chosen = _follower_choice(instance, s, denom)[0]
-            # hf-weighted follower powers, masked to the chosen carrier in
-            # place; a subnormal gain overflows (and inf * 0 is NaN) only off
-            # it, where the mask drops the value
-            with np.errstate(over="ignore", invalid="ignore"):
-                terms = model.gamma * denom[:, None] / gf
-                terms *= instance.hf.T[s][..., None]
-            np.copyto(terms, 0.0, where=~chosen)
-            interference = terms.sum(axis=1)
-        sinr = instance.g0[s, None] * grid / (instance.sigma2 + interference)
-        utilities.append(float(instance.rates[0]) * model.value(sinr) / grid)
-    utilities = np.concatenate(utilities)
-    k, i = divmod(int(np.argmax(utilities)), grid.size)
-    return float(utilities[k, i]), k, float(grid[i])
-
-
-def _leader_grid(instance, model, grid_size):
-    """The power grid centred on the leader's natural scale."""
-    return power_grid(model.gamma * instance.sigma2 / float(instance.g0.max()), grid_size)
+    x1, x2 = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
+    f1, f2 = phi(x1), phi(x2)
+    steps = GOLDEN_STEPS
+    while bool(lo < x1 < x2 < hi) if meet else (steps := steps - 1) >= 0:
+        left = f1 >= f2  # the peak lies below x2, else above x1
+        hi, lo = np.where(left, x2, hi), np.where(left, lo, x1)
+        step = GOLDEN * (hi - lo)
+        new = np.where(left, hi - step, lo + step)
+        f_new = phi(new)
+        x1, x2 = np.where(left, new, x2), np.where(left, x1, new)
+        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+    return np.where(f1 >= f2, x1, x2), np.where(f1 >= f2, f1, f2)
 
 
 @cache
 def _peak_efficiency(model: EfficiencyModel) -> float:
-    """``phi* = max_x f(x)/x`` by golden-section search (Kiefer 1953).
-
-    ``f(x)/x`` rises while ``x f'(x) > f(x)`` and falls after, with its
-    peak below ``m``, so it is unimodal on ``(0, m)``.  The search keeps
-    the better interior point until the points meet in float; the peak is
-    flat, so the best value found is ``phi*`` to the rounding of ``f``."""
-    lo, hi = 0.0, float(model.m)
-    c, d = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
-    fc, fd = model.value(c) / c, model.value(d) / d
-    while lo < c < d < hi:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - GOLDEN * (hi - lo)
-            fc = model.value(c) / c
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + GOLDEN * (hi - lo)
-            fd = model.value(d) / d
-    return max(fc, fd)
+    """``phi* = max_x f(x)/x``, searched until the points meet."""
+    return float(_golden(model, np.zeros(1), meet=True)[1][0])
 
 
-def _unilateral(instance, model, players, allocation, regime, tol) -> list[DeviationReport]:
-    """The best deviation of each of ``players`` with every other row fixed:
-    the bound ``rate * max_k(g_k / d_k) * phi*`` (module docstring),
-    attained by the player's best response, which is the reported action.
-    One utilities pass and one denominators pass serve every player."""
-    players = list(players)
-    claimed = all_utilities(instance, model, allocation, regime)[players].tolist()
-    denom = denominators(instance, allocation, regime)[players]
-    gains = instance.gains[players]
+def _unilateral(batch, model, players, allocation, regime):
+    """The best deviation of each of ``players`` with every other row
+    fixed: the bound ``rate * max_k(g_k / d_k) * phi*`` (module docstring),
+    attained by the player's best response, whose carrier and power are
+    the action.  Returns ``(best, carriers, powers)``, each ``(T, P)``."""
+    denom = denominators(batch, allocation, regime)[:, players]
+    gains = batch.gains[:, players]
     ratios = gains / denom
-    k = np.argmax(ratios, axis=1)[:, None]
-    power = (model.gamma * np.take_along_axis(denom, k, 1) / np.take_along_axis(gains, k, 1))
-    best = instance.rates[players] * np.take_along_axis(ratios, k, 1)[:, 0] * _peak_efficiency(model)
-    return [
-        _report(player, u, b, {"carrier": c, "power": p, "source": "bound"}, tol)
-        for player, u, b, c, p in zip(players, claimed, best.tolist(), k[:, 0].tolist(),
-                                      power[:, 0].tolist())
-    ]
+    k = np.argmax(ratios, axis=-1)[..., None]
+    with np.errstate(over="ignore"):  # a subnormal gain's power is inf
+        power = model.gamma * np.take_along_axis(denom, k, -1) / np.take_along_axis(gains, k, -1)
+    best = batch.rates[:, players] * np.take_along_axis(ratios, k, -1)[..., 0]
+    return best * _peak_efficiency(model), k[..., 0], power[..., 0]
 
 
-def verify_follower(
-    instance: NetworkInstance,
-    model: EfficiencyModel,
-    f: int,
-    allocation,
-    tol: float = 1e-12,
-) -> DeviationReport:
+def _bars(gk, sigma2):
+    """Each follower's stay test on carrier ``k`` with the leader alone on
+    ``k``, for gains ``gk[t, k, f]`` and noise ``(T, 1, 1)``: it stays while
+    ``gk / (sigma2 + h0[k] p) > bar``, else takes ``rival``, its best
+    carrier off ``k`` by ``gk / sigma2``.  ``bar`` is the rival's score,
+    one ulp lower where ``k`` wins the tie (a lower index), as ``respond``
+    picks; both ``(T, K, F)``."""
+    quiet = gk / sigma2
+    top = np.argsort(-quiet, axis=1, kind="stable")[:, :2]  # the two best, lower index first
+    rows = np.arange(gk.shape[1])[:, None]
+    rival = np.where(top[:, :1] == rows, top[:, -1:], top[:, :1])
+    bar = np.take_along_axis(quiet, rival, axis=1)
+    return np.where(rival < rows, bar, np.nextafter(bar, -np.inf)), rival
+
+
+def _switching_powers(gk, bar, sigma2, h0):
+    """The least power at which a follower on the carrier at zero power
+    leaves it (``inf`` if it never does): bisection over the bit patterns
+    of the nonnegative floats, which order as the floats do, from a narrow
+    bracket around the closed form where the stay test confirms one."""
+    def stays(p):
+        return gk / (sigma2 + h0 * p) > bar
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        guess = (gk / bar - sigma2) / h0
+        lo, hi = guess * (1.0 - 2.0**-24), guess * (1.0 + 2.0**-24)
+        narrow = (lo >= 0.0) & (hi < np.inf) & stays(lo) & ~stays(hi)
+    lo, hi = np.where(narrow, lo, 0.0).view(np.int64), np.where(narrow, hi, np.inf).view(np.int64)
+    lo[h0 == 0.0] = _INF_BITS - 1  # then the test does not depend on the power
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = lo + ((hi - lo) >> 1)
+        stay = stays(mid.view(np.float64))
+        lo, hi = np.where(stay, mid, lo), np.where(stay, hi, mid)
+    return hi.view(np.float64)
+
+
+def _leader(batch, model, regime):
+    """The leader's best single-carrier action, every follower
+    re-responding (module docstring): ``(best, carriers, powers)``, each
+    ``(T, 1)``; ties go to the lower carrier, then the earlier candidate."""
+    if regime not in REGIMES:
+        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+    gamma, sigma2 = model.gamma, batch.sigma2[:, :, None]
+    h0, g0 = batch.h0[:, :, None], batch.g0[:, :, None]
+    # gains by (trial, carrier, follower); no follower reaches a sparse leader
+    gk, hk = (x.swapaxes(-1, -2)[..., :batch.followers * (regime == "dense")]
+              for x in (batch.gf, batch.hf))
+    bar, count = _bars(gk, sigma2)[0], gk.shape[-1]
+    switch = np.zeros(gk.shape)
+    on = gk / sigma2 > bar
+    t, k, _ = np.nonzero(on)
+    switch[on] = _switching_powers(gk[on], bar[on], batch.sigma2[t, 0], batch.h0[t, k])
+
+    # interval j spans [ends[j-1], ends[j]) with the followers ranked j and up on k
+    order = np.argsort(switch, axis=-1, kind="stable")
+    ends = np.take_along_axis(switch, order, -1)
+    eta = np.zeros(ends.shape[:-1] + (count + 1,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta[..., :-1] = np.take_along_axis(hk / gk, order, -1)[..., ::-1].cumsum(-1)[..., ::-1]
+        a, b = sigma2 * (1.0 + gamma * eta), gamma * eta * h0
+        c = b / g0
+    bounds = np.concatenate([np.zeros(eta.shape[:-1] + (1,)), ends,
+                             np.full(eta.shape[:-1] + (1,), np.inf)], axis=-1)
+    live = (bounds[..., :-1] < bounds[..., 1:]) & np.isfinite(a) & np.isfinite(c)
+
+    # candidates: each live interval's stationary power, then each
+    # switching power and its float neighbours
+    x = np.full(c.shape, np.nan)
+    x[live] = _golden(model, c[live])[0]
+    breaks = np.where((switch > 0.0) & (switch < np.inf), switch, np.nan)[..., None]
+    breaks = np.concatenate([np.nextafter(breaks, 0.0), breaks, np.nextafter(breaks, np.inf)], -1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        cand = np.concatenate([a * x / (g0 - b * x), breaks.reshape(x.shape[:-1] + (-1,))], -1)
+    valid = (cand > 0.0) & (cand < np.inf)
+
+    t, k, _ = np.nonzero(valid)
+    p = cand[valid]
+    denom = batch.sigma2[t, 0] + batch.h0[t, k] * p
+    interference = np.zeros(p.shape)
+    # follower by follower, a fixed rounding; a power overflows only off
+    # k, where the mask drops it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for gf, hf, stay in zip(*(arr.transpose(2, 0, 1)[:, t, k] for arr in (gk, hk, bar))):
+            interference += np.where(gf / denom > stay, gamma * denom / gf * hf, 0.0)
+        sinr = batch.g0[t, k] * p / (batch.sigma2[t, 0] + interference)
+        utility = batch.rates[t, 0] * model.value(sinr) / p
+    scores = np.full(cand.shape, -np.inf)
+    scores[valid] = np.where(np.isnan(utility), -np.inf, utility)
+    scores, cand = scores.reshape(batch.trials, -1), cand.reshape(batch.trials, -1)
+    i = scores.argmax(axis=1)[:, None]
+    return np.take_along_axis(scores, i, 1), i // (4 * count + 1), np.take_along_axis(cand, i, 1)
+
+
+def stackelberg_checks(batch, model, allocation, regime, tol=None) -> Checks:
+    """The leader's bi-level check and every follower's unilateral check of
+    stackelberg allocations ``(T, F+1, K)``.  ``tol`` applies to every
+    check; ``None`` keeps the defaults, ``LEADER_TOL`` for the leader and
+    ``FOLLOWER_TOL`` for the followers."""
+    allocation = np.asarray(allocation, dtype=float)
+    found = zip(_leader(batch, model, regime),
+                _unilateral(batch, model, range(1, batch.players), allocation, "dense"))
+    leader_tol, follower_tol = (LEADER_TOL, FOLLOWER_TOL) if tol is None else (tol, tol)
+    return Checks(all_utilities(batch, model, allocation, regime),
+                  *(np.concatenate(pair, axis=1) for pair in found),
+                  ("exact",) + ("bound",) * batch.followers,
+                  (leader_tol,) + (follower_tol,) * batch.followers, np.ones(batch.trials, bool))
+
+
+def nash_checks(batch, model, allocation, regime, tol=NASH_TOL, claims=None) -> Checks:
+    """The unilateral check of every player of allocations ``(T, F+1, K)``,
+    the others held fixed; ``claims`` (default: all) marks the trials that
+    claim an equilibrium."""
+    allocation = np.asarray(allocation, dtype=float)
+    claims = np.ones(batch.trials, bool) if claims is None else np.asarray(claims, bool)
+    return Checks(all_utilities(batch, model, allocation, regime),
+                  *_unilateral(batch, model, range(batch.players), allocation, regime),
+                  ("bound",) * batch.players, (tol,) * batch.players, claims)
+
+
+def _one(instance, allocation):
+    """One instance and its allocation as a batch of one."""
+    return stack_instances((instance,)), np.asarray(allocation, dtype=float)[None]
+
+
+def verify_follower(instance: NetworkInstance, model: EfficiencyModel, f: int, allocation,
+                    tol: float = FOLLOWER_TOL) -> DeviationReport:
     """Unilateral deviation check of follower ``f`` (player ``f+1``); its
     SINR depends only on the leader's row, so this holds in both regimes."""
-    return _unilateral(instance, model, (f + 1,), allocation, "dense", tol)[0]
+    return verify_followers(instance, model, allocation, tol)[f]
 
 
-def verify_followers(
-    instance: NetworkInstance,
-    model: EfficiencyModel,
-    allocation,
-    tol: float = 1e-12,
-) -> list[DeviationReport]:
+def verify_followers(instance: NetworkInstance, model: EfficiencyModel, allocation,
+                     tol: float = FOLLOWER_TOL) -> list[DeviationReport]:
     """:func:`verify_follower` of every follower, in order."""
-    return _unilateral(instance, model, range(1, instance.players), allocation, "dense", tol)
+    batch, allocation = _one(instance, allocation)
+    return nash_checks(batch, model, allocation, "dense", tol).reports(0)[1:]
 
 
-def verify_leader_stackelberg(
-    instance: NetworkInstance,
-    model: EfficiencyModel,
-    allocation,
-    regime: str,
-    grid_size: int = 300,
-    tol: float = 1e-3,
-) -> DeviationReport:
-    """Bi-level deviation search for the leader.
-
-    Every single-carrier action on the grid is scored against freshly
-    computed follower best responses.  The grid is ``grid_size`` powers
-    spanning eight decades around ``gamma * sigma2 / max(g0)``, plus ``w *
-    t`` for the nonzero weights ``w`` of an 11-point convex sweep and the
-    totals ``t`` of a coarse grid: every part of those two-carrier splits,
-    so by the module's lemma the search is no weaker than probing them.
-    """
-    if grid_size < 100:
-        raise ValueError("grid_size must be at least 100")
-    claimed = utility(instance, model, 0, allocation, regime)
-    totals = _leader_grid(instance, model, max(grid_size // 10, 12))
-    parts = np.multiply.outer(PART_WEIGHTS, totals).ravel()
-    grid = np.concatenate([_leader_grid(instance, model, grid_size), parts])
-    best, k, p = _best_carrier_action(instance, model, regime, grid)
-    return _report(0, claimed, best, {"carrier": k, "power": p, "source": "grid"}, tol)
+def verify_leader_stackelberg(instance: NetworkInstance, model: EfficiencyModel, allocation,
+                              regime: str, tol: float = LEADER_TOL) -> DeviationReport:
+    """Bi-level deviation check of the leader: its exact best action, every
+    follower re-responding (module docstring)."""
+    batch, allocation = _one(instance, allocation)
+    return stackelberg_checks(batch, model, allocation, regime, tol).reports(0)[0]
 
 
-def verify_nash(
-    instance: NetworkInstance,
-    model: EfficiencyModel,
-    allocation,
-    regime: str,
-    tol: float = 1e-3,
-) -> list[DeviationReport]:
+def verify_nash(instance: NetworkInstance, model: EfficiencyModel, allocation, regime: str,
+                tol: float = NASH_TOL) -> list[DeviationReport]:
     """Unilateral deviation check of every player, others held fixed."""
-    return _unilateral(instance, model, range(instance.players), allocation, regime, tol)
+    batch, allocation = _one(instance, allocation)
+    return nash_checks(batch, model, allocation, regime, tol).reports(0)
 
 
-def brute_force_stackelberg(
-    instance: NetworkInstance,
-    model: EfficiencyModel,
-    regime: str,
-    grid_size: int = 300,
-) -> np.ndarray:
-    """Exhaustive leader grid search with exact follower re-responses.
-
-    Returns the best allocation found (leader action plus the follower
-    best responses it induces).  Meant for small instances; accuracy is
-    bounded by the grid resolution.
-    """
-    grid = _leader_grid(instance, model, grid_size)
-    _, k, p = _best_carrier_action(instance, model, regime, grid)
-    allocation = np.zeros((instance.players, instance.carriers))
+def brute_force_stackelberg(instance: NetworkInstance, model: EfficiencyModel,
+                            regime: str) -> np.ndarray:
+    """The leader's exact best action, as the leader check finds it, with
+    the follower best responses it induces, as an allocation."""
+    _, k, p = (x.item() for x in _leader(stack_instances((instance,)), model, regime))
+    allocation = np.zeros(instance.gains.shape)
     allocation[0, k] = p
     allocation[1:] = respond(instance, allocation[0], model.gamma)[0]
     return allocation

@@ -19,6 +19,7 @@ from hetnet_ee import (
 )
 from hetnet_ee.cli import main
 from hetnet_ee.harness import CSV_HEADER, read_records
+from hetnet_ee.model import stack_instances
 
 
 DATA = Path(__file__).parent / "data"
@@ -103,16 +104,28 @@ class TestScenarioFlags:
         (("--snr-db", "inf"), "inf"),
         (("--snr-db=-inf",), "-inf"),
         (("--snr-db", "4000"), "4000"),
+        # a nan tolerance fails every check and an infinite one passes all
+        (("verify", "--tolerance", "nan"), "'nan'"),
+        (("verify", "--tolerance", "inf"), "'inf'"),
+        (("verify", "--tolerance=-inf"), "'-inf'"),
     ], ids=["trials", "followers", "regime", "carriers", "m_exponent", "mean_signal",
             "infinite_mean_signal", "mean_cross", "rates_count", "rate_sign",
             "negative_followers", "negative_seed", "nan_snr", "infinite_snr",
-            "negative_infinite_snr", "noise_underflow"])
+            "negative_infinite_snr", "noise_underflow", "nan_tolerance",
+            "infinite_tolerance", "negative_infinite_tolerance"])
     def test_bad_flag_value_exits_2(self, tmp_path, capsys, args, value):
+        """`sweep` flags, and `verify` flags on a CSV that verifies."""
+        if args[0] == "verify":
+            command, args = "verify", (*args[1:], "--input", str(DATA / "verify_small.csv"))
+        else:
+            command, args = "sweep", (*args, "--output", str(tmp_path / "x.csv"))
         with pytest.raises(SystemExit) as exit_info:
-            run_cli("sweep", *args, "--output", str(tmp_path / "x.csv"))
+            run_cli(command, *args)
         assert exit_info.value.code == 2
-        error = capsys.readouterr().err.splitlines()[-1]
-        assert error.startswith("hetnet-ee sweep: error:") and value in error
+        captured = capsys.readouterr()
+        error = captured.err.splitlines()[-1]
+        assert error.startswith(f"hetnet-ee {command}: error:") and value in error
+        assert captured.out == ""
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("line", ["trials=0", "verify_grid=300", "carriers"])
@@ -223,7 +236,7 @@ class TestVerify:
         ((), "verify_default.out", 0),
         # a negative tolerance fails every check whose search comes within
         # that margin of the claim, which pins FAIL lines and exit code 1
-        (("--tolerance=-3e-4", "--grid-size", "150"), "verify_strict.out", 1),
+        (("--tolerance=-3e-4",), "verify_strict.out", 1),
     ], ids=["default", "strict"])
     def test_output_is_pinned(self, capsys, flags, expected, code):
         """A fixed CSV of seeded stackelberg and nash trials, dense and
@@ -237,7 +250,7 @@ class TestVerify:
                 "--trials", "2", "--schemes", "stackelberg", "--rates", "1,2",
                 "--verify-fraction", "0", "--output", str(out))
         capsys.readouterr()
-        assert run_cli("verify", "--input", str(out), "--rates", "1,2", "--grid-size", "150") == 0
+        assert run_cli("verify", "--input", str(out), "--rates", "1,2") == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "verified 4 checks, 0 failures, 0 trials skipped"
 
@@ -262,7 +275,7 @@ class TestVerify:
                 "--trials", "2", "--schemes", "stackelberg,nash",
                 "--verify-fraction", "0", "--output", str(out))
         capsys.readouterr()
-        code = run_cli("verify", "--input", str(out), "--grid-size", "150")
+        code = run_cli("verify", "--input", str(out))
         captured = capsys.readouterr().out
         assert code in (0, 1)
         assert "PASS scheme=stackelberg" in captured
@@ -270,7 +283,7 @@ class TestVerify:
         assert "FAIL scheme=stackelberg" not in captured
 
     @pytest.mark.parametrize("flag,expected", [
-        ((), [1e-3, 1e-12, 1e-12]),
+        ((), [1e-9, 1e-12, 1e-12]),
         (("--tolerance", "0.5"), [0.5, 0.5, 0.5]),
     ])
     def test_tolerance_reaches_every_check(self, tmp_path, capsys, monkeypatch, flag,
@@ -279,15 +292,16 @@ class TestVerify:
         run_cli("sweep", "--carriers", "3", "--followers", "2", "--snr-db", "0",
                 "--trials", "2", "--schemes", "stackelberg", "--verify-fraction", "0",
                 "--output", str(out))
-        seen, original = [], cli.verify_scheme
+        seen, original = [], cli.verify_batch
 
         def recording(*args, **kw):
-            reports = original(*args, **kw)
-            seen.append([r.tolerance for r in reports])
-            return reports
+            checks = original(*args, **kw)
+            seen.extend([r.tolerance for r in checks.reports(t)]
+                        for t in range(checks.claims.size))
+            return checks
 
-        monkeypatch.setattr(cli, "verify_scheme", recording)
-        run_cli("verify", "--input", str(out), "--grid-size", "100", *flag)
+        monkeypatch.setattr(cli, "verify_batch", recording)
+        run_cli("verify", "--input", str(out), *flag)
         assert seen == [expected, expected]
 
     def test_unconverged_nash_trials_are_skipped(self, tmp_path, capsys):
@@ -337,8 +351,9 @@ class TestVerify:
                 solve = solve_nash if scheme == "nash" else solve_best_channel
                 result, report = solve(inst, model, regime)
                 converged = report.converged
-            for rep in harness.verify_scheme(scheme, inst, model, result.allocation, converged,
-                                             regime):
+            checks = harness.verify_batch(scheme, stack_instances([inst]), model,
+                                          result.allocation[None], [converged], regime)
+            for rep in checks.reports(0):
                 expected.append(
                     f"{'PASS' if rep.passed else 'FAIL'} scheme={scheme} snr_db={snr_db:g} "
                     f"K={carriers} F={followers} trial={trial} player={rep.player} "
@@ -370,7 +385,7 @@ class TestVerify:
                 "--trials", "2", "--schemes", "stackelberg", "--verify-fraction", "0",
                 "--output", str(out))
         capsys.readouterr()
-        assert run_cli("verify", "--input", str(out), "--grid-size", "150") == 0
+        assert run_cli("verify", "--input", str(out)) == 0
 
 
 def _csv(**cells):

@@ -146,7 +146,7 @@ class TestModelGamma:
             solve_sparse(inst, model)
             solve_nash(inst, model, regime)
             solve_best_channel(inst, model, regime)
-            verify_leader_stackelberg(inst, model, alloc, regime, grid_size=100)
+            verify_leader_stackelberg(inst, model, alloc, regime)
             verify_follower(inst, model, 0, alloc)
             verify_nash(inst, model, alloc, regime)
         assert calls == [model]

@@ -246,7 +246,8 @@ class TestBatchedSweep:
         batch = stack_instances([inst])
         for scheme in harness.SCHEMES:
             alloc, converged = harness.run_batch(scheme, batch, model, regime)
-            reports = harness.verify_scheme(scheme, inst, model, alloc[0], converged[0], regime)
+            reports = harness.verify_batch(scheme, batch, model, alloc, converged,
+                                           regime).reports(0)
             assert all(r.passed for r in reports), (scheme, reports)
 
 

@@ -14,12 +14,14 @@ ranges use ``start:stop:step`` in dB; list-valued values (carriers,
 schemes, rates) are comma-separated.  A bad value, an unreadable or foreign
 ``--input`` CSV, a malformed row (an unknown scheme or regime, or for
 ``verify`` a trial whose instance cannot be built), or a ``verify --rates``
-list that does not fit a row's F exits with status 2.
+list that does not fit a row's F exits with status 2.  The parser is built on
+the first :func:`main` call and kept; each call runs ``_cmd_<command>``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import fields
@@ -157,23 +159,23 @@ def _cmd_verify(args: argparse.Namespace, config: ScenarioConfig) -> int:
             rows = zip(checks.claims.tolist(), checks.gains.tolist(), checks.passed.tolist())
             for key, (claims, gains, passed) in zip(chunk, rows):
                 trials[key] = list(zip(gains, passed)) if claims else []
-    failures = checked = skipped = 0
-    for (scheme, _, snr_db, carriers, followers, trial, _), verdicts in trials.items():
-        if not verdicts:
-            # no equilibrium claimed: best channel, or Nash that did not converge
-            skipped += 1
-        for player, (gain, passed) in enumerate(verdicts):
-            checked += 1
-            failures += not passed
-            print(
-                f"{'PASS' if passed else 'FAIL'} scheme={scheme} snr_db={snr_db:g} K={carriers} F={followers} "
-                f"trial={trial} player={player} gain={gain:.3e}"
-            )
-    print(f"verified {checked} checks, {failures} failures, {skipped} trials skipped")
+    # no verdicts: no equilibrium claimed (best channel, or Nash that did not converge)
+    skipped = sum(not verdicts for verdicts in trials.values())
+    failures = sum(not passed for verdicts in trials.values() for _, passed in verdicts)
+    lines = [
+        f"{'PASS' if passed else 'FAIL'} scheme={scheme} snr_db={snr_db:g} K={carriers} F={followers} "
+        f"trial={trial} player={player} gain={gain:.3e}\n"
+        for (scheme, _, snr_db, carriers, followers, trial, _), verdicts in trials.items()
+        for player, (gain, passed) in enumerate(verdicts)
+    ]
+    lines.append(f"verified {len(lines)} checks, {failures} failures, {skipped} trials skipped\n")
+    sys.stdout.writelines(lines)
     return 1 if failures else 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser():
+    """The argparse tree and its subcommand parsers, built once per process."""
     parser = argparse.ArgumentParser(
         prog="hetnet-ee",
         description="Energy-efficient power allocation equilibria for two-tier networks",
@@ -183,16 +185,13 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="run a Monte-Carlo sweep and write CSV")
     p_sweep.add_argument("--config", help="key=value config file; flags override it")
     _add_scenario_flags(p_sweep, _SCENARIO)
-    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_sum = sub.add_parser("summarize", help="aggregate a sweep CSV")
     p_sum.add_argument("--input", required=True, help="records CSV from `sweep`")
     p_sum.add_argument("--output", default="-", help="summary CSV path, '-' for stdout")
-    p_sum.set_defaults(func=_cmd_summarize)
 
     p_gamma = sub.add_parser("gamma", help="print the optimal SINR operating point")
     _add_scenario_flags(p_gamma, ("m_exponent",))
-    p_gamma.set_defaults(func=_cmd_gamma)
 
     p_verify = sub.add_parser("verify", help="re-certify recorded trials with the oracle")
     p_verify.add_argument("--input", required=True, help="records CSV from `sweep`")
@@ -202,17 +201,21 @@ def main(argv=None) -> int:
         help="relative-gain tolerance of every check, finite (default: 1e-9 for the "
              "stackelberg leader, 1e-12 for stackelberg followers, 1e-3 for nash players)",
     )
-    p_verify.set_defaults(func=_cmd_verify)
+    return parser, sub.choices
 
+
+def main(argv=None) -> int:
+    parser, commands = _parser()
     args = parser.parse_args(argv)
     try:
         config = _build_config(args)
     except ValueError as exc:
-        sub.choices[args.command].error(str(exc))
+        commands[args.command].error(str(exc))
     try:
-        return args.func(args, config)
+        # looked up by name at call time, so a replaced ``_cmd_*`` is the one run
+        return globals()[f"_cmd_{args.command}"](args, config)
     except argparse.ArgumentError as exc:
-        sub.choices[args.command].error(str(exc))
+        commands[args.command].error(str(exc))
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ runs once per chunk through its batch solver (the same code its
 from its own generator, so a record does not depend on the chunking.
 Records stream out one per (point, trial, scheme, player) as slotted
 :class:`SweepRecord` dataclasses (mutable and unhashable) and serialize to
-CSV with one column per field, in field order, one format string per row.
+CSV with one column per field, in field order, formatting the seven leading
+fields that a (trial, scheme) shares once per run of rows.
 Floats are written with 12 significant digits; ``verified`` is filled for the
 configurable fraction of trials that get re-certified by the deviation
 oracles, as one batch per chunk and scheme (equilibrium claims only: the
@@ -204,7 +205,7 @@ _CELL_PARSERS = {
     "float": float,
     "int": int,
     "Optional[int]": lambda text: None if text == "" else int(text),
-    "bool": lambda text: text == "true",
+    "bool": "true".__eq__,
 }
 _ROW_PARSERS = tuple(_CELL_PARSERS[f.type] for f in _COLUMNS)
 
@@ -213,9 +214,11 @@ def _cells(values) -> str:
     return ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in values)
 
 
-# one CSV row, floats as ``_cells`` writes them; ``write_records`` passes
-# "" for no ``active_carrier`` and "true"/"false" for ``converged``
-_ROW = "%s,%s,%.12g,%s,%s,%s,%s,%s,%.12g,%s,%s,%s\n"
+# a CSV row as a prefix of its first seven fields and a tail of the rest, floats as ``_cells``
+# writes them; ``write_records`` passes "" for no carrier and "true"/"false" for ``converged``
+_prefix = attrgetter(*(f.name for f in _COLUMNS[:7]))
+_PREFIX = "%s,%s,%.12g,%s,%s,%s,%s,"
+_TAIL = "%s,%.12g,%s,%s,%s\n"
 
 
 def run_batch(scheme: str, batch, model, regime: str):
@@ -312,33 +315,50 @@ def run_sweep(config: ScenarioConfig) -> Iterator[SweepRecord]:
 
 
 def write_records(records: Iterable[SweepRecord], path) -> int:
-    """Serialize records to CSV (newline-terminated); returns row count."""
-    count = 0
+    """Serialize records to CSV (newline-terminated); returns row count.
+
+    A run of records whose first seven fields are the same objects (a
+    sweep's (trial, scheme) rows) formats those fields once.  The run is
+    keyed on identity, not equality: ``0.0`` and ``-0.0``, or ``5`` and
+    ``5.0``, are equal but format apart.  A run is written when the next
+    starts or when ``records`` raises, so a failed sweep keeps its rows.
+    """
+    scheme = regime = snr_db = carriers = followers = trial = seed = object()
+    prefix, tails, count = "", [], 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for r in records:
-            fh.write(_ROW % (r.scheme, r.regime, r.snr_db, r.carriers, r.followers, r.trial,
-                             r.seed, r.player, r.utility,
-                             "" if r.active_carrier is None else r.active_carrier,
-                             "true" if r.converged else "false", r.verified))
-            count += 1
-    return count
+        try:
+            for r in records:
+                if not (r.seed is seed and r.trial is trial and r.snr_db is snr_db
+                        and r.scheme is scheme and r.regime is regime
+                        and r.carriers is carriers and r.followers is followers):
+                    fh.write(prefix + prefix.join(tails))
+                    count += len(tails)
+                    key = scheme, regime, snr_db, carriers, followers, trial, seed = _prefix(r)
+                    prefix, tails = _PREFIX % key, []
+                tails.append(_TAIL % (r.player, r.utility,
+                                      "" if r.active_carrier is None else r.active_carrier,
+                                      "true" if r.converged else "false", r.verified))
+        finally:
+            fh.write(prefix + prefix.join(tails))
+    return count + len(tails)
 
 
 def read_records(path) -> list[SweepRecord]:
-    """Parse a sweep CSV back into records (digests are not recoverable)."""
-    records = []
+    """Parse a sweep CSV back into records (digests are not recoverable),
+    one column at a time."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            if (len(parts) != len(_ROW_PARSERS) or parts[0] not in SCHEMES
-                    or parts[1] not in REGIMES):
-                raise ValueError(f"malformed CSV row: {line!r}")
-            records.append(SweepRecord(*[parse(text) for parse, text in zip(_ROW_PARSERS, parts)]))
-    return records
+        lines = fh.readlines()
+    rows = [line.rstrip("\n").split(",") for line in lines]
+    for line, parts in zip(lines, rows):
+        if len(parts) != len(_COLUMNS) or parts[0] not in SCHEMES or parts[1] not in REGIMES:
+            raise ValueError(f"malformed CSV row: {line!r}")
+    # a header-only file has no columns to zip, and still one empty column per field
+    columns = list(zip(*rows)) or [()] * len(_COLUMNS)
+    return list(map(SweepRecord, *map(map, _ROW_PARSERS, columns)))
 
 
 @dataclass(frozen=True)

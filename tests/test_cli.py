@@ -1,5 +1,9 @@
 """End-to-end tests of the hetnet-ee command line."""
 
+import argparse
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -7,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import hetnet_ee
 from hetnet_ee import (
     ScenarioConfig,
     cli,
@@ -38,6 +43,53 @@ class TestGamma:
     def test_other_exponent(self, capsys):
         run_cli("gamma", "--m-exponent", "10")
         assert_allclose(float(capsys.readouterr().out), 3.6149504270875306, rtol=1e-9)
+
+
+class TestParserCache:
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        run_cli("gamma")
+        first = list(built)
+        run_cli("gamma", "--m-exponent", "3")
+        # the top level and its four subcommands, all on the first call
+        assert built == first and len(first) == 5 and first.count("hetnet-ee") == 1
+
+    def test_command_replaced_after_the_first_call_runs(self, monkeypatch, capsys):
+        run_cli("gamma")
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_verify", lambda args, config: seen.append(args.input) or 7)
+        assert run_cli("verify", "--input", "x.csv") == 7 and seen == ["x.csv"]
+
+    @pytest.mark.parametrize("command", ["", "sweep", "summarize", "gamma", "verify"])
+    def test_help_is_the_same_on_every_call(self, capsys, command):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                run_cli(*command.split(), "-h")
+            assert exit_info.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith(f"usage: hetnet-ee {command}".rstrip() + " [-h]")
+
+    def test_importing_the_package_builds_no_parser(self):
+        code = "import sys, hetnet_ee; print('hetnet_ee.cli' in sys.modules, 'argparse' in sys.modules)"
+        src = str(Path(hetnet_ee.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.split() == ["False", "False"]
 
 
 def built_config(monkeypatch, *args):
@@ -404,6 +456,7 @@ BAD_INPUTS = {
     "foreign_header": "scheme,player\nnash,0\n",
     "short_row": CSV_HEADER + "\nstackelberg,dense\n",
     "bad_value": CSV_HEADER + "\n" + ",".join(["x"] * len(CSV_HEADER.split(","))) + "\n",
+    "bad_cell": _csv(carriers="x"),
     "unknown_scheme": _csv(scheme="bogus"),
     "unknown_regime": _csv(regime="mixed"),
 }

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -211,6 +212,30 @@ class TestBatchedSweep:
         plan = kw["trials"] * len(kw["snr_db"])
         assert min(size, plan) in sizes and (size > 1 or set(sizes) == {1})
 
+    def test_failed_sweep_keeps_the_rows_before_its_failing_chunk(self, tmp_path, monkeypatch):
+        kw, sha = GOLDEN["dense"]
+        # K=5 chunks of 7 trials; the first K=5 chunk is the first 7 * 3 * 5 rows
+        monkeypatch.setattr(harness, "CHUNK_CELLS", 7 * 5 * (kw["followers"] + 2))
+        good = tmp_path / "good.csv"
+        write_records(run_sweep(ScenarioConfig(**kw)), good)
+        assert hashlib.sha256(good.read_bytes()).hexdigest() == sha
+        calls = []
+
+        def second_raises(batch, model):
+            calls.append(batch.trials)
+            if len(calls) == 2:
+                raise ZeroDivisionError("solver bug")
+            return dense_batch(batch, model)
+
+        dense_batch = harness.dense_batch
+        monkeypatch.setattr(harness, "dense_batch", second_raises)
+        failed = tmp_path / "failed.csv"
+        with pytest.raises(ZeroDivisionError, match="solver bug"):
+            write_records(run_sweep(ScenarioConfig(**kw)), failed)
+        assert calls == [7, 7]
+        lines = good.read_bytes().splitlines(keepends=True)
+        assert failed.read_bytes() == b"".join(lines[:1 + 7 * 3 * 5])
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(case=edge_cases())
     def test_batch_rows_equal_single_runs(self, case):
@@ -293,6 +318,38 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             read_records(path)
 
+    @pytest.mark.parametrize("end", ["", "\n"])
+    def test_header_only_file_has_no_records(self, tmp_path, end):
+        path = tmp_path / "empty.csv"
+        path.write_text(CSV_HEADER + end)
+        assert read_records(path) == []
+
+    def test_last_line_without_newline_reads(self, tmp_path):
+        records = [synth_record(trial=t, utility=0.5 * t) for t in range(3)]
+        path = tmp_path / "s.csv"
+        write_records(records, path)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        assert read_records(path) == records
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1), (2, 0, 1), (0, 0, 1)])
+    def test_malformed_row_is_the_first_bad_line(self, tmp_path, order):
+        good = reference_line(synth_record())
+        # good rows, an unknown scheme and a short row; the last line has no newline
+        lines = [good, good.replace("stackelberg", "bogus", 1), "stackelberg,dense"]
+        lines = [lines[i] for i in order]
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([CSV_HEADER, *lines]))
+        bad = next(i for i, line in enumerate(lines) if line != good)
+        text = lines[bad] + ("" if bad == len(lines) - 1 else "\n")
+        with pytest.raises(ValueError, match=re.escape(f"malformed CSV row: {text!r}")):
+            read_records(path)
+
+    def test_bad_cell_raises(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(CSV_HEADER + "\n" + reference_line(synth_record()).replace(",3,", ",x,", 1))
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            read_records(path)
+
 
 def _fmt(x):
     return f"{x:.12g}"
@@ -347,14 +404,39 @@ RECORDS = st.builds(
 )
 
 
+# values that are equal but format apart ("0" and "-0", "5" and "5.0"), and
+# nan, which equals nothing
+TWINS = [0.0, -0.0, 5, 5.0, np.float64(5), np.int64(5), math.nan, np.float64(math.nan)]
+PREFIX = [f.name for f in dataclasses.fields(SweepRecord)][:7]
+TAIL = [f.name for f in dataclasses.fields(SweepRecord)][7:]
+
+
+@st.composite
+def prefix_runs(draw):
+    """Records in runs that share their first seven fields as objects, as a
+    sweep's (trial, scheme) rows do; each run changes one of those fields."""
+    values = [getattr(draw(RECORDS), name) for name in PREFIX]
+    records = []
+    for _ in range(draw(st.integers(1, 8))):
+        i = draw(st.integers(0, 6))
+        values[i] = draw(st.sampled_from((harness.SCHEMES, REGIMES, *[TWINS] * 5)[i]))
+        for _ in range(draw(st.integers(1, 3))):
+            tail = draw(RECORDS)
+            records.append(SweepRecord(*values, *[getattr(tail, name) for name in TAIL]))
+    return records
+
+
+def expected_csv(records) -> bytes:
+    return "".join(line + "\n" for line in [CSV_HEADER, *map(reference_line, records)]).encode()
+
+
 class TestRowFormat:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(records=st.lists(RECORDS, max_size=12))
     def test_rows_match_the_reference_and_read_back(self, tmp_path_factory, records):
         path = tmp_path_factory.getbasetemp() / "rows.csv"
         assert write_records(records, path) == len(records)
-        expected = "".join(line + "\n" for line in [CSV_HEADER] + list(map(reference_line, records)))
-        assert path.read_bytes() == expected.encode("utf-8")
+        assert path.read_bytes() == expected_csv(records)
         back = read_records(path)
         assert len(back) == len(records)
         for a, b in zip(records, back):
@@ -365,6 +447,13 @@ class TestRowFormat:
                 elif f.compare:
                     assert getattr(b, f.name) == getattr(a, f.name), f.name
             assert b.instance_digest == ""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(records=prefix_runs())
+    def test_shared_prefixes_match_the_reference(self, tmp_path_factory, records):
+        path = tmp_path_factory.getbasetemp() / "runs.csv"
+        assert write_records(iter(records), path) == len(records)
+        assert path.read_bytes() == expected_csv(records)
 
     def test_record_type_is_slotted(self):
         record = synth_record(utility=1.0)

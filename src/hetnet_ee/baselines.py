@@ -52,8 +52,8 @@ class IterationReport:
     stop: str
 
 
-_STOPS = ("converged", "cycle", "overflow", "cap")
-_CONVERGED, _CYCLE, _OVERFLOW, _CAP = range(len(_STOPS))
+_STOPS = ("converged", "cycle", "overflow", "cap", "infeasible")
+_CONVERGED, _CYCLE, _OVERFLOW, _CAP, _INFEASIBLE = range(len(_STOPS))
 
 
 def _iterate(step, alloc: np.ndarray, max_iter: int, tol: float):
@@ -133,16 +133,11 @@ def solve_nash(
     means the same at every SNR; cycling or divergence ends with
     ``converged=False`` and the last iterate.  A run that enters an exact
     cycle skips the repeated sweeps and returns the same iterate, change
-    and ``iterations == max_iter`` as running them all.
+    and ``iterations == max_iter`` as running them all.  The result's
+    diagnostics are empty; the report returned beside it is the run's record.
     """
     alloc, (report,) = nash_batch(stack_instances((instance,)), model, regime, max_iter, tol)
-    diagnostics = {
-        "solver": "nash_best_response",
-        "sinr_target": model.gamma,
-        "update_order": "leader_first_round_robin",
-        "iteration_report": report,
-    }
-    return make_result(instance, model, alloc[0], regime, diagnostics), report
+    return make_result(instance, model, alloc[0], regime), report
 
 
 def best_channel_batch(batch: NetworkInstance, model: EfficiencyModel, regime: str = "dense"):
@@ -193,16 +188,12 @@ def solve_best_channel(
     ``"infeasible"``, and the leader and the followers pinned to ``k0`` get
     all-zero rows (utility 0, the limit of their growing powers); every
     other row is exact.  Reports have ``iterations == 0`` and
-    ``final_change == 0.0``; ``diagnostics["feedback_gain"]`` is ``b``.
+    ``final_change == 0.0``.  ``diagnostics["pinned_carriers"]`` is every
+    player's pinned carrier, which names the carrier of an all-zero row, and
+    ``diagnostics["feedback_gain"]`` is ``b``.
     """
     alloc, pins, b = best_channel_batch(stack_instances((instance,)), model, regime)
     feasible = bool(b[0] < 1.0)
-    report = IterationReport(feasible, 0, 0.0, "converged" if feasible else "infeasible")
-    diagnostics = {
-        "solver": "best_channel_fixed_point",
-        "sinr_target": model.gamma,
-        "pinned_carriers": tuple(pins[0].tolist()),
-        "feedback_gain": float(b[0]),
-        "iteration_report": report,
-    }
+    report = IterationReport(feasible, 0, 0.0, _STOPS[_CONVERGED if feasible else _INFEASIBLE])
+    diagnostics = {"pinned_carriers": tuple(pins[0].tolist()), "feedback_gain": float(b[0])}
     return make_result(instance, model, alloc[0], regime, diagnostics), report

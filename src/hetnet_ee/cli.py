@@ -89,7 +89,10 @@ def _cmd_sweep(args: argparse.Namespace, config: ScenarioConfig) -> int:
 
 
 def _cmd_summarize(args: argparse.Namespace, config: ScenarioConfig) -> int:
-    rows = summarize(_read_input(args.input))
+    try:
+        rows = summarize(_read_input(args.input))
+    except ValueError as exc:  # a header-only file: no records
+        raise argparse.ArgumentError(None, f"cannot read --input {args.input}: {exc}") from None
     if args.output == "-":
         write_summary(rows, sys.stdout)
     else:

@@ -206,47 +206,36 @@ def dense_batch(batch: NetworkInstance, model: EfficiencyModel):
 def solve_dense(instance: NetworkInstance, model: EfficiencyModel) -> EquilibriumResult:
     """Hierarchical equilibrium of the dense-regime game.
 
-    Diagnostics carry the slot table (one :class:`CarrierCandidates` per
-    carrier), the winning carrier and occupancy, and which boundary cap (if
-    any) produced the winning power.
+    ``diagnostics["candidate_table"]`` is the slot table, one
+    :class:`CarrierCandidates` per carrier, and ``diagnostics["winner_slots"]``
+    the winning occupancy ``s``.  The winning carrier is
+    ``active_carriers[0]``, and that carrier's row holds the winning value,
+    ``slot_values[s]``, and the cap that set the winning power,
+    ``replacements[s]``.
     """
     alloc, tables = dense_batch(stack_instances((instance,)), model)
     t = {name: value[0] for name, value in tables.items()}
-    nominees, codes, targets = t["nominees"], t["codes"], t["targets"]
 
     def record(k, start, count, limit):
         nominee, scored_slots = slice(1, count + 1), slice(0, limit + 1)
         return CarrierCandidates(
             carrier=k,
-            followers=tuple(nominees[start : start + count].tolist()),
+            followers=tuple(t["nominees"][start : start + count].tolist()),
             theta=t["theta"][k, nominee],
             eta=t["eta"][k, nominee],
-            sinr_targets=targets[k, nominee],
+            sinr_targets=t["targets"][k, nominee],
             stays=t["stays"][k, nominee],
             stay_limit=limit,
             slot_powers=t["powers"][k, scored_slots],
             slot_values=t["values"][k, scored_slots],
             boundary_powers=t["boundary"][k, nominee],
             boundary_values=t["boundary_values"][k, nominee],
-            replacements=tuple(_REPLACEMENTS[codes[k, scored_slots]]),
+            replacements=tuple(_REPLACEMENTS[t["codes"][k, scored_slots]]),
         )
 
-    limits = t["stay_limit"].tolist()
-    k_hat, slots = int(t["winner_carrier"]), int(t["winner_slots"])
-    replacement = _REPLACEMENTS[codes[k_hat, slots]] if slots else None
     diagnostics = {
-        "solver": "dense_candidate_search",
-        "sinr_target": model.gamma,
         "candidate_table": tuple(map(record, range(instance.carriers), t["starts"].tolist(),
-                                     t["counts"].tolist(), limits)),
-        "winner_carrier": k_hat,
-        "winner_slots": slots,
-        "winner_value": float(t["values"][k_hat, slots]),
-        "winner_kind": "shared" if slots else "solo",
-        "winner_replacement": replacement,
-        "winner_stay_limit_original": limits[k_hat],
-        "winner_sinr_target": (
-            float(targets[k_hat, slots]) if slots and replacement is None else None
-        ),
+                                     t["counts"].tolist(), t["stay_limit"].tolist())),
+        "winner_slots": int(t["winner_slots"]),
     }
     return make_result(instance, model, alloc[0], "dense", diagnostics)

@@ -485,18 +485,13 @@ class PairedGap:
     ci95: float
 
 
-def paired_gap(
-    records: Iterable[SweepRecord],
-    scheme_a: str,
-    scheme_b: str,
-    *,
-    player: int = 0,
-    converged_only: bool = True,
-) -> list[PairedGap]:
-    """Paired comparison of two schemes on their shared instances."""
+def paired_gap(records: Iterable[SweepRecord], scheme_a: str, scheme_b: str) -> list[PairedGap]:
+    """Paired comparison of two schemes on their shared instances: the
+    leader's (player 0) utility gap ``scheme_a - scheme_b`` per point, over
+    the trials where both runs converged."""
     table: dict = {}
     for r in records:
-        if r.player != player or r.scheme not in (scheme_a, scheme_b):
+        if r.player != 0 or r.scheme not in (scheme_a, scheme_b):
             continue
         point = (r.snr_db, r.carriers)
         table.setdefault(point, {}).setdefault(r.trial, {})[r.scheme] = r
@@ -506,7 +501,7 @@ def paired_gap(
         for pair in trials.values():
             if scheme_a not in pair or scheme_b not in pair:
                 continue
-            if converged_only and not (pair[scheme_a].converged and pair[scheme_b].converged):
+            if not (pair[scheme_a].converged and pair[scheme_b].converged):
                 continue
             gaps.append(pair[scheme_a].utility - pair[scheme_b].utility)
         if not gaps:

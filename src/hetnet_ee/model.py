@@ -186,8 +186,9 @@ class EquilibriumResult:
     ``utilities[n]`` is always recomputed from ``allocation`` at
     construction, so it matches :func:`utility` by definition.
     ``active_carriers[n]`` is the carrier player ``n`` transmits on, or
-    ``None`` for an all-zero row.  ``diagnostics`` carries solver-specific
-    notes (candidate tables, iteration reports, fallback flags).
+    ``None`` for an all-zero row.  ``diagnostics`` holds what the solver
+    computed beyond these: sparse follower branches, the dense slot table
+    and winning occupancy, the best-channel pins and feedback gain.
     """
 
     allocation: np.ndarray

@@ -54,9 +54,5 @@ def solve_sparse(instance: NetworkInstance, model: EfficiencyModel) -> Equilibri
     carriers = carriers[0]
     contended = best[1:] == carriers[0]
     move = contended & (carriers[1:] != carriers[0])
-    diagnostics = {
-        "solver": "sparse_closed_form",
-        "sinr_target": model.gamma,
-        "follower_branches": tuple(_BRANCHES[contended * 1 + move].tolist()),
-    }
+    diagnostics = {"follower_branches": tuple(_BRANCHES[contended * 1 + move].tolist())}
     return make_result(instance, model, alloc[0], "sparse", diagnostics)

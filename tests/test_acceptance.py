@@ -153,7 +153,7 @@ def test_criterion_5_leader_gain_over_nash():
     cfg = ScenarioConfig(schemes=("stackelberg", "nash"), trials=500,
                          seed=20260204, verify_fraction=0.0)
     records = list(run_sweep(cfg))
-    gaps = sorted(paired_gap(records, "stackelberg", "nash", converged_only=True),
+    gaps = sorted(paired_gap(records, "stackelberg", "nash"),
                   key=lambda g: g.snr_db)
     nonneg = all(g.mean_gap >= 0.0 for g in gaps)
     strong = sum(g.mean_gap > g.ci95 for g in gaps)

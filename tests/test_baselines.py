@@ -196,6 +196,14 @@ class TestCycleSkip:
         assert solve_nash(inst, model, "dense", max_iter=1)[1].stop == "cap"
         assert solve_nash(inst, model, "sparse")[1].stop == "converged"
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=edge_cases())
+    def test_every_stop_is_a_named_stop(self, case):
+        inst, model, _ = case
+        for regime in ("dense", "sparse"):
+            for solve in (solve_nash, solve_best_channel):
+                assert solve(inst, model, regime)[1].stop in baselines._STOPS
+
 
 class TestNashDynamics:
     def test_leader_alone_converges_immediately(self, model):
@@ -272,7 +280,8 @@ class TestNashDynamics:
         res, report = solve_nash(inst, model, "dense", tol=1e-10)
         if report.converged:
             assert report.final_change <= 1e-10
-        assert res.diagnostics["iteration_report"] is report
+        # the report is the batch core's record of this run
+        assert report == nash_batch(stack_instances((inst,)), model, "dense", tol=1e-10)[1][0]
 
     def test_max_iter_validation(self, model):
         inst = random_instance(np.random.default_rng(35))

@@ -484,6 +484,19 @@ class TestBadInput:
         error = capsys.readouterr().err.splitlines()[-1]
         assert error.startswith(f"hetnet-ee {command}: error: cannot read --input {path}: ")
 
+    @pytest.mark.parametrize("end", ["", "\n"])
+    def test_header_only_input(self, tmp_path, capsys, end):
+        # no records: nothing to summarize, and nothing for verify to check
+        path = tmp_path / "in.csv"
+        path.write_text(CSV_HEADER + end)
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("summarize", "--input", str(path))
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"hetnet-ee summarize: error: cannot read --input {path}: no records to summarize")
+        assert run_cli("verify", "--input", str(path)) == 0
+        assert capsys.readouterr().out == "verified 0 checks, 0 failures, 0 trials skipped\n"
+
     @pytest.mark.parametrize("rows", [1, 3])
     def test_unbuildable_row_is_named(self, tmp_path, capsys, rows):
         # the last row's SNR is NaN; rows before it are good trials of its group

@@ -110,8 +110,8 @@ class TestWorkedExample:
         # pushing the nominee off at its indifference power (0.4819) beats
         # sharing (0.4476) and the weak carrier (0.4073)
         res = solve_dense(worked_instance(), model)
-        assert res.diagnostics["winner_carrier"] == 0
-        assert res.diagnostics["winner_kind"] == "solo"
+        assert res.active_carriers[0] == 0
+        assert res.diagnostics["winner_slots"] == 0  # solo
         assert_allclose(res.allocation[0], [2.0, 0.0], rtol=1e-12)
         assert_allclose(res.allocation[1], [0.0, GAMMA], rtol=1e-9)
         assert_allclose(res.utilities, [0.48185209242521708, 0.40726437758907375],
@@ -136,7 +136,7 @@ class TestStepThreeFailure:
         res = solve_dense(inst, model)
         table = res.diagnostics["candidate_table"]
         assert table[0].stay_limit == 0
-        assert res.diagnostics["winner_carrier"] == 0
+        assert res.active_carriers[0] == 0
         assert res.diagnostics["winner_slots"] == 0
         assert res.active_carriers[1] == 1  # second-best carrier
         assert_allclose(res.allocation[1, 1], GAMMA, rtol=1e-9)
@@ -155,9 +155,10 @@ class TestStepThreeFailure:
             sigma2=1.0,
         )
         res = solve_dense(inst, model)
-        d = res.diagnostics
-        assert d["winner_kind"] == "shared"
-        assert d["winner_replacement"] == "raise_to_boundary"
+        slots = res.diagnostics["winner_slots"]
+        assert slots > 0  # shared
+        winner = res.diagnostics["candidate_table"][res.active_carriers[0]]
+        assert winner.replacements[slots] == "raise_to_boundary"
         assert_allclose(res.allocation[0], [3.0, 0.0, 0.0], rtol=1e-12)
         assert res.active_carriers == (0, 0, 1)
         # at the raised power the parked nominee has no strict incentive
@@ -176,7 +177,7 @@ class TestStepThreeFailure:
         res = solve_dense(inst, model)
         c0 = res.diagnostics["candidate_table"][0]
         assert c0.stay_limit == 0
-        assert res.diagnostics["winner_kind"] == "solo"
+        assert res.diagnostics["winner_slots"] == 0  # solo
         boundary = 1.0 * (1.9 - 1.0) / (0.5 * 1.0)
         assert boundary > GAMMA / 1.0  # above the unconstrained optimum
         assert_allclose(res.allocation[0, 0], boundary, rtol=1e-12)
@@ -209,6 +210,18 @@ def test_single_carrier_is_rejected(solve, model):
         solve(sample_instance(1, 0, seed=0), model)
 
 
+def test_diagnostics_key_sets(model):
+    # only what the solver computes and neither the result, its report nor
+    # the model states
+    inst = sample_instance(5, 4, seed=3)
+    assert solve_sparse(inst, model).diagnostics.keys() == {"follower_branches"}
+    assert solve_dense(inst, model).diagnostics.keys() == {"candidate_table", "winner_slots"}
+    for regime in ("dense", "sparse"):
+        assert solve_nash(inst, model, regime)[0].diagnostics == {}
+        assert solve_best_channel(inst, model, regime)[0].diagnostics.keys() == {
+            "pinned_carriers", "feedback_gain"}
+
+
 class TestEquilibriumStructure:
     def test_single_band_rows(self, model):
         rng = np.random.default_rng(7)
@@ -227,7 +240,7 @@ class TestEquilibriumStructure:
             inst = random_instance(rng, k_range=(2, 6), f_range=(1, 5),
                                    mean_cross=float(rng.choice([0.1, 0.5, 1.0])))
             res = solve_dense(inst, model)
-            responses, _ = respond(inst, res.allocation[0], res.diagnostics["sinr_target"])
+            responses, _ = respond(inst, res.allocation[0], model.gamma)
             for f in range(inst.followers):
                 br = responses[f]
                 if np.array_equal(br, res.allocation[f + 1]):
@@ -254,12 +267,12 @@ class TestEquilibriumStructure:
             inst = random_instance(rng, k_range=(2, 6), f_range=(1, 5),
                                    mean_cross=0.2)
             res = solve_dense(inst, model)
-            d = res.diagnostics
-            if d["winner_kind"] == "shared" and d["winner_replacement"] is None:
+            slots, k = res.diagnostics["winner_slots"], res.active_carriers[0]
+            winner = res.diagnostics["candidate_table"][k]
+            if slots and winner.replacements[slots] is None:
                 seen += 1
-                k = d["winner_carrier"]
                 assert_allclose(sinr(inst, res.allocation, "dense")[0, k],
-                                d["winner_sinr_target"], rtol=1e-9)
+                                winner.sinr_targets[slots - 1], rtol=1e-9)
         assert seen > 0
 
     def test_no_carrier_switch_improves_a_follower(self, model):
@@ -287,7 +300,7 @@ class TestCandidateTable:
             inst = random_instance(rng, k_range=(2, 6), f_range=(1, 5),
                                    mean_cross=float(rng.choice([0.1, 0.5, 1.0])))
             res = solve_dense(inst, model)
-            gamma = res.diagnostics["sinr_target"]
+            gamma = model.gamma
             for cc in res.diagnostics["candidate_table"]:
                 if len(cc.followers) > 1:
                     assert np.all(np.diff(cc.theta) <= 0)
@@ -310,7 +323,7 @@ class TestCandidateTable:
             inst = random_instance(rng, k_range=(2, 6), f_range=(1, 5),
                                    mean_cross=float(rng.choice([0.1, 0.5, 2.0])))
             res = solve_dense(inst, model)
-            gamma = res.diagnostics["sinr_target"]
+            gamma = model.gamma
             second = rank_carriers(inst)[1]
             for cc in res.diagnostics["candidate_table"]:
                 g0k, h0k = inst.g0[cc.carrier], inst.h0[cc.carrier]
@@ -514,17 +527,19 @@ class TestScalarReferenceEquivalence:
         # when nothing else does
         assert winner is not None
         value, slots, k_hat, _, kind = winner
-        assert (d["winner_carrier"], d["winner_slots"], d["winner_kind"]) == (
-            k_hat, slots, kind)
-        assert_floats_agree(d["winner_value"], value)
+        s = d["winner_slots"]
+        assert (res.active_carriers[0], s, "shared" if s else "solo") == (k_hat, slots, kind)
+        cc = d["candidate_table"][k_hat]
+        assert_floats_agree(cc.slot_values[s], value)
         # a solo win names no replacement, whatever its cap did
         ref = table[k_hat]
         replacement = ref["replacements"][slots - 1] if slots else None
-        assert d["winner_replacement"] == replacement
-        assert d["winner_stay_limit_original"] == ref["stay_limit"]
+        capped = cc.replacements[s] if s else None
+        assert capped == replacement
+        assert cc.stay_limit == ref["stay_limit"]
         target = (float(ref["sinr_targets"][slots - 1])
                   if slots and replacement is None else None)
-        assert d["winner_sinr_target"] == target
+        assert (cc.sinr_targets[s - 1] if s and capped is None else None) == target
         for cc, ref in zip(d["candidate_table"], table, strict=True):
             assert (cc.carrier, cc.followers, cc.stay_limit) == (
                 ref["carrier"], ref["followers"], ref["stay_limit"])

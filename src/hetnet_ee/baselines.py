@@ -25,11 +25,12 @@ import numpy as np
 
 from .efficiency import EfficiencyModel
 from .model import (
+    REGIMES,
     EquilibriumResult,
     NetworkInstance,
     best_response,
-    denominators,
     empty_allocation,
+    leader_interference,
     make_result,
     respond,
     stack_instances,
@@ -108,10 +109,13 @@ def nash_batch(batch: NetworkInstance, model: EfficiencyModel, regime: str = "de
                max_iter: int = 1000, tol: float = 1e-10):
     """:func:`solve_nash`'s dynamics on every trial: the last iterates
     ``(T, F+1, K)`` and one ``IterationReport`` per trial."""
+    if regime not in REGIMES:
+        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
     gamma = model.gamma
 
     def step(alloc):
-        leader = best_response(batch.g0, denominators(batch, alloc, regime)[:, 0], gamma)[0]
+        interference = leader_interference(batch, alloc[:, 1:]) if regime == "dense" else 0.0
+        leader = best_response(batch.g0, batch.sigma2 + interference, gamma)[0]
         alloc[:, 0] = leader
         alloc[:, 1:] = respond(batch, leader, gamma)[0]
 

@@ -2,9 +2,10 @@
 
 A sweep point is one (carrier count, SNR) pair; every enabled scheme at a
 point and trial consumes the *same* sampled instance, so scheme
-comparisons are paired.  Trial seeds derive from
-``SeedSequence((base_seed, point_index, trial))``, making every output
-byte a function of the configuration alone.
+comparisons are paired.  Trial seeds derive from ``SeedSequence((base_seed,
+point_index, trial))`` and instances are ``default_rng(seed)``'s draws, both
+hashed in one pass per carrier count: every output byte is a function of
+the configuration alone.
 
 Every trial of one carrier count, across all its SNR points, is solved as
 one batch (a :class:`~hetnet_ee.model.NetworkInstance` with a leading trial
@@ -36,7 +37,8 @@ import numpy as np
 from .baselines import best_channel_batch, nash_batch
 from .dense import dense_batch
 from .efficiency import EfficiencyModel
-from .model import REGIMES, _noise_power, outcomes, sample_batch, stack_instances
+from .model import REGIMES, _noise_power, _sample, _seed_states, _seed_words, outcomes
+from .model import stack_instances
 from .oracle import Checks, nash_checks, stackelberg_checks
 from .sparse import sparse_batch
 
@@ -266,19 +268,17 @@ def chunked(trials: list, carriers: int, followers: int) -> Iterator[list]:
         yield trials[start:start + size]
 
 
-def _chunk_records(config: ScenarioConfig, model, carriers: int, chunk: list):
+def _chunk_records(config: ScenarioConfig, model, carriers: int, chunk: list, seeds: list,
+                   picked: list, states):
     """The records of one chunk of ``(point_index, snr_db, trial)`` triples
-    of one carrier count, solved as one batch."""
-    words = [np.random.SeedSequence((config.seed, point, trial)).generate_state(2)
-             for point, _, trial in chunk]
-    seeds = [int(w[0]) for w in words]
-    batch = sample_batch(
-        carriers, config.followers, seeds=seeds, snr_db=[snr for _, snr, _ in chunk],
+    of one carrier count, solved as one batch drawn from their generator
+    ``states``; ``picked`` trials are verified inline."""
+    batch = _sample(
+        carriers, config.followers, states=states, snr_db=[snr for _, snr, _ in chunk],
         mean_signal=config.mean_signal, mean_cross=config.mean_cross, rates=config.rates,
     )
     regime, followers, players = config.regime, config.followers, batch.players
     # the trials picked for inline verification, checked as one batch
-    picked = [t for t, word in enumerate(words) if word[1] / 2.0**32 < config.verify_fraction]
     sample = stack_instances([batch.instance(t) for t in picked]) if picked else None
     blank = [""] * players
     solved = []
@@ -310,8 +310,14 @@ def run_sweep(config: ScenarioConfig) -> Iterator[SweepRecord]:
     for c, carriers in enumerate(config.carriers):
         plan = [(c * points + p, snr_db, trial)
                 for p, snr_db in enumerate(config.snr_db) for trial in range(config.trials)]
-        for chunk in chunked(plan, carriers, config.followers):
-            yield from _chunk_records(config, model, carriers, chunk)
+        # every trial's seed and verify-pick words, then its generator state, in one pass each
+        words = _seed_words([(config.seed, point, trial) for point, _, trial in plan], 2)
+        seeds, picks = words[:, 0].tolist(), words[:, 1] / 2.0**32 < config.verify_fraction
+        states = _seed_states(seeds)
+        for rows in chunked(range(len(plan)), carriers, config.followers):
+            span = slice(rows.start, rows.stop)
+            yield from _chunk_records(config, model, carriers, plan[span], seeds[span],
+                                      np.flatnonzero(picks[span]).tolist(), states[span])
 
 
 def write_records(records: Iterable[SweepRecord], path) -> int:

@@ -27,10 +27,11 @@ Gains are linear power gains throughout; decibels appear only at the CLI.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Optional
+from operator import attrgetter, index
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -285,27 +286,83 @@ def rank_carriers(instance: NetworkInstance):
     return order[..., 0], order[..., 1]
 
 
-def _draw(seeds, carriers: int, followers: int, mean_signal: float, mean_cross: float):
-    """Own-signal and cross gains of one ``default_rng(seed)`` generator per
-    seed (built directly, as ``default_rng`` builds it), two
-    ``(T, F+1, K)`` arrays whose row 0 is the leader's (``g0``, ``h0``).
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four uint32
+# words, hashed with constants seeded and multiplied by these, and mixed
+_INIT_A, _MULT_A, _INIT_B, _MULT_B, _MIX_L, _MIX_R = np.array(
+    [0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED, 0xCA01F9DD, 0x4973F715], dtype=np.uint32)
 
-    Each generator draws ``g0, gf, h0, hf`` in that order as one
-    standard-exponential stream; ``exponential(scale)`` is ``scale`` times
-    that draw, bit for bit.  ``mean_cross=0`` draws no cross gains."""
-    if mean_signal <= 0.0:
-        raise ValueError("mean_signal must be positive")
-    if mean_cross < 0.0:
-        raise ValueError("mean_cross must be nonnegative")
-    if followers < 0:
-        raise ValueError(f"followers must be nonnegative, got {followers}")
-    shape = (followers + 1, carriers)
-    draws = np.empty((len(seeds), 2 if mean_cross > 0 else 1) + shape)
-    for row, seed in zip(draws, seeds):
-        np.random.Generator(np.random.PCG64(seed)).standard_exponential(out=row)
-    own = draws[:, 0] * mean_signal
-    cross = draws[:, 1] * mean_cross if mean_cross > 0 else np.zeros_like(own)
-    return own, cross
+
+@functools.cache
+def _constants(width: int, n: int) -> tuple:
+    """:func:`_seed_words`'s xor and multiply constants for ``width >= 4``
+    words a row: one row per pool round (``1 + s`` hashes pool word ``s``
+    into the others for ``s < 4``, then entropy word ``s`` into all four),
+    then the pool word behind each of ``n`` output words and their constants."""
+    calls = np.array([range(4)] + [np.insert(np.arange(4, 7) + 3 * s, s, 0) for s in range(4)]
+                     + [range(4 * s, 4 * s + 4) for s in range(4, width)])
+    run = _INIT_A * _MULT_A ** np.arange(4 * width + 1, dtype=np.uint32)
+    out = _INIT_B * _MULT_B ** np.arange(n + 1, dtype=np.uint32)
+    arrays = run[calls], run[calls + 1], np.arange(n) % 4, out[:-1], out[1:]
+    for arr in arrays:  # shared by every call
+        arr.setflags(write=False)
+    return arrays
+
+
+def _hash(values, xor, mult):
+    values = (values ^ xor) * mult
+    return values ^ values >> 16
+
+
+def _mix(x, y):
+    mixed = x * _MIX_L - y * _MIX_R
+    return mixed ^ mixed >> 16
+
+
+def _words(*values) -> list:
+    """SeedSequence's entropy words of nonnegative integers in order, each
+    integer's 32-bit words least significant first."""
+    values = list(map(index, values))
+    if min(values) < 0:
+        raise ValueError("expected non-negative integer")
+    return [value >> shift & 0xFFFFFFFF
+            for value in values for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _seed_words(keys, n: int) -> np.ndarray:
+    """``SeedSequence(key).generate_state(n)`` of every key, a tuple of
+    nonnegative integers, as one ``(T, n)`` uint32 array: numpy's pool
+    mixing and output hash over all keys at once, as their constants depend
+    on word positions only.  Rows are zero-padded to at least the pool's
+    four words, which hash as no words; past four, a row ends at its width."""
+    rows = [_words(*key) for key in keys]
+    width = max([4, *map(len, rows)])
+    entropy = np.array([w + [0] * (width - len(w)) for w in rows], np.uint32).reshape(-1, width)
+    xor, mult, source, out_xor, out_mult = _constants(width, n)
+    pool = _hash(entropy[:, :4], xor[0], mult[0])
+    for s in range(4):
+        mixed = _mix(pool, _hash(pool[:, s, None], xor[1 + s], mult[1 + s]))
+        mixed[:, s] = pool[:, s]
+        pool = mixed
+    for s in range(4, width):
+        mixed = _mix(pool, _hash(entropy[:, s, None], xor[1 + s], mult[1 + s]))
+        pool = np.where(np.array([[len(row) > s] for row in rows]), mixed, pool)
+    return _hash(pool.take(source, axis=1), out_xor, out_mult)
+
+
+def _seed_states(seeds) -> np.ndarray:
+    """Each nonnegative integer seed's ``SeedSequence(seed).generate_state(4,
+    np.uint64)``, the state ``PCG64(seed)`` hashes (words paired little-endian)."""
+    return _seed_words([(seed,) for seed in seeds], 8).astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _Hashed(NamedTuple):
+    """A seed sequence whose hash is done: ``PCG64(_Hashed(state))`` takes a
+    :func:`_seed_states` row as ``generate_state(4, np.uint64)``."""
+
+    state: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
 
 
 def _noise_power(mean_signal: float, snr_db: float) -> float:
@@ -355,9 +412,32 @@ def sample_batch(
     rates=None,
 ) -> NetworkInstance:
     """One checked batch of instances, trial ``t`` drawn from ``seeds[t]``
-    at ``snr_db[t]`` as :func:`sample_instance` describes; every sampled
-    instance is drawn here."""
-    own, cross = _draw(seeds, carriers, followers, mean_signal, mean_cross)
+    at ``snr_db[t]`` as :func:`sample_instance` describes."""
+    return _sample(carriers, followers, states=_seed_states(seeds), snr_db=snr_db,
+                   mean_signal=mean_signal, mean_cross=mean_cross, rates=rates)
+
+
+def _sample(carriers, followers, *, states, snr_db, mean_signal, mean_cross, rates):
+    """:func:`sample_batch` from each trial's :func:`_seed_states` row, the
+    hashed state of its ``default_rng(seed)``; every instance is drawn here.
+
+    Each generator draws ``g0, gf, h0, hf`` in that order as one
+    standard-exponential stream; ``exponential(scale)`` is ``scale`` times
+    that draw, bit for bit.  ``mean_cross=0`` draws no cross gains."""
+    if mean_signal <= 0.0:
+        raise ValueError("mean_signal must be positive")
+    if mean_cross < 0.0:
+        raise ValueError("mean_cross must be nonnegative")
+    if followers < 0:
+        raise ValueError(f"followers must be nonnegative, got {followers}")
+    from numpy.random import PCG64, Generator  # not at import: it slows a cold start
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_Hashed)  # a no-op after the first draw
+    draws = np.empty((len(states), 2 if mean_cross > 0 else 1, followers + 1, carriers))
+    for row, state in zip(draws, states):
+        Generator(PCG64(_Hashed(state))).standard_exponential(out=row)
+    own = draws[:, 0] * mean_signal
+    cross = draws[:, 1] * mean_cross if mean_cross > 0 else np.zeros_like(own)
     sigma2 = np.array([_noise_power(mean_signal, snr) for snr in snr_db])[:, None]
     rates = np.broadcast_to(np.asarray(1.0 if rates is None else rates, dtype=float),
                             (len(own), followers + 1))

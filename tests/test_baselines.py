@@ -288,6 +288,11 @@ class TestNashDynamics:
         with pytest.raises(ValueError):
             solve_nash(inst, model, "dense", max_iter=0)
 
+    def test_unknown_regime_is_rejected(self, model):
+        batch = stack_instances([random_instance(np.random.default_rng(35))])
+        with pytest.raises(ValueError, match="regime must be one of"):
+            nash_batch(batch, model, "mixed")
+
 
 class TestBestChannel:
     def test_distinct_carriers_isolated_optima(self, model):

@@ -85,11 +85,13 @@ class TestParserCache:
         assert texts[0].startswith(f"usage: hetnet-ee {command}".rstrip() + " [-h]")
 
     def test_importing_the_package_builds_no_parser(self):
-        code = "import sys, hetnet_ee; print('hetnet_ee.cli' in sys.modules, 'argparse' in sys.modules)"
+        # nor loads numpy.random (the sampler loads it on its first draw) or numpy.ma
+        modules = ["hetnet_ee.cli", "argparse", "numpy.random", "numpy.ma"]
+        code = f"import sys, hetnet_ee; print(*(m in sys.modules for m in {modules!r}))"
         src = str(Path(hetnet_ee.__file__).parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.split() == ["False", "False"]
+        assert out.stdout.split() == ["False"] * len(modules)
 
 
 def built_config(monkeypatch, *args):
@@ -466,6 +468,7 @@ UNBUILDABLE = {
     "too_few_carriers": _csv(carriers="4"),
     "negative_followers": _csv(followers="-1"),
     "no_carriers": _csv(carriers="0", followers="0"),
+    "negative_seed": _csv(seed="-5"),
 }
 
 

@@ -173,6 +173,13 @@ GOLDEN = {
              verify_fraction=0.25),
         "84bd9a361e94fc86b4650f2a842a3dcaf315598be4ed716f187baeca38ce3011",
     ),
+    # a base seed of three 32-bit words: each trial hashes five entropy words,
+    # one past numpy's four-word pool
+    "big_seed": (
+        dict(carriers=(5,), followers=4, snr_db=(0.0, 20.0, -30.0), trials=6, seed=2**64 + 5,
+             regime="dense", verify_fraction=0.25),
+        "fb12ff57fb397ca7bb83384047379d4d7eef0e3e4668f106441c2dd43b6a102d",
+    ),
 }
 
 
@@ -201,12 +208,13 @@ class TestBatchedSweep:
         monkeypatch.setattr(harness, "CHUNK_CELLS", 1 if size == 1 else size * cells)
         sizes = []
 
-        def spy(*args, seeds, **kwargs):
-            sizes.append(len(seeds))
-            return sample_batch(*args, seeds=seeds, **kwargs)
+        # the sweep samples each chunk from its slice of the generator states
+        def spy(*args, states, **kwargs):
+            sizes.append(len(states))
+            return sample(*args, states=states, **kwargs)
 
-        sample_batch = harness.sample_batch
-        monkeypatch.setattr(harness, "sample_batch", spy)
+        sample = harness._sample
+        monkeypatch.setattr(harness, "_sample", spy)
         assert sweep_sha(tmp_path, **kw) == sha
         # a plan shorter than the chunk is one chunk
         plan = kw["trials"] * len(kw["snr_db"])

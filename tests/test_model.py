@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hetnet_ee import EfficiencyModel, NetworkInstance, sample_instance, solve_dense, utility
 from hetnet_ee.model import (
+    _Hashed,
+    _seed_states,
+    _seed_words,
     all_utilities,
     best_response,
     denominators,
@@ -506,3 +511,27 @@ class TestSampling:
         assert_allclose(inst.rates, [2.5, 2.5, 2.5])
         inst = sample_instance(3, 2, rates=(1.0, 2.0, 3.0), seed=4)
         assert_allclose(inst.rates, [1.0, 2.0, 3.0])
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            sample_batch(3, 1, seeds=[-1], snr_db=[0.0])
+
+
+# entropy words with both ends of the uint32 range drawn often
+WORDS = st.sampled_from([0, 2**32 - 1]) | st.integers(0, 2**32 - 1)
+
+
+class TestSeedHash:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.lists(WORDS, min_size=1, max_size=6), min_size=1, max_size=4),
+           n=st.sampled_from([2, 8]))
+    def test_words_are_numpys_seed_sequence(self, rows, n):
+        expected = [np.random.SeedSequence(row).generate_state(n) for row in rows]
+        assert np.array_equal(_seed_words(rows, n), expected)
+
+    def test_generator_state_is_pcg64s(self):
+        # seeds of one, two, three and five words in one batch, the last past the pool's four
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1]
+        sample_batch(3, 1, seeds=seeds, snr_db=[0.0] * len(seeds))  # registers _Hashed
+        for seed, state in zip(seeds, _seed_states(seeds)):
+            assert np.random.PCG64(_Hashed(state)).state == np.random.PCG64(seed).state, seed

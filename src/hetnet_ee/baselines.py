@@ -13,8 +13,8 @@ interference seen there.  The schemes differ in how carriers are chosen:
   closed form and exists exactly when ``b < 1``.
 
 Both run on every trial of a batch (:func:`nash_batch`,
-:func:`best_channel_batch`); :func:`solve_nash` and
-:func:`solve_best_channel` are their one-instance calls, with reports.
+:func:`best_channel_batch`); :func:`solve_nash` and :func:`solve_best_channel`
+are their one-instance calls, with reports.  All four need a regime.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ import numpy as np
 
 from .efficiency import EfficiencyModel
 from .model import (
-    REGIMES,
     EquilibriumResult,
     NetworkInstance,
     best_response,
     empty_allocation,
+    hears_followers,
     leader_interference,
     make_result,
     respond,
@@ -105,16 +105,14 @@ def _iterate(step, alloc: np.ndarray, max_iter: int, tol: float):
     return alloc, reports
 
 
-def nash_batch(batch: NetworkInstance, model: EfficiencyModel, regime: str = "dense",
+def nash_batch(batch: NetworkInstance, model: EfficiencyModel, regime: str,
                max_iter: int = 1000, tol: float = 1e-10):
     """:func:`solve_nash`'s dynamics on every trial: the last iterates
     ``(T, F+1, K)`` and one ``IterationReport`` per trial."""
-    if regime not in REGIMES:
-        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
     gamma = model.gamma
 
     def step(alloc):
-        interference = leader_interference(batch, alloc[:, 1:]) if regime == "dense" else 0.0
+        interference = leader_interference(batch, alloc[:, 1:], regime)
         leader = best_response(batch.g0, batch.sigma2 + interference, gamma)[0]
         alloc[:, 0] = leader
         alloc[:, 1:] = respond(batch, leader, gamma)[0]
@@ -125,7 +123,7 @@ def nash_batch(batch: NetworkInstance, model: EfficiencyModel, regime: str = "de
 def solve_nash(
     instance: NetworkInstance,
     model: EfficiencyModel,
-    regime: str = "dense",
+    regime: str,
     max_iter: int = 1000,
     tol: float = 1e-10,
 ) -> tuple[EquilibriumResult, IterationReport]:
@@ -144,7 +142,7 @@ def solve_nash(
     return make_result(instance, model, alloc[0], regime), report
 
 
-def best_channel_batch(batch: NetworkInstance, model: EfficiencyModel, regime: str = "dense"):
+def best_channel_batch(batch: NetworkInstance, model: EfficiencyModel, regime: str):
     """:func:`solve_best_channel` on every trial: the allocations ``(T, F+1,
     K)``, the pinned carriers ``(T, F+1)`` and the feedback gains ``b``
     ``(T,)``; a trial is feasible when its ``b < 1``."""
@@ -152,7 +150,7 @@ def best_channel_batch(batch: NetworkInstance, model: EfficiencyModel, regime: s
     rows, followers = np.arange(batch.trials), np.arange(batch.followers)
     pins = batch.gains.argmax(axis=-1)
     k0 = pins[:, 0]
-    coupled = (pins[:, 1:] == k0[:, None]) & (regime == "dense")
+    coupled = (pins[:, 1:] == k0[:, None]) & hears_followers(regime)
     # eta sums the coupled followers' hf/gf as one array of just those
     # terms, so its rounding does not depend on where they sit among F
     terms = np.divide(batch.hf[rows, :, k0], batch.gf[rows, :, k0],
@@ -160,7 +158,7 @@ def best_channel_batch(batch: NetworkInstance, model: EfficiencyModel, regime: s
     terms = np.take_along_axis(terms, np.argsort(~coupled, axis=1, kind="stable"), axis=1)
     sizes = coupled.sum(axis=1)
     eta = np.zeros(batch.trials)
-    for size in np.unique(sizes).tolist():
+    for size in set(sizes.tolist()):  # not np.unique, which imports numpy.ma
         eta[sizes == size] = terms[sizes == size, :size].sum(axis=1)
     g0k = g0[rows, k0]
     b = gamma * gamma * h0[rows, k0] * eta / g0k
@@ -177,7 +175,7 @@ def best_channel_batch(batch: NetworkInstance, model: EfficiencyModel, regime: s
 def solve_best_channel(
     instance: NetworkInstance,
     model: EfficiencyModel,
-    regime: str = "dense",
+    regime: str,
 ) -> tuple[EquilibriumResult, IterationReport]:
     """Every player pinned to its raw best-gain carrier at the optimal SINR.
 

@@ -99,19 +99,17 @@ def _cmd_summarize(args: argparse.Namespace, config: ScenarioConfig) -> int:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             write_summary(rows, fh)
         print(f"wrote {len(rows)} summary rows to {args.output}")
-    carrier_counts = {r.carriers for r in rows}
-    if len(carrier_counts) > 1:
-        for scheme in sorted({r.scheme for r in rows}):
-            for side in ("leader", "follower"):
-                for step in carrier_trend(rows, scheme=scheme, side=side):
-                    status = "ok" if step.ok else "VIOLATION"
-                    print(
-                        f"trend {scheme} {side}: snr_db={step.snr_db:g} "
-                        f"K={step.carriers_from}->{step.carriers_to} "
-                        f"mean {step.mean_from:.6g}->{step.mean_to:.6g} "
-                        f"(slack {step.slack:.3g}) {status}",
-                        file=sys.stderr,
-                    )
+    for scheme in sorted({r.scheme for r in rows}):
+        for side in ("leader", "follower"):
+            for step in carrier_trend(rows, scheme=scheme, side=side):
+                status = "ok" if step.ok else "VIOLATION"
+                print(
+                    f"trend {scheme} {side}: snr_db={step.snr_db:g} "
+                    f"K={step.carriers_from}->{step.carriers_to} "
+                    f"mean {step.mean_from:.6g}->{step.mean_to:.6g} "
+                    f"(slack {step.slack:.3g}) {status}",
+                    file=sys.stderr,
+                )
     return 0
 
 

@@ -197,8 +197,7 @@ def dense_batch(batch: NetworkInstance, model: EfficiencyModel):
     tables = dict(
         nominees=nominees, counts=counts, starts=starts, theta=theta, eta=eta,
         targets=targets, stays=stays, stay_limit=stay_limit, powers=powers, values=values,
-        boundary=boundary, boundary_values=boundary_values, codes=codes,
-        winner_carrier=k_hat, winner_slots=slots,
+        boundary=boundary, boundary_values=boundary_values, codes=codes, winner_slots=slots,
     )
     return alloc, tables
 

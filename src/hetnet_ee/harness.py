@@ -37,8 +37,8 @@ import numpy as np
 from .baselines import best_channel_batch, nash_batch
 from .dense import dense_batch
 from .efficiency import EfficiencyModel
-from .model import REGIMES, _noise_power, _sample, _seed_states, _seed_words, outcomes
-from .model import stack_instances
+from .model import REGIMES, _noise_power, _sample, _seed_states, _seed_words, hears_followers
+from .model import outcomes, stack_instances
 from .oracle import Checks, nash_checks, stackelberg_checks
 from .sparse import sparse_batch
 
@@ -152,8 +152,7 @@ class ScenarioConfig:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}; choose from {SCHEMES}")
-        if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
+        hears_followers(self.regime)  # rejects an unknown regime
         for k in self.carriers:
             if k < 2:
                 raise ValueError(f"carrier count {k} < 2: the stackelberg solvers need two")
@@ -227,7 +226,7 @@ def run_batch(scheme: str, batch, model, regime: str):
     """Run one scheme on every trial of a batch by its batch solver; returns
     the allocations ``(T, F+1, K)`` and the converged flags ``(T,)``."""
     if scheme == "stackelberg":
-        solve = sparse_batch if regime == "sparse" else dense_batch
+        solve = dense_batch if hears_followers(regime) else sparse_batch
         alloc = solve(batch, model)[0]
         return alloc, np.ones(batch.trials, dtype=bool)
     if scheme == "nash":

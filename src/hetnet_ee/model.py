@@ -15,7 +15,8 @@ stacked on a leading trial axis; the same functions take it and then
 return arrays with that axis first.  The solvers work on batches, and a
 single instance is the batch of one.
 
-Two interference regimes share the follower SINR but differ for the leader:
+Two interference regimes, told apart by :func:`hears_followers` alone and
+never defaulted, share the follower SINR but differ for the leader:
 
 * ``"sparse"``: small-cell transmissions are ignored at the macro receiver,
   so the leader sees noise only.
@@ -42,6 +43,7 @@ __all__ = [
     "NetworkInstance",
     "EquilibriumResult",
     "empty_allocation",
+    "hears_followers",
     "leader_interference",
     "best_response",
     "respond",
@@ -202,12 +204,22 @@ def empty_allocation(instance: NetworkInstance) -> np.ndarray:
     return np.zeros(instance.gains.shape)
 
 
-def leader_interference(instance: NetworkInstance, follower_powers) -> np.ndarray:
+def hears_followers(regime: str) -> bool:
+    """Whether the leader's receiver hears the followers: ``True`` in the
+    dense regime, ``False`` in the sparse one; any other regime raises."""
+    if regime not in REGIMES:
+        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+    return regime == "dense"
+
+
+def leader_interference(instance: NetworkInstance, follower_powers, regime: str):
     """Cross-tier interference at the macro receiver, ``sum_f hf[f] * p[f]``.
 
     Maps follower powers ``(..., F, K)`` to per-carrier interference
-    ``(..., K)``; with no followers it is zero.
+    ``(..., K)``, zero with no followers; ``0.0`` in the sparse regime.
     """
+    if not hears_followers(regime):
+        return 0.0
     return np.einsum("...fk,...fk->...k", instance.hf, follower_powers)
 
 
@@ -236,14 +248,10 @@ def respond(instance: NetworkInstance, leader_powers, gamma: float):
 
 def denominators(instance: NetworkInstance, allocation, regime: str) -> np.ndarray:
     """Noise plus interference of every player on every carrier, ``(F+1, K)``:
-    followers see ``h0 * p0``, the leader sees :func:`leader_interference`
-    in the dense regime and noise only in the sparse one."""
-    if regime not in REGIMES:
-        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+    followers see ``h0 * p0``, the leader its :func:`leader_interference`."""
     allocation = np.asarray(allocation, dtype=float)
     denom = np.empty_like(allocation)
-    interference = (leader_interference(instance, allocation[..., 1:, :])
-                    if regime == "dense" else 0.0)
+    interference = leader_interference(instance, allocation[..., 1:, :], regime)
     denom[..., 0, :] = instance.sigma2 + interference
     denom[..., 1:, :] = (instance.sigma2 + instance.h0 * allocation[..., 0, :])[..., None, :]
     return denom

@@ -19,7 +19,8 @@ with ``a_k = g_k / d_k``, any action ``p``, multi-carrier included, earns::
         <= rate * max_k f(a_k p_k) / p_k       (mediant: sum x / sum y <= max x/y)
         <= rate * max_k a_k * phi*             (f(a p) / p = a f(a p) / (a p) <= a phi*)
 
-and the best response (SINR ``gamma`` on the argmax carrier) attains it.
+and :func:`model.best_response` (SINR ``gamma`` on the argmax carrier),
+the deviation the check reports, attains it.
 
 **The leader check** is exact too, every follower re-responding at the
 model's ``gamma`` as :func:`model.respond` picks.  A leader action ``p`` on
@@ -32,8 +33,8 @@ same, so a follower on ``k`` under ``p_k e_k`` stays there under ``p``
 U(p_k e_k)``.  With the leader alone on ``k``, a follower's score there
 falls with ``p``, so it stays on ``k`` exactly below one switching power,
 found by bisection over the floats; these cut the powers into at most
-``F+1`` intervals (one in the sparse regime, where no follower reaches the
-leader) with a fixed set of followers on ``k``.  With ``eta = sum hf /
+``F+1`` intervals (one where :func:`model.hears_followers` says the leader
+hears none) with a fixed set of followers on ``k``.  With ``eta = sum hf /
 gf`` over it, the leader's SINR ``x = g0 p / (sigma2 (1 + gamma eta) +
 gamma eta h0 p)`` rises with ``p`` below ``1/c``, ``c = gamma eta h0 /
 g0``, and its utility is ``rate g0 / (sigma2 (1 + gamma eta)) phi_c(x)``,
@@ -56,7 +57,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .efficiency import EfficiencyModel
-from .model import REGIMES, NetworkInstance, all_utilities, denominators, respond, stack_instances
+from .model import (NetworkInstance, all_utilities, best_response, denominators, hears_followers,
+                    respond, stack_instances)
 
 __all__ = ["DeviationReport", "Checks", "stackelberg_checks", "nash_checks", "verify_follower",
            "verify_followers", "verify_leader_stackelberg", "verify_nash",
@@ -157,16 +159,14 @@ def _peak_efficiency(model: EfficiencyModel) -> float:
 def _unilateral(batch, model, players, allocation, regime):
     """The best deviation of each of ``players`` with every other row
     fixed: the bound ``rate * max_k(g_k / d_k) * phi*`` (module docstring),
-    attained by the player's best response, whose carrier and power are
+    attained by the :func:`model.best_response` whose carrier and power are
     the action.  Returns ``(best, carriers, powers)``, each ``(T, P)``."""
     denom = denominators(batch, allocation, regime)[:, players]
     gains = batch.gains[:, players]
-    ratios = gains / denom
-    k = np.argmax(ratios, axis=-1)[..., None]
     with np.errstate(over="ignore"):  # a subnormal gain's power is inf
-        power = model.gamma * np.take_along_axis(denom, k, -1) / np.take_along_axis(gains, k, -1)
-    best = batch.rates[:, players] * np.take_along_axis(ratios, k, -1)[..., 0]
-    return best * _peak_efficiency(model), k[..., 0], power[..., 0]
+        powers, k = best_response(gains, denom, model.gamma)
+    best = batch.rates[:, players] * (gains / denom).max(axis=-1) * _peak_efficiency(model)
+    return best, k, powers.sum(axis=-1)  # the one nonzero power
 
 
 def _bars(gk, sigma2):
@@ -209,12 +209,10 @@ def _leader(batch, model, regime):
     """The leader's best single-carrier action, every follower
     re-responding (module docstring): ``(best, carriers, powers)``, each
     ``(T, 1)``; ties go to the lower carrier, then the earlier candidate."""
-    if regime not in REGIMES:
-        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
     gamma, sigma2 = model.gamma, batch.sigma2[:, :, None]
     h0, g0 = batch.h0[:, :, None], batch.g0[:, :, None]
     # gains by (trial, carrier, follower); no follower reaches a sparse leader
-    gk, hk = (x.swapaxes(-1, -2)[..., :batch.followers * (regime == "dense")]
+    gk, hk = (x.swapaxes(-1, -2)[..., :batch.followers * hears_followers(regime)]
               for x in (batch.gf, batch.hf))
     bar, count = _bars(gk, sigma2)[0], gk.shape[-1]
     switch = np.zeros(gk.shape)

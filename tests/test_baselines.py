@@ -1,14 +1,19 @@
 """Tests for the Nash best-response dynamics and best-channel baselines."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
+import hetnet_ee
 from hetnet_ee import (
     NetworkInstance,
     optimal_sinr,
@@ -99,7 +104,7 @@ def best_channel_sweep(instance, gamma, regime):
 
     def step(alloc):
         k0 = pins[0]
-        interference = (leader_interference(instance, alloc[1:]) if regime == "dense"
+        interference = (leader_interference(instance, alloc[1:], "dense") if regime == "dense"
                         else np.zeros(instance.carriers))
         alloc[0, k0] = gamma * (instance.sigma2 + interference[k0]) / instance.g0[k0]
         for f in range(instance.followers):
@@ -406,3 +411,19 @@ class TestBestChannel:
                 assert pins[n] == int(np.argmax(inst.gains[n]))
                 nz = np.nonzero(res.allocation[n])[0]
                 assert list(nz) == [pins[n]]
+
+    def test_sweep_leaves_numpy_ma_unloaded(self, tmp_path):
+        # trials with several coupled-follower counts, grouped without np.unique
+        code = (
+            "import sys\n"
+            "from hetnet_ee import harness\n"
+            "config = harness.ScenarioConfig(carriers=(5,), followers=4, trials=20, seed=3,\n"
+            "                                schemes=('best_channel',), verify_fraction=0.0,\n"
+            f"                                output_path={str(tmp_path / 'run.csv')!r})\n"
+            "rows = harness.write_records(harness.run_sweep(config), config.output_path)\n"
+            "print(rows, 'numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(hetnet_ee.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.split() == [str(7 * 20 * 5), "False"]

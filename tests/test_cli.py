@@ -253,9 +253,11 @@ class TestSummarize:
                 "--output", str(out))
         capsys.readouterr()
         assert run_cli("summarize", "--input", str(out)) == 0
-        lines = capsys.readouterr().out.splitlines()
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
         assert lines[0].startswith("scheme,regime,snr_db")
         assert len(lines) == 2
+        assert captured.err == ""
 
     def test_trend_lines_for_carrier_sweeps(self, tmp_path, capsys):
         out = tmp_path / "run.csv"

@@ -1,4 +1,9 @@
-"""Tests for instances, SINR expressions, utilities, and sampling."""
+"""Tests for instances, SINR expressions, utilities, sampling, and the regime switch."""
+
+import ast
+import inspect
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import hetnet_ee
 from hetnet_ee import EfficiencyModel, NetworkInstance, sample_instance, solve_dense, utility
+from hetnet_ee import baselines, cli, dense, efficiency, harness, model as model_module, oracle
+from hetnet_ee import sparse
 from hetnet_ee.model import (
+    REGIMES,
     _Hashed,
     _seed_states,
     _seed_words,
@@ -294,7 +303,7 @@ class TestRespond:
                                hf=np.zeros((0, 2)), sigma2=1.0)
         rows, carriers = respond(inst, np.ones((3, 2)), GAMMA)
         assert rows.shape == (3, 0, 2) and carriers.shape == (3, 0)
-        assert np.array_equal(leader_interference(inst, rows), np.zeros((3, 2)))
+        assert np.array_equal(leader_interference(inst, rows, "dense"), np.zeros((3, 2)))
 
     def test_tied_gains_pick_the_lowest_index(self):
         inst = NetworkInstance(g0=[1.0, 1.0, 1.0], gf=[[2.0, 3.0, 3.0], [1.0, 1.0, 1.0]],
@@ -308,13 +317,13 @@ class TestRespond:
         inst = sample_instance(6, 4, seed=23)
         p0 = rng.uniform(0.0, 2.0, size=(5, 7, inst.carriers))
         rows, carriers = respond(inst, p0, GAMMA)
-        interference = leader_interference(inst, rows)
+        interference = leader_interference(inst, rows, "dense")
         assert rows.shape == (5, 7, 4, 6) and interference.shape == (5, 7, 6)
         for idx in np.ndindex(5, 7):
             single, chosen = respond(inst, p0[idx], GAMMA)
             assert np.array_equal(rows[idx], single)
             assert np.array_equal(carriers[idx], chosen)
-            assert np.array_equal(interference[idx], leader_interference(inst, single))
+            assert np.array_equal(interference[idx], leader_interference(inst, single, "dense"))
 
 
 class TestLeaderRespond:
@@ -535,3 +544,113 @@ class TestSeedHash:
         sample_batch(3, 1, seeds=seeds, snr_db=[0.0] * len(seeds))  # registers _Hashed
         for seed, state in zip(seeds, _seed_states(seeds)):
             assert np.random.PCG64(_Hashed(state)).state == np.random.PCG64(seed).state, seed
+
+
+def _regime_calls():
+    """Every function that takes a regime, as a call of the regime alone."""
+    inst, model = sample_instance(4, 2, seed=5), EfficiencyModel(m=2)
+    batch, alloc = stack_instances([inst]), solve_dense(inst, model).allocation
+    claims = np.ones(1, dtype=bool)
+    calls = {}
+    for scheme in harness.SCHEMES:
+        calls[f"run_batch-{scheme}"] = lambda r, s=scheme: harness.run_batch(s, batch, model, r)
+    for scheme in ("stackelberg", "nash"):  # the schemes that claim an equilibrium
+        calls[f"verify_batch-{scheme}"] = lambda r, s=scheme: harness.verify_batch(
+            s, batch, model, alloc[None], claims, r)
+    calls.update({
+        "nash_batch": lambda r: baselines.nash_batch(batch, model, r),
+        "solve_nash": lambda r: baselines.solve_nash(inst, model, r),
+        "best_channel_batch": lambda r: baselines.best_channel_batch(batch, model, r),
+        "solve_best_channel": lambda r: baselines.solve_best_channel(inst, model, r),
+        "hears_followers": model_module.hears_followers,
+        "leader_interference": lambda r: leader_interference(inst, alloc[1:], r),
+        "denominators": lambda r: denominators(inst, alloc, r),
+        "sinr": lambda r: sinr(inst, alloc, r),
+        "all_utilities": lambda r: all_utilities(inst, model, alloc, r),
+        "utility": lambda r: utility(inst, model, 0, alloc, r),
+        "outcomes": lambda r: model_module.outcomes(inst, model, alloc, r),
+        "make_result": lambda r: make_result(inst, model, alloc, r),
+        "stackelberg_checks": lambda r: oracle.stackelberg_checks(batch, model, alloc[None], r),
+        "nash_checks": lambda r: oracle.nash_checks(batch, model, alloc[None], r),
+        "verify_leader_stackelberg": lambda r: oracle.verify_leader_stackelberg(
+            inst, model, alloc, r),
+        "verify_nash": lambda r: oracle.verify_nash(inst, model, alloc, r),
+        "brute_force_stackelberg": lambda r: oracle.brute_force_stackelberg(inst, model, r),
+        "ScenarioConfig": lambda r: harness.ScenarioConfig(regime=r),
+    })
+    return calls
+
+
+REGIME_CALLS = _regime_calls()
+SOURCES = sorted(Path(hetnet_ee.__file__).parent.glob("*.py"))
+
+
+class _RegimeTests(ast.NodeVisitor):
+    """The enclosing function of each comparison with ``"dense"`` or
+    ``"sparse"`` and each membership test in ``REGIMES``."""
+
+    def __init__(self):
+        self.scope, self.found = "<module>", []
+
+    def visit_FunctionDef(self, node):
+        outer, self.scope = self.scope, node.name
+        self.generic_visit(node)
+        self.scope = outer
+
+    def visit_Compare(self, node):
+        regimes = any(isinstance(x, ast.Constant) and x.value in REGIMES
+                      for x in (node.left, *node.comparators))
+        members = any(isinstance(op, (ast.In, ast.NotIn))
+                      and "REGIMES" in (getattr(x, "id", None), getattr(x, "attr", None))
+                      for op, x in zip(node.ops, node.comparators))
+        if regimes or members:
+            self.found.append(self.scope)
+        self.generic_visit(node)
+
+
+def regime_tests(source: str) -> list:
+    visitor = _RegimeTests()
+    visitor.visit(ast.parse(source))
+    return visitor.found
+
+
+class TestRegimeSwitch:
+    """``model.hears_followers`` is the one place that reads a regime."""
+
+    @pytest.mark.parametrize("name", sorted(REGIME_CALLS))
+    def test_unknown_regime_is_rejected_everywhere(self, name):
+        call = REGIME_CALLS[name]
+        for regime in REGIMES:
+            call(regime)
+        message = "regime must be one of ('sparse', 'dense'), got 'Dense'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call("Dense")
+
+    def test_no_function_defaults_a_regime(self):
+        modules = (baselines, cli, dense, efficiency, harness, model_module, oracle, sparse)
+        takes = [fn for module in modules for fn in vars(module).values()
+                 if inspect.isfunction(fn) and fn.__module__ == module.__name__
+                 and "regime" in inspect.signature(fn).parameters]
+        assert {baselines.nash_batch, baselines.solve_nash, baselines.best_channel_batch,
+                baselines.solve_best_channel, harness.run_batch} <= set(takes)
+        for fn in takes:
+            default = inspect.signature(fn).parameters["regime"].default
+            assert default is inspect.Parameter.empty, fn.__qualname__
+
+    def test_the_guard_sees_every_form(self):
+        source = ("def f(r):\n"
+                  "    return r == 'dense', 'sparse' != r, r in REGIMES, r not in model.REGIMES\n")
+        assert regime_tests(source) == ["f"] * 4
+
+    def test_only_model_reads_a_regime(self):
+        # read_records' malformed-row check is the one exception
+        found = {path.stem: regime_tests(path.read_text(encoding="utf-8"))
+                 for path in SOURCES if path.stem != "model"}
+        assert {stem: scopes for stem, scopes in found.items() if scopes} == {
+            "harness": ["read_records"]}
+
+    def test_one_function_raises_the_regime_error(self):
+        raising = [path.stem for path in SOURCES
+                   for line in path.read_text(encoding="utf-8").splitlines()
+                   if "regime must be one of" in line]
+        assert raising == ["model"]

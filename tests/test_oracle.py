@@ -57,7 +57,8 @@ def _ref_sweep(instance, model, actions, interference):
 
 def _ref_bilevel(instance, model, regime, actions):
     if regime == "dense":
-        interference = leader_interference(instance, respond(instance, actions, model.gamma)[0])
+        interference = leader_interference(instance, respond(instance, actions, model.gamma)[0],
+                                           "dense")
     else:
         interference = 0.0
     return _ref_sweep(instance, model, actions, interference)
@@ -183,7 +184,7 @@ def ref_leader_respond(instance, interference, gamma):
 
 def ref_nash_leader(instance, model, allocation, regime, grid_size=300):
     """(best utility, deviating action) of the unilateral leader search."""
-    fixed = (leader_interference(instance, allocation[1:]) if regime == "dense"
+    fixed = (leader_interference(instance, allocation[1:], "dense") if regime == "dense"
              else np.zeros(instance.carriers))
 
     def score(actions):

@@ -248,13 +248,16 @@ def verify_batch(
     followers, 1e-3 for ``nash`` players).  Only equilibrium claims are
     checked: the best-channel heuristic and a Nash run that did not
     converge (the flags of :func:`run_batch`) claim none, so their trials
-    get no reports.
+    get no reports.  An unknown scheme or regime raises, as in :func:`run_batch`.
     """
     kw = {} if tol is None else {"tol": tol}
     if scheme == "stackelberg":
         return stackelberg_checks(batch, model, allocation, regime, **kw)
     if scheme == "nash":
         return nash_checks(batch, model, allocation, regime, claims=converged, **kw)
+    if scheme != "best_channel":
+        raise ValueError(f"unknown scheme {scheme!r}")
+    hears_followers(regime)  # rejects an unknown regime
     none = np.empty((batch.trials, 0))
     return Checks(none, none, none, none, (), (), np.zeros(batch.trials, dtype=bool))
 

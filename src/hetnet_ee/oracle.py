@@ -8,8 +8,9 @@ returns :class:`Checks`, arrays over trials and players, from which
 calls.  ``f`` is the success curve and ``phi_c(x) = f(x) (1 - c x) / x``;
 ``phi_c`` rises while ``(x - c x^2) f'(x) > f(x)`` and falls after, once,
 below ``min(m, 1/c)``, so a golden-section search (Kiefer 1953) on ``(0,
-min(m, 1/c)]`` finds its peak with no root solved.  ``phi* = max phi_0``
-is searched until the points meet in float.
+min(m, 1/c)]`` finds its peak with no root solved, once per distinct ``c``,
+each point paired with its value in one array.  ``phi* = max phi_0`` is
+searched until the points meet in float.
 
 **The unilateral check** (stackelberg followers, Nash players) is exact.
 With the other rows fixed, the player's denominators ``d_k`` are constant;
@@ -32,13 +33,16 @@ same, so a follower on ``k`` under ``p_k e_k`` stays there under ``p``
 ``k`` mean more interference, and the mediant step gives ``U(p) <= max_k
 U(p_k e_k)``.  With the leader alone on ``k``, a follower's score there
 falls with ``p``, so it stays on ``k`` exactly below one switching power,
-found by bisection over the floats; these cut the powers into at most
-``F+1`` intervals (one where :func:`model.hears_followers` says the leader
-hears none) with a fixed set of followers on ``k``.  With ``eta = sum hf /
-gf`` over it, the leader's SINR ``x = g0 p / (sigma2 (1 + gamma eta) +
-gamma eta h0 p)`` rises with ``p`` below ``1/c``, ``c = gamma eta h0 /
-g0``, and its utility is ``rate g0 / (sigma2 (1 + gamma eta)) phi_c(x)``,
-so an interval's best power is its stationary point or an end.
+found by bisection over the floats from the first bracket the stay test
+confirms (the closed form ``(gk / bar - sigma2) / h0`` give or take the
+digits the subtraction cancels, then 2**-24 of it, then all powers); these
+cut the powers into at most ``F+1`` intervals (one where
+:func:`model.hears_followers` says the leader hears none) with a fixed set
+of followers on ``k``.  With ``eta = sum hf / gf`` over it, the leader's
+SINR ``x = g0 p / (sigma2 (1 + gamma eta) + gamma eta h0 p)`` rises with
+``p`` below ``1/c``, ``c = gamma eta h0 / g0``, and its utility is ``rate
+g0 / (sigma2 (1 + gamma eta)) phi_c(x)``, so an interval's best power is
+its stationary point or an end.
 ``GOLDEN_STEPS`` steps narrow the search below ``1e-10`` of its bracket,
 and the peak is quadratic, so its value is exact to the rounding of ``f``
 (measured for ``m`` up to 100).  Those powers and each switching power
@@ -128,26 +132,26 @@ class Checks(NamedTuple):
 def _golden(model, c, meet=False):
     """The argmax and the max of ``phi_c`` on ``(0, min(m, 1/c)]`` for each
     entry of ``c``: ``GOLDEN_STEPS`` golden-section steps or, with ``meet``
-    (one entry), steps until the points meet in float."""
+    (one entry), steps until the points meet in float.  Each distinct
+    entry (by its bits) is searched once."""
+    c, back = np.unique(c.view(np.int64), return_inverse=True)
+    c, m = c.view(np.float64), model.m
     with np.errstate(divide="ignore"):
-        hi = np.minimum(float(model.m), 1.0 / c)
+        hi = np.minimum(float(m), 1.0 / c)
     lo = np.zeros_like(hi)
 
-    def phi(x):
-        return model.value(x) * (1.0 - c * x) / x
+    def point(x):  # x over phi_c(x), as model.value computes f
+        return np.array([x, (-np.expm1(-x)) ** m * (1.0 - c * x) / x])
 
-    x1, x2 = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
-    f1, f2 = phi(x1), phi(x2)
+    p1, p2 = point(hi - GOLDEN * (hi - lo)), point(lo + GOLDEN * (hi - lo))
     steps = GOLDEN_STEPS
-    while bool(lo < x1 < x2 < hi) if meet else (steps := steps - 1) >= 0:
-        left = f1 >= f2  # the peak lies below x2, else above x1
-        hi, lo = np.where(left, x2, hi), np.where(left, lo, x1)
+    while bool(lo < p1[0] < p2[0] < hi) if meet else (steps := steps - 1) >= 0:
+        left = p1[1] >= p2[1]  # the peak lies below p2, else above p1
+        hi, lo = np.where(left, p2[0], hi), np.where(left, lo, p1[0])
         step = GOLDEN * (hi - lo)
-        new = np.where(left, hi - step, lo + step)
-        f_new = phi(new)
-        x1, x2 = np.where(left, new, x2), np.where(left, x1, new)
-        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
-    return np.where(f1 >= f2, x1, x2), np.where(f1 >= f2, f1, f2)
+        new = point(np.where(left, hi - step, lo + step))
+        p1, p2 = np.where(left, new, p2), np.where(left, p1, new)
+    return np.where(p1[1] >= p2[1], p1, p2)[:, back]
 
 
 @cache
@@ -187,21 +191,30 @@ def _bars(gk, sigma2):
 def _switching_powers(gk, bar, sigma2, h0):
     """The least power at which a follower on the carrier at zero power
     leaves it (``inf`` if it never does): bisection over the bit patterns
-    of the nonnegative floats, which order as the floats do, from a narrow
-    bracket around the closed form where the stay test confirms one."""
+    of the nonnegative floats, which order as the floats do, from the first
+    bracket around the closed form that the stay test confirms, else from
+    all powers.  The test's roundings are monotone in the power, so every
+    confirmed bracket holds the same least failing float."""
     def stays(p):
         return gk / (sigma2 + h0 * p) > bar
 
+    lo, hi = np.zeros(gk.shape), np.full(gk.shape, np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        guess = (gk / bar - sigma2) / h0
-        lo, hi = guess * (1.0 - 2.0**-24), guess * (1.0 + 2.0**-24)
-        narrow = (lo >= 0.0) & (hi < np.inf) & stays(lo) & ~stays(hi)
-    lo, hi = np.where(narrow, lo, 0.0).view(np.int64), np.where(narrow, hi, np.inf).view(np.int64)
-    lo[h0 == 0.0] = _INF_BITS - 1  # then the test does not depend on the power
-    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
-        mid = lo + ((hi - lo) >> 1)
-        stay = stays(mid.view(np.float64))
-        lo, hi = np.where(stay, mid, lo), np.where(stay, hi, mid)
+        quiet = gk / bar  # the denominator at the switch
+        guess = (quiet - sigma2) / h0
+        spread = quiet / h0 * 2.0**-49  # 8 ulps of quiet, whatever the subtraction cancels
+        for a, b in ((guess - spread, guess + spread),
+                     (guess * (1.0 - 2.0**-24), guess * (1.0 + 2.0**-24))):
+            ok = (hi == np.inf) & (a >= 0.0) & (b < np.inf) & stays(a) & ~stays(b)
+            lo, hi = np.where(ok, a, lo), np.where(ok, b, hi)
+            if (hi < np.inf).all():
+                break
+        lo, hi = lo.view(np.int64), hi.view(np.int64)
+        lo[h0 == 0.0] = _INF_BITS - 1  # then the test does not depend on the power
+        for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+            mid = lo + ((hi - lo) >> 1)
+            stay = stays(mid.view(np.float64))
+            lo, hi = np.where(stay, mid, lo), np.where(stay, hi, mid)
     return hi.view(np.float64)
 
 

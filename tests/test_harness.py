@@ -283,6 +283,19 @@ class TestBatchedSweep:
                                            regime).reports(0)
             assert all(r.passed for r in reports), (scheme, reports)
 
+    @pytest.mark.parametrize("scheme, regime, message", [
+        ("bogus", "dense", "unknown scheme 'bogus'"),
+        ("best_channel", "Dense", "regime must be one of ('sparse', 'dense'), got 'Dense'"),
+    ])
+    def test_verify_rejects_what_run_batch_rejects(self, model, scheme, regime, message):
+        batch = stack_instances([sample_instance(3, 1, seed=1)])
+        alloc, converged = harness.run_batch("best_channel", batch, model, "dense")
+        for call in (lambda: harness.run_batch(scheme, batch, model, regime),
+                     lambda: harness.verify_batch(scheme, batch, model, alloc, converged,
+                                                  regime)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+
 
 class TestCsvRoundTrip:
     def test_header_is_pinned(self):

@@ -552,6 +552,84 @@ class TestExactCertificate:
         assert grid <= report.best_found_utility * (1.0 + 1e-13)
 
 
+def _bracket(gk, bar, sigma2, h0, switch):
+    """Which bracket around the closed form holds ``switch``: 0 for give or
+    take 8 ulps of ``gk / bar / h0``, 1 for give or take 2**-24 of the
+    closed form, 2 for none (the search runs over all powers)."""
+    quiet = gk / bar
+    guess, spread = ((quiet - sigma2) / h0, quiet / h0 * 2.0**-49) if h0 else (math.inf,) * 2
+    brackets = ((guess - spread, guess + spread),
+                (guess * (1.0 - 2.0**-24), guess * (1.0 + 2.0**-24)))
+    return next((i for i, (lo, hi) in enumerate(brackets)
+                 if 0.0 <= lo < switch <= hi < math.inf), 2)
+
+
+class TestLeaderSearches:
+    """The certificate's two searches match the scalar references bit for
+    bit: the golden section searches each distinct coefficient once, and a
+    switching power starts from the first bracket the stay test confirms."""
+
+    @pytest.mark.parametrize("m", [2, 10])
+    def test_repeated_trials_match_the_reference(self, m, monkeypatch):
+        model = EfficiencyModel(m=m)
+        rows = [sample_instance(5, 4, snr_db=snr, seed=seed)
+                for snr, seed in ((-5.0, 3), (10.0, 4), (25.0, 5))]
+        rows += rows[::-1] + rows
+        coefficients = []
+
+        def spy(model, c, meet=False):
+            coefficients.append(c)
+            return golden(model, c, meet)
+
+        golden = oracle._golden
+        monkeypatch.setattr(oracle, "_golden", spy)
+        best, carriers, powers = oracle._leader(stack_instances(rows), model, "dense")
+        nonzero = coefficients[0][coefficients[0] != 0.0]
+        assert 0 < np.unique(nonzero).size < nonzero.size
+        for t, inst in enumerate(rows):
+            ref_best, action = ref_leader_certificate(inst, model, "dense")
+            assert (best[t, 0], carriers[t, 0], powers[t, 0]) == (
+                ref_best, action["carrier"], action["power"]), t
+
+    @pytest.mark.parametrize("m", [2, 10])
+    @pytest.mark.parametrize("n", [1, 2, 7, 113, 300])
+    def test_golden_is_the_scalar_search(self, m, n):
+        rng = np.random.default_rng(n)
+        model = EfficiencyModel(m=m)
+        # zeros, coefficients about 1/m (where the bracket's end turns from
+        # m to 1/c) and others, drawn with repeats
+        near = np.nextafter(1.0 / m, [0.0, np.inf, np.inf]) * [1.0, 1.0, 1.0 + 1e-12]
+        pool = np.concatenate([[0.0, 1.0 / m], near, rng.uniform(0.0, 2.0, 6),
+                               rng.exponential(1e-3, 4)])
+        c = rng.choice(pool, n)
+        x, peak = oracle._golden(model, c)
+        for ci, xi, pi in zip(c.tolist(), x.tolist(), peak.tolist()):
+            ref = ref_golden(model, ci)
+            assert (xi, pi) == (ref, model.value(ref) * (1.0 - ci * ref) / ref), ci
+
+    def test_switching_powers_match_the_reference(self):
+        # followers nearly indifferent at zero power: gk / bar is sigma2
+        # times 1 + 2**-e
+        cases = [(0.37 * s * (1.0 + 2.0**-e), 0.37, s, 0.5)
+                 for e in range(10, 51, 4) for s in (1e-3, 1.0, 7.3)]
+        cases += [(2.0, 1.0, 1.0, 0.0), (2.0, 1.5, 0.5, 0.0)]  # h0 = 0: never leaves
+        cases += [(3e-310, 1e-310, 1.0, 0.25), (3e-310, 1e-310, 1.0, 1e-300),
+                  (7 * 5e-324, 3 * 5e-324, 1.0, 0.3)]  # subnormal gains
+        cases += [(1e300, 5e299, 1.0, 1e-300), (1e300, 5e299, 1.0, 1.0),
+                  (1e300, 1e-10, 1e300, 3.0),
+                  (2e-300, 1.0, 1e-300, 1e300)]  # the closed form underflows to 0
+        assert all(gk / s > bar for gk, bar, s, _ in cases)  # each stays at zero power
+        refs = [ref_switching_power(lambda p, gk=gk, bar=bar, s=s, h0=h0:
+                                    gk / (s + h0 * p) > bar) for gk, bar, s, h0 in cases]
+        assert {_bracket(*case, ref) for case, ref in zip(cases, refs)} == {0, 1, 2}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            together = oracle._switching_powers(*map(np.array, zip(*cases)))
+            alone = [oracle._switching_powers(*(np.array([x]) for x in case))[0]
+                     for case in cases]
+        assert together.tolist() == alone == refs
+
+
 def _lemma_utility(inst, model, regime, leader):
     """The leader's utility under ``leader`` powers with every follower
     responding, scored apart from the oracle's block sweep."""

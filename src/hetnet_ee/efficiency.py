@@ -46,6 +46,11 @@ def _sinr(x) -> np.ndarray:
     return x
 
 
+def _success(x, m):
+    """``(1 - exp(-x))**m`` of a nonnegative SINR array ``x``, unchecked."""
+    return (-np.expm1(-x)) ** m
+
+
 @dataclass(frozen=True)
 class EfficiencyModel:
     """Packet success probability ``(1 - exp(-x))**m`` at SINR ``x``.
@@ -68,7 +73,7 @@ class EfficiencyModel:
 
     def value(self, x):
         """Success rate at SINR ``x`` (scalar or array), in [0, 1)."""
-        out = (-np.expm1(-_sinr(x))) ** self.m
+        out = _success(_sinr(x), self.m)
         return float(out[0]) if np.ndim(x) == 0 else out
 
     def derivative(self, x):

@@ -8,9 +8,8 @@ returns :class:`Checks`, arrays over trials and players, from which
 calls.  ``f`` is the success curve and ``phi_c(x) = f(x) (1 - c x) / x``;
 ``phi_c`` rises while ``(x - c x^2) f'(x) > f(x)`` and falls after, once,
 below ``min(m, 1/c)``, so a golden-section search (Kiefer 1953) on ``(0,
-min(m, 1/c)]`` finds its peak with no root solved, once per distinct ``c``,
-each point paired with its value in one array.  ``phi* = max phi_0`` is
-searched until the points meet in float.
+min(m, 1/c)]`` finds its peak with no root solved, once per distinct
+``c``.  ``phi* = max phi_0`` is searched until the points meet in float.
 
 **The unilateral check** (stackelberg followers, Nash players) is exact.
 With the other rows fixed, the player's denominators ``d_k`` are constant;
@@ -33,10 +32,9 @@ same, so a follower on ``k`` under ``p_k e_k`` stays there under ``p``
 ``k`` mean more interference, and the mediant step gives ``U(p) <= max_k
 U(p_k e_k)``.  With the leader alone on ``k``, a follower's score there
 falls with ``p``, so it stays on ``k`` exactly below one switching power,
-found by bisection over the floats from the first bracket the stay test
-confirms (the closed form ``(gk / bar - sigma2) / h0`` give or take the
-digits the subtraction cancels, then 2**-24 of it, then all powers); these
-cut the powers into at most ``F+1`` intervals (one where
+found by bisection over the floats from ``(gk / bar - sigma2) / h0`` give
+or take what the subtraction cancels, else from all powers; these cut the
+powers into at most ``F+1`` intervals (one where
 :func:`model.hears_followers` says the leader hears none) with a fixed set
 of followers on ``k``.  With ``eta = sum hf / gf`` over it, the leader's
 SINR ``x = g0 p / (sigma2 (1 + gamma eta) + gamma eta h0 p)`` rises with
@@ -60,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .efficiency import EfficiencyModel
+from .efficiency import EfficiencyModel, _success
 from .model import (NetworkInstance, all_utilities, best_response, denominators, hears_followers,
                     respond, stack_instances)
 
@@ -134,24 +132,30 @@ def _golden(model, c, meet=False):
     entry of ``c``: ``GOLDEN_STEPS`` golden-section steps or, with ``meet``
     (one entry), steps until the points meet in float.  Each distinct
     entry (by its bits) is searched once."""
-    c, back = np.unique(c.view(np.int64), return_inverse=True)
-    c, m = c.view(np.float64), model.m
+    order = np.argsort(c, kind="stable")  # _leader's own sort kernel; a new one maps 0.3 MB
+    first = np.diff(c.view(np.int64)[order], prepend=-1) != 0  # -1 is a NaN's bits
+    back = np.empty_like(order)
+    back[order] = np.cumsum(first) - 1
+    c, m = c[order[first]], model.m
     with np.errstate(divide="ignore"):
         hi = np.minimum(float(m), 1.0 / c)
     lo = np.zeros_like(hi)
 
-    def point(x):  # x over phi_c(x), as model.value computes f
-        return np.array([x, (-np.expm1(-x)) ** m * (1.0 - c * x) / x])
+    def phi(x):  # model.value unchecked: every x lies in (0, hi]
+        return _success(x, m) * (1.0 - c * x) / x
 
-    p1, p2 = point(hi - GOLDEN * (hi - lo)), point(lo + GOLDEN * (hi - lo))
+    x1, x2 = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
+    f1, f2 = phi(x1), phi(x2)
     steps = GOLDEN_STEPS
-    while bool(lo < p1[0] < p2[0] < hi) if meet else (steps := steps - 1) >= 0:
-        left = p1[1] >= p2[1]  # the peak lies below p2, else above p1
-        hi, lo = np.where(left, p2[0], hi), np.where(left, lo, p1[0])
+    while bool(lo < x1 < x2 < hi) if meet else (steps := steps - 1) >= 0:
+        left = f1 >= f2  # the peak lies below x2, else above x1
+        hi, lo = np.where(left, x2, hi), np.where(left, lo, x1)
         step = GOLDEN * (hi - lo)
-        new = point(np.where(left, hi - step, lo + step))
-        p1, p2 = np.where(left, new, p2), np.where(left, p1, new)
-    return np.where(p1[1] >= p2[1], p1, p2)[:, back]
+        new = np.where(left, hi - step, lo + step)
+        f_new = phi(new)
+        x1, x2 = np.where(left, new, x2), np.where(left, x1, new)
+        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+    return np.where(f1 >= f2, x1, x2)[back], np.where(f1 >= f2, f1, f2)[back]
 
 
 @cache
@@ -191,25 +195,19 @@ def _bars(gk, sigma2):
 def _switching_powers(gk, bar, sigma2, h0):
     """The least power at which a follower on the carrier at zero power
     leaves it (``inf`` if it never does): bisection over the bit patterns
-    of the nonnegative floats, which order as the floats do, from the first
-    bracket around the closed form that the stay test confirms, else from
-    all powers.  The test's roundings are monotone in the power, so every
-    confirmed bracket holds the same least failing float."""
+    of the nonnegative floats, which order as the floats do, from a bracket
+    around the closed form where the stay test confirms it (its roundings
+    are monotone in the power, so any such bracket holds the same least
+    failing float), else from all powers."""
     def stays(p):
         return gk / (sigma2 + h0 * p) > bar
 
-    lo, hi = np.zeros(gk.shape), np.full(gk.shape, np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         quiet = gk / bar  # the denominator at the switch
-        guess = (quiet - sigma2) / h0
-        spread = quiet / h0 * 2.0**-49  # 8 ulps of quiet, whatever the subtraction cancels
-        for a, b in ((guess - spread, guess + spread),
-                     (guess * (1.0 - 2.0**-24), guess * (1.0 + 2.0**-24))):
-            ok = (hi == np.inf) & (a >= 0.0) & (b < np.inf) & stays(a) & ~stays(b)
-            lo, hi = np.where(ok, a, lo), np.where(ok, b, hi)
-            if (hi < np.inf).all():
-                break
-        lo, hi = lo.view(np.int64), hi.view(np.int64)
+        guess, spread = (quiet - sigma2) / h0, quiet / h0 * 2.0**-49  # 8 ulps of quiet
+        lo, hi = guess - spread, guess + spread
+        narrow = (lo >= 0.0) & (hi < np.inf) & stays(lo) & ~stays(hi)
+        lo, hi = np.where(narrow, lo, 0.0).view(np.int64), np.where(narrow, hi, np.inf).view(np.int64)
         lo[h0 == 0.0] = _INF_BITS - 1  # then the test does not depend on the power
         for _ in range(int((hi - lo).max(initial=0)).bit_length()):
             mid = lo + ((hi - lo) >> 1)

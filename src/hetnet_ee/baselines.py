@@ -10,7 +10,7 @@ interference seen there.  The schemes differ in how carriers are chosen:
   the last finite iterate, never raised, and its overflow raises no warning.
 * The best-channel heuristic pins each player to its raw best-gain carrier.
   Its power map is affine with one scalar gain ``b``, so its fixed point is
-  closed form and exists exactly when ``b < 1``.
+  closed form and exists exactly when ``b < 1``; its overflow is named.
 
 Both run on every trial of a batch (:func:`nash_batch`,
 :func:`best_channel_batch`); :func:`solve_nash` and :func:`solve_best_channel`
@@ -144,32 +144,36 @@ def solve_nash(
 
 def best_channel_batch(batch: NetworkInstance, model: EfficiencyModel, regime: str):
     """:func:`solve_best_channel` on every trial: the allocations ``(T, F+1,
-    K)``, the pinned carriers ``(T, F+1)`` and the feedback gains ``b``
-    ``(T,)``; a trial is feasible when its ``b < 1``."""
+    K)``, the pinned carriers ``(T, F+1)``, the feedback gains ``b``
+    ``(T,)`` and the converged flags ``(T,)`` (``b < 1``, every power finite)."""
     gamma, sigma2, g0, h0 = model.gamma, batch.sigma2[:, 0], batch.g0, batch.h0
     rows, followers = np.arange(batch.trials), np.arange(batch.followers)
     pins = batch.gains.argmax(axis=-1)
     k0 = pins[:, 0]
     coupled = (pins[:, 1:] == k0[:, None]) & hears_followers(regime)
-    # eta sums the coupled followers' hf/gf as one array of just those
-    # terms, so its rounding does not depend on where they sit among F
-    terms = np.divide(batch.hf[rows, :, k0], batch.gf[rows, :, k0],
-                      out=np.zeros(coupled.shape), where=coupled)
-    terms = np.take_along_axis(terms, np.argsort(~coupled, axis=1, kind="stable"), axis=1)
-    sizes = coupled.sum(axis=1)
-    eta = np.zeros(batch.trials)
-    for size in set(sizes.tolist()):  # not np.unique, which imports numpy.ma
-        eta[sizes == size] = terms[sizes == size, :size].sum(axis=1)
-    g0k = g0[rows, k0]
-    b = gamma * gamma * h0[rows, k0] * eta / g0k
-    feasible = b < 1.0
-    alloc = np.zeros(batch.gains.shape)
-    alloc[rows, 0, k0] = np.divide(gamma * sigma2 * (1.0 + gamma * eta) / g0k, 1.0 - b,
-                                   out=np.zeros(batch.trials), where=feasible)
-    k, trial = pins[:, 1:], rows[:, None]
-    powers = gamma * (sigma2[:, None] + h0[trial, k] * alloc[trial, 0, k]) / batch.gf[trial, followers, k]
+    with np.errstate(over="ignore", invalid="ignore"):  # a subnormal gain can overflow
+        # eta sums the coupled followers' hf/gf as one array of just those
+        # terms, so its rounding does not depend on where they sit among F
+        terms = np.divide(batch.hf[rows, :, k0], batch.gf[rows, :, k0],
+                          out=np.zeros(coupled.shape), where=coupled)
+        terms = np.take_along_axis(terms, np.argsort(~coupled, axis=1, kind="stable"), axis=1)
+        sizes = coupled.sum(axis=1)
+        eta = np.zeros(batch.trials)
+        for size in set(sizes.tolist()):  # not np.unique, which imports numpy.ma
+            eta[sizes == size] = terms[sizes == size, :size].sum(axis=1)
+        g0k = g0[rows, k0]
+        b = gamma * gamma * h0[rows, k0] * eta / g0k
+        feasible = b < 1.0
+        alloc = np.zeros(batch.gains.shape)
+        alloc[rows, 0, k0] = np.divide(gamma * sigma2 * (1.0 + gamma * eta) / g0k, 1.0 - b,
+                                       out=np.zeros(batch.trials), where=feasible)
+        k, trial = pins[:, 1:], rows[:, None]
+        # without cross gain a follower does not hear even a leader past the float range
+        heard = np.where(h0[trial, k] > 0.0, h0[trial, k] * alloc[trial, 0, k], 0.0)
+        powers = gamma * (sigma2[:, None] + heard) / batch.gf[trial, followers, k]
     alloc[trial, followers + 1, k] = np.where(coupled & ~feasible[:, None], 0.0, powers)
-    return alloc, pins, b
+    converged = feasible & np.isfinite(alloc).all(axis=(1, 2))
+    return np.nan_to_num(alloc, nan=0.0, posinf=0.0), pins, b, converged
 
 
 def solve_best_channel(
@@ -189,13 +193,14 @@ def solve_best_channel(
     reach ``gamma`` on ``k0``: the report says ``converged=False`` and
     ``"infeasible"``, and the leader and the followers pinned to ``k0`` get
     all-zero rows (utility 0, the limit of their growing powers); every
-    other row is exact.  Reports have ``iterations == 0`` and
+    other row is exact.  A power past the float range is 0 as well, and a
+    feasible trial with one says ``"overflow"``.  Reports have ``iterations == 0`` and
     ``final_change == 0.0``.  ``diagnostics["pinned_carriers"]`` is every
     player's pinned carrier, which names the carrier of an all-zero row, and
     ``diagnostics["feedback_gain"]`` is ``b``.
     """
-    alloc, pins, b = best_channel_batch(stack_instances((instance,)), model, regime)
-    feasible = bool(b[0] < 1.0)
-    report = IterationReport(feasible, 0, 0.0, _STOPS[_CONVERGED if feasible else _INFEASIBLE])
+    alloc, pins, b, (converged,) = best_channel_batch(stack_instances((instance,)), model, regime)
+    stop = _CONVERGED if converged else _INFEASIBLE if b[0] >= 1.0 else _OVERFLOW
+    report = IterationReport(bool(converged), 0, 0.0, _STOPS[stop])
     diagnostics = {"pinned_carriers": tuple(pins[0].tolist()), "feedback_gain": float(b[0])}
     return make_result(instance, model, alloc[0], regime, diagnostics), report

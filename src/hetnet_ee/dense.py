@@ -93,7 +93,8 @@ class CarrierCandidates:
 
 def dense_batch(batch: NetworkInstance, model: EfficiencyModel):
     """Dense-regime equilibrium of every trial: the allocations ``(T, F+1,
-    K)`` and the slot tables, a dict of arrays with the trial axis first."""
+    K)`` and the slot tables, a dict of arrays with the trial axis first,
+    each as wide as the batch's busiest carrier needs (at most ``F+2``)."""
     gamma, sigma2 = model.gamma, batch.sigma2[:, :, None]
     trials, carriers, count = batch.trials, batch.carriers, batch.followers
     trial, followers = np.arange(trials)[:, None], np.arange(count)
@@ -113,14 +114,15 @@ def dense_batch(batch: NetworkInstance, model: EfficiencyModel):
     starts = counts.cumsum(axis=1) - counts
     ks = best[trial, nominees]
     cols = followers + 1 - starts[trial, ks]
-    # each nominee's cell in the flattened (T, K, F+2) table
-    cells = (trial * carriers + ks) * (count + 2) + cols
+    # each nominee's cell in the flattened (T, K, width) table
+    width = int(counts.max()) + 2
+    cells = (trial * carriers + ks) * width + cols
 
     def table(values, fill=np.nan):
-        out = np.empty(trials * carriers * (count + 2))
+        out = np.empty(trials * carriers * width)
         out.fill(fill)
         out[cells] = values
-        return out.reshape(trials, carriers, count + 2)
+        return out.reshape(trials, carriers, width)
 
     gb_t, gs_t = table(gb[trial, nominees]), table(gs[trial, nominees])
     eta = table(batch.hf[trial, nominees, ks] / gb[trial, nominees], 0.0).cumsum(axis=-1)
@@ -161,7 +163,7 @@ def dense_batch(batch: NetworkInstance, model: EfficiencyModel):
     # the stay test, "the last nominee still prefers this carrier at the
     # slot's uncapped power", is that power below the nominee's boundary
     stays = powers < boundary[:, :, :-1]
-    slot = np.arange(count + 1)
+    slot = np.arange(width - 1)
     stay_limit = np.where(stays, slot, 0).max(axis=-1)
 
     # the one cap rule, against the next nominee's boundary (raise) and the

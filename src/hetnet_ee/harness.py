@@ -9,10 +9,10 @@ the configuration alone.
 
 Every trial of one carrier count, across all its SNR points, is solved as
 one batch (a :class:`~hetnet_ee.model.NetworkInstance` with a leading trial
-axis), in chunks of at most ``CHUNK_CELLS`` slot-table cells: each scheme
-runs once per chunk through its batch solver (the same code its
-``solve_*`` function runs on one instance), and each trial still draws
-from its own generator, so a record does not depend on the chunking.
+axis), in chunks capped in trials and in slot-table cells (:func:`chunked`):
+each scheme runs once per chunk through its batch solver (the same code as
+its ``solve_*`` function), and each trial still draws from its own
+generator, so a record does not depend on the chunking.
 Records stream out one per (point, trial, scheme, player) as slotted
 :class:`SweepRecord` dataclasses (mutable and unhashable) and serialize to
 CSV with one column per field, in field order, formatting the seven leading
@@ -65,10 +65,13 @@ __all__ = [
 ]
 
 SCHEMES = ("stackelberg", "nash", "best_channel")
-# trials per chunk are capped so that a chunk's (T, K, F+2) slot tables
-# hold at most this many cells: past a few trials per chunk a K=64, F=32
-# sweep gains little speed, and each doubling adds resident memory
-CHUNK_CELLS = 1 << 13
+# A chunk holds at most CHUNK_TRIALS trials and CHUNK_CELLS cells of (T, K, F+2)
+# slot tables, the widest a dense chunk needs.  A chunk has a fixed cost: 30-trial
+# K=64, F=32 sparse sweeps ran 1,806, 2,344 and 2,225 trials/s with 3, 10 and 30
+# trials per chunk (2-core VM), and K=5, F=4 ones as fast with 256 as with 1,092,
+# whose sweep peaked 2.8 MB higher.
+CHUNK_CELLS = 22_000
+CHUNK_TRIALS = 256
 
 _Z95 = 1.959963984540054
 
@@ -233,8 +236,8 @@ def run_batch(scheme: str, batch, model, regime: str):
         alloc, reports = nash_batch(batch, model, regime)
         return alloc, np.array([r.converged for r in reports])
     if scheme == "best_channel":
-        alloc, _, b = best_channel_batch(batch, model, regime)
-        return alloc, b < 1.0
+        alloc, _, _, converged = best_channel_batch(batch, model, regime)
+        return alloc, converged
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -263,9 +266,9 @@ def verify_batch(
 
 
 def chunked(trials: list, carriers: int, followers: int) -> Iterator[list]:
-    """``trials`` of one shape in order, in runs of as many as fit one
-    batch of at most ``CHUNK_CELLS`` slot-table cells."""
-    size = max(1, CHUNK_CELLS // max(1, carriers * (followers + 2)))
+    """``trials`` of one shape in order, in runs of at most ``CHUNK_TRIALS``
+    trials and ``CHUNK_CELLS`` slot-table cells (one trial at the least)."""
+    size = max(1, min(CHUNK_TRIALS, CHUNK_CELLS // max(1, carriers * (followers + 2))))
     for start in range(0, len(trials), size):
         yield trials[start:start + size]
 

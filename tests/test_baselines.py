@@ -22,7 +22,7 @@ from hetnet_ee import (
     solve_nash,
     verify_nash,
 )
-from hetnet_ee import baselines
+from hetnet_ee import baselines, harness
 from hetnet_ee.baselines import IterationReport, nash_batch
 from hetnet_ee.model import (
     empty_allocation,
@@ -351,6 +351,32 @@ class TestBestChannel:
         assert not report.converged and report.stop == "infeasible"
         assert report.iterations == 0 and res.diagnostics["feedback_gain"] >= 1.0
         assert np.all(np.isfinite(res.allocation)) and np.all(np.isfinite(res.utilities))
+
+    @pytest.mark.parametrize("regime", ["dense", "sparse"])
+    @pytest.mark.parametrize("gf, h0", [([[1.0, 0.5]], [0.5, 0.5]), ([[0.5, 1.0]], [0.5, 0.0])])
+    def test_overflowing_power_is_named_without_warning(self, model, regime, gf, h0):
+        # the leader's power gamma sigma2 / 2e-310 passes the float range; the
+        # follower's carrier is another, or the leader's without cross gain
+        inst = NetworkInstance(g0=[1e-310, 2e-310], gf=gf, h0=h0, hf=[[0.5, 0.5]], sigma2=1e6)
+        normal = sample_instance(2, 1, snr_db=10.0, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res, report = solve_best_channel(inst, model, regime)
+            alloc, _, b, converged = baselines.best_channel_batch(
+                stack_instances([normal, inst]), model, regime)
+            flags = harness.run_batch("best_channel", stack_instances([inst]), model, regime)[1]
+        assert not report.converged and report.stop == "overflow"
+        assert res.diagnostics["feedback_gain"] < 1.0 and not flags.any()
+        # the leader's row is zeroed, the follower's is exact
+        k = int(np.argmax(gf[0]))
+        assert not res.allocation[0].any() and res.active_carriers == (None, k)
+        assert_allclose(res.allocation[1, k], GAMMA * 1e6 / gf[0][k], rtol=1e-12)
+        assert np.all(np.isfinite(res.utilities))
+        # a trial beside it in a batch is untouched
+        assert converged.tolist() == [True, False]
+        single, _, _, _ = baselines.best_channel_batch(stack_instances([normal]), model, regime)
+        assert alloc[0].tobytes() == single[0].tobytes()
+        assert alloc[1].tobytes() == res.allocation.tobytes()
 
     @pytest.mark.parametrize("b", [0.9, 0.99])
     def test_near_critical_feedback_reaches_the_fixed_point(self, model, b):

@@ -27,8 +27,10 @@ from hetnet_ee import (
     verify_follower,
     verify_leader_stackelberg,
 )
+from hetnet_ee import dense
+from hetnet_ee.dense import dense_batch
 from hetnet_ee.efficiency import optimal_sinr_with_feedback
-from hetnet_ee.model import rank_carriers, respond, sinr
+from hetnet_ee.model import rank_carriers, respond, sinr, stack_instances
 from conftest import edge_cases, random_instance
 
 GAMMA = 1.2564312086261697
@@ -378,6 +380,44 @@ class TestCandidateTable:
         assert res.active_carriers == (1, 0)
         assert verify_leader_stackelberg(inst, model, res.allocation, "dense").passed
         assert verify_follower(inst, model, 0, res.allocation).passed
+
+    def test_table_is_as_wide_as_the_busiest_carrier(self, model, monkeypatch):
+        # K=6, F=4: one trial's nominees all share carrier 0 (width F+2)
+        # and all four are kept, so its winning slot is the table's last
+        # but one; the others' busiest carrier holds one nominee (width 3)
+        rows = []
+        for seed, snr in ((1, -10.0), (4, 10.0), (3, 25.0), (5, 40.0)):
+            base = sample_instance(6, 4, snr_db=snr, seed=seed, mean_cross=0.1)
+            gf = base.gf.copy()
+            top = 4.0 * gf.max(axis=1)
+            if seed == 4:
+                gf[:, 0] = top
+            else:
+                gf[np.arange(4), np.arange(4) + 1 + (seed == 5)] = top
+            rows.append(NetworkInstance(g0=base.g0, gf=gf, h0=base.h0, hf=base.hf,
+                                        sigma2=base.sigma2))
+        alloc, tables = dense_batch(stack_instances(rows), model)
+        assert tables["theta"].shape == (4, 6, 6) and tables["counts"][1, 0] == 4
+        assert tables["winner_slots"][1] == 4
+        for t, inst in enumerate(rows):
+            alone, alone_tables = dense_batch(stack_instances((inst,)), model)
+            assert alone_tables["theta"].shape == (1, 6, 6 if t == 1 else 3)
+            assert alloc[t].tobytes() == alone[0].tobytes()
+            assert tables["winner_slots"][t] == alone_tables["winner_slots"][0]
+            # solve_dense reads the same candidate table off the wide batch
+            table = solve_dense(inst, model).diagnostics["candidate_table"]
+            with monkeypatch.context() as patch:
+                patch.setattr(dense, "dense_batch", lambda batch, model, t=t: (
+                    alloc[t:t + 1], {name: value[t:t + 1] for name, value in tables.items()}))
+                wide = solve_dense(inst, model).diagnostics["candidate_table"]
+            for narrow_row, wide_row in zip(table, wide, strict=True):
+                for name, value in vars(narrow_row).items():
+                    other = getattr(wide_row, name)
+                    if isinstance(value, np.ndarray):
+                        assert value.dtype == other.dtype
+                        assert value.tobytes() == other.tobytes(), name
+                    else:
+                        assert value == other, name
 
     def test_ratios_past_the_float_range_are_ranked(self, model):
         # both ratios overflow; the larger one (follower 0) ranks first and

@@ -200,12 +200,17 @@ class TestBatchedSweep:
         assert sweep_sha(tmp_path, **kw) == sha
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
-    @pytest.mark.parametrize("size", [1, 7])
+    @pytest.mark.parametrize("size", [1, 7, 5])
     def test_bytes_do_not_depend_on_the_chunks(self, tmp_path, monkeypatch, name, size):
         kw, sha = GOLDEN[name]
-        # every trial alone, or the largest carrier count in chunks of 7
+        # every trial alone, the largest carrier count in chunks of 7 by
+        # the cell cap, or every carrier count in chunks of 5 by the trial cap
         cells = max(kw["carriers"]) * (kw["followers"] + 2)
-        monkeypatch.setattr(harness, "CHUNK_CELLS", 1 if size == 1 else size * cells)
+        if size == 5:
+            monkeypatch.setattr(harness, "CHUNK_TRIALS", size)
+            assert harness.CHUNK_CELLS // cells > size
+        else:
+            monkeypatch.setattr(harness, "CHUNK_CELLS", 1 if size == 1 else size * cells)
         sizes = []
 
         # the sweep samples each chunk from its slice of the generator states
@@ -219,6 +224,20 @@ class TestBatchedSweep:
         # a plan shorter than the chunk is one chunk
         plan = kw["trials"] * len(kw["snr_db"])
         assert min(size, plan) in sizes and (size > 1 or set(sizes) == {1})
+        # the trial cap binds on every carrier count
+        assert size != 5 or max(sizes) == 5
+
+    @pytest.mark.parametrize("carriers, followers", [(5, 4), (20, 12), (64, 32), (128, 127),
+                                                     (256, 255)])
+    def test_chunks_are_capped_by_trials_and_by_cells(self, carriers, followers):
+        sizes = [len(chunk) for chunk in harness.chunked(range(1000), carriers, followers)]
+        assert sum(sizes) == 1000 and min(sizes) >= 1 and max(sizes) <= harness.CHUNK_TRIALS
+        # small shapes are capped by trials, wide ones by cells (K=64, F=32
+        # past the old three trials), super-dense ones hold one trial
+        expected = {(5, 4): harness.CHUNK_TRIALS, (20, 12): harness.CHUNK_CELLS // 280,
+                    (64, 32): harness.CHUNK_CELLS // 2176}.get((carriers, followers), 1)
+        assert sizes[0] == expected and set(sizes[:-1]) <= {expected}
+        assert harness.CHUNK_CELLS // 2176 > 3
 
     def test_failed_sweep_keeps_the_rows_before_its_failing_chunk(self, tmp_path, monkeypatch):
         kw, sha = GOLDEN["dense"]

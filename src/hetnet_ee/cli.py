@@ -13,9 +13,10 @@ config file passed with ``--config``, whose keys are the field names.  SNR
 ranges use ``start:stop:step`` in dB; list-valued values (carriers,
 schemes, rates) are comma-separated.  A bad value, an unreadable or foreign
 ``--input`` CSV, a malformed row (an unknown scheme or regime, or for
-``verify`` a trial whose instance cannot be built), or a ``verify --rates``
-list that does not fit a row's F exits with status 2.  The parser is built on
-the first :func:`main` call and kept; each call runs ``_cmd_<command>``.
+``verify`` a trial whose instance cannot be built or has fewer than two
+carriers), or a ``verify --rates`` list that does not fit a row's F exits
+with status 2.  The parser is built on the first :func:`main` call and
+kept; each call runs ``_cmd_<command>``.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .harness import (
     write_summary,
 )
 from .model import sample_batch
+from .oracle import TOL
 
 _SCENARIO = tuple(f.name for f in fields(ScenarioConfig))
 
@@ -141,6 +143,13 @@ def _cmd_verify(args: argparse.Namespace, config: ScenarioConfig) -> int:
                                 snr_db=[key[2] for key in rows], mean_signal=config.mean_signal,
                                 mean_cross=config.mean_cross, rates=config.rates)
 
+        def unreadable(key, reason):
+            return argparse.ArgumentError(
+                None, f"cannot read --input {args.input}: row with K={carriers} F={followers} "
+                      f"trial={key[5]} seed={key[6]} snr_db={key[2]:g}: {reason}")
+
+        if carriers < 2:  # ScenarioConfig rejects it, so no sweep writes one
+            raise unreadable(keys[0], f"carrier count {carriers} < 2")
         for chunk in chunked(keys, carriers, followers):
             try:
                 batch = rebuild(chunk)
@@ -150,10 +159,7 @@ def _cmd_verify(args: argparse.Namespace, config: ScenarioConfig) -> int:
                     try:
                         rebuild([key])
                     except ValueError as exc:
-                        raise argparse.ArgumentError(
-                            None, f"cannot read --input {args.input}: row with K={carriers} "
-                                  f"F={followers} trial={key[5]} seed={key[6]} "
-                                  f"snr_db={key[2]:g}: {exc}") from None
+                        raise unreadable(key, exc) from None
                 raise
             alloc, converged = run_batch(scheme, batch, model, regime)
             checks = verify_batch(scheme, batch, model, alloc, converged, regime, args.tolerance)
@@ -198,9 +204,8 @@ def _parser():
     p_verify.add_argument("--input", required=True, help="records CSV from `sweep`")
     _add_scenario_flags(p_verify, ("m_exponent", "mean_signal", "mean_cross", "rates"))
     p_verify.add_argument(
-        "--tolerance", type=_tolerance, default=None,
-        help="relative-gain tolerance of every check, finite (default: 1e-9 for the "
-             "stackelberg leader, 1e-12 for stackelberg followers, 1e-3 for nash players)",
+        "--tolerance", type=_tolerance, default=TOL,
+        help=f"relative-gain tolerance of every check, finite (default: {TOL:g})",
     )
     return parser, sub.choices
 

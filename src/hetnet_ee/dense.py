@@ -137,9 +137,12 @@ def dense_batch(batch: NetworkInstance, model: EfficiencyModel):
     # indifference boundaries: leader power at which a nominee stops
     # preferring this carrier over its second-best; with zero cross gain,
     # or past the float range (a tiny gs), it is out of reach (x/0 and the
-    # overflow are inf; the 0/0 of tied gains is replaced by 0)
+    # overflow are inf).  A nominee whose two gains tie stays (ties go to
+    # the lower index, its best) until the leader is heard at all: its
+    # boundary is 0, or out of reach with zero cross gain
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        boundary = np.where(gb_t <= gs_t, 0.0, sigma2 * (gb_t - gs_t) / (h0 * gs_t))
+        tied = np.where(h0 > 0.0, 0.0, np.inf)
+        boundary = np.where(gb_t <= gs_t, tied, sigma2 * (gb_t - gs_t) / (h0 * gs_t))
         theta = gb_t / gs_t
     # leader value at a boundary, with the nominees ranked above it sharing
     at = np.where((boundary > 0.0) & (boundary < np.inf), boundary, np.nan)[:, :, 1:]

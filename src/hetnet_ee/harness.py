@@ -39,7 +39,7 @@ from .dense import dense_batch
 from .efficiency import EfficiencyModel
 from .model import REGIMES, _noise_power, _sample, _seed_states, _seed_words, hears_followers
 from .model import outcomes, stack_instances
-from .oracle import Checks, nash_checks, stackelberg_checks
+from .oracle import TOL, Checks, nash_checks, stackelberg_checks
 from .sparse import sparse_batch
 
 __all__ = [
@@ -242,27 +242,25 @@ def run_batch(scheme: str, batch, model, regime: str):
 
 
 def verify_batch(
-    scheme: str, batch, model, allocation, converged, regime: str, tol: float | None = None,
+    scheme: str, batch, model, allocation, converged, regime: str, tol: float = TOL,
 ) -> Checks:
     """Oracle checks of one scheme's outputs on every trial of a batch.
 
-    A ``tol`` applies to every check; ``None`` keeps the oracles' own
-    defaults (1e-9 for the stackelberg leader, 1e-12 for stackelberg
-    followers, 1e-3 for ``nash`` players).  Only equilibrium claims are
+    ``tol`` applies to every check of every player (the oracles' one
+    default, :data:`~hetnet_ee.oracle.TOL`).  Only equilibrium claims are
     checked: the best-channel heuristic and a Nash run that did not
     converge (the flags of :func:`run_batch`) claim none, so their trials
     get no reports.  An unknown scheme or regime raises, as in :func:`run_batch`.
     """
-    kw = {} if tol is None else {"tol": tol}
     if scheme == "stackelberg":
-        return stackelberg_checks(batch, model, allocation, regime, **kw)
+        return stackelberg_checks(batch, model, allocation, regime, tol)
     if scheme == "nash":
-        return nash_checks(batch, model, allocation, regime, claims=converged, **kw)
+        return nash_checks(batch, model, allocation, regime, tol, converged)
     if scheme != "best_channel":
         raise ValueError(f"unknown scheme {scheme!r}")
     hears_followers(regime)  # rejects an unknown regime
     none = np.empty((batch.trials, 0))
-    return Checks(none, none, none, none, (), (), np.zeros(batch.trials, dtype=bool))
+    return Checks(none, none, none, none, (), tol, np.zeros(batch.trials, dtype=bool))
 
 
 def chunked(trials: list, carriers: int, followers: int) -> Iterator[list]:

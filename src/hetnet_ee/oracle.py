@@ -10,6 +10,9 @@ calls.  ``f`` is the success curve and ``phi_c(x) = f(x) (1 - c x) / x``;
 below ``min(m, 1/c)``, so a golden-section search (Kiefer 1953) on ``(0,
 min(m, 1/c)]`` finds its peak with no root solved, once per distinct
 ``c``.  ``phi* = max phi_0`` is searched until the points meet in float.
+A check passes when its relative gain is at most ``tol``, :data:`TOL` by
+default for every player of every scheme: the checks are exact, and
+solver outputs read gains near ``1e-15``.
 
 **The unilateral check** (stackelberg followers, Nash players) is exact.
 With the other rows fixed, the player's denominators ``d_k`` are constant;
@@ -62,15 +65,12 @@ from .efficiency import EfficiencyModel, _success
 from .model import (NetworkInstance, all_utilities, best_response, denominators, hears_followers,
                     respond, stack_instances)
 
-__all__ = ["DeviationReport", "Checks", "stackelberg_checks", "nash_checks", "verify_follower",
-           "verify_followers", "verify_leader_stackelberg", "verify_nash",
-           "brute_force_stackelberg"]
+__all__ = ["TOL", "DeviationReport", "Checks", "stackelberg_checks", "nash_checks",
+           "verify_follower", "verify_leader_stackelberg", "verify_nash", "brute_force_stackelberg"]
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_STEPS = 48
-# default tolerances: the exact stackelberg checks, and Nash players, whose
-# runs stop on a relative change
-LEADER_TOL, FOLLOWER_TOL, NASH_TOL = 1e-9, 1e-12, 1e-3
+TOL = 1e-12  # the default relative-gain tolerance of every check
 _INF_BITS = int(np.float64(np.inf).view(np.int64))
 
 
@@ -97,15 +97,15 @@ class DeviationReport:
 class Checks(NamedTuple):
     """Checks of every player over ``T`` trials: ``claimed`` utilities, the
     ``best`` deviation's utility, ``carriers`` and ``powers``, ``(T, N)``;
-    ``sources`` and ``tolerances`` per player.  A trial whose ``claims``
-    entry is false claims no equilibrium and has no reports."""
+    ``sources`` per player; one ``tol`` for every check.  A trial whose
+    ``claims`` entry is false claims no equilibrium and has no reports."""
 
     claimed: np.ndarray
     best: np.ndarray
     carriers: np.ndarray
     powers: np.ndarray
     sources: tuple
-    tolerances: tuple
+    tol: float
     claims: np.ndarray
 
     @property
@@ -116,15 +116,16 @@ class Checks(NamedTuple):
 
     @property
     def passed(self) -> np.ndarray:
-        return self.gains <= np.array(self.tolerances)
+        return self.gains <= self.tol
 
     def reports(self, t: int) -> list[DeviationReport]:
         if not self.claims[t]:
             return []
         rows = (self.claimed, self.best, self.gains, self.carriers, self.powers)
-        return [DeviationReport(n, u, b, g, {"carrier": k, "power": p, "source": s}, tol, g <= tol)
-                for n, (u, b, g, k, p, s, tol) in enumerate(zip(
-                    *(r[t].tolist() for r in rows), self.sources, self.tolerances))]
+        return [DeviationReport(n, u, b, g, {"carrier": k, "power": p, "source": s}, self.tol,
+                                g <= self.tol)
+                for n, (u, b, g, k, p, s) in enumerate(zip(*(r[t].tolist() for r in rows),
+                                                           self.sources))]
 
 
 def _golden(model, c, meet=False):
@@ -271,22 +272,18 @@ def _leader(batch, model, regime):
     return np.take_along_axis(scores, i, 1), i // (4 * count + 1), np.take_along_axis(cand, i, 1)
 
 
-def stackelberg_checks(batch, model, allocation, regime, tol=None) -> Checks:
+def stackelberg_checks(batch, model, allocation, regime, tol=TOL) -> Checks:
     """The leader's bi-level check and every follower's unilateral check of
-    stackelberg allocations ``(T, F+1, K)``.  ``tol`` applies to every
-    check; ``None`` keeps the defaults, ``LEADER_TOL`` for the leader and
-    ``FOLLOWER_TOL`` for the followers."""
+    stackelberg allocations ``(T, F+1, K)``."""
     allocation = np.asarray(allocation, dtype=float)
     found = zip(_leader(batch, model, regime),
                 _unilateral(batch, model, range(1, batch.players), allocation, "dense"))
-    leader_tol, follower_tol = (LEADER_TOL, FOLLOWER_TOL) if tol is None else (tol, tol)
     return Checks(all_utilities(batch, model, allocation, regime),
                   *(np.concatenate(pair, axis=1) for pair in found),
-                  ("exact",) + ("bound",) * batch.followers,
-                  (leader_tol,) + (follower_tol,) * batch.followers, np.ones(batch.trials, bool))
+                  ("exact",) + ("bound",) * batch.followers, tol, np.ones(batch.trials, bool))
 
 
-def nash_checks(batch, model, allocation, regime, tol=NASH_TOL, claims=None) -> Checks:
+def nash_checks(batch, model, allocation, regime, tol=TOL, claims=None) -> Checks:
     """The unilateral check of every player of allocations ``(T, F+1, K)``,
     the others held fixed; ``claims`` (default: all) marks the trials that
     claim an equilibrium."""
@@ -294,7 +291,7 @@ def nash_checks(batch, model, allocation, regime, tol=NASH_TOL, claims=None) -> 
     claims = np.ones(batch.trials, bool) if claims is None else np.asarray(claims, bool)
     return Checks(all_utilities(batch, model, allocation, regime),
                   *_unilateral(batch, model, range(batch.players), allocation, regime),
-                  ("bound",) * batch.players, (tol,) * batch.players, claims)
+                  ("bound",) * batch.players, tol, claims)
 
 
 def _one(instance, allocation):
@@ -303,21 +300,15 @@ def _one(instance, allocation):
 
 
 def verify_follower(instance: NetworkInstance, model: EfficiencyModel, f: int, allocation,
-                    tol: float = FOLLOWER_TOL) -> DeviationReport:
+                    tol: float = TOL) -> DeviationReport:
     """Unilateral deviation check of follower ``f`` (player ``f+1``); its
     SINR depends only on the leader's row, so this holds in both regimes."""
-    return verify_followers(instance, model, allocation, tol)[f]
-
-
-def verify_followers(instance: NetworkInstance, model: EfficiencyModel, allocation,
-                     tol: float = FOLLOWER_TOL) -> list[DeviationReport]:
-    """:func:`verify_follower` of every follower, in order."""
     batch, allocation = _one(instance, allocation)
-    return nash_checks(batch, model, allocation, "dense", tol).reports(0)[1:]
+    return nash_checks(batch, model, allocation, "dense", tol).reports(0)[f + 1]
 
 
 def verify_leader_stackelberg(instance: NetworkInstance, model: EfficiencyModel, allocation,
-                              regime: str, tol: float = LEADER_TOL) -> DeviationReport:
+                              regime: str, tol: float = TOL) -> DeviationReport:
     """Bi-level deviation check of the leader: its exact best action, every
     follower re-responding (module docstring)."""
     batch, allocation = _one(instance, allocation)
@@ -325,7 +316,7 @@ def verify_leader_stackelberg(instance: NetworkInstance, model: EfficiencyModel,
 
 
 def verify_nash(instance: NetworkInstance, model: EfficiencyModel, allocation, regime: str,
-                tol: float = NASH_TOL) -> list[DeviationReport]:
+                tol: float = TOL) -> list[DeviationReport]:
     """Unilateral deviation check of every player, others held fixed."""
     batch, allocation = _one(instance, allocation)
     return nash_checks(batch, model, allocation, regime, tol).reports(0)

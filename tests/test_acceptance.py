@@ -68,8 +68,7 @@ def test_criterion_2_sparse_certification():
                                snr_db=float(rng.uniform(-5.0, 25.0)),
                                seed=int(rng.integers(2**48)))
         res = solve_sparse(inst, MODEL)
-        if not verify_leader_stackelberg(inst, MODEL, res.allocation, "sparse",
-                                         tol=1e-3).passed:
+        if not verify_leader_stackelberg(inst, MODEL, res.allocation, "sparse").passed:
             failures += 1
             continue
         for fw in range(inst.followers):
@@ -97,8 +96,7 @@ def test_criterion_3_dense_certification():
                                seed=int(rng.integers(2**48)))
         res = solve_dense(inst, MODEL)
         bad = not np.all((res.allocation > 0).sum(axis=1) == 1)
-        bad = bad or not verify_leader_stackelberg(
-            inst, MODEL, res.allocation, "dense", tol=1e-3).passed
+        bad = bad or not verify_leader_stackelberg(inst, MODEL, res.allocation, "dense").passed
         for fw in range(inst.followers):
             if bad:
                 break

@@ -25,6 +25,7 @@ from hetnet_ee import (
 from hetnet_ee.cli import main
 from hetnet_ee.harness import CSV_HEADER, read_records
 from hetnet_ee.model import stack_instances
+from hetnet_ee.oracle import TOL
 
 
 DATA = Path(__file__).parent / "data"
@@ -339,7 +340,7 @@ class TestVerify:
         assert "FAIL scheme=stackelberg" not in captured
 
     @pytest.mark.parametrize("flag,expected", [
-        ((), [1e-9, 1e-12, 1e-12]),
+        ((), [TOL] * 3),
         (("--tolerance", "0.5"), [0.5, 0.5, 0.5]),
     ])
     def test_tolerance_reaches_every_check(self, tmp_path, capsys, monkeypatch, flag,
@@ -501,6 +502,25 @@ class TestBadInput:
             f"hetnet-ee summarize: error: cannot read --input {path}: no records to summarize")
         assert run_cli("verify", "--input", str(path)) == 0
         assert capsys.readouterr().out == "verified 0 checks, 0 failures, 0 trials skipped\n"
+
+    @pytest.mark.parametrize("scheme,regime", [
+        ("stackelberg", "dense"), ("stackelberg", "sparse"), ("nash", "dense")])
+    def test_row_with_one_carrier_is_named(self, tmp_path, capsys, scheme, regime):
+        # no sweep writes K < 2 (ScenarioConfig rejects it); the group's first row is named
+        lines = _csv(scheme=scheme, regime=regime, carriers="1", followers="0",
+                     trial="2", seed="11").splitlines()
+        lines.append(_csv(scheme=scheme, regime=regime, carriers="1", followers="0",
+                          trial="3", seed="12").splitlines()[1])
+        path = tmp_path / "in.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("verify", "--input", str(path))
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"hetnet-ee verify: error: cannot read --input {path}: row with K=1 F=0 "
+            f"trial=2 seed=11 snr_db=10: carrier count 1 < 2")
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_unbuildable_row_is_named(self, tmp_path, capsys, rows):

@@ -185,6 +185,22 @@ class TestStepThreeFailure:
         assert_allclose(res.allocation[0, 0], boundary, rtol=1e-12)
         assert res.active_carriers[1] == 1
 
+    def test_tied_nominee_without_cross_gain_cannot_be_pushed(self, model):
+        # the follower's gains tie on every carrier and the leader's cross
+        # gain is zero, so its scores tie at every leader power and it stays
+        # on carrier 0 (ties go to the lower index); the leader must pay for
+        # its interference there or take carrier 1
+        inst = NetworkInstance(g0=[2.0, 1.0, 1.0, 1.0], gf=[[1.0] * 4], h0=[0.0] * 4,
+                               hf=[[1.0, 0.0, 0.0, 0.0]], sigma2=1.0)
+        res = solve_dense(inst, model)
+        c0 = res.diagnostics["candidate_table"][0]
+        assert c0.boundary_powers.tolist() == [np.inf] and c0.stay_limit == 1
+        assert c0.replacements[0] == "infeasible"
+        assert res.active_carriers == (1, 0)
+        assert np.array_equal(res.allocation[1:], respond(inst, res.allocation[0], model.gamma)[0])
+        report = verify_leader_stackelberg(inst, model, res.allocation, "dense")
+        assert abs(report.relative_gain) <= 1e-15 and report.passed
+
 
 class TestReductionToSparse:
     def test_worked_case_bitwise(self, model):
@@ -458,10 +474,10 @@ def reference_carrier(instance, model, k, best, second):
     boundary_powers = np.zeros(count)
     boundary_values = np.full(count, math.nan)
     for i in range(count):
-        if gb[i] <= gs[i]:
-            boundary_powers[i] = 0.0
-        elif h0k == 0.0:
+        if h0k == 0.0:  # out of reach, tied gains too: a tie goes to the best
             boundary_powers[i] = math.inf
+        elif gb[i] <= gs[i]:
+            boundary_powers[i] = 0.0
         else:
             boundary_powers[i] = sigma2 * (gb[i] - gs[i]) / (h0k * gs[i])
         if 0.0 < boundary_powers[i] < math.inf:
@@ -470,7 +486,7 @@ def reference_carrier(instance, model, k, best, second):
             sinr_ = g0k * power / (sigma2 * (1.0 + gamma * eta_prev)
                                    + gamma * eta_prev * h0k * power)
             boundary_values[i] = rate0 * model.value(sinr_) / power
-    stays = gb * (g0k - targets * gamma * eta * h0k) > gs * (g0k + h0k * targets)
+    stays = (gb * (g0k - targets * gamma * eta * h0k) > gs * (g0k + h0k * targets)) | (h0k == 0.0)
     passing = np.flatnonzero(stays)
     stay_limit = int(passing[-1]) + 1 if passing.size else 0
     slot_powers = np.zeros(stay_limit)

@@ -21,7 +21,7 @@ from hetnet_ee import (
     solve_nash,
     solve_sparse,
 )
-from hetnet_ee import harness
+from hetnet_ee import harness, oracle
 from hetnet_ee.model import REGIMES, outcomes, stack_instances
 from conftest import edge_cases
 from hetnet_ee.harness import (
@@ -294,13 +294,15 @@ class TestBatchedSweep:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(case=edge_cases())
     def test_batch_rows_are_certified(self, case):
+        """Every claim of every scheme on `edge_cases`, converged Nash runs
+        included, passes at the one default tolerance."""
         inst, model, regime = case
         batch = stack_instances([inst])
         for scheme in harness.SCHEMES:
             alloc, converged = harness.run_batch(scheme, batch, model, regime)
             reports = harness.verify_batch(scheme, batch, model, alloc, converged,
                                            regime).reports(0)
-            assert all(r.passed for r in reports), (scheme, reports)
+            assert all(r.passed and r.tolerance == oracle.TOL for r in reports), (scheme, reports)
 
     @pytest.mark.parametrize("scheme, regime, message", [
         ("bogus", "dense", "unknown scheme 'bogus'"),

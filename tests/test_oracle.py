@@ -33,7 +33,7 @@ from hetnet_ee.model import (
     all_utilities, denominators, leader_interference, respond, sample_batch, stack_instances,
 )
 from hetnet_ee import cli, efficiency, harness, oracle
-from hetnet_ee.oracle import stackelberg_checks, verify_followers
+from hetnet_ee.oracle import TOL, stackelberg_checks
 from conftest import edge_cases, random_instance
 
 
@@ -472,7 +472,7 @@ class TestBlockScorer:
             for t, inst in enumerate(instances):
                 reports = whole.reports(t)
                 assert reports[0] == verify_leader_stackelberg(inst, model, allocation[t], regime)
-                assert reports[1:] == verify_followers(inst, model, allocation[t])
+                assert reports[1:] == verify_nash(inst, model, allocation[t], "dense")[1:]
                 _assert_same_search(reports[0], reports[0].claimed_utility,
                                     *ref_leader_certificate(inst, model, regime))
 
@@ -521,7 +521,7 @@ class TestExactCertificate:
         report = verify_leader_stackelberg(inst, model, allocation, regime)
         assert abs(report.relative_gain) <= 1e-12
         assert all(abs(r.relative_gain) <= 1e-12
-                   for r in verify_followers(inst, model, allocation))
+                   for r in verify_nash(inst, model, allocation, "dense")[1:])
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(case=edge_cases(), sign=st.sampled_from([-1.0, 1.0]))
@@ -534,7 +534,7 @@ class TestExactCertificate:
         pushed[0] = allocation[0] * (1.0 + sign * 1e-4)
         pushed[1:] = respond(inst, pushed[0], model.gamma)[0]
         report = verify_leader_stackelberg(inst, model, pushed, regime)
-        assert report.tolerance == 1e-9 and not report.passed, report
+        assert report.tolerance == TOL and not report.passed, report
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(case=edge_cases())
@@ -768,7 +768,7 @@ def ref_verify_follower(instance, model, f, allocation, grid_size=300, tol=1e-6)
     return ref_report(f + 1, claimed, best, action, tol)
 
 
-def ref_verify_nash(instance, model, allocation, regime, grid_size=300, tol=1e-3):
+def ref_verify_nash(instance, model, allocation, regime, grid_size=300, tol=TOL):
     allocation = np.asarray(allocation, dtype=float)
     claimed = utility(instance, model, 0, allocation, regime)
     best, action = ref_nash_leader(instance, model, allocation, regime, grid_size)
@@ -782,11 +782,11 @@ def _assert_unilateral_matches(inst, model, allocation, regime, grid_size=300):
     reports = verify_nash(inst, model, allocation, regime)
     pairs = list(zip(reports, ref_verify_nash(inst, model, allocation, regime, grid_size)))
     followers = [verify_follower(inst, model, f, allocation) for f in range(inst.followers)]
-    assert verify_followers(inst, model, allocation) == followers
+    assert verify_nash(inst, model, allocation, "dense")[1:] == followers
     for f, report in enumerate(followers):
-        assert report.tolerance == 1e-12
+        assert report.tolerance == TOL
         pairs.append((report, ref_verify_follower(inst, model, f, allocation, grid_size)))
-    assert [r.tolerance for r in reports] == [1e-3] * inst.players
+    assert [r.tolerance for r in reports] == [TOL] * inst.players
     for report, ref in pairs:
         assert (report.player, report.claimed_utility) == (ref.player, ref.claimed_utility)
         _assert_near_search(report, inst, allocation, regime, ref.claimed_utility,
@@ -794,8 +794,8 @@ def _assert_unilateral_matches(inst, model, allocation, regime, grid_size=300):
 
 
 class TestUnilateral:
-    """`verify_follower`, `verify_followers` and `verify_nash` share one
-    exact check, which matches the grid and closed-form reference to 1e-14."""
+    """`verify_follower` and `verify_nash` share one exact check, which
+    matches the grid and closed-form reference to 1e-14."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(case=edge_cases())
@@ -820,6 +820,25 @@ class TestUnilateral:
             allocation = solve_dense(inst, model).allocation.copy()
             allocation *= rng.choice([0.5, 0.999, 1.0, 1.001, 2.0], size=(inst.players, 1))
             _assert_unilateral_matches(inst, model, allocation, ("dense", "sparse")[seed % 2])
+
+    def test_pushed_nash_follower_fails_at_the_default(self, model):
+        """A follower's power in a converged Nash run pushed by a factor
+        1 + 1e-4 loses a second-order share of its utility: far below 1e-3,
+        far above the default."""
+        converged = 0
+        for seed in range(200):
+            inst = sample_instance(5, 4, snr_db=10.0, seed=seed)
+            nash, report = solve_nash(inst, model, "dense")
+            if not report.converged:
+                continue
+            converged += 1
+            assert all(r.passed for r in verify_nash(inst, model, nash.allocation, "dense"))
+            f = seed % inst.followers + 1
+            pushed = nash.allocation.copy()
+            pushed[f] *= 1.0 + 1e-4
+            assert not verify_nash(inst, model, pushed, "dense")[f].passed
+            assert verify_nash(inst, model, pushed, "dense", tol=1e-3)[f].passed
+        assert converged >= 150
 
     def test_tied_integer_gains_match_the_reference(self):
         """Integer gains, unit noise and integer powers tie carriers and
@@ -872,7 +891,7 @@ def test_subnormal_gains_raise_no_warning(model, regime):
         nash, _ = solve_nash(faint, model, regime)
         for allocation in (result.allocation, nash.allocation, loud):
             verify_leader_stackelberg(faint, model, allocation, regime)
-            verify_followers(faint, model, allocation)
+            verify_nash(faint, model, allocation, "dense")
             reports = verify_nash(faint, model, allocation, regime)
         stackelberg_checks(stack_instances([faint]), model, result.allocation[None], regime)
         brute_force_stackelberg(faint, model, regime)

@@ -3,9 +3,10 @@
 A sweep point is one (carrier count, SNR) pair; every enabled scheme at a
 point and trial consumes the *same* sampled instance, so scheme
 comparisons are paired.  Trial seeds derive from ``SeedSequence((base_seed,
-point_index, trial))`` and instances are ``default_rng(seed)``'s draws, both
-hashed in one pass per carrier count: every output byte is a function of
-the configuration alone.
+point_index, trial))``, hashed in one pass per carrier count, and instances
+are ``default_rng(seed)``'s draws, which each chunk takes from
+:func:`~hetnet_ee.model.sample_batch` with its slice of the seeds: every
+output byte is a function of the configuration alone.
 
 Every trial of one carrier count, across all its SNR points, is solved as
 one batch (a :class:`~hetnet_ee.model.NetworkInstance` with a leading trial
@@ -22,7 +23,9 @@ configurable fraction of trials that get re-certified by the deviation
 oracles, as one batch per chunk and scheme (equilibrium claims only: the
 best-channel heuristic and a Nash run that did not converge claim no
 equilibrium, so their records are never marked).  A scheme that raises
-stops the sweep before its chunk yields a record.
+stops the sweep before its chunk yields a record.  :func:`summarize` and
+:func:`paired_gap` read records by one grouping, by point and then by run,
+a ``(trial, seed)`` pair, so several sweeps' records can be read together.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ import numpy as np
 from .baselines import best_channel_batch, nash_batch
 from .dense import dense_batch
 from .efficiency import EfficiencyModel
-from .model import REGIMES, _noise_power, _sample, _seed_states, _seed_words, hears_followers
-from .model import outcomes, stack_instances
+from .model import REGIMES, _noise_power, _seed_words, hears_followers, outcomes, sample_batch
+from .model import stack_instances
 from .oracle import TOL, Checks, nash_checks, stackelberg_checks
 from .sparse import sparse_batch
 
@@ -272,12 +275,12 @@ def chunked(trials: list, carriers: int, followers: int) -> Iterator[list]:
 
 
 def _chunk_records(config: ScenarioConfig, model, carriers: int, chunk: list, seeds: list,
-                   picked: list, states):
+                   picked: list):
     """The records of one chunk of ``(point_index, snr_db, trial)`` triples
-    of one carrier count, solved as one batch drawn from their generator
-    ``states``; ``picked`` trials are verified inline."""
-    batch = _sample(
-        carriers, config.followers, states=states, snr_db=[snr for _, snr, _ in chunk],
+    of one carrier count, solved as one batch drawn from their ``seeds``;
+    ``picked`` trials are verified inline."""
+    batch = sample_batch(
+        carriers, config.followers, seeds=seeds, snr_db=[snr for _, snr, _ in chunk],
         mean_signal=config.mean_signal, mean_cross=config.mean_cross, rates=config.rates,
     )
     regime, followers, players = config.regime, config.followers, batch.players
@@ -313,14 +316,13 @@ def run_sweep(config: ScenarioConfig) -> Iterator[SweepRecord]:
     for c, carriers in enumerate(config.carriers):
         plan = [(c * points + p, snr_db, trial)
                 for p, snr_db in enumerate(config.snr_db) for trial in range(config.trials)]
-        # every trial's seed and verify-pick words, then its generator state, in one pass each
+        # every trial's seed and verify-pick words in one pass
         words = _seed_words([(config.seed, point, trial) for point, _, trial in plan], 2)
         seeds, picks = words[:, 0].tolist(), words[:, 1] / 2.0**32 < config.verify_fraction
-        states = _seed_states(seeds)
         for rows in chunked(range(len(plan)), carriers, config.followers):
             span = slice(rows.start, rows.stop)
             yield from _chunk_records(config, model, carriers, plan[span], seeds[span],
-                                      np.flatnonzero(picks[span]).tolist(), states[span])
+                                      np.flatnonzero(picks[span]).tolist())
 
 
 def write_records(records: Iterable[SweepRecord], path) -> int:
@@ -403,35 +405,36 @@ def _stats(values: np.ndarray) -> tuple:
     return float(values.mean()), std, _Z95 * std / math.sqrt(values.size)
 
 
-def summarize(records: Iterable[SweepRecord]) -> list[SummaryRow]:
-    """Aggregate records into per-(scheme, point) rows, input order kept."""
+def _runs(records: Iterable[SweepRecord]) -> dict:
+    """Records grouped by point ``(scheme, regime, snr_db, carriers,
+    followers)``, then by run ``(trial, seed)``, then by player, in input
+    order: a trial is keyed by its seed too, so concatenated sweeps stay apart."""
     groups: dict = {}
     for r in records:
-        key = (r.scheme, r.regime, r.snr_db, r.carriers, r.followers)
-        trialmap = groups.setdefault(key, {})
-        entry = trialmap.setdefault(r.trial, {"followers": [], "leader": math.nan, "converged": True})
-        if r.player == 0:
-            entry["leader"] = r.utility
-            entry["converged"] = r.converged
-        else:
-            entry["followers"].append(r.utility)
+        point = groups.setdefault((r.scheme, r.regime, r.snr_db, r.carriers, r.followers), {})
+        point.setdefault((r.trial, r.seed), {})[r.player] = r
+    return groups
+
+
+def summarize(records: Iterable[SweepRecord]) -> list[SummaryRow]:
+    """Aggregate records into per-(scheme, point) rows over its runs, input
+    order kept; a run without a leader row counts as converged, with a NaN
+    leader utility."""
+    groups = _runs(records)
     if not groups:
         raise ValueError("no records to summarize")
     rows = []
-    for key, trialmap in groups.items():
-        leaders = np.array([t["leader"] for t in trialmap.values()])
-        follower_means = np.array(
-            [np.mean(t["followers"]) if t["followers"] else math.nan for t in trialmap.values()]
-        )
-        converged = np.array([t["converged"] for t in trialmap.values()])
+    for point, runs in groups.items():
+        leaders = [run.get(0) for run in runs.values()]
+        followers = [[r.utility for p, r in run.items() if p] for run in runs.values()]
         # SummaryRow's fields in order: the point, its trial count, then
         # the leader and follower statistics
-        rows.append(
-            SummaryRow(
-                *key, len(trialmap), *_stats(leaders), *_stats(follower_means),
-                float(converged.mean()),
-            )
-        )
+        rows.append(SummaryRow(
+            *point, len(runs),
+            *_stats(np.array([math.nan if r is None else r.utility for r in leaders])),
+            *_stats(np.array([np.mean(u) if u else math.nan for u in followers])),
+            float(np.mean([r is None or r.converged for r in leaders])),
+        ))
     return rows
 
 
@@ -487,8 +490,10 @@ def carrier_trend(
 class PairedGap:
     """Mean per-trial utility gap (scheme_a - scheme_b) at one point."""
 
+    regime: str
     snr_db: float
     carriers: int
+    followers: int
     trials: int
     mean_gap: float
     ci95: float
@@ -496,31 +501,19 @@ class PairedGap:
 
 def paired_gap(records: Iterable[SweepRecord], scheme_a: str, scheme_b: str) -> list[PairedGap]:
     """Paired comparison of two schemes on their shared instances: the
-    leader's (player 0) utility gap ``scheme_a - scheme_b`` per point, over
-    the trials where both runs converged."""
-    table: dict = {}
-    for r in records:
-        if r.player != 0 or r.scheme not in (scheme_a, scheme_b):
-            continue
-        point = (r.snr_db, r.carriers)
-        table.setdefault(point, {}).setdefault(r.trial, {})[r.scheme] = r
+    leader's (player 0) utility gap ``scheme_a - scheme_b`` per point, in
+    ``scheme_a``'s order, over the runs where both converged."""
+    groups = _runs(records)
     out = []
-    for (snr_db, carriers), trials in table.items():
-        gaps = []
-        for pair in trials.values():
-            if scheme_a not in pair or scheme_b not in pair:
-                continue
-            if not (pair[scheme_a].converged and pair[scheme_b].converged):
-                continue
-            gaps.append(pair[scheme_a].utility - pair[scheme_b].utility)
-        if not gaps:
+    for (scheme, *point), runs in groups.items():
+        if scheme != scheme_a:
             continue
-        mean_gap, _, ci95 = _stats(np.array(gaps))
-        out.append(
-            PairedGap(
-                snr_db=snr_db, carriers=carriers, trials=len(gaps), mean_gap=mean_gap, ci95=ci95
-            )
-        )
+        others = groups.get((scheme_b, *point), {})
+        pairs = [(run.get(0), others.get(key, {}).get(0)) for key, run in runs.items()]
+        gaps = [a.utility - b.utility for a, b in pairs if a and b and a.converged and b.converged]
+        if gaps:
+            mean_gap, _, ci95 = _stats(np.array(gaps))
+            out.append(PairedGap(*point, len(gaps), mean_gap, ci95))
     return out
 
 

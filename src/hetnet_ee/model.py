@@ -12,8 +12,9 @@ player's two strongest carriers (:func:`rank_carriers`).  Every player
 best-responds by one rule, :func:`best_response`.  A
 :class:`NetworkInstance` may hold a batch, ``T`` instances of one shape
 stacked on a leading trial axis; the same functions take it and then
-return arrays with that axis first.  The solvers work on batches, and a
-single instance is the batch of one.
+return arrays with that axis first.  The solvers work on batches, a
+single instance is the batch of one, and every sampled one comes from
+:func:`sample_batch`.
 
 Two interference regimes, told apart by :func:`hears_followers` alone and
 never defaulted, share the follower SINR but differ for the leader:
@@ -229,11 +230,13 @@ def best_response(gains, denom, gamma: float):
     Picks the carrier maximizing gain over noise plus interference, ``gains
     / denom`` (ties to the lowest index), at the power ``gamma * denom /
     gains`` that puts the SINR there at ``gamma``; other powers are exact
-    zeros.  Broadcasts; returns the powers and the chosen carriers.
+    zeros; a power past the float range (a subnormal gain) reads ``inf``,
+    without a warning.  Broadcasts; returns the powers and the chosen carriers.
     """
     carriers = np.argmax(gains / denom, axis=-1)
     chosen = np.arange(np.shape(gains)[-1]) == carriers[..., None]
-    return np.where(chosen, gamma * denom, 0.0) / gains, carriers
+    with np.errstate(over="ignore"):
+        return np.where(chosen, gamma * denom, 0.0) / gains, carriers
 
 
 def respond(instance: NetworkInstance, leader_powers, gamma: float):
@@ -420,16 +423,11 @@ def sample_batch(
     rates=None,
 ) -> NetworkInstance:
     """One checked batch of instances, trial ``t`` drawn from ``seeds[t]``
-    at ``snr_db[t]`` as :func:`sample_instance` describes."""
-    return _sample(carriers, followers, states=_seed_states(seeds), snr_db=snr_db,
-                   mean_signal=mean_signal, mean_cross=mean_cross, rates=rates)
+    at ``snr_db[t]`` as :func:`sample_instance` describes.
 
-
-def _sample(carriers, followers, *, states, snr_db, mean_signal, mean_cross, rates):
-    """:func:`sample_batch` from each trial's :func:`_seed_states` row, the
-    hashed state of its ``default_rng(seed)``; every instance is drawn here.
-
-    Each generator draws ``g0, gf, h0, hf`` in that order as one
+    Trial ``t`` is ``default_rng(seeds[t])``'s draw: the seeds'
+    ``SeedSequence`` hashes run as one pass (:func:`_seed_states`), and each
+    generator draws ``g0, gf, h0, hf`` in that order as one
     standard-exponential stream; ``exponential(scale)`` is ``scale`` times
     that draw, bit for bit.  ``mean_cross=0`` draws no cross gains."""
     if mean_signal <= 0.0:
@@ -441,6 +439,7 @@ def _sample(carriers, followers, *, states, snr_db, mean_signal, mean_cross, rat
     from numpy.random import PCG64, Generator  # not at import: it slows a cold start
     from numpy.random.bit_generator import ISeedSequence
     ISeedSequence.register(_Hashed)  # a no-op after the first draw
+    states = _seed_states(seeds)
     draws = np.empty((len(states), 2 if mean_cross > 0 else 1, followers + 1, carriers))
     for row, state in zip(draws, states):
         Generator(PCG64(_Hashed(state))).standard_exponential(out=row)

@@ -12,7 +12,10 @@ min(m, 1/c)]`` finds its peak with no root solved, once per distinct
 ``c``.  ``phi* = max phi_0`` is searched until the points meet in float.
 A check passes when its relative gain is at most ``tol``, :data:`TOL` by
 default for every player of every scheme: the checks are exact, and
-solver outputs read gains near ``1e-15``.
+solver outputs read gains near ``1e-15``.  The leader check is two-sided:
+its certificate is the leader's exact best with every follower
+re-responding, so a claim above it, by a gain below ``-tol``, comes from
+follower rows that are not those responses, and fails.
 
 **The unilateral check** (stackelberg followers, Nash players) is exact.
 With the other rows fixed, the player's denominators ``d_k`` are constant;
@@ -55,7 +58,7 @@ the best is the leader's best deviation, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from typing import NamedTuple
 
@@ -80,7 +83,7 @@ class DeviationReport:
 
     ``relative_gain`` is ``(best_found - claimed) / claimed`` (infinite
     when a zero-utility claim has a positive alternative); the check passes
-    when the gain does not exceed ``tolerance``.  ``deviating_action`` is
+    as :attr:`Checks.passed` says.  ``deviating_action`` is
     the best deviation's carrier and power; a power past the float range
     (a subnormal gain on that carrier) reads ``inf``.
     """
@@ -97,8 +100,9 @@ class DeviationReport:
 class Checks(NamedTuple):
     """Checks of every player over ``T`` trials: ``claimed`` utilities, the
     ``best`` deviation's utility, ``carriers`` and ``powers``, ``(T, N)``;
-    ``sources`` per player; one ``tol`` for every check.  A trial whose
-    ``claims`` entry is false claims no equilibrium and has no reports."""
+    ``sources`` per player; one ``tol`` for every check (two-sided for an
+    ``"exact"`` source).  A trial whose ``claims`` entry is false claims no
+    equilibrium and has no reports."""
 
     claimed: np.ndarray
     best: np.ndarray
@@ -116,16 +120,16 @@ class Checks(NamedTuple):
 
     @property
     def passed(self) -> np.ndarray:
-        return self.gains <= self.tol
+        gains, exact = self.gains, np.array([s == "exact" for s in self.sources], dtype=bool)
+        return np.where(exact, np.abs(gains) <= self.tol, gains <= self.tol)
 
     def reports(self, t: int) -> list[DeviationReport]:
         if not self.claims[t]:
             return []
-        rows = (self.claimed, self.best, self.gains, self.carriers, self.powers)
-        return [DeviationReport(n, u, b, g, {"carrier": k, "power": p, "source": s}, self.tol,
-                                g <= self.tol)
-                for n, (u, b, g, k, p, s) in enumerate(zip(*(r[t].tolist() for r in rows),
-                                                           self.sources))]
+        rows = (self.claimed, self.best, self.gains, self.carriers, self.powers, self.passed)
+        return [DeviationReport(n, u, b, g, {"carrier": k, "power": p, "source": s}, self.tol, ok)
+                for n, (u, b, g, k, p, ok, s) in enumerate(zip(*(r[t].tolist() for r in rows),
+                                                               self.sources))]
 
 
 def _golden(model, c, meet=False):
@@ -172,8 +176,7 @@ def _unilateral(batch, model, players, allocation, regime):
     the action.  Returns ``(best, carriers, powers)``, each ``(T, P)``."""
     denom = denominators(batch, allocation, regime)[:, players]
     gains = batch.gains[:, players]
-    with np.errstate(over="ignore"):  # a subnormal gain's power is inf
-        powers, k = best_response(gains, denom, model.gamma)
+    powers, k = best_response(gains, denom, model.gamma)
     best = batch.rates[:, players] * (gains / denom).max(axis=-1) * _peak_efficiency(model)
     return best, k, powers.sum(axis=-1)  # the one nonzero power
 
@@ -304,7 +307,10 @@ def verify_follower(instance: NetworkInstance, model: EfficiencyModel, f: int, a
     """Unilateral deviation check of follower ``f`` (player ``f+1``); its
     SINR depends only on the leader's row, so this holds in both regimes."""
     batch, allocation = _one(instance, allocation)
-    return nash_checks(batch, model, allocation, "dense", tol).reports(0)[f + 1]
+    checks = Checks(all_utilities(batch, model, allocation, "dense")[:, [f + 1]],
+                    *_unilateral(batch, model, [f + 1], allocation, "dense"), ("bound",), tol,
+                    np.ones(1, bool))
+    return replace(checks.reports(0)[0], player=f + 1)  # the one row computed
 
 
 def verify_leader_stackelberg(instance: NetworkInstance, model: EfficiencyModel, allocation,

@@ -260,6 +260,18 @@ class TestSummarize:
         assert len(lines) == 2
         assert captured.err == ""
 
+    def test_output_file_holds_the_stdout_summary(self, tmp_path, capsys):
+        out, summary = tmp_path / "run.csv", tmp_path / "summary.csv"
+        run_cli("sweep", "--carriers", "3", "--followers", "2", "--snr-db=-5,10",
+                "--trials", "3", "--verify-fraction", "0", "--output", str(out))
+        capsys.readouterr()
+        assert run_cli("summarize", "--input", str(out), "--output", "-") == 0
+        printed = capsys.readouterr().out
+        assert run_cli("summarize", "--input", str(out), "--output", str(summary)) == 0
+        assert capsys.readouterr().out == f"wrote 6 summary rows to {summary}\n"
+        assert summary.read_text(encoding="utf-8") == printed
+        assert len(printed.splitlines()) == 7
+
     def test_trend_lines_for_carrier_sweeps(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         run_cli("sweep", "--carriers", "2,4", "--followers", "1", "--snr-db", "10",

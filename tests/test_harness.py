@@ -213,13 +213,13 @@ class TestBatchedSweep:
             monkeypatch.setattr(harness, "CHUNK_CELLS", 1 if size == 1 else size * cells)
         sizes = []
 
-        # the sweep samples each chunk from its slice of the generator states
-        def spy(*args, states, **kwargs):
-            sizes.append(len(states))
-            return sample(*args, states=states, **kwargs)
+        # the sweep samples each chunk from its slice of the trial seeds
+        def spy(*args, seeds, **kwargs):
+            sizes.append(len(seeds))
+            return sample(*args, seeds=seeds, **kwargs)
 
-        sample = harness._sample
-        monkeypatch.setattr(harness, "_sample", spy)
+        sample = harness.sample_batch
+        monkeypatch.setattr(harness, "sample_batch", spy)
         assert sweep_sha(tmp_path, **kw) == sha
         # a plan shorter than the chunk is one chunk
         plan = kw["trials"] * len(kw["snr_db"])
@@ -599,6 +599,36 @@ class TestTrendAndGap:
         assert len(gaps) == 1
         assert_allclose(gaps[0].mean_gap, np.mean([1.0, 1.5, 2.0]), rtol=1e-12)
         assert gaps[0].trials == 3
+
+    def test_concatenated_sweeps_count_every_run(self):
+        """Two seeds' sweeps share trial indices; each run counts once, keyed
+        by its seed too, so the means are over all six runs."""
+        runs = [list(run_sweep(ScenarioConfig(carriers=(3,), followers=2, snr_db=(10.0,),
+                                              trials=3, seed=seed))) for seed in (1, 2)]
+        rows = summarize(runs[0] + runs[1])
+        assert [(r.scheme, r.trials) for r in rows] == [(s, 6) for s in harness.SCHEMES]
+        for row in rows:
+            leaders = [r.utility for run in runs for r in run
+                       if r.scheme == row.scheme and r.player == 0]
+            assert len(leaders) == 6
+            assert row.leader_mean == pytest.approx(np.mean(leaders), rel=1e-15)
+        assert rows[0].leader_mean == pytest.approx(5.5216, abs=1e-4)
+        gap, = paired_gap(runs[0] + runs[1], "stackelberg", "nash")
+        assert gap.trials == 6
+
+    def test_paired_gap_keeps_follower_counts_apart(self):
+        records = [r for followers in (1, 2)
+                   for r in run_sweep(ScenarioConfig(carriers=(3,), followers=followers,
+                                                     snr_db=(10.0,), trials=3))]
+        gaps = paired_gap(records, "stackelberg", "nash")
+        assert [(g.regime, g.snr_db, g.carriers, g.followers, g.trials) for g in gaps] == [
+            ("dense", 10.0, 3, 1, 3), ("dense", 10.0, 3, 2, 3)]
+        for gap in gaps:
+            pairs = [(a.utility, b.utility) for a in records for b in records
+                     if a.followers == b.followers == gap.followers and a.trial == b.trial
+                     and a.player == b.player == 0
+                     and (a.scheme, b.scheme) == ("stackelberg", "nash")]
+            assert gap.mean_gap == pytest.approx(np.mean([a - b for a, b in pairs]), abs=1e-15)
 
     def test_paired_gap_drops_unconverged_trials(self):
         records = [

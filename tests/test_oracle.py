@@ -300,6 +300,29 @@ class TestVerifyLeader:
         assert not rep.passed
         assert rep.relative_gain > 0.5  # ratio 4/2 - 1
 
+    def test_claim_above_the_certificate_fails(self, model):
+        """The leader check is exact, so a claim above its certificate is
+        not the leader's utility with every follower responding: moving a
+        follower off the leader's carrier (to its best other one, at the
+        operating SINR there) raises the leader's claim past what any
+        leader action earns, and the check fails."""
+        inst = sample_instance(5, 4, snr_db=10.0, seed=0)
+        allocation = solve_dense(inst, model).allocation.copy()
+        k0 = int(np.flatnonzero(allocation[0])[0])
+        f = next(f for f in range(inst.followers) if allocation[f + 1, k0] > 0.0)
+        k = int(np.argmax(np.where(np.arange(inst.carriers) == k0, -np.inf, inst.gf[f])))
+        allocation[f + 1] = 0.0
+        allocation[f + 1, k] = model.gamma * inst.sigma2 / inst.gf[f, k]
+        rep = verify_leader_stackelberg(inst, model, allocation, "dense")
+        assert rep.relative_gain == pytest.approx(-0.132, abs=1e-3)
+        assert not rep.passed
+        assert not verify_leader_stackelberg(inst, model, allocation, "dense", tol=0.1).passed
+        assert verify_leader_stackelberg(inst, model, allocation, "dense", tol=0.2).passed
+        checks = stackelberg_checks(stack_instances([inst]), model, allocation[None], "dense")
+        assert [r.passed for r in checks.reports(0)] == checks.passed[0].tolist()
+        # the moved follower left its best response; the others still hold theirs
+        assert checks.passed[0].tolist() == [False] + [g != f for g in range(inst.followers)]
+
 
 class TestVerifyNash:
     def test_converged_nash_passes(self, model):
@@ -382,17 +405,17 @@ class TestReportSemantics:
         inst = sample_instance(4, 2, seed=72)
         res = solve_sparse(inst, model)
         rep = verify_leader_stackelberg(inst, model, res.allocation, "sparse")
-        assert rep.passed == (rep.relative_gain <= rep.tolerance)
+        assert rep.passed == (abs(rep.relative_gain) <= rep.tolerance)
 
 
 def _assert_same_search(report, claimed, best, action):
     """The reference's best utility and deviating action bit for bit, and
-    its verdict."""
+    its verdict, two-sided as the exact check's is."""
     assert report.deviating_action == action
     assert report.best_found_utility == best
     gain = (best - claimed) / claimed if claimed > 0.0 else (np.inf if best > 0.0 else 0.0)
     assert report.relative_gain == gain
-    assert report.passed == (gain <= report.tolerance)
+    assert report.passed == (abs(gain) <= report.tolerance)
 
 
 def _assert_near_search(report, inst, allocation, regime, claimed, best, action):
@@ -473,6 +496,8 @@ class TestBlockScorer:
                 reports = whole.reports(t)
                 assert reports[0] == verify_leader_stackelberg(inst, model, allocation[t], regime)
                 assert reports[1:] == verify_nash(inst, model, allocation[t], "dense")[1:]
+                assert reports[1:] == [verify_follower(inst, model, f, allocation[t])
+                                       for f in range(inst.followers)]
                 _assert_same_search(reports[0], reports[0].claimed_utility,
                                     *ref_leader_certificate(inst, model, regime))
 

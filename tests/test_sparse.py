@@ -10,6 +10,7 @@ from hetnet_ee import (
     NetworkInstance,
     optimal_sinr,
     sample_instance,
+    solve_dense,
     solve_sparse,
     utility,
 )
@@ -78,6 +79,18 @@ class TestWorkedBranches:
             res = solve_sparse(inst, model)
         assert res.active_carriers == (0, 0)
         assert res.diagnostics["follower_branches"] == ("stay",)
+
+    def test_leader_power_past_the_float_range_raises_no_warning(self, model):
+        # the leader's operating power on a subnormal gain under loud noise
+        # overflows; solve_sparse returns it as inf silently, as solve_dense does
+        inst = NetworkInstance(g0=[1e-310, 2e-310], gf=[[1.0, 0.5]], h0=[1.0, 1.0],
+                               hf=[[1.0, 1.0]], sigma2=1e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve_sparse(inst, model)
+            dense = solve_dense(inst, model)
+        assert res.allocation[0].tolist() == [0.0, np.inf]
+        assert np.array_equal(res.allocation, dense.allocation)
 
     def test_needs_two_carriers(self, model):
         inst = NetworkInstance(g0=[1.0], gf=np.zeros((0, 1)), h0=[0.0],

@@ -12,9 +12,9 @@ interference seen there.  The schemes differ in how carriers are chosen:
   Its power map is affine with one scalar gain ``b``, so its fixed point is
   closed form and exists exactly when ``b < 1``; its overflow is named.
 
-Both run on every trial of a batch (:func:`nash_batch`,
-:func:`best_channel_batch`); :func:`solve_nash` and :func:`solve_best_channel`
-are their one-instance calls, with reports.  All four need a regime.
+Both run on every trial of a batch (:func:`nash_batch`, :func:`best_channel_batch`),
+each trial ending in a stop code, an index into ``_STOPS``; :func:`solve_nash` and
+:func:`solve_best_channel` are their one-instance calls, with reports.  All four need a regime.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .efficiency import EfficiencyModel
 from .model import (
     EquilibriumResult,
     NetworkInstance,
+    _heard,
     best_response,
     empty_allocation,
     hears_followers,
@@ -61,7 +62,8 @@ def _iterate(step, alloc: np.ndarray, max_iter: int, tol: float):
     """Apply the in-place sweep ``step`` to every trial's iterate, row ``t``
     of ``alloc``, until the row's largest power change drops below ``tol``
     times its largest power, it turns non-finite or ``max_iter`` sweeps ran;
-    returns the last finite iterates and one ``IterationReport`` per row.
+    returns the last finite iterates and, per row, the stop code, the
+    sweeps run and the last change.
     Rows run in lockstep, and a stopped row is put back after each sweep.
     An exact repeat (checked Brent-style against one checkpoint re-taken at
     sweeps 1, 2, 4, ...) skips whole periods, returning what every sweep
@@ -98,17 +100,14 @@ def _iterate(step, alloc: np.ndarray, max_iter: int, tol: float):
             if sweep & (sweep - 1) == 0:
                 checkpoint, mark = alloc.view(np.int64).copy(), sweep
             running &= sweeps < max_iter
-    reports = [
-        IterationReport(s == _CONVERGED, n, c, _STOPS[s])
-        for s, n, c in zip(stop.tolist(), sweeps.tolist(), change.tolist())
-    ]
-    return alloc, reports
+    return alloc, stop, sweeps, change
 
 
 def nash_batch(batch: NetworkInstance, model: EfficiencyModel, regime: str,
                max_iter: int = 1000, tol: float = 1e-10):
     """:func:`solve_nash`'s dynamics on every trial: the last iterates
-    ``(T, F+1, K)`` and one ``IterationReport`` per trial."""
+    ``(T, F+1, K)`` and, per trial ``(T,)``, the stop code, the sweeps run
+    and the last sweep's largest power change."""
     gamma = model.gamma
 
     def step(alloc):
@@ -138,14 +137,16 @@ def solve_nash(
     and ``iterations == max_iter`` as running them all.  The result's
     diagnostics are empty; the report returned beside it is the run's record.
     """
-    alloc, (report,) = nash_batch(stack_instances((instance,)), model, regime, max_iter, tol)
-    return make_result(instance, model, alloc[0], regime), report
+    alloc, *run = nash_batch(stack_instances((instance,)), model, regime, max_iter, tol)
+    stop, sweeps, change = (x.item() for x in run)  # reports hold Python values
+    return (make_result(instance, model, alloc[0], regime),
+            IterationReport(stop == _CONVERGED, sweeps, change, _STOPS[stop]))
 
 
 def best_channel_batch(batch: NetworkInstance, model: EfficiencyModel, regime: str):
     """:func:`solve_best_channel` on every trial: the allocations ``(T, F+1,
-    K)``, the pinned carriers ``(T, F+1)``, the feedback gains ``b``
-    ``(T,)`` and the converged flags ``(T,)`` (``b < 1``, every power finite)."""
+    K)``, the stop codes of its reports ``(T,)``, the pinned carriers ``(T,
+    F+1)`` and the feedback gains ``b`` ``(T,)``."""
     gamma, sigma2, g0, h0 = model.gamma, batch.sigma2[:, 0], batch.g0, batch.h0
     rows, followers = np.arange(batch.trials), np.arange(batch.followers)
     pins = batch.gains.argmax(axis=-1)
@@ -168,12 +169,12 @@ def best_channel_batch(batch: NetworkInstance, model: EfficiencyModel, regime: s
         alloc[rows, 0, k0] = np.divide(gamma * sigma2 * (1.0 + gamma * eta) / g0k, 1.0 - b,
                                        out=np.zeros(batch.trials), where=feasible)
         k, trial = pins[:, 1:], rows[:, None]
-        # without cross gain a follower does not hear even a leader past the float range
-        heard = np.where(h0[trial, k] > 0.0, h0[trial, k] * alloc[trial, 0, k], 0.0)
+        heard = _heard(h0[trial, k], alloc[trial, 0, k])
         powers = gamma * (sigma2[:, None] + heard) / batch.gf[trial, followers, k]
     alloc[trial, followers + 1, k] = np.where(coupled & ~feasible[:, None], 0.0, powers)
     converged = feasible & np.isfinite(alloc).all(axis=(1, 2))
-    return np.nan_to_num(alloc, nan=0.0, posinf=0.0), pins, b, converged
+    stop = np.where(converged, _CONVERGED, np.where(b >= 1.0, _INFEASIBLE, _OVERFLOW))
+    return np.nan_to_num(alloc, nan=0.0, posinf=0.0), stop, pins, b
 
 
 def solve_best_channel(
@@ -190,17 +191,16 @@ def solve_best_channel(
     ``A = gamma sigma2 (1 + gamma eta) / g0[k0]`` and
     ``b = gamma^2 h0[k0] eta / g0[k0]``; each follower's follows from it.
     If ``b < 1`` the report says ``"converged"``.  Otherwise no finite powers
-    reach ``gamma`` on ``k0``: the report says ``converged=False`` and
-    ``"infeasible"``, and the leader and the followers pinned to ``k0`` get
-    all-zero rows (utility 0, the limit of their growing powers); every
-    other row is exact.  A power past the float range is 0 as well, and a
-    feasible trial with one says ``"overflow"``.  Reports have ``iterations == 0`` and
+    reach ``gamma`` on ``k0``: the report says ``"infeasible"``, and the leader
+    and the followers pinned to ``k0`` get all-zero rows (utility 0, the limit
+    of their growing powers); every other row is exact.  A power past the
+    float range is 0 as well, and the report says ``"overflow"`` unless ``b >=
+    1`` (so a NaN ``b`` says it too).  Reports have ``iterations == 0`` and
     ``final_change == 0.0``.  ``diagnostics["pinned_carriers"]`` is every
     player's pinned carrier, which names the carrier of an all-zero row, and
     ``diagnostics["feedback_gain"]`` is ``b``.
     """
-    alloc, pins, b, (converged,) = best_channel_batch(stack_instances((instance,)), model, regime)
-    stop = _CONVERGED if converged else _INFEASIBLE if b[0] >= 1.0 else _OVERFLOW
-    report = IterationReport(bool(converged), 0, 0.0, _STOPS[stop])
+    alloc, (stop,), pins, b = best_channel_batch(stack_instances((instance,)), model, regime)
+    report = IterationReport(bool(stop == _CONVERGED), 0, 0.0, _STOPS[stop])
     diagnostics = {"pinned_carriers": tuple(pins[0].tolist()), "feedback_gain": float(b[0])}
     return make_result(instance, model, alloc[0], regime, diagnostics), report

@@ -160,7 +160,6 @@ def _cmd_verify(args: argparse.Namespace, config: ScenarioConfig) -> int:
                         rebuild([key])
                     except ValueError as exc:
                         raise unreadable(key, exc) from None
-                raise
             alloc, converged = run_batch(scheme, batch, model, regime)
             checks = verify_batch(scheme, batch, model, alloc, converged, regime, args.tolerance)
             rows = zip(checks.claims.tolist(), checks.gains.tolist(), checks.passed.tolist())

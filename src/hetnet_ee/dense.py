@@ -41,13 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .efficiency import EfficiencyModel, optimal_sinr_with_feedback
-from .model import (
-    EquilibriumResult,
-    NetworkInstance,
-    make_result,
-    rank_carriers,
-    stack_instances,
-)
+from .model import (EquilibriumResult, NetworkInstance, _heard, make_result, rank_carriers,
+                    stack_instances)
 
 __all__ = ["CarrierCandidates", "dense_batch", "solve_dense"]
 
@@ -125,11 +120,11 @@ def dense_batch(batch: NetworkInstance, model: EfficiencyModel):
         return out.reshape(trials, carriers, width)
 
     gb_t, gs_t = table(gb[trial, nominees]), table(gs[trial, nominees])
-    eta = table(batch.hf[trial, nominees, ks] / gb[trial, nominees], 0.0).cumsum(axis=-1)
+    # a subnormal gb or g0 can overflow eta or the feedback: no SINR target
+    # exists, and the NaN left in its place keeps the slot from being scored
     with np.errstate(over="ignore"):
+        eta = table(batch.hf[trial, nominees, ks] / gb[trial, nominees], 0.0).cumsum(axis=-1)
         feedback = batch.h0[trial, ks] * gamma * eta.take(cells) / batch.g0[trial, ks]
-    # a subnormal g0 can overflow the feedback: no SINR target exists, and
-    # the NaN left in its place keeps the slot from being scored
     targets = table(np.array([optimal_sinr_with_feedback(model, c) if c < np.inf else np.nan
                               for c in feedback.ravel().tolist()]).reshape(feedback.shape))
     targets[:, :, 0] = gamma
@@ -157,10 +152,10 @@ def dense_batch(batch: NetworkInstance, model: EfficiencyModel):
     # each slot's shared optimum: the leader's gain net of the nominees'
     # feedback, and the received power its SINR target needs
     net_gain = g0 - targets * gamma * eta * h0
-    received = targets * (1.0 + gamma * eta) * sigma2
-    # a subnormal g0 can overflow the power; such a slot's value is below
-    # any normal carrier's, so it never wins
+    # a subnormal g0 can overflow the power, or a huge eta the received
+    # power; such a slot's value is below any normal carrier's, so it never wins
     with np.errstate(over="ignore", divide="ignore"):
+        received = targets * (1.0 + gamma * eta) * sigma2
         powers = (received / net_gain)[:, :, :-1]
     values = (model.value(targets) * net_gain * rate0 / received)[:, :, :-1]
     # the stay test, "the last nominee still prefers this carrier at the
@@ -197,7 +192,7 @@ def dense_batch(batch: NetworkInstance, model: EfficiencyModel):
     shared = best == k_hat[:, None]
     kept = shared & (cols[trial, nominees.argsort(axis=1)] <= slots[:, None])
     moved = np.where(shared & ~kept, second, best)
-    denom = np.where(kept, batch.sigma2 + (batch.h0[rows, k_hat] * leader)[:, None], batch.sigma2)
+    denom = batch.sigma2 + np.where(kept, _heard(batch.h0[rows, k_hat], leader)[:, None], 0.0)
     alloc[trial, followers + 1, moved] = gamma * denom / batch.gf[trial, followers, moved]
     tables = dict(
         nominees=nominees, counts=counts, starts=starts, theta=theta, eta=eta,

@@ -21,8 +21,8 @@ fields that a (trial, scheme) shares once per run of rows.
 Floats are written with 12 significant digits; ``verified`` is filled for the
 configurable fraction of trials that get re-certified by the deviation
 oracles, as one batch per chunk and scheme (equilibrium claims only: the
-best-channel heuristic and a Nash run that did not converge claim no
-equilibrium, so their records are never marked).  A scheme that raises
+best-channel heuristic and a run that did not converge, an overflowing
+stackelberg one too, claim none, so their records are never marked).  A scheme that raises
 stops the sweep before its chunk yields a record.  :func:`summarize` and
 :func:`paired_gap` read records by one grouping, by point and then by run,
 a ``(trial, seed)`` pair, so several sweeps' records can be read together.
@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .baselines import best_channel_batch, nash_batch
+from .baselines import _CONVERGED, _OVERFLOW, best_channel_batch, nash_batch
 from .dense import dense_batch
 from .efficiency import EfficiencyModel
 from .model import REGIMES, _noise_power, _seed_words, hears_followers, outcomes, sample_batch
@@ -229,19 +229,19 @@ _TAIL = "%s,%.12g,%s,%s,%s\n"
 
 
 def run_batch(scheme: str, batch, model, regime: str):
-    """Run one scheme on every trial of a batch by its batch solver; returns
-    the allocations ``(T, F+1, K)`` and the converged flags ``(T,)``."""
+    """Run one scheme on every trial of a batch by its batch solver; returns the allocations
+    ``(T, F+1, K)`` and whether each trial's stop code is ``"converged"`` ``(T,)``."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == "stackelberg":
         solve = dense_batch if hears_followers(regime) else sparse_batch
         alloc = solve(batch, model)[0]
-        return alloc, np.ones(batch.trials, dtype=bool)
-    if scheme == "nash":
-        alloc, reports = nash_batch(batch, model, regime)
-        return alloc, np.array([r.converged for r in reports])
-    if scheme == "best_channel":
-        alloc, _, _, converged = best_channel_batch(batch, model, regime)
-        return alloc, converged
-    raise ValueError(f"unknown scheme {scheme!r}")
+        # closed forms: converged unless a power passes the float range
+        stop = np.where(np.isfinite(alloc).all(axis=(1, 2)), _CONVERGED, _OVERFLOW)
+    else:
+        baseline = nash_batch if scheme == "nash" else best_channel_batch
+        alloc, stop = baseline(batch, model, regime)[:2]
+    return alloc, stop == _CONVERGED
 
 
 def verify_batch(
@@ -251,12 +251,12 @@ def verify_batch(
 
     ``tol`` applies to every check of every player (the oracles' one
     default, :data:`~hetnet_ee.oracle.TOL`).  Only equilibrium claims are
-    checked: the best-channel heuristic and a Nash run that did not
-    converge (the flags of :func:`run_batch`) claim none, so their trials
-    get no reports.  An unknown scheme or regime raises, as in :func:`run_batch`.
+    checked: the best-channel heuristic and a run of either other scheme that
+    did not converge (the flags of :func:`run_batch`) claim none, so their
+    trials get no reports.  An unknown scheme or regime raises, as in :func:`run_batch`.
     """
     if scheme == "stackelberg":
-        return stackelberg_checks(batch, model, allocation, regime, tol)
+        return stackelberg_checks(batch, model, allocation, regime, tol, converged)
     if scheme == "nash":
         return nash_checks(batch, model, allocation, regime, tol, converged)
     if scheme != "best_channel":

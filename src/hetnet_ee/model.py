@@ -224,6 +224,12 @@ def leader_interference(instance: NetworkInstance, follower_powers, regime: str)
     return np.einsum("...fk,...fk->...k", instance.hf, follower_powers)
 
 
+def _heard(h0, leader_powers):
+    """``h0 * p0``; without cross gain a follower hears 0, even from an infinite leader."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(h0 > 0.0, h0 * leader_powers, 0.0)
+
+
 def best_response(gains, denom, gamma: float):
     """Every player's single-carrier best response, the one rule of the game.
 
@@ -245,7 +251,7 @@ def respond(instance: NetworkInstance, leader_powers, gamma: float):
     Maps leader powers ``(..., K)`` to follower powers ``(..., F, K)`` and
     chosen carriers ``(..., F)``.
     """
-    denom = (instance.sigma2 + instance.h0 * np.asarray(leader_powers, dtype=float))[..., None, :]
+    denom = (instance.sigma2 + _heard(instance.h0, leader_powers))[..., None, :]
     return best_response(instance.gf, denom, gamma)
 
 
@@ -256,7 +262,7 @@ def denominators(instance: NetworkInstance, allocation, regime: str) -> np.ndarr
     denom = np.empty_like(allocation)
     interference = leader_interference(instance, allocation[..., 1:, :], regime)
     denom[..., 0, :] = instance.sigma2 + interference
-    denom[..., 1:, :] = (instance.sigma2 + instance.h0 * allocation[..., 0, :])[..., None, :]
+    denom[..., 1:, :] = (instance.sigma2 + _heard(instance.h0, allocation[..., 0, :]))[..., None, :]
     return denom
 
 

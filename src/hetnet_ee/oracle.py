@@ -58,9 +58,9 @@ the best is the leader's best deviation, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cache
-from typing import NamedTuple
+from typing import Optional
 
 import numpy as np
 
@@ -97,12 +97,13 @@ class DeviationReport:
     passed: bool
 
 
-class Checks(NamedTuple):
+@dataclass(eq=False)
+class Checks:
     """Checks of every player over ``T`` trials: ``claimed`` utilities, the
     ``best`` deviation's utility, ``carriers`` and ``powers``, ``(T, N)``;
     ``sources`` per player; one ``tol`` for every check (two-sided for an
-    ``"exact"`` source).  A trial whose ``claims`` entry is false claims no
-    equilibrium and has no reports."""
+    ``"exact"`` source).  A trial whose ``claims`` entry is false (by
+    default none is) claims no equilibrium and has no reports."""
 
     claimed: np.ndarray
     best: np.ndarray
@@ -110,18 +111,18 @@ class Checks(NamedTuple):
     powers: np.ndarray
     sources: tuple
     tol: float
-    claims: np.ndarray
+    claims: Optional[np.ndarray] = None
+    gains: np.ndarray = field(init=False)
+    passed: np.ndarray = field(init=False)
 
-    @property
-    def gains(self) -> np.ndarray:
+    def __post_init__(self):
+        claims = np.ones(len(self.claimed), bool) if self.claims is None else self.claims
+        self.claims = np.asarray(claims, bool)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = (self.best - self.claimed) / self.claimed
-        return np.where(self.claimed > 0.0, ratio, np.where(self.best > 0.0, np.inf, 0.0))
-
-    @property
-    def passed(self) -> np.ndarray:
-        gains, exact = self.gains, np.array([s == "exact" for s in self.sources], dtype=bool)
-        return np.where(exact, np.abs(gains) <= self.tol, gains <= self.tol)
+        self.gains = np.where(self.claimed > 0.0, ratio, np.where(self.best > 0.0, np.inf, 0.0))
+        exact = np.array([s == "exact" for s in self.sources], dtype=bool)
+        self.passed = np.where(exact, np.abs(self.gains) <= self.tol, self.gains <= self.tol)
 
     def reports(self, t: int) -> list[DeviationReport]:
         if not self.claims[t]:
@@ -275,15 +276,15 @@ def _leader(batch, model, regime):
     return np.take_along_axis(scores, i, 1), i // (4 * count + 1), np.take_along_axis(cand, i, 1)
 
 
-def stackelberg_checks(batch, model, allocation, regime, tol=TOL) -> Checks:
+def stackelberg_checks(batch, model, allocation, regime, tol=TOL, claims=None) -> Checks:
     """The leader's bi-level check and every follower's unilateral check of
-    stackelberg allocations ``(T, F+1, K)``."""
+    stackelberg allocations ``(T, F+1, K)``; ``claims`` as in :func:`nash_checks`."""
     allocation = np.asarray(allocation, dtype=float)
     found = zip(_leader(batch, model, regime),
                 _unilateral(batch, model, range(1, batch.players), allocation, "dense"))
     return Checks(all_utilities(batch, model, allocation, regime),
                   *(np.concatenate(pair, axis=1) for pair in found),
-                  ("exact",) + ("bound",) * batch.followers, tol, np.ones(batch.trials, bool))
+                  ("exact",) + ("bound",) * batch.followers, tol, claims)
 
 
 def nash_checks(batch, model, allocation, regime, tol=TOL, claims=None) -> Checks:
@@ -291,7 +292,6 @@ def nash_checks(batch, model, allocation, regime, tol=TOL, claims=None) -> Check
     the others held fixed; ``claims`` (default: all) marks the trials that
     claim an equilibrium."""
     allocation = np.asarray(allocation, dtype=float)
-    claims = np.ones(batch.trials, bool) if claims is None else np.asarray(claims, bool)
     return Checks(all_utilities(batch, model, allocation, regime),
                   *_unilateral(batch, model, range(batch.players), allocation, regime),
                   ("bound",) * batch.players, tol, claims)
@@ -308,8 +308,7 @@ def verify_follower(instance: NetworkInstance, model: EfficiencyModel, f: int, a
     SINR depends only on the leader's row, so this holds in both regimes."""
     batch, allocation = _one(instance, allocation)
     checks = Checks(all_utilities(batch, model, allocation, "dense")[:, [f + 1]],
-                    *_unilateral(batch, model, [f + 1], allocation, "dense"), ("bound",), tol,
-                    np.ones(1, bool))
+                    *_unilateral(batch, model, [f + 1], allocation, "dense"), ("bound",), tol)
     return replace(checks.reports(0)[0], player=f + 1)  # the one row computed
 
 

@@ -64,9 +64,17 @@ def plain_iterate(step, alloc, max_iter, tol):
 
 def plain_batch_iterate(step, alloc, max_iter, tol):
     """:func:`plain_iterate` on the one-trial iterate of a ``solve_nash``
-    call, reported as the batch loop reports, one report per trial."""
+    call, returned as the batch loop returns it: the stop code, sweeps and
+    change of each trial."""
     alloc, report = plain_iterate(step, alloc, max_iter, tol)
-    return alloc, [report]
+    run = baselines._STOPS.index(report.stop), report.iterations, report.final_change
+    return alloc, *(np.array([value]) for value in run)
+
+
+def batch_reports(stop, sweeps, change):
+    """A batch core's per-trial arrays as one ``IterationReport`` per trial."""
+    return [IterationReport(s == baselines._CONVERGED, n, c, baselines._STOPS[s])
+            for s, n, c in zip(stop.tolist(), sweeps.tolist(), change.tolist())]
 
 
 def assert_same_run(fast, plain):
@@ -189,7 +197,8 @@ class TestCycleSkip:
         rows += [sample_instance(5, 4, mean_cross=0.5, snr_db=5.0, seed=s) for s in (1, 2)]
         batch = stack_instances(rows)
         for max_iter in CAPS:
-            alloc, reports = nash_batch(batch, model, "dense", max_iter=max_iter)
+            alloc, *run = nash_batch(batch, model, "dense", max_iter=max_iter)
+            reports = batch_reports(*run)
             for t, inst in enumerate(rows):
                 res, report = solve_nash(inst, model, "dense", max_iter=max_iter)
                 assert alloc[t].tobytes() == res.allocation.tobytes(), (max_iter, t)
@@ -286,7 +295,8 @@ class TestNashDynamics:
         if report.converged:
             assert report.final_change <= 1e-10
         # the report is the batch core's record of this run
-        assert report == nash_batch(stack_instances((inst,)), model, "dense", tol=1e-10)[1][0]
+        run = nash_batch(stack_instances((inst,)), model, "dense", tol=1e-10)[1:]
+        assert report == batch_reports(*run)[0]
 
     def test_max_iter_validation(self, model):
         inst = random_instance(np.random.default_rng(35))
@@ -362,7 +372,7 @@ class TestBestChannel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res, report = solve_best_channel(inst, model, regime)
-            alloc, _, b, converged = baselines.best_channel_batch(
+            alloc, stop, _, b = baselines.best_channel_batch(
                 stack_instances([normal, inst]), model, regime)
             flags = harness.run_batch("best_channel", stack_instances([inst]), model, regime)[1]
         assert not report.converged and report.stop == "overflow"
@@ -373,10 +383,26 @@ class TestBestChannel:
         assert_allclose(res.allocation[1, k], GAMMA * 1e6 / gf[0][k], rtol=1e-12)
         assert np.all(np.isfinite(res.utilities))
         # a trial beside it in a batch is untouched
+        converged = stop == baselines._CONVERGED
         assert converged.tolist() == [True, False]
         single, _, _, _ = baselines.best_channel_batch(stack_instances([normal]), model, regime)
         assert alloc[0].tobytes() == single[0].tobytes()
         assert alloc[1].tobytes() == res.allocation.tobytes()
+
+    @pytest.mark.parametrize("regime, feedback_gain", [("dense", math.nan), ("sparse", 0.0)])
+    def test_nan_feedback_gain_is_named_overflow(self, model, regime, feedback_gain):
+        # both players pin carrier 1; hf / gf there passes the float range,
+        # and without cross gain the dense b is 0 * inf
+        inst = NetworkInstance(g0=[1.0, 2.0], gf=[[1e-310, 2e-310]], h0=[0.0, 0.0],
+                               hf=[[1.0, 1.0]], sigma2=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, stop, _, b = baselines.best_channel_batch(stack_instances([inst]), model, regime)
+            res, report = solve_best_channel(inst, model, regime)
+        assert [baselines._STOPS[s] for s in stop] == ["overflow"]
+        assert not report.converged and report.stop == "overflow"
+        assert np.array_equal(b, [feedback_gain], equal_nan=True)
+        assert np.array_equal(res.diagnostics["feedback_gain"], feedback_gain, equal_nan=True)
 
     @pytest.mark.parametrize("b", [0.9, 0.99])
     def test_near_critical_feedback_reaches_the_fixed_point(self, model, b):

@@ -4,6 +4,7 @@ import argparse
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -447,6 +448,21 @@ class TestVerify:
             assert sizes == ([9] * 9 if cells > 1 else [1] * 81)
         assert outputs[0] == outputs[1]
         assert outputs[0].splitlines()[:-1] == expected
+
+    def test_tiny_gains_sweep_and_verify_without_warnings(self, tmp_path, capsys):
+        # subnormal gains overflow powers and feedback inside the dense
+        # solver; no RuntimeWarning escapes, and every claim passes
+        out = tmp_path / "run.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("sweep", "--carriers", "5", "--followers", "4", "--snr-db", "10",
+                           "--trials", "20", "--seed", "3", "--mean-signal", "1e-310",
+                           "--verify-fraction", "1", "--output", str(out)) == 0
+            assert {r.verified for r in read_records(out)} == {"pass", ""}
+            assert run_cli("verify", "--input", str(out), "--mean-signal", "1e-310") == 0
+        # the 20 best-channel trials claim nothing
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "verified 200 checks, 0 failures, 20 trials skipped")
 
     def test_exit_code_clean_when_all_pass(self, tmp_path, capsys):
         out = tmp_path / "run.csv"

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from numpy.testing import assert_allclose
 
 from hetnet_ee import (
     EfficiencyModel,
+    NetworkInstance,
     ScenarioConfig,
     optimal_sinr,
     sample_instance,
@@ -71,11 +73,17 @@ class TestScenarioConfig:
         dict(rates=(1.0, -2.0)),
         dict(rates=(1.0, math.nan)),
         dict(rates=(1.0, 2.0, 3.0)),
+        dict(carriers=()),
+        dict(snr_db=()),
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):
             tiny_config(**bad)
 
+
+    def test_rejects_a_nonpositive_snr_step(self):
+        with pytest.raises(ValueError, match="SNR step must be positive"):
+            config_from_values({}, {"snr_db": "0:10:0"})
 
     @pytest.mark.parametrize("rates", [2.0, (1.0, 2.0)])
     def test_accepts_rates_that_fit(self, rates):
@@ -272,7 +280,7 @@ class TestBatchedSweep:
         rows = [sample_instance(k, f, snr_db=snr, seed=seed) for snr, seed in ((-10.0, 1), (40.0, 2))]
         rows.insert(1, inst)
         batch = stack_instances(rows)
-        # stackelberg has no report: it always converges
+        # stackelberg has no report: it converges when every power is finite
         stackelberg = solve_sparse if regime == "sparse" else solve_dense
         single = {
             "stackelberg": lambda instance: (stackelberg(instance, model), None),
@@ -288,7 +296,8 @@ class TestBatchedSweep:
                 assert utilities[t].tobytes() == result.utilities.tobytes(), (scheme, t)
                 assert [None if c < 0 else c for c in active[t].tolist()] == list(
                     result.active_carriers)
-                assert converged[t] == (report is None or report.converged)
+                finite = np.isfinite(result.allocation).all()
+                assert converged[t] == (finite if report is None else report.converged)
 
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -303,6 +312,29 @@ class TestBatchedSweep:
             reports = harness.verify_batch(scheme, batch, model, alloc, converged,
                                            regime).reports(0)
             assert all(r.passed and r.tolerance == oracle.TOL for r in reports), (scheme, reports)
+            # every player on one carrier at most, and a rerun bit for bit
+            assert ((alloc > 0.0).sum(axis=-1) <= 1).all(), (scheme, alloc)
+            again, converged_again = harness.run_batch(scheme, batch, model, regime)
+            assert again.tobytes() == alloc.tobytes()
+            assert converged_again.tobytes() == converged.tobytes()
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("h0", [[1.0, 1.0], [0.0, 0.0]], ids=["cross", "no_cross"])
+    def test_overflowing_stackelberg_claims_nothing(self, model, regime, h0):
+        # the leader's power gamma sigma2 / 2e-310 passes the float range; the
+        # follower takes the other carrier, where it hears no leader
+        inst = NetworkInstance(g0=[1e-310, 2e-310], gf=[[1.0, 0.5]], h0=h0, hf=[[1.0, 1.0]],
+                               sigma2=1e6)
+        batch = stack_instances([inst])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alloc, converged = harness.run_batch("stackelberg", batch, model, regime)
+            checks = harness.verify_batch("stackelberg", batch, model, alloc, converged, regime)
+            utilities, active = outcomes(batch, model, alloc, regime)
+        assert alloc[0, 0].tolist() == [0.0, math.inf] and converged.tolist() == [False]
+        assert checks.claims.tolist() == [False] and checks.reports(0) == []
+        assert_allclose(alloc[0, 1], [optimal_sinr(model) * 1e6, 0.0], rtol=1e-15)
+        assert active.tolist() == [[1, 0]] and utilities[0, 1] > 0.0
 
     @pytest.mark.parametrize("scheme, regime, message", [
         ("bogus", "dense", "unknown scheme 'bogus'"),
@@ -589,6 +621,10 @@ class TestTrendAndGap:
             (snr, a, b) for snr in (-5.0, 5.0, 15.0) for a, b in ((2, 3), (3, 5))
         ]
         assert all(s.ok for s in steps)
+
+    def test_carrier_trend_rejects_an_unknown_side(self):
+        with pytest.raises(ValueError, match="side must be 'leader' or 'follower'"):
+            carrier_trend([], scheme="stackelberg", side="both")
 
     def test_paired_gap_matches_hand_computation(self):
         records = []

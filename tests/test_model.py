@@ -62,6 +62,22 @@ class TestNetworkInstance:
         with pytest.raises(ValueError):
             simple_instance(sigma2=0.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("gf", [[3.0, 1.0, 2.0]]), ("h0", [1.0]), ("hf", [[1.0, 0.2], [1.0, 0.2]]),
+        ("rates", [1.0, 1.0, 1.0]), ("sigma2", [1.0, 2.0]),
+    ])
+    def test_wrong_shape(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must have shape"):
+            simple_instance(**{name: value})
+
+    @pytest.mark.parametrize("allocation, message", [
+        (np.zeros((2, 3)), "allocation has wrong shape"),
+        ([[1.0, 0.0], [0.0, -1.0]], "powers must be nonnegative"),
+    ])
+    def test_outcomes_checks_the_allocation(self, model, allocation, message):
+        with pytest.raises(ValueError, match=message):
+            model_module.outcomes(simple_instance(), model, allocation, "dense")
+
     def test_rates_default_to_one(self):
         inst = simple_instance()
         assert_allclose(inst.rates, [1.0, 1.0])

@@ -5,29 +5,29 @@ transmits on its interference-adjusted best carrier at the power that puts
 its SINR exactly at the optimal operating point (:func:`model.respond`).
 
 The leader side anticipates those reactions.  Each follower nominates its
-best own-gain carrier, and a carrier's nominees are ranked by their
-best-to-second gain ratio, strongest first.  One slot table, a row per
-carrier, scores every occupancy the leader could induce:
+carrier at zero leader power, and :func:`model.switches` gives the least
+leader power there that moves it to its rival carrier; a carrier's
+nominees are ranked by that switch, latest first.  One slot table, a row
+per carrier, scores every occupancy the leader could induce:
 
 * slot ``l`` keeps the top ``l`` nominees on the carrier, the leader
   running at the feedback-adjusted optimal SINR; slot 0 clears the carrier
-  and runs at the interference-free optimum.  Slots are scored up to the
-  stay limit, the largest occupancy whose last nominee still prefers
-  staying at the leader's unconstrained optimum;
-* one boundary cap covers every slot: when the slot's power would let
-  nominee ``l+1`` creep back in, the power is raised to that nominee's
-  indifference boundary (the slot is infeasible when the boundary is out of
-  reach); otherwise, when it would push nominee ``l`` itself off, it drops
-  to nominee ``l``'s boundary.  A capped slot's value is re-read there.
+  and runs at the interference-free optimum.  Slot ``l`` holds from
+  nominee ``l+1``'s switch up to nominee ``l``'s, and slots are scored up
+  to the stay limit, the largest occupancy whose last nominee still stays
+  at the leader's unconstrained optimum;
+* one cap covers every slot: when the slot's power would let nominee
+  ``l+1`` creep back in, the power is raised to that nominee's switch (the
+  slot is infeasible unless that switch is below nominee ``l``'s), and its
+  value is re-read there.  A slot whose power would push nominee ``l``
+  off is infeasible too: below that switch it does no better than slot
+  ``l-1`` at it.
 
-The best slot across carriers fixes the leader's action.  Follower rows
-are then assigned from the winning occupancy: kept nominees share the
-winning carrier, pushed nominees move to their second-best carrier, and
-everyone else stays on their own best.  That is each follower's best
-response, except at a boundary slot: there the pushed nominee is exactly
-indifferent between carriers, its assigned row and its
-:func:`model.respond` row tie in utility, and the solver keeps it off the
-leader's carrier.
+The best slot fixes the leader's action, exact ties going to the lower
+carrier, then to fewer shared slots.  Follower rows are then assigned from
+the winning occupancy: kept nominees share the winning carrier, pushed
+nominees move to their rival carrier, and everyone else stays on their
+own.  That is each follower's :func:`model.respond` row, bit for bit.
 
 :func:`dense_batch` solves every trial of a batch at once;
 :func:`solve_dense` is its one-instance call, with the slot table as
@@ -41,34 +41,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .efficiency import EfficiencyModel, optimal_sinr_with_feedback
-from .model import (EquilibriumResult, NetworkInstance, _heard, make_result, rank_carriers,
-                    stack_instances)
+from .model import (EquilibriumResult, NetworkInstance, _heard, make_result, stack_instances,
+                    switches)
 
 __all__ = ["CarrierCandidates", "dense_batch", "solve_dense"]
 
-# boundary-cap steps by code: 0 none, 1 raise, 2 drop, 3 infeasible
-_REPLACEMENTS = np.array(
-    [None, "raise_to_boundary", "drop_to_boundary", "infeasible"], dtype=object
-)
+# cap steps by code: 0 none, 1 raise, 2 infeasible
+_REPLACEMENTS = np.array([None, "raise_to_boundary", "infeasible"], dtype=object)
 
 
 @dataclass(frozen=True, eq=False)
 class CarrierCandidates:
     """One carrier's row of the leader's slot table.
 
-    ``followers`` lists the carrier's nominees strongest ratio first;
-    ``theta`` (best-to-second gain ratio, ``inf`` past the float range),
-    ``eta`` (cumulative interference ratio), ``sinr_targets``,
-    ``stays``, ``boundary_powers`` and ``boundary_values`` are indexed by
-    nominee rank, so entry ``i`` belongs to slot ``i+1``.  ``stays[i]`` is
-    that slot's stay test (its last nominee still prefers this carrier at
-    the leader's unconstrained shared optimum: that power is below its
-    boundary) and ``stay_limit`` the largest slot passing it; a scored slot
-    failing it is dropped by the cap.  ``slot_powers``, ``slot_values`` and
-    ``replacements`` are indexed by slot ``l = 0..stay_limit``, slot 0
-    being the cleared carrier: powers and values are after the boundary
-    cap, and ``replacements[l]`` names its step (``None``,
-    ``"raise_to_boundary"``, ``"drop_to_boundary"`` or ``"infeasible"``).
+    ``followers`` lists the carrier's nominees, latest switch first;
+    ``theta`` (best-to-rival gain ratio, ``inf`` past the float range),
+    ``eta`` (cumulative interference ratio), ``sinr_targets``, ``stays``,
+    ``boundary_powers`` (the switches) and ``boundary_values`` are indexed
+    by nominee rank, so entry ``i`` belongs to slot ``i+1``.  ``stays[i]``
+    is that slot's stay test (its last nominee still stays at the leader's
+    unconstrained shared optimum: that power is below its switch) and
+    ``stay_limit`` the largest slot passing it; a scored slot failing it is
+    infeasible.  ``slot_powers``, ``slot_values`` and ``replacements`` are
+    indexed by slot ``l = 0..stay_limit``, slot 0 being the cleared
+    carrier: powers and values are after the cap, and ``replacements[l]``
+    names its step (``None``, ``"raise_to_boundary"`` or ``"infeasible"``).
     An infeasible slot keeps its uncapped power and value and never wins.
     """
 
@@ -94,16 +91,15 @@ def dense_batch(batch: NetworkInstance, model: EfficiencyModel):
     trials, carriers, count = batch.trials, batch.carriers, batch.followers
     trial, followers = np.arange(trials)[:, None], np.arange(count)
     g0, h0, rate0 = batch.g0[:, :, None], batch.h0[:, :, None], batch.rates[:, :1, None]
-    best, second = (order[:, 1:] for order in rank_carriers(batch))
-    # the gains on those carriers: a follower's two largest
-    gb, gs = batch.gf[trial, followers, best], batch.gf[trial, followers, second]
+    best, rival, switch = switches(batch)
+    gb, gs = batch.gf[trial, followers, best], batch.gf[trial, followers, rival]
 
-    # row k, column l >= 1: carrier k's l-th nominee, strongest ratio first
-    # and ties to the lower follower index; column 0 is the solo slot.
-    # Columns past a carrier's nominees are NaN padding, and the last one
-    # always is, so every slot has a next nominee.  The key gs / gb lies in
-    # (0, 1], where gb / gs overflows on a subnormal gs
-    nominees = np.lexsort((gs / gb, best), axis=-1)
+    # row k, column l >= 1: carrier k's l-th nominee, latest switch first,
+    # then (every switch is inf without cross gain) the smaller gs / gb, then
+    # the lower follower index; column 0 is the solo slot.  Columns past a
+    # carrier's nominees are NaN padding, and the last one always is, so
+    # every slot has a next nominee
+    nominees = np.lexsort((gs / gb, -switch, best), axis=-1)
     counts = np.bincount((best + carriers * trial).ravel(), minlength=trials * carriers)
     counts = counts.reshape(trials, carriers)
     starts = counts.cumsum(axis=1) - counts
@@ -119,31 +115,27 @@ def dense_batch(batch: NetworkInstance, model: EfficiencyModel):
         out[cells] = values
         return out.reshape(trials, carriers, width)
 
-    gb_t, gs_t = table(gb[trial, nominees]), table(gs[trial, nominees])
-    # a subnormal gb or g0 can overflow eta or the feedback: no SINR target
-    # exists, and the NaN left in its place keeps the slot from being scored
-    with np.errstate(over="ignore"):
+    # a subnormal gs overflows theta, and a subnormal gb or g0 eta or the
+    # feedback, which is 0 * inf for an infinite eta without leader cross
+    # gain: no SINR target exists, and the NaN left in its place keeps the
+    # slot from being scored
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = table(gb[trial, nominees] / gs[trial, nominees])
         eta = table(batch.hf[trial, nominees, ks] / gb[trial, nominees], 0.0).cumsum(axis=-1)
         feedback = batch.h0[trial, ks] * gamma * eta.take(cells) / batch.g0[trial, ks]
     targets = table(np.array([optimal_sinr_with_feedback(model, c) if c < np.inf else np.nan
                               for c in feedback.ravel().tolist()]).reshape(feedback.shape))
     targets[:, :, 0] = gamma
 
-    # indifference boundaries: leader power at which a nominee stops
-    # preferring this carrier over its second-best; with zero cross gain,
-    # or past the float range (a tiny gs), it is out of reach (x/0 and the
-    # overflow are inf).  A nominee whose two gains tie stays (ties go to
-    # the lower index, its best) until the leader is heard at all: its
-    # boundary is 0, or out of reach with zero cross gain
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tied = np.where(h0 > 0.0, 0.0, np.inf)
-        boundary = np.where(gb_t <= gs_t, tied, sigma2 * (gb_t - gs_t) / (h0 * gs_t))
-        theta = gb_t / gs_t
-    # leader value at a boundary, with the nominees ranked above it sharing
-    at = np.where((boundary > 0.0) & (boundary < np.inf), boundary, np.nan)[:, :, 1:]
+    # the switches by nominee rank; slot 0 keeps no nominee, so none bounds it
+    boundary = table(switch[trial, nominees])
+    boundary[:, :, 0] = np.inf
+    # leader value at a switch, with the nominees ranked above it sharing
+    at = np.where(boundary < np.inf, boundary, np.nan)[:, :, 1:]
     above = eta[:, :, :-1]
-    # a boundary near the float range can overflow the SINR; f(inf) = 1
-    with np.errstate(over="ignore"):
+    # a switch near the float range can overflow the SINR, f(inf) = 1, or
+    # both its sides, and the NaN left keeps a raise to it from winning
+    with np.errstate(over="ignore", invalid="ignore"):
         sinr = g0 * at / (sigma2 * (1.0 + gamma * above) + gamma * above * h0 * at)
     boundary_values = np.empty_like(boundary)
     boundary_values[:, :, 0] = np.nan
@@ -158,42 +150,39 @@ def dense_batch(batch: NetworkInstance, model: EfficiencyModel):
         received = targets * (1.0 + gamma * eta) * sigma2
         powers = (received / net_gain)[:, :, :-1]
     values = (model.value(targets) * net_gain * rate0 / received)[:, :, :-1]
-    # the stay test, "the last nominee still prefers this carrier at the
-    # slot's uncapped power", is that power below the nominee's boundary
-    stays = powers < boundary[:, :, :-1]
-    slot = np.arange(width - 1)
-    stay_limit = np.where(stays, slot, 0).max(axis=-1)
 
-    # the one cap rule, against the next nominee's boundary (raise) and the
-    # slot's own (drop; none for slot 0)
-    below = powers < boundary[:, :, 1:]
-    infeasible = below & (boundary[:, :, 1:] == np.inf)
-    raised, dropped = below & ~infeasible, ~below & (powers > boundary[:, :, :-1])
-    codes = raised + 2 * dropped + 3 * infeasible
-    powers = codes.choose((powers, boundary[:, :, 1:], boundary[:, :, :-1], powers))
-    values = codes.choose((values, boundary_values[:, :, 1:], boundary_values[:, :, :-1], values))
+    # slot l holds on [next switch, own switch).  The stay test, "the last
+    # nominee stays at the slot's uncapped power", is that power below its
+    # own switch; slot 0 has no last nominee and always passes
+    own, nxt = boundary[:, :, :-1], boundary[:, :, 1:]
+    stays = powers < own
+    stays[:, :, 0] = True
+    stay_limit = np.where(stays, np.arange(width - 1), 0).max(axis=-1)
+    # the one cap: raise to the next switch where it is below the own
+    below = powers < nxt
+    raised = below & (nxt < own)
+    infeasible = ~stays | below & ~raised
+    codes = raised + 2 * infeasible
+    powers = np.where(raised, nxt, powers)
+    values = np.where(raised, boundary_values[:, :, 1:], values)
 
-    scored = slot <= stay_limit[:, :, None]
-    # a cap can land on a degenerate boundary (exactly tied gains), and
-    # such a slot carries no usable value
-    usable = scored & ~infeasible & np.isfinite(values)
-
-    # slot-major scan: exact ties go to fewer shared slots, then lower
-    # carrier.  K >= F+1 leaves some carrier without a nominee, and its
-    # slot 0 is always usable
-    scan = np.where(usable, values, -np.inf).swapaxes(1, 2).reshape(trials, -1)
-    winner = scan.argmax(axis=1)
-    slots, k_hat = winner // carriers, winner % carriers
+    # carrier-major scan: exact ties go to the lower carrier, then to fewer
+    # shared slots.  K >= F+1 leaves some carrier without a nominee, and its
+    # slot 0 is always feasible
+    scan = np.where(~infeasible & np.isfinite(values), values, -np.inf).reshape(trials, -1)
+    k_hat, slots = np.divmod(scan.argmax(axis=1), width - 1)
     rows = trial[:, 0]
     alloc = np.zeros(batch.gains.shape)
     leader = powers[rows, k_hat, slots]
     alloc[rows, 0, k_hat] = leader
-    # kept nominees share k_hat, pushed ones take their second-best carrier
+    # kept nominees share k_hat, pushed ones take their rival carrier
     shared = best == k_hat[:, None]
     kept = shared & (cols[trial, nominees.argsort(axis=1)] <= slots[:, None])
-    moved = np.where(shared & ~kept, second, best)
+    moved = np.where(shared & ~kept, rival, best)
     denom = batch.sigma2 + np.where(kept, _heard(batch.h0[rows, k_hat], leader)[:, None], 0.0)
-    alloc[trial, followers + 1, moved] = gamma * denom / batch.gf[trial, followers, moved]
+    # a subnormal gain's power reads inf, as in best_response
+    with np.errstate(over="ignore"):
+        alloc[trial, followers + 1, moved] = gamma * denom / batch.gf[trial, followers, moved]
     tables = dict(
         nominees=nominees, counts=counts, starts=starts, theta=theta, eta=eta,
         targets=targets, stays=stays, stay_limit=stay_limit, powers=powers, values=values,

@@ -7,9 +7,9 @@ nonnegative and rows of equilibrium outputs have at most one nonzero entry.
 
 Whole-instance quantities are arrays with one row per player, computed for
 all players at once: the own-signal gains, the SINR denominators
-(:func:`denominators`) and matrix (:func:`sinr`), the utilities and each
-player's two strongest carriers (:func:`rank_carriers`).  Every player
-best-responds by one rule, :func:`best_response`.  A
+(:func:`denominators`) and matrix (:func:`sinr`) and the utilities.  Every
+player best-responds by one rule, :func:`best_response`, and
+:func:`switches` says when a follower leaves the leader's carrier.  A
 :class:`NetworkInstance` may hold a batch, ``T`` instances of one shape
 stacked on a leading trial axis; the same functions take it and then
 return arrays with that axis first.  The solvers work on batches, a
@@ -48,11 +48,11 @@ __all__ = [
     "leader_interference",
     "best_response",
     "respond",
+    "switches",
     "denominators",
     "sinr",
     "utility",
     "all_utilities",
-    "rank_carriers",
     "sample_instance",
     "sample_batch",
     "stack_instances",
@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 REGIMES = ("sparse", "dense")
+_INF_BITS = int(np.float64(np.inf).view(np.int64))
 
 
 def _frozen_array(values, shape, name: str) -> np.ndarray:
@@ -255,6 +256,46 @@ def respond(instance: NetworkInstance, leader_powers, gamma: float):
     return best_response(instance.gf, denom, gamma)
 
 
+def switches(instance: NetworkInstance):
+    """Every follower's ``carrier`` at zero leader power, as :func:`respond`
+    picks it, the ``rival`` carrier it leaves to, and its ``switch``: the
+    least leader power on ``carrier`` at which :func:`respond` moves it
+    (``inf`` if none does); three ``(..., F)`` arrays.
+
+    With the leader alone on ``carrier``, the follower stays while ``g /
+    (sigma2 + h0 p) > bar``, ``bar`` being the rival's score ``g / sigma2``,
+    one ulp lower where ``carrier`` wins the tie (a lower index).  The
+    search bisects the bit patterns of the nonnegative floats, which order
+    as the floats do, from a bracket around the closed form where the stay
+    test confirms it (its roundings are monotone in the power, so any such
+    bracket holds the same least failing float), else from all powers."""
+    if instance.carriers < 2:
+        raise ValueError("switching carriers needs at least two carriers")
+    scores = instance.gf / np.asarray(instance.sigma2)[..., None]
+    top = np.argsort(-scores, axis=-1, kind="stable")  # lower index first
+    carrier, rival = top[..., 0], top[..., 1]
+    gk = np.take_along_axis(instance.gf, carrier[..., None], -1)[..., 0]
+    bar = np.take_along_axis(scores, rival[..., None], -1)[..., 0]
+    bar = np.where(rival < carrier, bar, np.nextafter(bar, -np.inf))
+    sigma2, h0 = instance.sigma2, np.take_along_axis(instance.h0, carrier, -1)
+
+    def stays(p):
+        return gk / (sigma2 + h0 * p) > bar
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        quiet = gk / bar  # the denominator at the switch
+        guess, spread = (quiet - sigma2) / h0, quiet / h0 * 2.0**-49  # 8 ulps of quiet
+        lo, hi = guess - spread, guess + spread
+        narrow = (lo >= 0.0) & (hi < np.inf) & stays(lo) & ~stays(hi)
+        lo, hi = np.where(narrow, lo, 0.0).view(np.int64), np.where(narrow, hi, np.inf).view(np.int64)
+        lo[h0 == 0.0] = _INF_BITS - 1  # then the test does not depend on the power
+        for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+            mid = lo + ((hi - lo) >> 1)
+            stay = stays(mid.view(np.float64))
+            lo, hi = np.where(stay, mid, lo), np.where(stay, hi, mid)
+    return carrier, rival, hi.view(np.float64)
+
+
 def denominators(instance: NetworkInstance, allocation, regime: str) -> np.ndarray:
     """Noise plus interference of every player on every carrier, ``(F+1, K)``:
     followers see ``h0 * p0``, the leader its :func:`leader_interference`."""
@@ -268,7 +309,10 @@ def denominators(instance: NetworkInstance, allocation, regime: str) -> np.ndarr
 
 def sinr(instance: NetworkInstance, allocation, regime: str) -> np.ndarray:
     """SINR of every player on every carrier, ``(F+1, K)``."""
-    return instance.gains * allocation / denominators(instance, allocation, regime)
+    # a signal past the float range reads inf, where the success curve is 1,
+    # or NaN against an infinite interference: an overflowing run's row
+    with np.errstate(over="ignore", invalid="ignore"):
+        return instance.gains * allocation / denominators(instance, allocation, regime)
 
 
 def all_utilities(
@@ -292,15 +336,6 @@ def utility(
 ) -> float:
     """Energy efficiency of one player, ``all_utilities(...)[player]``."""
     return float(all_utilities(instance, model, allocation, regime)[player])
-
-
-def rank_carriers(instance: NetworkInstance):
-    """Every player's best and second-best own-gain carriers, two ``(F+1,)``
-    index arrays; ties go to the lower index."""
-    if instance.carriers < 2:
-        raise ValueError("carrier ranking needs at least two carriers")
-    order = (-instance.gains).argsort(axis=-1, kind="stable")
-    return order[..., 0], order[..., 1]
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four uint32

@@ -38,9 +38,8 @@ same, so a follower on ``k`` under ``p_k e_k`` stays there under ``p``
 ``k`` mean more interference, and the mediant step gives ``U(p) <= max_k
 U(p_k e_k)``.  With the leader alone on ``k``, a follower's score there
 falls with ``p``, so it stays on ``k`` exactly below one switching power,
-found by bisection over the floats from ``(gk / bar - sigma2) / h0`` give
-or take what the subtraction cancels, else from all powers; these cut the
-powers into at most ``F+1`` intervals (one where
+its :func:`model.switches` entry, the same float the dense solver reads;
+these cut the powers into at most ``F+1`` intervals (one where
 :func:`model.hears_followers` says the leader hears none) with a fixed set
 of followers on ``k``.  With ``eta = sum hf / gf`` over it, the leader's
 SINR ``x = g0 p / (sigma2 (1 + gamma eta) + gamma eta h0 p)`` rises with
@@ -50,7 +49,8 @@ its stationary point or an end.
 ``GOLDEN_STEPS`` steps narrow the search below ``1e-10`` of its bracket,
 and the peak is quadratic, so its value is exact to the rounding of ``f``
 (measured for ``m`` up to 100).  Those powers and each switching power
-with its float neighbours are scored with every follower re-responding;
+with its float neighbours are scored with every follower re-responding
+(on ``k`` exactly below its switch);
 the best is the leader's best deviation, and
 :func:`brute_force_stackelberg` returns it as an allocation.
 """
@@ -66,7 +66,7 @@ import numpy as np
 
 from .efficiency import EfficiencyModel, _success
 from .model import (NetworkInstance, all_utilities, best_response, denominators, hears_followers,
-                    respond, stack_instances)
+                    respond, stack_instances, switches)
 
 __all__ = ["TOL", "DeviationReport", "Checks", "stackelberg_checks", "nash_checks",
            "verify_follower", "verify_leader_stackelberg", "verify_nash", "brute_force_stackelberg"]
@@ -74,7 +74,6 @@ __all__ = ["TOL", "DeviationReport", "Checks", "stackelberg_checks", "nash_check
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_STEPS = 48
 TOL = 1e-12  # the default relative-gain tolerance of every check
-_INF_BITS = int(np.float64(np.inf).view(np.int64))
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,8 @@ class Checks:
     def __post_init__(self):
         claims = np.ones(len(self.claimed), bool) if self.claims is None else self.claims
         self.claims = np.asarray(claims, bool)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a claim of 0 has no ratio, and a subnormal one can overflow it to inf
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratio = (self.best - self.claimed) / self.claimed
         self.gains = np.where(self.claimed > 0.0, ratio, np.where(self.best > 0.0, np.inf, 0.0))
         exact = np.array([s == "exact" for s in self.sources], dtype=bool)
@@ -182,59 +182,20 @@ def _unilateral(batch, model, players, allocation, regime):
     return best, k, powers.sum(axis=-1)  # the one nonzero power
 
 
-def _bars(gk, sigma2):
-    """Each follower's stay test on carrier ``k`` with the leader alone on
-    ``k``, for gains ``gk[t, k, f]`` and noise ``(T, 1, 1)``: it stays while
-    ``gk / (sigma2 + h0[k] p) > bar``, else takes ``rival``, its best
-    carrier off ``k`` by ``gk / sigma2``.  ``bar`` is the rival's score,
-    one ulp lower where ``k`` wins the tie (a lower index), as ``respond``
-    picks; both ``(T, K, F)``."""
-    quiet = gk / sigma2
-    top = np.argsort(-quiet, axis=1, kind="stable")[:, :2]  # the two best, lower index first
-    rows = np.arange(gk.shape[1])[:, None]
-    rival = np.where(top[:, :1] == rows, top[:, -1:], top[:, :1])
-    bar = np.take_along_axis(quiet, rival, axis=1)
-    return np.where(rival < rows, bar, np.nextafter(bar, -np.inf)), rival
-
-
-def _switching_powers(gk, bar, sigma2, h0):
-    """The least power at which a follower on the carrier at zero power
-    leaves it (``inf`` if it never does): bisection over the bit patterns
-    of the nonnegative floats, which order as the floats do, from a bracket
-    around the closed form where the stay test confirms it (its roundings
-    are monotone in the power, so any such bracket holds the same least
-    failing float), else from all powers."""
-    def stays(p):
-        return gk / (sigma2 + h0 * p) > bar
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        quiet = gk / bar  # the denominator at the switch
-        guess, spread = (quiet - sigma2) / h0, quiet / h0 * 2.0**-49  # 8 ulps of quiet
-        lo, hi = guess - spread, guess + spread
-        narrow = (lo >= 0.0) & (hi < np.inf) & stays(lo) & ~stays(hi)
-        lo, hi = np.where(narrow, lo, 0.0).view(np.int64), np.where(narrow, hi, np.inf).view(np.int64)
-        lo[h0 == 0.0] = _INF_BITS - 1  # then the test does not depend on the power
-        for _ in range(int((hi - lo).max(initial=0)).bit_length()):
-            mid = lo + ((hi - lo) >> 1)
-            stay = stays(mid.view(np.float64))
-            lo, hi = np.where(stay, mid, lo), np.where(stay, hi, mid)
-    return hi.view(np.float64)
-
-
 def _leader(batch, model, regime):
     """The leader's best single-carrier action, every follower
     re-responding (module docstring): ``(best, carriers, powers)``, each
     ``(T, 1)``; ties go to the lower carrier, then the earlier candidate."""
     gamma, sigma2 = model.gamma, batch.sigma2[:, :, None]
     h0, g0 = batch.h0[:, :, None], batch.g0[:, :, None]
-    # gains by (trial, carrier, follower); no follower reaches a sparse leader
-    gk, hk = (x.swapaxes(-1, -2)[..., :batch.followers * hears_followers(regime)]
-              for x in (batch.gf, batch.hf))
-    bar, count = _bars(gk, sigma2)[0], gk.shape[-1]
+    # by (trial, carrier, follower): gains, and switching powers, 0 off the
+    # follower's carrier at zero power; no follower reaches a sparse leader
+    count = batch.followers * hears_followers(regime)
+    gk, hk = (x.swapaxes(-1, -2)[..., :count] for x in (batch.gf, batch.hf))
     switch = np.zeros(gk.shape)
-    on = gk / sigma2 > bar
-    t, k, _ = np.nonzero(on)
-    switch[on] = _switching_powers(gk[on], bar[on], batch.sigma2[t, 0], batch.h0[t, k])
+    if count:
+        carrier, _, switch = (x[:, None] for x in switches(batch))
+        switch = np.where(carrier == np.arange(batch.carriers)[:, None], switch, 0.0)
 
     # interval j spans [ends[j-1], ends[j]) with the followers ranked j and up on k
     order = np.argsort(switch, axis=-1, kind="stable")
@@ -260,13 +221,13 @@ def _leader(batch, model, regime):
 
     t, k, _ = np.nonzero(valid)
     p = cand[valid]
-    denom = batch.sigma2[t, 0] + batch.h0[t, k] * p
     interference = np.zeros(p.shape)
-    # follower by follower, a fixed rounding; a power overflows only off
-    # k, where the mask drops it
+    # follower by follower, a fixed rounding; a power overflows off k or past its
+    # switch, where the mask drops it, and a denominator near 1e308 scores 0 or NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        for gf, hf, stay in zip(*(arr.transpose(2, 0, 1)[:, t, k] for arr in (gk, hk, bar))):
-            interference += np.where(gf / denom > stay, gamma * denom / gf * hf, 0.0)
+        denom = batch.sigma2[t, 0] + batch.h0[t, k] * p
+        for gf, hf, on in zip(*(arr.transpose(2, 0, 1)[:, t, k] for arr in (gk, hk, switch))):
+            interference += np.where(p < on, gamma * denom / gf * hf, 0.0)
         sinr = batch.g0[t, k] * p / (batch.sigma2[t, 0] + interference)
         utility = batch.rates[t, 0] * model.value(sinr) / p
     scores = np.full(cand.shape, -np.inf)

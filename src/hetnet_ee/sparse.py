@@ -20,9 +20,9 @@ from .model import (
     NetworkInstance,
     best_response,
     make_result,
-    rank_carriers,
     respond,
     stack_instances,
+    switches,
 )
 
 __all__ = ["sparse_batch", "solve_sparse"]
@@ -49,10 +49,10 @@ def solve_sparse(instance: NetworkInstance, model: EfficiencyModel) -> Equilibri
     not the leader's), ``"stay"`` (shares the leader's carrier) or
     ``"move"`` (leaves the leader's carrier).
     """
-    best = rank_carriers(instance)[0]
+    best = switches(instance)[0]
     alloc, carriers = sparse_batch(stack_instances((instance,)), model)
     carriers = carriers[0]
-    contended = best[1:] == carriers[0]
+    contended = best == carriers[0]
     move = contended & (carriers[1:] != carriers[0])
     diagnostics = {"follower_branches": tuple(_BRANCHES[contended * 1 + move].tolist())}
     return make_result(instance, model, alloc[0], "sparse", diagnostics)

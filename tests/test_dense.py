@@ -7,6 +7,8 @@ numbers are frozen below.
 """
 
 import math
+import struct
+import sys
 import warnings
 
 import numpy as np
@@ -30,7 +32,8 @@ from hetnet_ee import (
 from hetnet_ee import dense
 from hetnet_ee.dense import dense_batch
 from hetnet_ee.efficiency import optimal_sinr_with_feedback
-from hetnet_ee.model import rank_carriers, respond, sinr, stack_instances
+from hetnet_ee.model import respond, sample_batch, sinr, stack_instances
+from hetnet_ee.sparse import sparse_batch
 from conftest import edge_cases, random_instance
 
 GAMMA = 1.2564312086261697
@@ -220,6 +223,24 @@ class TestReductionToSparse:
             assert np.array_equal(dense.allocation, sparse.allocation)
             assert_allclose(dense.utilities, sparse.utilities, rtol=1e-9)
 
+    @pytest.mark.parametrize("m", [2, 10])
+    def test_batches_bitwise(self, m):
+        """Sampled batches without cross gains, and integer gains with h0 =
+        hf = 0, whose exact ties both solvers break to the lower carrier."""
+        model, rng = EfficiencyModel(m=m), np.random.default_rng(m)
+        for k in range(2, 8):
+            for f in range(k):
+                n, base = 100, 1_000 * k + 100 * f
+                sampled = sample_batch(k, f, seeds=range(base, base + n),
+                                       snr_db=rng.uniform(-30.0, 60.0, n), mean_cross=0.0)
+                integer = NetworkInstance(
+                    g0=rng.integers(1, 4, (n, k)), gf=rng.integers(1, 4, (n, f, k)),
+                    h0=np.zeros((n, k)), hf=np.zeros((n, f, k)),
+                    sigma2=10.0 ** (-rng.uniform(-30.0, 60.0, (n, 1)) / 10.0))
+                for batch in (sampled, integer):
+                    assert dense_batch(batch, model)[0].tobytes() == \
+                        sparse_batch(batch, model)[0].tobytes(), (k, f)
+
 
 @pytest.mark.parametrize("solve", [solve_sparse, solve_dense])
 def test_single_carrier_is_rejected(solve, model):
@@ -250,23 +271,50 @@ class TestEquilibriumStructure:
             assert np.all((res.allocation > 0).sum(axis=1) == 1)
 
     def test_rows_are_best_responses(self, model):
-        """Each follower row matches its best response, except at a
-        boundary candidate where the pushed nominee is exactly indifferent
-        and either carrier attains the optimum."""
+        """Each follower row is its best response to the leader row, bit
+        for bit, boundary slots included."""
         rng = np.random.default_rng(8)
         for _ in range(80):
             inst = random_instance(rng, k_range=(2, 6), f_range=(1, 5),
                                    mean_cross=float(rng.choice([0.1, 0.5, 1.0])))
             res = solve_dense(inst, model)
             responses, _ = respond(inst, res.allocation[0], model.gamma)
-            for f in range(inst.followers):
-                br = responses[f]
-                if np.array_equal(br, res.allocation[f + 1]):
-                    continue
-                trial = res.allocation.copy()
-                trial[f + 1] = br
-                u_br = utility(inst, model, f + 1, trial, "dense")
-                assert_allclose(res.utilities[f + 1], u_br, rtol=1e-12)
+            assert responses.tobytes() == res.allocation[1:].tobytes()
+
+    def test_rows_are_respond_on_the_criterion_5_set(self, model):
+        """K=5, F=4, 500 trials at each of -5..25 dB, seeds 50,000 +
+        1,000 SNR onward: every follower row is `respond`'s, raises to a
+        switch included."""
+        snr = np.repeat(np.arange(-5.0, 26.0, 5.0), 500)
+        seeds = 50_000 + 1_000 * snr.astype(int) + np.tile(np.arange(500), 7)
+        batch = sample_batch(5, 4, seeds=seeds.tolist(), snr_db=snr)
+        alloc, tables = dense_batch(batch, model)
+        assert (tables["codes"][np.arange(batch.trials), alloc[:, 0].argmax(axis=1),
+                                tables["winner_slots"]] == 1).sum() > 300
+        responses, _ = respond(batch, alloc[:, 0], model.gamma)
+        assert responses.tobytes() == alloc[:, 1:].tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=edge_cases())
+    def test_rows_are_respond_on_edge_cases(self, case):
+        inst, model, _ = case
+        alloc = solve_dense(inst, model).allocation
+        if np.isfinite(alloc[0]).all():
+            assert respond(inst, alloc[0], model.gamma)[0].tobytes() == alloc[1:].tobytes()
+
+    def test_tied_follower_stays_below_its_float_switch(self, model):
+        # follower 0's gains tie, so it leaves carrier 0 once 1 + 3 p rounds
+        # above 1; the leader's 1e-300-scale power there keeps it, and the
+        # leader's claim must pay for its interference
+        inst = NetworkInstance(g0=[1e300, 1.0, 1e-310], gf=[[1.0, 1.0, 1.0], [1.0, 1e-5, 1e-300]],
+                               h0=[3.0, 3.0, 3.0], hf=[[0.5, 0.5, 0.5], [0.0, 0.0, 0.5]],
+                               sigma2=1.0)
+        res = solve_dense(inst, model)
+        assert res.active_carriers[:2] == (0, 0)
+        assert respond(inst, res.allocation[0], model.gamma)[0].tobytes() == \
+            res.allocation[1:].tobytes()
+        report = verify_leader_stackelberg(inst, model, res.allocation, "dense")
+        assert report.passed and abs(report.relative_gain) <= 1e-12, report
 
     def test_shared_followers_hit_target_sinr(self, model):
         rng = np.random.default_rng(9)
@@ -333,21 +381,20 @@ class TestCandidateTable:
                     assert g0k - gamma * cc.sinr_targets[l - 1] * cc.eta[l - 1] * h0k > 0.0
 
     def test_stay_tests_match_scalar_reference(self, model):
-        """The stay test, read off the cap rule's own boundary, is the
-        scalar reference's inequality; a scored slot that fails it is the
-        cap rule's drop."""
+        """The stay test, read off the slot's own switch, is the scalar
+        reference's inequality; a scored slot that fails it is infeasible."""
         rng = np.random.default_rng(14)
         for _ in range(60):
             inst = random_instance(rng, k_range=(2, 6), f_range=(1, 5),
                                    mean_cross=float(rng.choice([0.1, 0.5, 2.0])))
             res = solve_dense(inst, model)
             gamma = model.gamma
-            second = rank_carriers(inst)[1]
+            second = reference_ranks(inst)[1]
             for cc in res.diagnostics["candidate_table"]:
                 g0k, h0k = inst.g0[cc.carrier], inst.h0[cc.carrier]
                 expected = [
                     inst.gf[f, cc.carrier] * (g0k - t * gamma * e * h0k)
-                    > inst.gf[f, second[f + 1]] * (g0k + h0k * t)
+                    > inst.gf[f, second[f]] * (g0k + h0k * t)
                     for f, t, e in zip(cc.followers, cc.sinr_targets, cc.eta)
                 ]
                 assert cc.stays.tolist() == expected
@@ -356,14 +403,18 @@ class TestCandidateTable:
                 )
                 for l in range(1, cc.stay_limit + 1):
                     if not expected[l - 1]:
-                        assert cc.replacements[l] == "drop_to_boundary"
+                        assert cc.replacements[l] == "infeasible"
 
-    def test_stay_failure_below_the_limit_is_a_drop(self, model):
+    def test_stay_failure_below_the_limit_is_infeasible(self, model):
+        # slot 1 peaks past its nominee's switch; a drop to that switch
+        # would be slot 0 there, which does better at its own optimum
         inst = sample_instance(5, 4, snr_db=15.952782902176622, seed=646)
         cc = solve_dense(inst, model).diagnostics["candidate_table"][3]
         assert cc.stay_limit >= 2 and not cc.stays[0]
-        assert cc.replacements[1] == "drop_to_boundary"
-        assert cc.slot_powers[1] == cc.boundary_powers[0]
+        assert cc.replacements[1] == "infeasible"
+        assert cc.slot_powers[1] >= cc.boundary_powers[0]
+        assert cc.replacements[0] is None and cc.slot_powers[0] >= cc.boundary_powers[0]
+        assert cc.slot_values[0] >= cc.boundary_values[0]
 
     def test_needs_two_carriers(self, model):
         inst = NetworkInstance(g0=[1.0], gf=np.zeros((0, 1)), h0=[0.0],
@@ -447,7 +498,56 @@ class TestCandidateTable:
             assert_allclose(row.boundary_powers, [2e304, 1e304], rtol=1e-12)
 
 
-def reference_carrier(instance, model, k, best, second):
+def reference_ranks(instance):
+    """Each follower's carrier and rival: its best and second-best scores
+    ``g / sigma2``, ties to the lower carrier."""
+    carrier, rival = [], []
+    for gains in instance.gf.tolist():
+        order = sorted(range(instance.carriers), key=lambda j: (-(gains[j] / instance.sigma2), j))
+        carrier.append(order[0])
+        rival.append(order[1])
+    return carrier, rival
+
+
+def _bits(x):
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _float(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def reference_switch(instance, f, k, rival):
+    """The least float leader power on carrier ``k`` at which follower ``f``
+    leaves it, by `respond`'s comparison: a walk over the floats in
+    `math.nextafter`'s order from the closed form ``sigma2 (gk - gr) / (h0
+    gr)``, in steps of 1, 2, 4, ... floats until the comparison flips, then
+    halved back."""
+    gains, sigma2, h0 = instance.gf[f].tolist(), instance.sigma2, float(instance.h0[k])
+
+    def stays(p):
+        score = gains[k] / (sigma2 + h0 * p)
+        return all(score > g / sigma2 or (score == g / sigma2 and k < j)
+                   for j, g in enumerate(gains) if j != k)
+
+    if stays(sys.float_info.max):
+        return math.inf
+    gr = gains[rival]
+    start = sigma2 * (gains[k] - gr) / (h0 * gr) if h0 * gr > 0.0 else 0.0
+    start = min(start, sys.float_info.max) if start >= 0.0 else 0.0
+    lo, hi = (_bits(start), None) if stays(start) else (None, _bits(start))
+    step = 1
+    while lo is None or hi is None:  # stays(0) holds, stays(max) does not
+        probe = min(lo + step, _bits(sys.float_info.max)) if hi is None else max(hi - step, 0)
+        lo, hi = (probe, hi) if stays(_float(probe)) else (lo, probe)
+        step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if stays(_float(mid)) else (lo, mid)
+    return _float(hi)
+
+
+def reference_carrier(instance, model, k, carrier, rival, switch):
     """Scalar reference for one carrier's row of the slot table: nominees
     ranked one by one, slots scored and capped in per-nominee loops, and
     the solo candidate coded apart.  Shared slots are listed from 1."""
@@ -461,32 +561,28 @@ def reference_carrier(instance, model, k, best, second):
         return (model.value(target) * (g0k - target * gamma * eta * h0k) * rate0
                 / (target * (1.0 + gamma * eta) * sigma2))
 
-    rows = np.flatnonzero(best == k)
+    # latest switch first, then the smaller rival-to-best gain ratio
+    rows = np.array(sorted((f for f in range(instance.followers) if carrier[f] == k),
+                           key=lambda f: (-switch[f], instance.gf[f, rival[f]] / instance.gf[f, k],
+                                          f)), dtype=int)
     gb = instance.gf[rows, k]
-    gs = instance.gf[rows, second[rows]]
-    order = np.argsort(-(gb / gs), kind="stable")
-    rows, gb, gs = rows[order], gb[order], gs[order]
+    gs = instance.gf[rows, np.array(rival, dtype=int)[rows]]
     count = len(rows)
     eta = np.cumsum(instance.hf[rows, k] / gb)
     targets = np.array(
         [optimal_sinr_with_feedback(model, c) for c in (h0k * gamma * eta / g0k).tolist()]
     )
-    boundary_powers = np.zeros(count)
+    boundary_powers = np.array([switch[f] for f in rows], dtype=float)
     boundary_values = np.full(count, math.nan)
     for i in range(count):
-        if h0k == 0.0:  # out of reach, tied gains too: a tie goes to the best
-            boundary_powers[i] = math.inf
-        elif gb[i] <= gs[i]:
-            boundary_powers[i] = 0.0
-        else:
-            boundary_powers[i] = sigma2 * (gb[i] - gs[i]) / (h0k * gs[i])
-        if 0.0 < boundary_powers[i] < math.inf:
+        if boundary_powers[i] < math.inf:
             eta_prev = eta[i - 1] if i > 0 else 0.0
             power = boundary_powers[i]
             sinr_ = g0k * power / (sigma2 * (1.0 + gamma * eta_prev)
                                    + gamma * eta_prev * h0k * power)
             boundary_values[i] = rate0 * model.value(sinr_) / power
-    stays = (gb * (g0k - targets * gamma * eta * h0k) > gs * (g0k + h0k * targets)) | (h0k == 0.0)
+    stays = np.array([shared_power(t, e) < b
+                      for t, e, b in zip(targets, eta, boundary_powers)], dtype=bool)
     passing = np.flatnonzero(stays)
     stay_limit = int(passing[-1]) + 1 if passing.size else 0
     slot_powers = np.zeros(stay_limit)
@@ -495,17 +591,15 @@ def reference_carrier(instance, model, k, best, second):
     for l in range(1, stay_limit + 1):
         slot_powers[l - 1] = shared_power(targets[l - 1], eta[l - 1])
         slot_values[l - 1] = shared_value(targets[l - 1], eta[l - 1])
-        if l < count and slot_powers[l - 1] < boundary_powers[l]:
-            if math.isinf(boundary_powers[l]):
-                replacements[l - 1] = "infeasible"
-            else:
+        if not stays[l - 1]:
+            replacements[l - 1] = "infeasible"
+        elif l < count and slot_powers[l - 1] < boundary_powers[l]:
+            if boundary_powers[l] < boundary_powers[l - 1]:
                 slot_powers[l - 1] = boundary_powers[l]
                 slot_values[l - 1] = boundary_values[l]
                 replacements[l - 1] = "raise_to_boundary"
-        elif slot_powers[l - 1] > boundary_powers[l - 1]:
-            slot_powers[l - 1] = boundary_powers[l - 1]
-            slot_values[l - 1] = boundary_values[l - 1]
-            replacements[l - 1] = "drop_to_boundary"
+            else:
+                replacements[l - 1] = "infeasible"
     solo_unconstrained = shared_power(gamma, 0.0)
     if count == 0 or boundary_powers[0] <= solo_unconstrained:
         solo_power, solo_value = solo_unconstrained, shared_value(gamma, 0.0)
@@ -523,12 +617,14 @@ def reference_carrier(instance, model, k, best, second):
 
 def reference_dense(instance, model):
     """Scalar reference solve: the reference rows, the winner as the max
-    over a candidate list keyed ``(value, -slots, -carrier)``, and the
+    over a candidate list keyed ``(value, -carrier, -slots)``, and the
     follower rows assigned one by one.  Returns ``(table, winner, alloc)``;
     ``winner`` is None in the degenerate fallback."""
     gamma = model.gamma
-    best, second = rank_carriers(instance)
-    table = [reference_carrier(instance, model, k, best[1:], second[1:])
+    carrier, rival = reference_ranks(instance)
+    switch = [reference_switch(instance, f, carrier[f], rival[f])
+              for f in range(instance.followers)]
+    table = [reference_carrier(instance, model, k, carrier, rival, switch)
              for k in range(instance.carriers)]
     candidates = [
         (cc["slot_values"][l - 1], l, cc["carrier"], cc["slot_powers"][l - 1], "shared")
@@ -537,10 +633,10 @@ def reference_dense(instance, model):
     ]
     candidates += [(cc["solo_value"], 0, cc["carrier"], cc["solo_power"], "solo")
                    for cc in table if math.isfinite(cc["solo_value"])]
-    winner = max(candidates, key=lambda c: (c[0], -c[1], -c[2]), default=None)
+    winner = max(candidates, key=lambda c: (c[0], -c[2], -c[1]), default=None)
     alloc = np.zeros((instance.players, instance.carriers))
     if winner is None:
-        b0 = int(best[0])
+        b0 = int(np.argmax(instance.g0))
         alloc[0, b0] = gamma * instance.sigma2 / instance.g0[b0]
         alloc[1:] = respond(instance, alloc[0], gamma)[0]
         return table, None, alloc
@@ -551,11 +647,11 @@ def reference_dense(instance, model):
         if i < slots:
             alloc[f + 1, k_hat] = gamma * denom_shared / instance.gf[f, k_hat]
         else:
-            s = second[f + 1]
+            s = rival[f]
             alloc[f + 1, s] = gamma * instance.sigma2 / instance.gf[f, s]
     for f in range(instance.followers):
-        if best[f + 1] != k_hat:
-            b = best[f + 1]
+        if carrier[f] != k_hat:
+            b = carrier[f]
             alloc[f + 1, b] = gamma * instance.sigma2 / instance.gf[f, b]
     return table, winner, alloc
 

@@ -336,6 +336,27 @@ class TestBatchedSweep:
         assert_allclose(alloc[0, 1], [optimal_sinr(model) * 1e6, 0.0], rtol=1e-15)
         assert active.tolist() == [[1, 0]] and utilities[0, 1] > 0.0
 
+    def test_extreme_gains_raise_no_warning(self, model):
+        """1,500 K=3, F=2 instances with gains from 5e-324 to 1e300, cross
+        gains from {0, 0.5, 3} and noise from {1e-6, 1, 1e6}: every scheme
+        runs and is checked in both regimes without a RuntimeWarning, and
+        every converged stackelberg claim passes."""
+        rng = np.random.default_rng(26)
+        gains = rng.choice([1e-310, 5e-324, 1e-300, 1e-5, 1.0, 1e300], (1500, 3, 3))
+        cross = rng.choice([0.0, 0.5, 3.0], (1500, 3, 3))
+        batch = NetworkInstance(gains[:, 0], gains[:, 1:], cross[:, 0], cross[:, 1:],
+                                rng.choice([1e-6, 1.0, 1e6], (1500, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for regime in REGIMES:
+                for scheme in harness.SCHEMES:
+                    alloc, converged = harness.run_batch(scheme, batch, model, regime)
+                    outcomes(batch, model, alloc, regime)
+                    checks = harness.verify_batch(scheme, batch, model, alloc, converged, regime)
+                    if scheme == "stackelberg":
+                        assert checks.claims.sum() > 1_300
+                        assert checks.passed[checks.claims].all(), regime
+
     @pytest.mark.parametrize("scheme, regime, message", [
         ("bogus", "dense", "unknown scheme 'bogus'"),
         ("best_channel", "Dense", "regime must be one of ('sparse', 'dense'), got 'Dense'"),

@@ -26,11 +26,11 @@ from hetnet_ee.model import (
     empty_allocation,
     leader_interference,
     make_result,
-    rank_carriers,
     respond,
     sample_batch,
     sinr,
     stack_instances,
+    switches,
 )
 from conftest import random_instance
 
@@ -431,37 +431,38 @@ def rank_reference(gains):
 
 
 class TestRankCarriers:
+    """Each follower's carrier and rival from `switches`: its best and
+    second-best carriers at zero leader power, ties to the lower index."""
+
     def test_simple(self):
-        inst = simple_instance(g0=[2.0, 1.0])
-        best, second = rank_carriers(inst)
-        assert (best[0], second[0]) == (0, 1)
+        carrier, rival, _ = switches(simple_instance())
+        assert (carrier[0], rival[0]) == (0, 1)
 
     def test_middle_best(self):
-        inst = NetworkInstance(g0=[1.0, 3.0, 2.0], gf=[[1.0, 1.0, 2.0]],
+        inst = NetworkInstance(g0=[1.0, 3.0, 2.0], gf=[[1.0, 3.0, 2.0]],
                                h0=[0, 0, 0], hf=[[0, 0, 0]], sigma2=1.0)
-        best, second = rank_carriers(inst)
-        assert (best[0], second[0]) == (1, 2)
+        carrier, rival, _ = switches(inst)
+        assert (carrier[0], rival[0]) == (1, 2)
 
     def test_tie_breaks_to_lower_index(self):
-        inst = simple_instance(g0=[2.0, 2.0])
-        best, second = rank_carriers(inst)
-        assert (best[0], second[0]) == (0, 1)
+        carrier, rival, _ = switches(simple_instance(gf=[[2.0, 2.0]]))
+        assert (carrier[0], rival[0]) == (0, 1)
 
     def test_single_carrier_rejected(self, model):
         inst = NetworkInstance(g0=[1.0], gf=np.zeros((0, 1)), h0=[0.0],
                                hf=np.zeros((0, 1)), sigma2=1.0)
-        with pytest.raises(ValueError):
-            rank_carriers(inst)
+        with pytest.raises(ValueError, match="two carriers"):
+            switches(inst)
 
     def test_follower_rows_and_ties(self):
         # ties for best (row 1), for second (rows 0 and 2), and all-equal (row 3)
-        inst = NetworkInstance(g0=[3.0, 1.0, 2.0, 2.0],
-                               gf=[[1.0, 3.0, 3.0, 2.0], [4.0, 1.0, 1.0, 1.0],
-                                   [5.0, 5.0, 5.0, 5.0]],
-                               h0=np.zeros(4), hf=np.zeros((3, 4)), sigma2=1.0)
-        best, second = rank_carriers(inst)
-        assert best.tolist() == [0, 1, 0, 0]
-        assert second.tolist() == [2, 2, 1, 1]
+        inst = NetworkInstance(g0=np.ones(5),
+                               gf=[[3.0, 1.0, 2.0, 2.0, 0.5], [1.0, 3.0, 3.0, 2.0, 0.5],
+                                   [4.0, 1.0, 1.0, 1.0, 0.5], [5.0, 5.0, 5.0, 5.0, 5.0]],
+                               h0=np.zeros(5), hf=np.zeros((4, 5)), sigma2=1.0)
+        carrier, rival, _ = switches(inst)
+        assert carrier.tolist() == [0, 1, 0, 0]
+        assert rival.tolist() == [2, 2, 1, 1]
 
     def test_matches_per_player_reference(self):
         rng = np.random.default_rng(34)
@@ -469,11 +470,11 @@ class TestRankCarriers:
             k = int(rng.integers(2, 9))
             f = int(rng.integers(0, k))
             # small integer gains tie often, for best and for second place
-            gains = rng.integers(1, 4, size=(f + 1, k)).astype(float)
-            inst = NetworkInstance(gains[0], gains[1:], np.zeros(k), np.zeros((f, k)), 1.0)
-            best, second = rank_carriers(inst)
-            for n in range(inst.players):
-                assert (best[n], second[n]) == rank_reference(gains[n])
+            gains = rng.integers(1, 4, size=(f, k)).astype(float)
+            inst = NetworkInstance(np.ones(k), gains, np.zeros(k), np.zeros((f, k)), 1.0)
+            carrier, rival, _ = switches(inst)
+            for n in range(inst.followers):
+                assert (carrier[n], rival[n]) == rank_reference(gains[n])
 
 
 class TestSampling:

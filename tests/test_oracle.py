@@ -31,6 +31,7 @@ from hetnet_ee import (
 )
 from hetnet_ee.model import (
     all_utilities, denominators, leader_interference, respond, sample_batch, stack_instances,
+    switches,
 )
 from hetnet_ee import cli, efficiency, harness, oracle
 from hetnet_ee.oracle import TOL, stackelberg_checks
@@ -520,17 +521,16 @@ class TestBlockScorer:
             inst = NetworkInstance(
                 g0=rng.integers(1, 4, k), gf=rng.integers(1, 4, (f, k)),
                 h0=rng.integers(0, 3, k), hf=rng.integers(0, 3, (f, k)), sigma2=1.0)
-            noise = np.full((1, 1, 1), inst.sigma2)
-            bar, rival = (x[0] for x in oracle._bars(inst.gf.T[None], noise))
+            carrier, rival, switch = switches(inst)
             levels = np.arange(6.0)
-            rows = np.arange(k)
-            denom = inst.sigma2 + inst.h0[:, None] * levels
-            chosen = inst.gf.T[:, :, None] / denom[:, None] > bar[..., None]
-            picked = np.where(chosen, rows[:, None, None], rival[..., None])
+            # leader alone on carrier k at each level: a follower leaves its
+            # carrier from its switch on, and stays put off it
+            on = np.arange(k)[:, None, None] == carrier
+            picked = np.where(on & (levels[:, None] >= switch), rival, carrier)
             actions = np.zeros((k, levels.size, k))
             actions[np.arange(k), :, np.arange(k)] = levels
             _, carriers = respond(inst, actions, gamma)
-            assert np.array_equal(picked, carriers.transpose(0, 2, 1))
+            assert np.array_equal(picked, carriers)
 
 
 class TestExactCertificate:
@@ -631,8 +631,9 @@ class TestLeaderSearches:
             assert (xi, pi) == (ref, model.value(ref) * (1.0 - ci * ref) / ref), ci
 
     def test_switching_powers_match_the_reference(self):
-        # followers nearly indifferent at zero power: gk / bar is sigma2
-        # times 1 + 2**-e
+        # one follower with gains (gk, bar * s) on two carriers, noise s and
+        # leader cross gain h0 on carrier 0; nearly indifferent at zero
+        # power: gk / bar is s times 1 + 2**-e
         cases = [(0.37 * s * (1.0 + 2.0**-e), 0.37, s, 0.5)
                  for e in range(10, 51, 4) for s in (1e-3, 1.0, 7.3)]
         cases += [(2.0, 1.0, 1.0, 0.0), (2.0, 1.5, 0.5, 0.0)]  # h0 = 0: never leaves
@@ -641,16 +642,22 @@ class TestLeaderSearches:
         cases += [(1e300, 5e299, 1.0, 1e-300), (1e300, 5e299, 1.0, 1.0),
                   (1e300, 1e-10, 1e300, 3.0),
                   (2e-300, 1.0, 1e-300, 1e300)]  # the closed form underflows to 0
-        assert all(gk / s > bar for gk, bar, s, _ in cases)  # each stays at zero power
-        refs = [ref_switching_power(lambda p, gk=gk, bar=bar, s=s, h0=h0:
-                                    gk / (s + h0 * p) > bar) for gk, bar, s, h0 in cases]
-        assert {_bracketed(*case, ref) for case, ref in zip(cases, refs)} == {True, False}
+        instances = [NetworkInstance(g0=[1.0, 1.0], gf=[[gk, bar * s]], h0=[h0, 1.0],
+                                     hf=[[0.0, 0.0]], sigma2=s) for gk, bar, s, h0 in cases]
+        gains = [inst.gf[0].tolist() for inst in instances]
+        # each stays at zero power, and carrier 0 wins a tie
+        assert all(ref_picks(gf, s, [h0], 0, 0.0) for gf, (_, _, s, h0) in zip(gains, cases))
+        refs = [ref_switching_power(lambda p, gf=gf, s=s, h0=h0: ref_picks(gf, s, [h0], 0, p))
+                for gf, (_, _, s, h0) in zip(gains, cases)]
+        bars = [math.nextafter(gf[1] / s, -math.inf) for gf, (_, _, s, _) in zip(gains, cases)]
+        assert {_bracketed(gf[0], bar, s, h0, ref) for gf, bar, (_, _, s, h0), ref
+                in zip(gains, bars, cases, refs)} == {True, False}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            together = oracle._switching_powers(*map(np.array, zip(*cases)))
-            alone = [oracle._switching_powers(*(np.array([x]) for x in case))[0]
-                     for case in cases]
-        assert together.tolist() == alone == refs
+            carrier, rival, together = switches(stack_instances(instances))
+            alone = [switches(inst)[2][0] for inst in instances]
+        assert carrier.tolist() == [[0]] * len(cases) and rival.tolist() == [[1]] * len(cases)
+        assert together[:, 0].tolist() == alone == refs
 
     def test_verify_leaves_numpy_ma_unloaded(self):
         # the golden search dedups with its own argsort: np.unique can

@@ -50,7 +50,6 @@ class IterationReport:
 
     converged: bool
     iterations: int
-    final_change: float
     stop: str
 
 
@@ -62,8 +61,8 @@ def _iterate(step, alloc: np.ndarray, max_iter: int, tol: float):
     """Apply the in-place sweep ``step`` to every trial's iterate, row ``t``
     of ``alloc``, until the row's largest power change drops below ``tol``
     times its largest power, it turns non-finite or ``max_iter`` sweeps ran;
-    returns the last finite iterates and, per row, the stop code, the
-    sweeps run and the last change.
+    returns the last finite iterates and, per row, the stop code and the
+    sweeps run.
     Rows run in lockstep, and a stopped row is put back after each sweep.
     An exact repeat (checked Brent-style against one checkpoint re-taken at
     sweeps 1, 2, 4, ...) skips whole periods, returning what every sweep
@@ -71,7 +70,7 @@ def _iterate(step, alloc: np.ndarray, max_iter: int, tol: float):
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     rows = len(alloc)
-    change, stop = np.full(rows, np.inf), np.full(rows, _CAP)
+    stop = np.full(rows, _CAP)
     sweeps, running = np.zeros(rows, dtype=int), np.ones(rows, dtype=bool)
     checkpoint, mark, sweep = None, 0, 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -85,7 +84,6 @@ def _iterate(step, alloc: np.ndarray, max_iter: int, tol: float):
             running &= finite
             np.copyto(alloc, previous, where=~running[:, None, None])
             moved = np.abs(alloc - previous).max(axis=(1, 2))
-            change = np.where(running, moved, change)
             done = running & (moved < tol * alloc.max(axis=(1, 2)))
             stop[done] = _CONVERGED
             running &= ~done
@@ -100,14 +98,13 @@ def _iterate(step, alloc: np.ndarray, max_iter: int, tol: float):
             if sweep & (sweep - 1) == 0:
                 checkpoint, mark = alloc.view(np.int64).copy(), sweep
             running &= sweeps < max_iter
-    return alloc, stop, sweeps, change
+    return alloc, stop, sweeps
 
 
 def nash_batch(batch: NetworkInstance, model: EfficiencyModel, regime: str,
                max_iter: int = 1000, tol: float = 1e-10):
     """:func:`solve_nash`'s dynamics on every trial: the last iterates
-    ``(T, F+1, K)`` and, per trial ``(T,)``, the stop code, the sweeps run
-    and the last sweep's largest power change."""
+    ``(T, F+1, K)`` and, per trial ``(T,)``, the stop code and the sweeps run."""
     gamma = model.gamma
 
     def step(alloc):
@@ -133,14 +130,14 @@ def solve_nash(
     full sweep drops below ``tol`` times the largest power, so ``converged``
     means the same at every SNR; cycling or divergence ends with
     ``converged=False`` and the last iterate.  A run that enters an exact
-    cycle skips the repeated sweeps and returns the same iterate, change
-    and ``iterations == max_iter`` as running them all.  The result's
+    cycle skips the repeated sweeps and returns the same iterate and
+    ``iterations == max_iter`` as running them all.  The result's
     diagnostics are empty; the report returned beside it is the run's record.
     """
     alloc, *run = nash_batch(stack_instances((instance,)), model, regime, max_iter, tol)
-    stop, sweeps, change = (x.item() for x in run)  # reports hold Python values
+    stop, sweeps = (x.item() for x in run)  # reports hold Python values
     return (make_result(instance, model, alloc[0], regime),
-            IterationReport(stop == _CONVERGED, sweeps, change, _STOPS[stop]))
+            IterationReport(stop == _CONVERGED, sweeps, _STOPS[stop]))
 
 
 def best_channel_batch(batch: NetworkInstance, model: EfficiencyModel, regime: str):
@@ -195,12 +192,11 @@ def solve_best_channel(
     and the followers pinned to ``k0`` get all-zero rows (utility 0, the limit
     of their growing powers); every other row is exact.  A power past the
     float range is 0 as well, and the report says ``"overflow"`` unless ``b >=
-    1`` (so a NaN ``b`` says it too).  Reports have ``iterations == 0`` and
-    ``final_change == 0.0``.  ``diagnostics["pinned_carriers"]`` is every
-    player's pinned carrier, which names the carrier of an all-zero row, and
-    ``diagnostics["feedback_gain"]`` is ``b``.
+    1`` (so a NaN ``b`` says it too).  Reports have ``iterations == 0``.
+    ``diagnostics["pinned_carriers"]`` is every player's pinned carrier,
+    naming the carrier of an all-zero row; ``diagnostics["feedback_gain"]`` is ``b``.
     """
     alloc, (stop,), pins, b = best_channel_batch(stack_instances((instance,)), model, regime)
-    report = IterationReport(bool(stop == _CONVERGED), 0, 0.0, _STOPS[stop])
+    report = IterationReport(bool(stop == _CONVERGED), 0, _STOPS[stop])
     diagnostics = {"pinned_carriers": tuple(pins[0].tolist()), "feedback_gain": float(b[0])}
     return make_result(instance, model, alloc[0], regime, diagnostics), report

@@ -1,14 +1,14 @@
-"""Equilibrium for dense deployments, where small cells interfere back.
+"""The Stackelberg game by backward induction: the leader commits to a row,
+and every follower best-responds to it (:func:`model.respond`).
 
-The follower side is simple: given the leader's powers, each follower
-transmits on its interference-adjusted best carrier at the power that puts
-its SINR exactly at the optimal operating point (:func:`model.respond`).
-
-The leader side anticipates those reactions.  Each follower nominates its
-carrier at zero leader power, and :func:`model.switches` gives the least
-leader power there that moves it to its rival carrier; a carrier's
-nominees are ranked by that switch, latest first.  One slot table, a row
-per carrier, scores every occupancy the leader could induce:
+:func:`stackelberg_batch` is the one core of both regimes, which pick only
+the leader's row.  A sparse leader hears no follower and best-responds to
+noise alone.  A dense leader anticipates the followers' reactions.  Each
+follower nominates its carrier at zero leader power, and
+:func:`model.switches` gives the least leader power there that moves it to
+its rival carrier; a carrier's nominees are ranked by that switch, latest
+first.  One slot table (:func:`dense_batch`), a row per carrier, scores
+every occupancy the leader could induce:
 
 * slot ``l`` keeps the top ``l`` nominees on the carrier, the leader
   running at the feedback-adjusted optimal SINR; slot 0 clears the carrier
@@ -23,15 +23,9 @@ per carrier, scores every occupancy the leader could induce:
   off is infeasible too: below that switch it does no better than slot
   ``l-1`` at it.
 
-The best slot fixes the leader's action, exact ties going to the lower
-carrier, then to fewer shared slots.  Follower rows are then assigned from
-the winning occupancy: kept nominees share the winning carrier, pushed
-nominees move to their rival carrier, and everyone else stays on their
-own.  That is each follower's :func:`model.respond` row, bit for bit.
-
-:func:`dense_batch` solves every trial of a batch at once;
-:func:`solve_dense` is its one-instance call, with the slot table as
-diagnostics.
+The best slot fixes the leader's row, exact ties going to the lower
+carrier, then to fewer shared slots.  :func:`solve_dense` is the core's
+dense regime on a batch of one, with the slot table as diagnostics.
 """
 
 from __future__ import annotations
@@ -40,11 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import _CONVERGED, _OVERFLOW, _STOPS
 from .efficiency import EfficiencyModel, optimal_sinr_with_feedback
-from .model import (EquilibriumResult, NetworkInstance, _heard, make_result, stack_instances,
-                    switches)
+from .model import (EquilibriumResult, NetworkInstance, best_response, hears_followers,
+                    make_result, respond, stack_instances, switches)
 
-__all__ = ["CarrierCandidates", "dense_batch", "solve_dense"]
+__all__ = ["CarrierCandidates", "dense_batch", "stackelberg_batch", "solve_dense"]
 
 # cap steps by code: 0 none, 1 raise, 2 infeasible
 _REPLACEMENTS = np.array([None, "raise_to_boundary", "infeasible"], dtype=object)
@@ -84,9 +79,9 @@ class CarrierCandidates:
 
 
 def dense_batch(batch: NetworkInstance, model: EfficiencyModel):
-    """Dense-regime equilibrium of every trial: the allocations ``(T, F+1,
-    K)`` and the slot tables, a dict of arrays with the trial axis first,
-    each as wide as the batch's busiest carrier needs (at most ``F+2``)."""
+    """The dense-regime leader's row of every trial, ``(T, K)``, and the slot
+    tables that chose it, a dict of arrays with the trial axis first, each as
+    wide as the batch's busiest carrier needs (at most ``F+2``)."""
     gamma, sigma2 = model.gamma, batch.sigma2[:, :, None]
     trials, carriers, count = batch.trials, batch.carriers, batch.followers
     trial, followers = np.arange(trials)[:, None], np.arange(count)
@@ -171,24 +166,32 @@ def dense_batch(batch: NetworkInstance, model: EfficiencyModel):
     # slot 0 is always feasible
     scan = np.where(~infeasible & np.isfinite(values), values, -np.inf).reshape(trials, -1)
     k_hat, slots = np.divmod(scan.argmax(axis=1), width - 1)
-    rows = trial[:, 0]
-    alloc = np.zeros(batch.gains.shape)
-    leader = powers[rows, k_hat, slots]
-    alloc[rows, 0, k_hat] = leader
-    # kept nominees share k_hat, pushed ones take their rival carrier
-    shared = best == k_hat[:, None]
-    kept = shared & (cols[trial, nominees.argsort(axis=1)] <= slots[:, None])
-    moved = np.where(shared & ~kept, rival, best)
-    denom = batch.sigma2 + np.where(kept, _heard(batch.h0[rows, k_hat], leader)[:, None], 0.0)
-    # a subnormal gain's power reads inf, as in best_response
-    with np.errstate(over="ignore"):
-        alloc[trial, followers + 1, moved] = gamma * denom / batch.gf[trial, followers, moved]
-    tables = dict(
+    leader = np.zeros((trials, carriers))
+    leader[trial[:, 0], k_hat] = powers[trial[:, 0], k_hat, slots]
+    return leader, dict(
         nominees=nominees, counts=counts, starts=starts, theta=theta, eta=eta,
         targets=targets, stays=stays, stay_limit=stay_limit, powers=powers, values=values,
         boundary=boundary, boundary_values=boundary_values, codes=codes, winner_slots=slots,
     )
-    return alloc, tables
+
+
+def stackelberg_batch(batch: NetworkInstance, model: EfficiencyModel, regime: str):
+    """Every trial's Stackelberg equilibrium: the regime's leader row and
+    every follower's :func:`model.respond` row to it.  Returns the allocations
+    ``(T, F+1, K)``, the stop codes ``(T,)`` (``"overflow"`` past the float
+    range, else ``"converged"``) and the extras: the slot tables of
+    :func:`dense_batch`, or in the sparse regime every player's carrier ``(T, F+1)``."""
+    if batch.carriers < 2:
+        raise ValueError("a stackelberg leader needs two carriers to choose from")
+    dense = hears_followers(regime)
+    leader, extras = (dense_batch(batch, model) if dense
+                      else best_response(batch.g0, batch.sigma2, model.gamma))
+    followers, carriers = respond(batch, leader, model.gamma)
+    if not dense:  # the leader's carrier, then the followers'
+        extras = np.concatenate([extras[:, None], carriers], axis=1)
+    alloc = np.concatenate([leader[:, None], followers], axis=1)
+    stop = np.where(np.isfinite(alloc).all(axis=(1, 2)), _CONVERGED, _OVERFLOW)
+    return alloc, stop, extras
 
 
 def solve_dense(instance: NetworkInstance, model: EfficiencyModel) -> EquilibriumResult:
@@ -199,9 +202,10 @@ def solve_dense(instance: NetworkInstance, model: EfficiencyModel) -> Equilibriu
     the winning occupancy ``s``.  The winning carrier is
     ``active_carriers[0]``, and that carrier's row holds the winning value,
     ``slot_values[s]``, and the cap that set the winning power,
-    ``replacements[s]``.
+    ``replacements[s]``.  ``diagnostics["stop"]`` is ``"converged"``, or
+    ``"overflow"`` when a power passes the float range.
     """
-    alloc, tables = dense_batch(stack_instances((instance,)), model)
+    alloc, (stop,), tables = stackelberg_batch(stack_instances((instance,)), model, "dense")
     t = {name: value[0] for name, value in tables.items()}
 
     def record(k, start, count, limit):
@@ -225,5 +229,6 @@ def solve_dense(instance: NetworkInstance, model: EfficiencyModel) -> Equilibriu
         "candidate_table": tuple(map(record, range(instance.carriers), t["starts"].tolist(),
                                      t["counts"].tolist(), t["stay_limit"].tolist())),
         "winner_slots": int(t["winner_slots"]),
+        "stop": _STOPS[stop],
     }
     return make_result(instance, model, alloc[0], "dense", diagnostics)

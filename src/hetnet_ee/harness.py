@@ -11,9 +11,10 @@ output byte is a function of the configuration alone.
 Every trial of one carrier count, across all its SNR points, is solved as
 one batch (a :class:`~hetnet_ee.model.NetworkInstance` with a leading trial
 axis), in chunks capped in trials and in slot-table cells (:func:`chunked`):
-each scheme runs once per chunk through its batch solver (the same code as
-its ``solve_*`` function), and each trial still draws from its own
-generator, so a record does not depend on the chunking.
+each scheme runs once per chunk through its batch core (the same code as
+its ``solve_*`` function), read with its oracle check from one table, and
+each trial still draws from its own generator, so a record does not depend
+on the chunking.
 Records stream out one per (point, trial, scheme, player) as slotted
 :class:`SweepRecord` dataclasses (mutable and unhashable) and serialize to
 CSV with one column per field, in field order, formatting the seven leading
@@ -37,13 +38,12 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .baselines import _CONVERGED, _OVERFLOW, best_channel_batch, nash_batch
-from .dense import dense_batch
+from .baselines import _CONVERGED, best_channel_batch, nash_batch
+from .dense import stackelberg_batch
 from .efficiency import EfficiencyModel
 from .model import REGIMES, _noise_power, _seed_words, hears_followers, outcomes, sample_batch
 from .model import stack_instances
 from .oracle import TOL, Checks, nash_checks, stackelberg_checks
-from .sparse import sparse_batch
 
 __all__ = [
     "SCHEMES",
@@ -67,7 +67,14 @@ __all__ = [
     "config_from_values",
 ]
 
-SCHEMES = ("stackelberg", "nash", "best_channel")
+# each scheme's batch core, (batch, model, regime) -> (alloc, stop, ...), and the
+# oracle check of its claims; the best-channel heuristic claims no equilibrium
+_SCHEMES = {
+    "stackelberg": (stackelberg_batch, stackelberg_checks),
+    "nash": (nash_batch, nash_checks),
+    "best_channel": (best_channel_batch, None),
+}
+SCHEMES = tuple(_SCHEMES)
 # A chunk holds at most CHUNK_TRIALS trials and CHUNK_CELLS cells of (T, K, F+2)
 # slot tables, the widest a dense chunk needs.  A chunk has a fixed cost: 30-trial
 # K=64, F=32 sparse sweeps ran 1,806, 2,344 and 2,225 trials/s with 3, 10 and 30
@@ -228,25 +235,21 @@ _PREFIX = "%s,%s,%.12g,%s,%s,%s,%s,"
 _TAIL = "%s,%.12g,%s,%s,%s\n"
 
 
-def run_batch(scheme: str, batch, model, regime: str):
-    """Run one scheme on every trial of a batch by its batch solver; returns the allocations
-    ``(T, F+1, K)`` and whether each trial's stop code is ``"converged"`` ``(T,)``."""
-    if scheme not in SCHEMES:
+def _scheme(scheme: str) -> tuple:
+    if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if scheme == "stackelberg":
-        solve = dense_batch if hears_followers(regime) else sparse_batch
-        alloc = solve(batch, model)[0]
-        # closed forms: converged unless a power passes the float range
-        stop = np.where(np.isfinite(alloc).all(axis=(1, 2)), _CONVERGED, _OVERFLOW)
-    else:
-        baseline = nash_batch if scheme == "nash" else best_channel_batch
-        alloc, stop = baseline(batch, model, regime)[:2]
+    return _SCHEMES[scheme]
+
+
+def run_batch(scheme: str, batch, model, regime: str):
+    """Run one scheme on every trial of a batch by its batch core; returns the allocations
+    ``(T, F+1, K)`` and whether each trial's stop code is ``"converged"`` ``(T,)``."""
+    alloc, stop = _scheme(scheme)[0](batch, model, regime)[:2]
     return alloc, stop == _CONVERGED
 
 
-def verify_batch(
-    scheme: str, batch, model, allocation, converged, regime: str, tol: float = TOL,
-) -> Checks:
+def verify_batch(scheme: str, batch, model, allocation, converged, regime: str,
+                 tol: float = TOL) -> Checks:
     """Oracle checks of one scheme's outputs on every trial of a batch.
 
     ``tol`` applies to every check of every player (the oracles' one
@@ -255,12 +258,9 @@ def verify_batch(
     did not converge (the flags of :func:`run_batch`) claim none, so their
     trials get no reports.  An unknown scheme or regime raises, as in :func:`run_batch`.
     """
-    if scheme == "stackelberg":
-        return stackelberg_checks(batch, model, allocation, regime, tol, converged)
-    if scheme == "nash":
-        return nash_checks(batch, model, allocation, regime, tol, converged)
-    if scheme != "best_channel":
-        raise ValueError(f"unknown scheme {scheme!r}")
+    check = _scheme(scheme)[1]
+    if check is not None:
+        return check(batch, model, allocation, regime, tol, converged)
     hears_followers(regime)  # rejects an unknown regime
     none = np.empty((batch.trials, 0))
     return Checks(none, none, none, none, (), tol, np.zeros(batch.trials, dtype=bool))

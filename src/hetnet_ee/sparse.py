@@ -8,36 +8,23 @@ operating point.  Each follower then best-responds to that leader row
 leader's interference with a power raise, or retreats to its second-best
 carrier.  A follower exactly indifferent between two carriers takes the
 lower-indexed one, as every best response does.
+
+:func:`solve_sparse` is :func:`dense.stackelberg_batch`'s sparse regime on a
+batch of one, with each follower's branch as diagnostics.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .baselines import _STOPS
+from .dense import stackelberg_batch
 from .efficiency import EfficiencyModel
-from .model import (
-    EquilibriumResult,
-    NetworkInstance,
-    best_response,
-    make_result,
-    respond,
-    stack_instances,
-    switches,
-)
+from .model import EquilibriumResult, NetworkInstance, best_response, make_result, stack_instances
 
-__all__ = ["sparse_batch", "solve_sparse"]
+__all__ = ["solve_sparse"]
 
 _BRANCHES = np.array(["free", "stay", "move"])
-
-
-def sparse_batch(batch: NetworkInstance, model: EfficiencyModel):
-    """Sparse-regime equilibrium of every trial: the allocations ``(T, F+1,
-    K)`` and every player's carrier ``(T, F+1)``."""
-    gamma = model.gamma
-    leader, k0 = best_response(batch.g0, batch.sigma2, gamma)
-    followers, carriers = respond(batch, leader, gamma)
-    alloc = np.concatenate([leader[:, None], followers], axis=1)
-    return alloc, np.concatenate([k0[:, None], carriers], axis=1)
 
 
 def solve_sparse(instance: NetworkInstance, model: EfficiencyModel) -> EquilibriumResult:
@@ -47,12 +34,14 @@ def solve_sparse(instance: NetworkInstance, model: EfficiencyModel) -> Equilibri
     optimal operating point; follower branch decisions are recorded in
     ``diagnostics["follower_branches"]`` as ``"free"`` (own best carrier is
     not the leader's), ``"stay"`` (shares the leader's carrier) or
-    ``"move"`` (leaves the leader's carrier).
+    ``"move"`` (leaves the leader's carrier).  ``diagnostics["stop"]`` is
+    ``"converged"``, or ``"overflow"`` when a power passes the float range.
     """
-    best = switches(instance)[0]
-    alloc, carriers = sparse_batch(stack_instances((instance,)), model)
-    carriers = carriers[0]
-    contended = best == carriers[0]
-    move = contended & (carriers[1:] != carriers[0])
-    diagnostics = {"follower_branches": tuple(_BRANCHES[contended * 1 + move].tolist())}
+    alloc, (stop,), carriers = stackelberg_batch(stack_instances((instance,)), model, "sparse")
+    leader, chosen = carriers[0, 0], carriers[0, 1:]
+    # each follower's carrier at zero leader power
+    contended = best_response(instance.gf, instance.sigma2, model.gamma)[1] == leader
+    move = contended & (chosen != leader)
+    diagnostics = {"follower_branches": tuple(_BRANCHES[contended * 1 + move].tolist()),
+                   "stop": _STOPS[stop]}
     return make_result(instance, model, alloc[0], "sparse", diagnostics)

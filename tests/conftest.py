@@ -24,6 +24,17 @@ def random_instance(rng, *, k_range=(2, 8), f_range=(1, 4), mean_cross=0.5,
     )
 
 
+def extreme_batch(seed, trials=1500):
+    """``trials`` K=3, F=2 instances from ``default_rng(seed)``: gains from
+    {1e-310, 5e-324, 1e-300, 1e-5, 1, 1e300}, cross gains from {0, 0.5, 3}
+    and noise from {1e-6, 1, 1e6}."""
+    rng = np.random.default_rng(seed)
+    gains = rng.choice([1e-310, 5e-324, 1e-300, 1e-5, 1.0, 1e300], (trials, 3, 3))
+    cross = rng.choice([0.0, 0.5, 3.0], (trials, 3, 3))
+    return NetworkInstance(gains[:, 0], gains[:, 1:], cross[:, 0], cross[:, 1:],
+                           rng.choice([1e-6, 1.0, 1e6], (trials, 1)))
+
+
 @st.composite
 def edge_cases(draw):
     """Aim-3 edges: F = 0 and K = F+1, zero cross gains, tied integer gains,

@@ -47,7 +47,7 @@ def cycling_instance(seed):
 
 def plain_iterate(step, alloc, max_iter, tol):
     """Reference fixed-point loop that runs every sweep, no cycle skip."""
-    converged, change, sweeps, stop = False, np.inf, 0, "cap"
+    converged, sweeps, stop = False, 0, "cap"
     with np.errstate(over="ignore", invalid="ignore"):
         for sweeps in range(1, max_iter + 1):
             previous = alloc.copy()
@@ -59,22 +59,22 @@ def plain_iterate(step, alloc, max_iter, tol):
             if change < tol * float(alloc.max()):
                 converged, stop = True, "converged"
                 break
-    return alloc, IterationReport(converged, sweeps, change, stop)
+    return alloc, IterationReport(converged, sweeps, stop)
 
 
 def plain_batch_iterate(step, alloc, max_iter, tol):
     """:func:`plain_iterate` on the one-trial iterate of a ``solve_nash``
-    call, returned as the batch loop returns it: the stop code, sweeps and
-    change of each trial."""
+    call, returned as the batch loop returns it: the stop code and sweeps
+    of each trial."""
     alloc, report = plain_iterate(step, alloc, max_iter, tol)
-    run = baselines._STOPS.index(report.stop), report.iterations, report.final_change
+    run = baselines._STOPS.index(report.stop), report.iterations
     return alloc, *(np.array([value]) for value in run)
 
 
-def batch_reports(stop, sweeps, change):
+def batch_reports(stop, sweeps):
     """A batch core's per-trial arrays as one ``IterationReport`` per trial."""
-    return [IterationReport(s == baselines._CONVERGED, n, c, baselines._STOPS[s])
-            for s, n, c in zip(stop.tolist(), sweeps.tolist(), change.tolist())]
+    return [IterationReport(s == baselines._CONVERGED, n, baselines._STOPS[s])
+            for s, n in zip(stop.tolist(), sweeps.tolist())]
 
 
 def assert_same_run(fast, plain):
@@ -84,8 +84,6 @@ def assert_same_run(fast, plain):
     assert res.active_carriers == ref.active_carriers
     assert report.converged == ref_report.converged
     assert report.iterations == ref_report.iterations
-    assert np.float64(report.final_change).tobytes() == np.float64(
-        ref_report.final_change).tobytes()
     expected_stop = {"cycle": "cap"}.get(report.stop, report.stop)
     assert ref_report.stop == expected_stop
 
@@ -179,7 +177,7 @@ class TestCycleSkip:
         assert_same_run(fast, plain)
         report = fast[1]
         assert report.stop == "cycle" and report.iterations == 1000
-        assert report.final_change == 0.0 and not report.converged
+        assert not report.converged
 
     def test_random_runs_match_plain_loop(self, model, monkeypatch):
         rng = np.random.default_rng(38)
@@ -292,8 +290,6 @@ class TestNashDynamics:
     def test_report_consistency(self, model):
         inst = random_instance(np.random.default_rng(34))
         res, report = solve_nash(inst, model, "dense", tol=1e-10)
-        if report.converged:
-            assert report.final_change <= 1e-10
         # the report is the batch core's record of this run
         run = nash_batch(stack_instances((inst,)), model, "dense", tol=1e-10)[1:]
         assert report == batch_reports(*run)[0]

@@ -16,6 +16,7 @@ import hetnet_ee
 from hetnet_ee import (
     ScenarioConfig,
     cli,
+    dense,
     harness,
     sample_instance,
     solve_best_channel,
@@ -204,8 +205,8 @@ class TestScenarioFlags:
         good = tmp_path / "good.csv"
         run_cli("sweep", "--carriers", "3", "--followers", "1", "--snr-db", "0",
                 "--trials", "1", "--output", str(good))
-        # sweeps and verify run the stackelberg scheme through the dense batch solver
-        monkeypatch.setattr(harness, "dense_batch", broken)
+        # sweeps and verify run the dense stackelberg leader through the slot table
+        monkeypatch.setattr(dense, "dense_batch", broken)
         with pytest.raises(ZeroDivisionError, match="solver bug"):
             run_cli("sweep", "--carriers", "3", "--followers", "1", "--snr-db", "0",
                     "--trials", "1", "--output", str(tmp_path / "x.csv"))

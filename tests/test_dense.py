@@ -29,12 +29,11 @@ from hetnet_ee import (
     verify_follower,
     verify_leader_stackelberg,
 )
-from hetnet_ee import dense
-from hetnet_ee.dense import dense_batch
+from hetnet_ee import dense, harness
+from hetnet_ee.dense import dense_batch, stackelberg_batch
 from hetnet_ee.efficiency import optimal_sinr_with_feedback
 from hetnet_ee.model import respond, sample_batch, sinr, stack_instances
-from hetnet_ee.sparse import sparse_batch
-from conftest import edge_cases, random_instance
+from conftest import edge_cases, extreme_batch, random_instance
 
 GAMMA = 1.2564312086261697
 
@@ -238,8 +237,8 @@ class TestReductionToSparse:
                     h0=np.zeros((n, k)), hf=np.zeros((n, f, k)),
                     sigma2=10.0 ** (-rng.uniform(-30.0, 60.0, (n, 1)) / 10.0))
                 for batch in (sampled, integer):
-                    assert dense_batch(batch, model)[0].tobytes() == \
-                        sparse_batch(batch, model)[0].tobytes(), (k, f)
+                    assert stackelberg_batch(batch, model, "dense")[0].tobytes() == \
+                        stackelberg_batch(batch, model, "sparse")[0].tobytes(), (k, f)
 
 
 @pytest.mark.parametrize("solve", [solve_sparse, solve_dense])
@@ -253,8 +252,9 @@ def test_diagnostics_key_sets(model):
     # only what the solver computes and neither the result, its report nor
     # the model states
     inst = sample_instance(5, 4, seed=3)
-    assert solve_sparse(inst, model).diagnostics.keys() == {"follower_branches"}
-    assert solve_dense(inst, model).diagnostics.keys() == {"candidate_table", "winner_slots"}
+    assert solve_sparse(inst, model).diagnostics.keys() == {"follower_branches", "stop"}
+    assert solve_dense(inst, model).diagnostics.keys() == {"candidate_table", "winner_slots",
+                                                           "stop"}
     for regime in ("dense", "sparse"):
         assert solve_nash(inst, model, regime)[0].diagnostics == {}
         assert solve_best_channel(inst, model, regime)[0].diagnostics.keys() == {
@@ -288,7 +288,7 @@ class TestEquilibriumStructure:
         snr = np.repeat(np.arange(-5.0, 26.0, 5.0), 500)
         seeds = 50_000 + 1_000 * snr.astype(int) + np.tile(np.arange(500), 7)
         batch = sample_batch(5, 4, seeds=seeds.tolist(), snr_db=snr)
-        alloc, tables = dense_batch(batch, model)
+        alloc, _, tables = stackelberg_batch(batch, model, "dense")
         assert (tables["codes"][np.arange(batch.trials), alloc[:, 0].argmax(axis=1),
                                 tables["winner_slots"]] == 1).sum() > 300
         responses, _ = respond(batch, alloc[:, 0], model.gamma)
@@ -299,8 +299,19 @@ class TestEquilibriumStructure:
     def test_rows_are_respond_on_edge_cases(self, case):
         inst, model, _ = case
         alloc = solve_dense(inst, model).allocation
-        if np.isfinite(alloc[0]).all():
-            assert respond(inst, alloc[0], model.gamma)[0].tobytes() == alloc[1:].tobytes()
+        assert respond(inst, alloc[0], model.gamma)[0].tobytes() == alloc[1:].tobytes()
+
+    def test_rows_are_respond_past_the_float_range(self, model):
+        """The extreme-gain batches of seeds 0-2: where the leader's power
+        passes the float range, the follower rows are still `respond`'s,
+        bit for bit, and the trial does not converge."""
+        for seed in range(3):
+            batch = extreme_batch(seed)
+            alloc, converged = harness.run_batch("stackelberg", batch, model, "dense")
+            overflow = np.isinf(alloc[:, 0]).any(axis=1)
+            assert overflow.sum() >= 5 and not converged[overflow].any()
+            responses, _ = respond(batch, alloc[:, 0], model.gamma)
+            assert responses.tobytes() == alloc[:, 1:].tobytes(), seed
 
     def test_tied_follower_stays_below_its_float_switch(self, model):
         # follower 0's gains tie, so it leaves carrier 0 once 1 + 3 p rounds
@@ -463,19 +474,19 @@ class TestCandidateTable:
                 gf[np.arange(4), np.arange(4) + 1 + (seed == 5)] = top
             rows.append(NetworkInstance(g0=base.g0, gf=gf, h0=base.h0, hf=base.hf,
                                         sigma2=base.sigma2))
-        alloc, tables = dense_batch(stack_instances(rows), model)
+        leader, tables = dense_batch(stack_instances(rows), model)
         assert tables["theta"].shape == (4, 6, 6) and tables["counts"][1, 0] == 4
         assert tables["winner_slots"][1] == 4
         for t, inst in enumerate(rows):
             alone, alone_tables = dense_batch(stack_instances((inst,)), model)
             assert alone_tables["theta"].shape == (1, 6, 6 if t == 1 else 3)
-            assert alloc[t].tobytes() == alone[0].tobytes()
+            assert leader[t].tobytes() == alone[0].tobytes()
             assert tables["winner_slots"][t] == alone_tables["winner_slots"][0]
             # solve_dense reads the same candidate table off the wide batch
             table = solve_dense(inst, model).diagnostics["candidate_table"]
             with monkeypatch.context() as patch:
                 patch.setattr(dense, "dense_batch", lambda batch, model, t=t: (
-                    alloc[t:t + 1], {name: value[t:t + 1] for name, value in tables.items()}))
+                    leader[t:t + 1], {name: value[t:t + 1] for name, value in tables.items()}))
                 wide = solve_dense(inst, model).diagnostics["candidate_table"]
             for narrow_row, wide_row in zip(table, wide, strict=True):
                 for name, value in vars(narrow_row).items():

@@ -23,9 +23,9 @@ from hetnet_ee import (
     solve_nash,
     solve_sparse,
 )
-from hetnet_ee import harness, oracle
+from hetnet_ee import dense, harness, oracle
 from hetnet_ee.model import REGIMES, outcomes, stack_instances
-from conftest import edge_cases
+from conftest import edge_cases, extreme_batch
 from hetnet_ee.harness import (
     CSV_HEADER,
     SweepRecord,
@@ -148,8 +148,8 @@ class TestRunSweep:
         def broken(batch, model):
             raise ZeroDivisionError("solver bug")
 
-        # sweeps run the stackelberg scheme through the dense batch solver
-        monkeypatch.setattr(harness, "dense_batch", broken)
+        # sweeps run the dense stackelberg leader through the slot table
+        monkeypatch.setattr(dense, "dense_batch", broken)
         with pytest.raises(ZeroDivisionError, match="solver bug"):
             list(run_sweep(tiny_config()))
 
@@ -262,8 +262,8 @@ class TestBatchedSweep:
                 raise ZeroDivisionError("solver bug")
             return dense_batch(batch, model)
 
-        dense_batch = harness.dense_batch
-        monkeypatch.setattr(harness, "dense_batch", second_raises)
+        dense_batch = dense.dense_batch
+        monkeypatch.setattr(dense, "dense_batch", second_raises)
         failed = tmp_path / "failed.csv"
         with pytest.raises(ZeroDivisionError, match="solver bug"):
             write_records(run_sweep(ScenarioConfig(**kw)), failed)
@@ -341,11 +341,7 @@ class TestBatchedSweep:
         gains from {0, 0.5, 3} and noise from {1e-6, 1, 1e6}: every scheme
         runs and is checked in both regimes without a RuntimeWarning, and
         every converged stackelberg claim passes."""
-        rng = np.random.default_rng(26)
-        gains = rng.choice([1e-310, 5e-324, 1e-300, 1e-5, 1.0, 1e300], (1500, 3, 3))
-        cross = rng.choice([0.0, 0.5, 3.0], (1500, 3, 3))
-        batch = NetworkInstance(gains[:, 0], gains[:, 1:], cross[:, 0], cross[:, 1:],
-                                rng.choice([1e-6, 1.0, 1e6], (1500, 1)))
+        batch = extreme_batch(26)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for regime in REGIMES:

@@ -575,6 +575,7 @@ def _regime_calls():
         calls[f"verify_batch-{scheme}"] = lambda r, s=scheme: harness.verify_batch(
             s, batch, model, alloc[None], claims, r)
     calls.update({
+        "stackelberg_batch": lambda r: dense.stackelberg_batch(batch, model, r),
         "nash_batch": lambda r: baselines.nash_batch(batch, model, r),
         "solve_nash": lambda r: baselines.solve_nash(inst, model, r),
         "best_channel_batch": lambda r: baselines.best_channel_batch(batch, model, r),
@@ -648,8 +649,9 @@ class TestRegimeSwitch:
         takes = [fn for module in modules for fn in vars(module).values()
                  if inspect.isfunction(fn) and fn.__module__ == module.__name__
                  and "regime" in inspect.signature(fn).parameters]
-        assert {baselines.nash_batch, baselines.solve_nash, baselines.best_channel_batch,
-                baselines.solve_best_channel, harness.run_batch} <= set(takes)
+        assert {dense.stackelberg_batch, baselines.nash_batch, baselines.solve_nash,
+                baselines.best_channel_batch, baselines.solve_best_channel,
+                harness.run_batch} <= set(takes)
         for fn in takes:
             default = inspect.signature(fn).parameters["regime"].default
             assert default is inspect.Parameter.empty, fn.__qualname__

@@ -29,6 +29,7 @@ class TestWorkedBranches:
         res = solve_sparse(inst, model)
         assert_allclose(res.allocation[0], [GAMMA / 2.0, 0.0], rtol=1e-9)
         assert res.active_carriers[0] == 0
+        assert res.diagnostics["stop"] == "converged"
 
     def test_follower_free_on_own_best(self, model):
         # follower's best carrier differs from the leader's
@@ -82,7 +83,8 @@ class TestWorkedBranches:
 
     def test_leader_power_past_the_float_range_raises_no_warning(self, model):
         # the leader's operating power on a subnormal gain under loud noise
-        # overflows; solve_sparse returns it as inf silently, as solve_dense does
+        # overflows; solve_sparse returns it as inf and names the overflow, as
+        # solve_dense does
         inst = NetworkInstance(g0=[1e-310, 2e-310], gf=[[1.0, 0.5]], h0=[1.0, 1.0],
                                hf=[[1.0, 1.0]], sigma2=1e6)
         with warnings.catch_warnings():
@@ -91,6 +93,7 @@ class TestWorkedBranches:
             dense = solve_dense(inst, model)
         assert res.allocation[0].tolist() == [0.0, np.inf]
         assert np.array_equal(res.allocation, dense.allocation)
+        assert res.diagnostics["stop"] == dense.diagnostics["stop"] == "overflow"
 
     def test_needs_two_carriers(self, model):
         inst = NetworkInstance(g0=[1.0], gf=np.zeros((0, 1)), h0=[0.0],

@@ -25,7 +25,8 @@ every occupancy the leader could induce:
 
 The best slot fixes the leader's row, exact ties going to the lower
 carrier, then to fewer shared slots.  :func:`solve_dense` is the core's
-dense regime on a batch of one, with the slot table as diagnostics.
+dense regime on a batch of one, with each carrier's scored slots as
+diagnostics.
 """
 
 from __future__ import annotations
@@ -47,41 +48,33 @@ _REPLACEMENTS = np.array([None, "raise_to_boundary", "infeasible"], dtype=object
 
 @dataclass(frozen=True, eq=False)
 class CarrierCandidates:
-    """One carrier's row of the leader's slot table.
+    """One carrier's scored slots, ``l = 0..stay_limit``, slot 0 being the
+    cleared carrier; the rest of its row is :func:`dense_batch`'s.
 
-    ``followers`` lists the carrier's nominees, latest switch first;
-    ``theta`` (best-to-rival gain ratio, ``inf`` past the float range),
-    ``eta`` (cumulative interference ratio), ``sinr_targets``, ``stays``,
-    ``boundary_powers`` (the switches) and ``boundary_values`` are indexed
-    by nominee rank, so entry ``i`` belongs to slot ``i+1``.  ``stays[i]``
-    is that slot's stay test (its last nominee still stays at the leader's
-    unconstrained shared optimum: that power is below its switch) and
-    ``stay_limit`` the largest slot passing it; a scored slot failing it is
-    infeasible.  ``slot_powers``, ``slot_values`` and ``replacements`` are
-    indexed by slot ``l = 0..stay_limit``, slot 0 being the cleared
-    carrier: powers and values are after the cap, and ``replacements[l]``
-    names its step (``None``, ``"raise_to_boundary"`` or ``"infeasible"``).
-    An infeasible slot keeps its uncapped power and value and never wins.
+    ``stay_limit`` is the largest slot passing its stay test.
+    ``slot_powers`` and ``slot_values`` are after the cap, and
+    ``replacements[l]`` names its step (``None``, ``"raise_to_boundary"``
+    or ``"infeasible"``).  An infeasible slot keeps its uncapped power and
+    value and never wins.
     """
 
-    carrier: int
-    followers: tuple
-    theta: np.ndarray
-    eta: np.ndarray
-    sinr_targets: np.ndarray
-    stays: np.ndarray
     stay_limit: int
     slot_powers: np.ndarray
     slot_values: np.ndarray
-    boundary_powers: np.ndarray
-    boundary_values: np.ndarray
     replacements: tuple
 
 
 def dense_batch(batch: NetworkInstance, model: EfficiencyModel):
     """The dense-regime leader's row of every trial, ``(T, K)``, and the slot
-    tables that chose it, a dict of arrays with the trial axis first, each as
-    wide as the batch's busiest carrier needs (at most ``F+2``)."""
+    tables that chose it, a dict of arrays with the trial axis first:
+    ``nominees`` ``(T, F)``, each carrier's ranked run of ``counts`` from
+    ``starts`` ``(T, K)``; ``stay_limit`` ``(T, K)``, the largest slot passing
+    its stay test; ``winner_slots`` ``(T,)``.  The others hold a row per
+    carrier, column ``l`` for slot ``l``: ``stays``, ``powers``, ``values``
+    (both after the cap) and ``codes`` (its step: 0 none, 1 raise, 2
+    infeasible) up to the busiest carrier's last slot, and ``eta``,
+    ``targets``, ``boundary`` (the switch of slot ``l``'s last nominee) and
+    ``boundary_values`` (the leader's value there) one column further."""
     gamma, sigma2 = model.gamma, batch.sigma2[:, :, None]
     trials, carriers, count = batch.trials, batch.carriers, batch.followers
     trial, followers = np.arange(trials)[:, None], np.arange(count)
@@ -110,12 +103,10 @@ def dense_batch(batch: NetworkInstance, model: EfficiencyModel):
         out[cells] = values
         return out.reshape(trials, carriers, width)
 
-    # a subnormal gs overflows theta, and a subnormal gb or g0 eta or the
-    # feedback, which is 0 * inf for an infinite eta without leader cross
-    # gain: no SINR target exists, and the NaN left in its place keeps the
-    # slot from being scored
+    # a subnormal gb or g0 overflows eta or the feedback, which is 0 * inf
+    # for an infinite eta without leader cross gain: no SINR target exists,
+    # and the NaN left in its place keeps the slot from being scored
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = table(gb[trial, nominees] / gs[trial, nominees])
         eta = table(batch.hf[trial, nominees, ks] / gb[trial, nominees], 0.0).cumsum(axis=-1)
         feedback = batch.h0[trial, ks] * gamma * eta.take(cells) / batch.g0[trial, ks]
     targets = table(np.array([optimal_sinr_with_feedback(model, c) if c < np.inf else np.nan
@@ -169,8 +160,8 @@ def dense_batch(batch: NetworkInstance, model: EfficiencyModel):
     leader = np.zeros((trials, carriers))
     leader[trial[:, 0], k_hat] = powers[trial[:, 0], k_hat, slots]
     return leader, dict(
-        nominees=nominees, counts=counts, starts=starts, theta=theta, eta=eta,
-        targets=targets, stays=stays, stay_limit=stay_limit, powers=powers, values=values,
+        nominees=nominees, counts=counts, starts=starts, eta=eta, targets=targets, stays=stays,
+        stay_limit=stay_limit, powers=powers, values=values,
         boundary=boundary, boundary_values=boundary_values, codes=codes, winner_slots=slots,
     )
 
@@ -197,38 +188,19 @@ def stackelberg_batch(batch: NetworkInstance, model: EfficiencyModel, regime: st
 def solve_dense(instance: NetworkInstance, model: EfficiencyModel) -> EquilibriumResult:
     """Hierarchical equilibrium of the dense-regime game.
 
-    ``diagnostics["candidate_table"]`` is the slot table, one
+    ``diagnostics["candidate_table"]`` holds each carrier's scored slots, one
     :class:`CarrierCandidates` per carrier, and ``diagnostics["winner_slots"]``
-    the winning occupancy ``s``.  The winning carrier is
-    ``active_carriers[0]``, and that carrier's row holds the winning value,
-    ``slot_values[s]``, and the cap that set the winning power,
-    ``replacements[s]``.  ``diagnostics["stop"]`` is ``"converged"``, or
-    ``"overflow"`` when a power passes the float range.
+    the winning occupancy ``s``: the winning carrier, ``active_carriers[0]``,
+    holds the winning value, ``slot_values[s]``, and the cap that set the
+    winning power, ``replacements[s]``.  ``diagnostics["stop"]`` is
+    ``"converged"``, or ``"overflow"`` when a power passes the float range.
     """
     alloc, (stop,), tables = stackelberg_batch(stack_instances((instance,)), model, "dense")
-    t = {name: value[0] for name, value in tables.items()}
-
-    def record(k, start, count, limit):
-        nominee, scored_slots = slice(1, count + 1), slice(0, limit + 1)
-        return CarrierCandidates(
-            carrier=k,
-            followers=tuple(t["nominees"][start : start + count].tolist()),
-            theta=t["theta"][k, nominee],
-            eta=t["eta"][k, nominee],
-            sinr_targets=t["targets"][k, nominee],
-            stays=t["stays"][k, nominee],
-            stay_limit=limit,
-            slot_powers=t["powers"][k, scored_slots],
-            slot_values=t["values"][k, scored_slots],
-            boundary_powers=t["boundary"][k, nominee],
-            boundary_values=t["boundary_values"][k, nominee],
-            replacements=tuple(_REPLACEMENTS[t["codes"][k, scored_slots]]),
-        )
-
-    diagnostics = {
-        "candidate_table": tuple(map(record, range(instance.carriers), t["starts"].tolist(),
-                                     t["counts"].tolist(), t["stay_limit"].tolist())),
-        "winner_slots": int(t["winner_slots"]),
-        "stop": _STOPS[stop],
-    }
+    powers, values, codes = tables["powers"][0], tables["values"][0], tables["codes"][0]
+    candidate_table = tuple(
+        CarrierCandidates(limit, powers[k, :limit + 1], values[k, :limit + 1],
+                          tuple(_REPLACEMENTS[codes[k, :limit + 1]]))
+        for k, limit in enumerate(tables["stay_limit"][0].tolist()))
+    diagnostics = {"candidate_table": candidate_table,
+                   "winner_slots": int(tables["winner_slots"][0]), "stop": _STOPS[stop]}
     return make_result(instance, model, alloc[0], "dense", diagnostics)

@@ -222,6 +222,8 @@ _CELL_PARSERS = {
     "bool": "true".__eq__,
 }
 _ROW_PARSERS = tuple(_CELL_PARSERS[f.type] for f in _COLUMNS)
+# the only ``converged`` and ``verified`` cells ``write_records`` writes
+_FLAGS, _VERDICTS = {"true", "false"}, {"", "pass", "fail"}
 
 
 def _cells(values) -> str:
@@ -357,7 +359,8 @@ def write_records(records: Iterable[SweepRecord], path) -> int:
 
 def read_records(path) -> list[SweepRecord]:
     """Parse a sweep CSV back into records (digests are not recoverable),
-    one column at a time."""
+    one column at a time; a row whose scheme, regime, ``converged`` or
+    ``verified`` cell no sweep writes is malformed."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != CSV_HEADER:
@@ -365,7 +368,8 @@ def read_records(path) -> list[SweepRecord]:
         lines = fh.readlines()
     rows = [line.rstrip("\n").split(",") for line in lines]
     for line, parts in zip(lines, rows):
-        if len(parts) != len(_COLUMNS) or parts[0] not in SCHEMES or parts[1] not in REGIMES:
+        if (len(parts) != len(_COLUMNS) or parts[0] not in SCHEMES or parts[1] not in REGIMES
+                or parts[-2] not in _FLAGS or parts[-1] not in _VERDICTS):
             raise ValueError(f"malformed CSV row: {line!r}")
     # a header-only file has no columns to zip, and still one empty column per field
     columns = list(zip(*rows)) or [()] * len(_COLUMNS)

@@ -19,13 +19,19 @@ from hetnet_ee import (
     optimal_sinr,
     sample_instance,
     solve_best_channel,
+    solve_dense,
     solve_nash,
+    solve_sparse,
     verify_nash,
 )
 from hetnet_ee import baselines, harness
 from hetnet_ee.baselines import IterationReport, nash_batch
 from hetnet_ee.model import (
+    all_utilities,
+    best_response,
+    denominators,
     empty_allocation,
+    hears_followers,
     leader_interference,
     make_result,
     respond,
@@ -475,3 +481,59 @@ class TestBestChannel:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.split() == [str(7 * 20 * 5), "False"]
+
+
+def pure_equilibria(instance, model, regime):
+    """Every pure Nash equilibrium of ``instance``, ``(N, F+1, K)``, and each
+    one's carriers ``(N, F+1)``: all K^(F+1) carrier assignments, each at
+    its target-SINR powers, kept where :func:`best_response` to
+    :func:`denominators` picks every player's own carrier.
+
+    Only the leader's carrier ``k0`` couples players.  Its followers need
+    ``gamma (sigma2 + h0 p0) / gf`` and the leader ``p0 = gamma sigma2 (1 +
+    gamma eta) / g0 / (1 - b)``, ``b = gamma^2 eta h0 / g0``, with ``eta``
+    their summed ``hf / gf`` (0 in the sparse regime); ``b >= 1`` has no
+    such powers."""
+    gamma, sigma2, f = model.gamma, instance.sigma2, instance.followers
+    carriers = np.indices((instance.carriers,) * instance.players).reshape(instance.players, -1).T
+    n, k0, own = len(carriers), carriers[:, 0], carriers[:, 1:]
+    rows, shared = np.arange(f), own == k0[:, None]
+    eta = np.where(shared, instance.hf[rows, own] / instance.gf[rows, own], 0.0).sum(axis=1)
+    eta *= hears_followers(regime)
+    g0, h0 = instance.g0[k0], instance.h0[k0]
+    b = gamma * gamma * eta * h0 / g0
+    p0 = gamma * sigma2 * (1.0 + gamma * eta) / g0 / (1.0 - b)
+    alloc = np.zeros((n, instance.players, instance.carriers))
+    alloc[np.arange(n), 0, k0] = p0
+    heard = sigma2 + np.where(shared, (h0 * p0)[:, None], 0.0)
+    alloc[np.arange(n)[:, None], rows + 1, own] = gamma * heard / instance.gf[rows, own]
+    alloc, carriers = alloc[b < 1.0], carriers[b < 1.0]
+    _, chosen = best_response(instance.gains, denominators(instance, alloc, regime), gamma)
+    stable = (chosen == carriers).all(axis=1)
+    return alloc[stable], carriers[stable]
+
+
+class TestStackelbergOverPureNash:
+    @pytest.mark.parametrize("regime", ["dense", "sparse"])
+    def test_leader_gets_at_least_every_pure_equilibrium(self, model, regime):
+        """Criterion 5's shape (K=5, F=4, mean cross gain 0.5, m=2), 20
+        seeded instances at each of -5..25 dB: no pure NE gives the leader
+        more than the Stackelberg leader gets, to 1e-12 relative.  Every NE
+        found passes the Nash oracle, and a converged Nash run lands on one."""
+        solve = solve_dense if hears_followers(regime) else solve_sparse
+        found = landed = 0
+        for snr in range(-5, 26, 5):
+            for seed in range(70_000 + 100 * snr, 70_020 + 100 * snr):
+                inst = sample_instance(5, 4, snr_db=float(snr), seed=seed, mean_cross=0.5)
+                equilibria, carriers = pure_equilibria(inst, model, regime)
+                found += len(equilibria)
+                leader = solve(inst, model).utilities[0]
+                ne_leaders = all_utilities(inst, model, equilibria, regime)[:, 0]
+                assert np.all(leader >= ne_leaders * (1.0 - 1e-12)), (snr, seed)
+                for alloc in equilibria:
+                    assert all(r.passed for r in verify_nash(inst, model, alloc, regime))
+                res, report = solve_nash(inst, model, regime)
+                if report.converged:
+                    landed += 1
+                    assert list(res.active_carriers) in carriers.tolist(), (snr, seed)
+        assert found >= 100 and landed >= 100, (found, landed)

@@ -493,6 +493,8 @@ BAD_INPUTS = {
     "bad_cell": _csv(carriers="x"),
     "unknown_scheme": _csv(scheme="bogus"),
     "unknown_regime": _csv(regime="mixed"),
+    "uppercase_converged": _csv(converged="TRUE"),
+    "unknown_verified": _csv(verified="ok"),
 }
 UNBUILDABLE = {
     "nan_snr": _csv(snr_db="nan"),

@@ -38,6 +38,22 @@ from conftest import edge_cases, extreme_batch, random_instance
 GAMMA = 1.2564312086261697
 
 
+def slot_tables(instance, model):
+    """:func:`dense_batch`'s tables for one instance, at trial 0."""
+    _, tables = dense_batch(stack_instances((instance,)), model)
+    return {name: value[0] for name, value in tables.items()}
+
+
+def nominee_row(tables, k):
+    """Carrier ``k``'s ranked ``nominees`` and, under the same names, the
+    columns of :func:`slot_tables` that hold one entry per nominee: entry
+    ``i`` is slot ``i+1``."""
+    start, count = tables["starts"][k], tables["counts"][k]
+    row = {name: tables[name][k, 1:count + 1]
+           for name in ("eta", "targets", "stays", "boundary", "boundary_values")}
+    return dict(row, nominees=tuple(tables["nominees"][start:start + count].tolist()))
+
+
 def worked_instance():
     return NetworkInstance(g0=[2.0, 1.0], gf=[[3.0, 1.0]], h0=[1.0, 0.5],
                            hf=[[1.0, 0.2]], sigma2=1.0)
@@ -94,19 +110,19 @@ class TestWorkedExample:
     def test_candidate_table_numbers(self, model):
         res = solve_dense(worked_instance(), model)
         table = res.diagnostics["candidate_table"]
-        c0 = table[0]
-        assert c0.followers == (0,)
-        assert_allclose(c0.theta, [3.0], rtol=1e-15)
-        assert_allclose(c0.eta, [1.0 / 3.0], rtol=1e-15)
-        assert_allclose(c0.sinr_targets, [0.90095508427324318], rtol=1e-9)
+        tables = slot_tables(worked_instance(), model)
+        c0, row0 = table[0], nominee_row(tables, 0)
+        assert row0["nominees"] == (0,)
+        assert_allclose(row0["eta"], [1.0 / 3.0], rtol=1e-15)
+        assert_allclose(row0["targets"], [0.90095508427324318], rtol=1e-9)
         assert c0.stay_limit == 1
         assert_allclose(c0.slot_values[1], 0.44762080774651047, rtol=1e-9)
         assert_allclose(c0.slot_powers[1], 0.78776580780546225, rtol=1e-9)
-        assert_allclose(c0.boundary_powers, [2.0], rtol=1e-12)
-        assert_allclose(c0.boundary_values, [0.48185209242521708], rtol=1e-9)
+        assert_allclose(row0["boundary"], [2.0], rtol=1e-12)
+        assert_allclose(row0["boundary_values"], [0.48185209242521708], rtol=1e-9)
         # the carrier without nominees offers the interference-free optimum
         c1 = table[1]
-        assert c1.followers == ()
+        assert nominee_row(tables, 1)["nominees"] == ()
         assert_allclose(c1.slot_powers[0], GAMMA, rtol=1e-9)
         assert_allclose(c1.slot_values[0], 0.40726437758907375, rtol=1e-9)
 
@@ -196,7 +212,8 @@ class TestStepThreeFailure:
                                hf=[[1.0, 0.0, 0.0, 0.0]], sigma2=1.0)
         res = solve_dense(inst, model)
         c0 = res.diagnostics["candidate_table"][0]
-        assert c0.boundary_powers.tolist() == [np.inf] and c0.stay_limit == 1
+        boundary = nominee_row(slot_tables(inst, model), 0)["boundary"]
+        assert boundary.tolist() == [np.inf] and c0.stay_limit == 1
         assert c0.replacements[0] == "infeasible"
         assert res.active_carriers == (1, 0)
         assert np.array_equal(res.allocation[1:], respond(inst, res.allocation[0], model.gamma)[0])
@@ -349,7 +366,7 @@ class TestEquilibriumStructure:
             if slots and winner.replacements[slots] is None:
                 seen += 1
                 assert_allclose(sinr(inst, res.allocation, "dense")[0, k],
-                                winner.sinr_targets[slots - 1], rtol=1e-9)
+                                slot_tables(inst, model)["targets"][k, slots], rtol=1e-9)
         assert seen > 0
 
     def test_no_carrier_switch_improves_a_follower(self, model):
@@ -377,19 +394,21 @@ class TestCandidateTable:
             inst = random_instance(rng, k_range=(2, 6), f_range=(1, 5),
                                    mean_cross=float(rng.choice([0.1, 0.5, 1.0])))
             res = solve_dense(inst, model)
+            tables = slot_tables(inst, model)
             gamma = model.gamma
-            for cc in res.diagnostics["candidate_table"]:
-                if len(cc.followers) > 1:
-                    assert np.all(np.diff(cc.theta) <= 0)
-                    assert np.all(np.diff(cc.eta) >= 0)
+            for k, cc in enumerate(res.diagnostics["candidate_table"]):
+                row = nominee_row(tables, k)
+                # nominees rank latest switch first
+                assert np.all(row["boundary"][:-1] >= row["boundary"][1:])
+                assert np.all(np.diff(row["eta"]) >= 0)
                 # retained shared candidates keep positive leader power,
                 # equivalently feedback * target < 1
-                g0k, h0k = inst.g0[cc.carrier], inst.h0[cc.carrier]
+                g0k, h0k = inst.g0[k], inst.h0[k]
                 for l in range(1, cc.stay_limit + 1):
                     if cc.replacements[l] == "infeasible":
                         continue
                     assert cc.slot_powers[l] > 0.0
-                    assert g0k - gamma * cc.sinr_targets[l - 1] * cc.eta[l - 1] * h0k > 0.0
+                    assert g0k - gamma * row["targets"][l - 1] * row["eta"][l - 1] * h0k > 0.0
 
     def test_stay_tests_match_scalar_reference(self, model):
         """The stay test, read off the slot's own switch, is the scalar
@@ -399,16 +418,18 @@ class TestCandidateTable:
             inst = random_instance(rng, k_range=(2, 6), f_range=(1, 5),
                                    mean_cross=float(rng.choice([0.1, 0.5, 2.0])))
             res = solve_dense(inst, model)
+            tables = slot_tables(inst, model)
             gamma = model.gamma
             second = reference_ranks(inst)[1]
-            for cc in res.diagnostics["candidate_table"]:
-                g0k, h0k = inst.g0[cc.carrier], inst.h0[cc.carrier]
+            for k, cc in enumerate(res.diagnostics["candidate_table"]):
+                row = nominee_row(tables, k)
+                g0k, h0k = inst.g0[k], inst.h0[k]
                 expected = [
-                    inst.gf[f, cc.carrier] * (g0k - t * gamma * e * h0k)
+                    inst.gf[f, k] * (g0k - t * gamma * e * h0k)
                     > inst.gf[f, second[f]] * (g0k + h0k * t)
-                    for f, t, e in zip(cc.followers, cc.sinr_targets, cc.eta)
+                    for f, t, e in zip(row["nominees"], row["targets"], row["eta"])
                 ]
-                assert cc.stays.tolist() == expected
+                assert row["stays"].tolist() == expected
                 assert cc.stay_limit == max(
                     (l for l, ok in enumerate(expected, 1) if ok), default=0
                 )
@@ -421,11 +442,12 @@ class TestCandidateTable:
         # would be slot 0 there, which does better at its own optimum
         inst = sample_instance(5, 4, snr_db=15.952782902176622, seed=646)
         cc = solve_dense(inst, model).diagnostics["candidate_table"][3]
-        assert cc.stay_limit >= 2 and not cc.stays[0]
+        row = nominee_row(slot_tables(inst, model), 3)
+        assert cc.stay_limit >= 2 and not row["stays"][0]
         assert cc.replacements[1] == "infeasible"
-        assert cc.slot_powers[1] >= cc.boundary_powers[0]
-        assert cc.replacements[0] is None and cc.slot_powers[0] >= cc.boundary_powers[0]
-        assert cc.slot_values[0] >= cc.boundary_values[0]
+        assert cc.slot_powers[1] >= row["boundary"][0]
+        assert cc.replacements[0] is None and cc.slot_powers[0] >= row["boundary"][0]
+        assert cc.slot_values[0] >= row["boundary_values"][0]
 
     def test_needs_two_carriers(self, model):
         inst = NetworkInstance(g0=[1.0], gf=np.zeros((0, 1)), h0=[0.0],
@@ -448,13 +470,13 @@ class TestCandidateTable:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = solve_dense(inst, model)
+            row = nominee_row(slot_tables(inst, model), 0)
             solve_sparse(inst, model)
             for regime in ("dense", "sparse"):
                 solve_nash(inst, model, regime)
                 solve_best_channel(inst, model, regime)
-        row = res.diagnostics["candidate_table"][0]
-        assert row.theta.tolist() == [math.inf]
-        assert_allclose(row.boundary_powers, [2e304], rtol=1e-12)
+        assert row["nominees"] == (0,)
+        assert_allclose(row["boundary"], [2e304], rtol=1e-12)
         assert res.active_carriers == (1, 0)
         assert verify_leader_stackelberg(inst, model, res.allocation, "dense").passed
         assert verify_follower(inst, model, 0, res.allocation).passed
@@ -475,13 +497,20 @@ class TestCandidateTable:
             rows.append(NetworkInstance(g0=base.g0, gf=gf, h0=base.h0, hf=base.hf,
                                         sigma2=base.sigma2))
         leader, tables = dense_batch(stack_instances(rows), model)
-        assert tables["theta"].shape == (4, 6, 6) and tables["counts"][1, 0] == 4
+        assert tables["eta"].shape == (4, 6, 6) and tables["counts"][1, 0] == 4
         assert tables["winner_slots"][1] == 4
         for t, inst in enumerate(rows):
             alone, alone_tables = dense_batch(stack_instances((inst,)), model)
-            assert alone_tables["theta"].shape == (1, 6, 6 if t == 1 else 3)
+            assert alone_tables["eta"].shape == (1, 6, 6 if t == 1 else 3)
             assert leader[t].tobytes() == alone[0].tobytes()
-            assert tables["winner_slots"][t] == alone_tables["winner_slots"][0]
+            # every table of the batch of one is the wide batch's, cut to its
+            # width: each carrier's nominees and their slot columns, bit for bit
+            for name, narrow in alone_tables.items():
+                wide = tables[name][t]
+                if wide.ndim == 2:
+                    wide = wide[:, :narrow.shape[-1]]
+                assert wide.dtype == narrow.dtype, name
+                assert wide.tobytes() == narrow[0].tobytes(), name
             # solve_dense reads the same candidate table off the wide batch
             table = solve_dense(inst, model).diagnostics["candidate_table"]
             with monkeypatch.context() as patch:
@@ -497,6 +526,22 @@ class TestCandidateTable:
                     else:
                         assert value == other, name
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=edge_cases())
+    def test_rows_are_the_batch_tables(self, case):
+        """Each row is :func:`dense_batch`'s scored slots at trial 0, bit for bit."""
+        inst, model, _ = case
+        tables = slot_tables(inst, model)
+        table = solve_dense(inst, model).diagnostics["candidate_table"]
+        assert len(table) == inst.carriers
+        for k, cc in enumerate(table):
+            scored = slice(0, cc.stay_limit + 1)
+            assert cc.stay_limit == tables["stay_limit"][k]
+            assert cc.slot_powers.tobytes() == tables["powers"][k, scored].tobytes()
+            assert cc.slot_values.tobytes() == tables["values"][k, scored].tobytes()
+            names = (None, "raise_to_boundary", "infeasible")
+            assert cc.replacements == tuple(names[c] for c in tables["codes"][k, scored])
+
     def test_ratios_past_the_float_range_are_ranked(self, model):
         # both ratios overflow; the larger one (follower 0) ranks first and
         # has the higher boundary, with the rows in either order
@@ -504,9 +549,9 @@ class TestCandidateTable:
         for rows in ([0, 1], [1, 0]):
             inst = NetworkInstance(g0=[1.0] * 3, gf=np.array(gf)[rows], h0=[0.5] * 3,
                                    hf=[[0.5] * 3] * 2, sigma2=1e-6)
-            row = solve_dense(inst, model).diagnostics["candidate_table"][0]
-            assert row.followers == tuple(rows)
-            assert_allclose(row.boundary_powers, [2e304, 1e304], rtol=1e-12)
+            row = nominee_row(slot_tables(inst, model), 0)
+            assert row["nominees"] == tuple(rows)
+            assert_allclose(row["boundary"], [2e304, 1e304], rtol=1e-12)
 
 
 def reference_ranks(instance):
@@ -577,7 +622,6 @@ def reference_carrier(instance, model, k, carrier, rival, switch):
                            key=lambda f: (-switch[f], instance.gf[f, rival[f]] / instance.gf[f, k],
                                           f)), dtype=int)
     gb = instance.gf[rows, k]
-    gs = instance.gf[rows, np.array(rival, dtype=int)[rows]]
     count = len(rows)
     eta = np.cumsum(instance.hf[rows, k] / gb)
     targets = np.array(
@@ -618,10 +662,10 @@ def reference_carrier(instance, model, k, carrier, rival, switch):
         solo_power = solo_value = math.nan
     else:
         solo_power, solo_value = boundary_powers[0], boundary_values[0]
-    return dict(carrier=k, followers=tuple(rows.tolist()), theta=gb / gs, eta=eta,
-                sinr_targets=targets, stays=stays, stay_limit=stay_limit,
+    return dict(carrier=k, nominees=tuple(rows.tolist()), eta=eta,
+                targets=targets, stays=stays, stay_limit=stay_limit,
                 slot_powers=slot_powers, slot_values=slot_values,
-                boundary_powers=boundary_powers, boundary_values=boundary_values,
+                boundary=boundary_powers, boundary_values=boundary_values,
                 replacements=tuple(replacements), solo_power=solo_power,
                 solo_value=solo_value)
 
@@ -654,7 +698,7 @@ def reference_dense(instance, model):
     _, slots, k_hat, leader_power, kind = winner
     alloc[0, k_hat] = leader_power
     denom_shared = instance.sigma2 + instance.h0[k_hat] * leader_power
-    for i, f in enumerate(table[k_hat]["followers"]):
+    for i, f in enumerate(table[k_hat]["nominees"]):
         if i < slots:
             alloc[f + 1, k_hat] = gamma * denom_shared / instance.gf[f, k_hat]
         else:
@@ -692,7 +736,7 @@ class TestScalarReferenceEquivalence:
         value, slots, k_hat, _, kind = winner
         s = d["winner_slots"]
         assert (res.active_carriers[0], s, "shared" if s else "solo") == (k_hat, slots, kind)
-        cc = d["candidate_table"][k_hat]
+        cc, tables = d["candidate_table"][k_hat], slot_tables(inst, model)
         assert_floats_agree(cc.slot_values[s], value)
         # a solo win names no replacement, whatever its cap did
         ref = table[k_hat]
@@ -700,18 +744,18 @@ class TestScalarReferenceEquivalence:
         capped = cc.replacements[s] if s else None
         assert capped == replacement
         assert cc.stay_limit == ref["stay_limit"]
-        target = (float(ref["sinr_targets"][slots - 1])
+        target = (float(ref["targets"][slots - 1])
                   if slots and replacement is None else None)
-        assert (cc.sinr_targets[s - 1] if s and capped is None else None) == target
-        for cc, ref in zip(d["candidate_table"], table, strict=True):
-            assert (cc.carrier, cc.followers, cc.stay_limit) == (
-                ref["carrier"], ref["followers"], ref["stay_limit"])
-            assert cc.stays.tolist() == ref["stays"].tolist()
+        assert (tables["targets"][k_hat, s] if s and capped is None else None) == target
+        for k, (cc, ref) in enumerate(zip(d["candidate_table"], table, strict=True)):
+            row = nominee_row(tables, k)
+            assert (k, row["nominees"], cc.stay_limit) == (
+                ref["carrier"], ref["nominees"], ref["stay_limit"])
+            assert row["stays"].tolist() == ref["stays"].tolist()
             # slot 0 is the solo candidate; shared slots shift up by one
             assert cc.replacements[1:] == ref["replacements"]
-            for name in ("theta", "eta", "sinr_targets", "boundary_powers",
-                         "boundary_values"):
-                assert_floats_agree(getattr(cc, name), ref[name])
+            for name in ("eta", "targets", "boundary", "boundary_values"):
+                assert_floats_agree(row[name], ref[name])
             solo_power, solo_value = ref["solo_power"], ref["solo_value"]
             if cc.replacements[0] == "infeasible":
                 # the reference blanks an infeasible solo; the row keeps

@@ -422,11 +422,16 @@ class TestCsvRoundTrip:
         path.write_bytes(path.read_bytes().rstrip(b"\n"))
         assert read_records(path) == records
 
-    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1), (2, 0, 1), (0, 0, 1)])
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1), (2, 0, 1), (0, 0, 1), (0, 3, 1),
+                                       (4, 0, 2), (0, 0, 4, 3)])
     def test_malformed_row_is_the_first_bad_line(self, tmp_path, order):
         good = reference_line(synth_record())
-        # good rows, an unknown scheme and a short row; the last line has no newline
-        lines = [good, good.replace("stackelberg", "bogus", 1), "stackelberg,dense"]
+        assert good.endswith(",true,")
+        # good rows, an unknown scheme, a short row, and a converged and a
+        # verified cell no sweep writes (an upper-case TRUE read as false);
+        # the last line has no newline
+        lines = [good, good.replace("stackelberg", "bogus", 1), "stackelberg,dense",
+                 good[:-len("true,")] + "TRUE,", good + "ok"]
         lines = [lines[i] for i in order]
         path = tmp_path / "bad.csv"
         path.write_text("\n".join([CSV_HEADER, *lines]))

@@ -13,7 +13,7 @@ interference seen there.  The schemes differ in how carriers are chosen:
   closed form and exists exactly when ``b < 1``; its overflow is named.
 
 Both run on every trial of a batch (:func:`nash_batch`, :func:`best_channel_batch`),
-each trial ending in a stop code, an index into ``_STOPS``; :func:`solve_nash` and
+each trial ending in a stop code, an index into :data:`model.STOPS`; :func:`solve_nash` and
 :func:`solve_best_channel` are their one-instance calls, with reports.  All four need a regime.
 """
 
@@ -24,18 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .efficiency import EfficiencyModel
-from .model import (
-    EquilibriumResult,
-    NetworkInstance,
-    _heard,
-    best_response,
-    empty_allocation,
-    hears_followers,
-    leader_interference,
-    make_result,
-    respond,
-    stack_instances,
-)
+from .model import (CAP, CONVERGED, CYCLE, INFEASIBLE, OVERFLOW, STOPS, EquilibriumResult,
+                    NetworkInstance, _heard, best_response, empty_allocation, hears_followers,
+                    leader_interference, make_result, respond, stack_instances)
 
 __all__ = ["IterationReport", "nash_batch", "solve_nash", "best_channel_batch",
            "solve_best_channel"]
@@ -53,10 +44,6 @@ class IterationReport:
     stop: str
 
 
-_STOPS = ("converged", "cycle", "overflow", "cap", "infeasible")
-_CONVERGED, _CYCLE, _OVERFLOW, _CAP, _INFEASIBLE = range(len(_STOPS))
-
-
 def _iterate(step, alloc: np.ndarray, max_iter: int, tol: float):
     """Apply the in-place sweep ``step`` to every trial's iterate, row ``t``
     of ``alloc``, until the row's largest power change drops below ``tol``
@@ -70,7 +57,7 @@ def _iterate(step, alloc: np.ndarray, max_iter: int, tol: float):
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     rows = len(alloc)
-    stop = np.full(rows, _CAP)
+    stop = np.full(rows, CAP)
     sweeps, running = np.zeros(rows, dtype=int), np.ones(rows, dtype=bool)
     checkpoint, mark, sweep = None, 0, 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -80,20 +67,20 @@ def _iterate(step, alloc: np.ndarray, max_iter: int, tol: float):
             step(alloc)
             sweeps += running
             finite = np.isfinite(alloc).all(axis=(1, 2))
-            stop[running & ~finite] = _OVERFLOW
+            stop[running & ~finite] = OVERFLOW
             running &= finite
             np.copyto(alloc, previous, where=~running[:, None, None])
             moved = np.abs(alloc - previous).max(axis=(1, 2))
             done = running & (moved < tol * alloc.max(axis=(1, 2)))
-            stop[done] = _CONVERGED
+            stop[done] = CONVERGED
             running &= ~done
             if checkpoint is not None:
                 # rows still looking whose bytes repeat the checkpoint passed
                 # every check over sweeps mark+1..sweep and repeat with this
                 # period; jump by whole periods
                 same = (alloc.view(np.int64) == checkpoint).all(axis=(1, 2))
-                repeat = running & (stop == _CAP) & same
-                stop[repeat] = _CYCLE
+                repeat = running & (stop == CAP) & same
+                stop[repeat] = CYCLE
                 sweeps[repeat] = max_iter - (max_iter - sweep) % (sweep - mark)
             if sweep & (sweep - 1) == 0:
                 checkpoint, mark = alloc.view(np.int64).copy(), sweep
@@ -137,7 +124,7 @@ def solve_nash(
     alloc, *run = nash_batch(stack_instances((instance,)), model, regime, max_iter, tol)
     stop, sweeps = (x.item() for x in run)  # reports hold Python values
     return (make_result(instance, model, alloc[0], regime),
-            IterationReport(stop == _CONVERGED, sweeps, _STOPS[stop]))
+            IterationReport(stop == CONVERGED, sweeps, STOPS[stop]))
 
 
 def best_channel_batch(batch: NetworkInstance, model: EfficiencyModel, regime: str):
@@ -150,15 +137,8 @@ def best_channel_batch(batch: NetworkInstance, model: EfficiencyModel, regime: s
     k0 = pins[:, 0]
     coupled = (pins[:, 1:] == k0[:, None]) & hears_followers(regime)
     with np.errstate(over="ignore", invalid="ignore"):  # a subnormal gain can overflow
-        # eta sums the coupled followers' hf/gf as one array of just those
-        # terms, so its rounding does not depend on where they sit among F
-        terms = np.divide(batch.hf[rows, :, k0], batch.gf[rows, :, k0],
-                          out=np.zeros(coupled.shape), where=coupled)
-        terms = np.take_along_axis(terms, np.argsort(~coupled, axis=1, kind="stable"), axis=1)
-        sizes = coupled.sum(axis=1)
-        eta = np.zeros(batch.trials)
-        for size in set(sizes.tolist()):  # not np.unique, which imports numpy.ma
-            eta[sizes == size] = terms[sizes == size, :size].sum(axis=1)
+        eta = np.divide(batch.hf[rows, :, k0], batch.gf[rows, :, k0],
+                        out=np.zeros(coupled.shape), where=coupled).sum(axis=1)
         g0k = g0[rows, k0]
         b = gamma * gamma * h0[rows, k0] * eta / g0k
         feasible = b < 1.0
@@ -170,7 +150,7 @@ def best_channel_batch(batch: NetworkInstance, model: EfficiencyModel, regime: s
         powers = gamma * (sigma2[:, None] + heard) / batch.gf[trial, followers, k]
     alloc[trial, followers + 1, k] = np.where(coupled & ~feasible[:, None], 0.0, powers)
     converged = feasible & np.isfinite(alloc).all(axis=(1, 2))
-    stop = np.where(converged, _CONVERGED, np.where(b >= 1.0, _INFEASIBLE, _OVERFLOW))
+    stop = np.where(converged, CONVERGED, np.where(b >= 1.0, INFEASIBLE, OVERFLOW))
     return np.nan_to_num(alloc, nan=0.0, posinf=0.0), stop, pins, b
 
 
@@ -197,6 +177,6 @@ def solve_best_channel(
     naming the carrier of an all-zero row; ``diagnostics["feedback_gain"]`` is ``b``.
     """
     alloc, (stop,), pins, b = best_channel_batch(stack_instances((instance,)), model, regime)
-    report = IterationReport(bool(stop == _CONVERGED), 0, _STOPS[stop])
+    report = IterationReport(bool(stop == CONVERGED), 0, STOPS[stop])
     diagnostics = {"pinned_carriers": tuple(pins[0].tolist()), "feedback_gain": float(b[0])}
     return make_result(instance, model, alloc[0], regime, diagnostics), report

@@ -12,11 +12,11 @@ Scenario flags are the :class:`~hetnet_ee.harness.ScenarioConfig` fields
 config file passed with ``--config``, whose keys are the field names.  SNR
 ranges use ``start:stop:step`` in dB; list-valued values (carriers,
 schemes, rates) are comma-separated.  A bad value, an unreadable or foreign
-``--input`` CSV, a malformed row (an unknown scheme or regime, or for
-``verify`` a trial whose instance cannot be built or has fewer than two
-carriers), or a ``verify --rates`` list that does not fit a row's F exits
-with status 2.  The parser is built on the first :func:`main` call and
-kept; each call runs ``_cmd_<command>``.
+``--input`` CSV, an unwritable ``--output``, a malformed row (an unknown
+scheme or regime, or for ``verify`` a trial whose instance cannot be built
+or has fewer than two carriers), or a ``verify --rates`` list that does not
+fit a row's F exits with status 2.  The parser is built on the first
+:func:`main` call and kept; each call runs ``_cmd_<command>``.
 """
 
 from __future__ import annotations
@@ -84,8 +84,15 @@ def _read_input(path):
         raise argparse.ArgumentError(None, f"cannot read --input {path}: {exc}") from None
 
 
+def _unwritable(path, exc: OSError) -> argparse.ArgumentError:
+    return argparse.ArgumentError(None, f"cannot write --output {path}: {exc}")
+
+
 def _cmd_sweep(args: argparse.Namespace, config: ScenarioConfig) -> int:
-    count = write_records(run_sweep(config), config.output_path)
+    try:  # the file opens before the sweep yields its first record
+        count = write_records(run_sweep(config), config.output_path)
+    except OSError as exc:
+        raise _unwritable(config.output_path, exc) from None
     print(f"wrote {count} records to {config.output_path}")
     return 0
 
@@ -98,8 +105,11 @@ def _cmd_summarize(args: argparse.Namespace, config: ScenarioConfig) -> int:
     if args.output == "-":
         write_summary(rows, sys.stdout)
     else:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            write_summary(rows, fh)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+                write_summary(rows, fh)
+        except OSError as exc:
+            raise _unwritable(args.output, exc) from None
         print(f"wrote {len(rows)} summary rows to {args.output}")
     for scheme in sorted({r.scheme for r in rows}):
         for side in ("leader", "follower"):

@@ -35,10 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import _CONVERGED, _OVERFLOW, _STOPS
 from .efficiency import EfficiencyModel, optimal_sinr_with_feedback
-from .model import (EquilibriumResult, NetworkInstance, best_response, hears_followers,
-                    make_result, respond, stack_instances, switches)
+from .model import (CONVERGED, OVERFLOW, STOPS, EquilibriumResult, NetworkInstance, best_response,
+                    hears_followers, make_result, respond, stack_instances, switches)
 
 __all__ = ["CarrierCandidates", "dense_batch", "stackelberg_batch", "solve_dense"]
 
@@ -181,7 +180,7 @@ def stackelberg_batch(batch: NetworkInstance, model: EfficiencyModel, regime: st
     if not dense:  # the leader's carrier, then the followers'
         extras = np.concatenate([extras[:, None], carriers], axis=1)
     alloc = np.concatenate([leader[:, None], followers], axis=1)
-    stop = np.where(np.isfinite(alloc).all(axis=(1, 2)), _CONVERGED, _OVERFLOW)
+    stop = np.where(np.isfinite(alloc).all(axis=(1, 2)), CONVERGED, OVERFLOW)
     return alloc, stop, extras
 
 
@@ -202,5 +201,5 @@ def solve_dense(instance: NetworkInstance, model: EfficiencyModel) -> Equilibriu
                           tuple(_REPLACEMENTS[codes[k, :limit + 1]]))
         for k, limit in enumerate(tables["stay_limit"][0].tolist()))
     diagnostics = {"candidate_table": candidate_table,
-                   "winner_slots": int(tables["winner_slots"][0]), "stop": _STOPS[stop]}
+                   "winner_slots": int(tables["winner_slots"][0]), "stop": STOPS[stop]}
     return make_result(instance, model, alloc[0], "dense", diagnostics)

@@ -38,11 +38,11 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .baselines import _CONVERGED, best_channel_batch, nash_batch
+from .baselines import best_channel_batch, nash_batch
 from .dense import stackelberg_batch
 from .efficiency import EfficiencyModel
-from .model import REGIMES, _noise_power, _seed_words, hears_followers, outcomes, sample_batch
-from .model import stack_instances
+from .model import (CONVERGED, REGIMES, _noise_power, _seed_words, hears_followers, outcomes,
+                    sample_batch, stack_instances)
 from .oracle import TOL, Checks, nash_checks, stackelberg_checks
 
 __all__ = [
@@ -98,12 +98,16 @@ def _snr_points(text: str) -> tuple:
     """Accept 'start:stop:step', a single value, or a comma list (dB)."""
     if ":" in text:
         start, stop, step = (float(p) for p in text.split(":"))
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"SNR range {text!r} must be finite")
         if step <= 0:
             raise ValueError("SNR step must be positive")
         points = []
         value = start
         while value <= stop + 1e-9:
             points.append(round(value, 12))
+            if value + step == value:
+                raise ValueError(f"SNR step of {text!r} does not move past {value!r} dB")
             value += step
         return tuple(points)
     return tuple(float(part) for part in _split(text))
@@ -247,7 +251,7 @@ def run_batch(scheme: str, batch, model, regime: str):
     """Run one scheme on every trial of a batch by its batch core; returns the allocations
     ``(T, F+1, K)`` and whether each trial's stop code is ``"converged"`` ``(T,)``."""
     alloc, stop = _scheme(scheme)[0](batch, model, regime)[:2]
-    return alloc, stop == _CONVERGED
+    return alloc, stop == CONVERGED
 
 
 def verify_batch(scheme: str, batch, model, allocation, converged, regime: str,

@@ -14,7 +14,8 @@ player best-responds by one rule, :func:`best_response`, and
 stacked on a leading trial axis; the same functions take it and then
 return arrays with that axis first.  The solvers work on batches, a
 single instance is the batch of one, and every sampled one comes from
-:func:`sample_batch`.
+:func:`sample_batch`.  Every scheme's batch core ends each trial in a stop
+code, an index into :data:`STOPS`.
 
 Two interference regimes, told apart by :func:`hears_followers` alone and
 never defaulted, share the follower SINR but differ for the leader:
@@ -41,6 +42,7 @@ from .efficiency import EfficiencyModel
 
 __all__ = [
     "REGIMES",
+    "STOPS",
     "NetworkInstance",
     "EquilibriumResult",
     "empty_allocation",
@@ -61,6 +63,8 @@ __all__ = [
 ]
 
 REGIMES = ("sparse", "dense")
+STOPS = ("converged", "cycle", "overflow", "cap", "infeasible")
+CONVERGED, CYCLE, OVERFLOW, CAP, INFEASIBLE = range(len(STOPS))
 _INF_BITS = int(np.float64(np.inf).view(np.int64))
 
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .baselines import _STOPS
 from .dense import stackelberg_batch
 from .efficiency import EfficiencyModel
-from .model import EquilibriumResult, NetworkInstance, best_response, make_result, stack_instances
+from .model import (STOPS, EquilibriumResult, NetworkInstance, best_response, make_result,
+                    stack_instances)
 
 __all__ = ["solve_sparse"]
 
@@ -43,5 +43,5 @@ def solve_sparse(instance: NetworkInstance, model: EfficiencyModel) -> Equilibri
     contended = best_response(instance.gf, instance.sigma2, model.gamma)[1] == leader
     move = contended & (chosen != leader)
     diagnostics = {"follower_branches": tuple(_BRANCHES[contended * 1 + move].tolist()),
-                   "stop": _STOPS[stop]}
+                   "stop": STOPS[stop]}
     return make_result(instance, model, alloc[0], "sparse", diagnostics)

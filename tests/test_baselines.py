@@ -27,6 +27,8 @@ from hetnet_ee import (
 from hetnet_ee import baselines, harness
 from hetnet_ee.baselines import IterationReport, nash_batch
 from hetnet_ee.model import (
+    CONVERGED,
+    STOPS,
     all_utilities,
     best_response,
     denominators,
@@ -73,13 +75,13 @@ def plain_batch_iterate(step, alloc, max_iter, tol):
     call, returned as the batch loop returns it: the stop code and sweeps
     of each trial."""
     alloc, report = plain_iterate(step, alloc, max_iter, tol)
-    run = baselines._STOPS.index(report.stop), report.iterations
+    run = STOPS.index(report.stop), report.iterations
     return alloc, *(np.array([value]) for value in run)
 
 
 def batch_reports(stop, sweeps):
     """A batch core's per-trial arrays as one ``IterationReport`` per trial."""
-    return [IterationReport(s == baselines._CONVERGED, n, baselines._STOPS[s])
+    return [IterationReport(s == CONVERGED, n, STOPS[s])
             for s, n in zip(stop.tolist(), sweeps.tolist())]
 
 
@@ -220,7 +222,7 @@ class TestCycleSkip:
         inst, model, _ = case
         for regime in ("dense", "sparse"):
             for solve in (solve_nash, solve_best_channel):
-                assert solve(inst, model, regime)[1].stop in baselines._STOPS
+                assert solve(inst, model, regime)[1].stop in STOPS
 
 
 class TestNashDynamics:
@@ -385,7 +387,7 @@ class TestBestChannel:
         assert_allclose(res.allocation[1, k], GAMMA * 1e6 / gf[0][k], rtol=1e-12)
         assert np.all(np.isfinite(res.utilities))
         # a trial beside it in a batch is untouched
-        converged = stop == baselines._CONVERGED
+        converged = stop == CONVERGED
         assert converged.tolist() == [True, False]
         single, _, _, _ = baselines.best_channel_batch(stack_instances([normal]), model, regime)
         assert alloc[0].tobytes() == single[0].tobytes()
@@ -401,7 +403,7 @@ class TestBestChannel:
             warnings.simplefilter("error")
             _, stop, _, b = baselines.best_channel_batch(stack_instances([inst]), model, regime)
             res, report = solve_best_channel(inst, model, regime)
-        assert [baselines._STOPS[s] for s in stop] == ["overflow"]
+        assert [STOPS[s] for s in stop] == ["overflow"]
         assert not report.converged and report.stop == "overflow"
         assert np.array_equal(b, [feedback_gain], equal_nan=True)
         assert np.array_equal(res.diagnostics["feedback_gain"], feedback_gain, equal_nan=True)

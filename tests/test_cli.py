@@ -161,6 +161,14 @@ class TestScenarioFlags:
         (("--snr-db", "inf"), "inf"),
         (("--snr-db=-inf",), "-inf"),
         (("--snr-db", "4000"), "4000"),
+        # ranges whose points never pass the stop
+        (("--snr-db=0:inf:5",), "'0:inf:5'"),
+        (("--snr-db=-inf:0:5",), "'-inf:0:5'"),
+        (("--snr-db=0:10:nan",), "'0:10:nan'"),
+        (("--snr-db=1e17:1e17:1",), "'1e17:1e17:1'"),
+        (("--snr-db=5:5:1e-300",), "'5:5:1e-300'"),
+        # 1 moves every point up to 2**53, and none past it
+        (("--snr-db=9007199254740990:9007199254740999:1",), "past 9007199254740992.0"),
         # a nan tolerance fails every check and an infinite one passes all
         (("verify", "--tolerance", "nan"), "'nan'"),
         (("verify", "--tolerance", "inf"), "'inf'"),
@@ -168,7 +176,9 @@ class TestScenarioFlags:
     ], ids=["trials", "followers", "regime", "carriers", "m_exponent", "mean_signal",
             "infinite_mean_signal", "mean_cross", "rates_count", "rate_sign",
             "negative_followers", "negative_seed", "nan_snr", "infinite_snr",
-            "negative_infinite_snr", "noise_underflow", "nan_tolerance",
+            "negative_infinite_snr", "noise_underflow", "infinite_snr_stop",
+            "negative_infinite_snr_start", "nan_snr_step", "stalled_snr_step",
+            "tiny_snr_step", "snr_step_stalled_midway", "nan_tolerance",
             "infinite_tolerance", "negative_infinite_tolerance"])
     def test_bad_flag_value_exits_2(self, tmp_path, capsys, args, value):
         """`sweep` flags, and `verify` flags on a CSV that verifies."""
@@ -185,7 +195,7 @@ class TestScenarioFlags:
         assert captured.out == ""
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("line", ["trials=0", "verify_grid=300", "carriers"])
+    @pytest.mark.parametrize("line", ["trials=0", "verify_grid=300", "carriers", "snr_db=0:inf:5"])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
@@ -520,6 +530,20 @@ class TestBadInput:
         assert exit_info.value.code == 2
         error = capsys.readouterr().err.splitlines()[-1]
         assert error.startswith(f"hetnet-ee {command}: error: cannot read --input {path}: ")
+
+    @pytest.mark.parametrize("command", ["sweep", "summarize"])
+    @pytest.mark.parametrize("target", ["missing_directory", "directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command, target):
+        path = tmp_path / "absent" / "out.csv" if target == "missing_directory" else tmp_path
+        args = (("--carriers", "2", "--followers", "1", "--snr-db", "0", "--trials", "1")
+                if command == "sweep" else ("--input", str(DATA / "verify_small.csv")))
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(command, *args, "--output", str(path))
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(
+            f"hetnet-ee {command}: error: cannot write --output {path}: ")
 
     @pytest.mark.parametrize("end", ["", "\n"])
     def test_header_only_input(self, tmp_path, capsys, end):

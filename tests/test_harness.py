@@ -85,6 +85,15 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="SNR step must be positive"):
             config_from_values({}, {"snr_db": "0:10:0"})
 
+    @pytest.mark.parametrize("text, points", [
+        ("-5:25:5", (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0)),
+        ("0:1:0.1", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)),
+        ("0.5:2:0.7", (0.5, 1.2, 1.9)),
+        ("10:10:1", (10.0,)),
+    ])
+    def test_snr_range_points(self, text, points):
+        assert config_from_values({}, {"snr_db": text}).snr_db == points
+
     @pytest.mark.parametrize("rates", [2.0, (1.0, 2.0)])
     def test_accepts_rates_that_fit(self, rates):
         assert tiny_config(rates=rates).rates == rates

@@ -673,3 +673,37 @@ class TestRegimeSwitch:
                    for line in path.read_text(encoding="utf-8").splitlines()
                    if "regime must be one of" in line]
         assert raising == ["model"]
+
+
+def package_imports(source: str) -> set:
+    """The names of the package's modules that ``source`` imports, in any form."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("hetnet_ee.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.startswith("hetnet_ee"):
+                module = module[len("hetnet_ee."):]
+            elif node.level == 0:
+                continue
+            found |= ({module.split(".")[0]} if module
+                      else {alias.name for alias in node.names})
+    return found
+
+
+class TestLayering:
+    """The solvers and certificates sit below the comparison schemes: the
+    stop table they share lives in ``model``."""
+
+    def test_the_guard_sees_every_form(self):
+        source = ("from .baselines import x\nfrom . import baselines\n"
+                  "from hetnet_ee.dense import y\nimport hetnet_ee.oracle\n"
+                  "from hetnet_ee import sparse\nimport numpy\nfrom numpy import zeros\n")
+        assert package_imports(source) == {"baselines", "dense", "oracle", "sparse"}
+
+    @pytest.mark.parametrize("stem", ["model", "efficiency", "dense", "sparse", "oracle"])
+    def test_no_solver_imports_the_baselines(self, stem):
+        (path,) = (path for path in SOURCES if path.stem == stem)
+        assert "baselines" not in package_imports(path.read_text(encoding="utf-8"))

@@ -14,9 +14,11 @@ ranges use ``start:stop:step`` in dB; list-valued values (carriers,
 schemes, rates) are comma-separated.  A bad value, an unreadable or foreign
 ``--input`` CSV, an unwritable ``--output``, a malformed row (an unknown
 scheme or regime, or for ``verify`` a trial whose instance cannot be built
-or has fewer than two carriers), or a ``verify --rates`` list that does not
-fit a row's F exits with status 2.  The parser is built on the first
-:func:`main` call and kept; each call runs ``_cmd_<command>``.
+or has fewer than two carriers), a ``sweep`` trial whose gains cannot be
+drawn (past the float range), or a ``verify --rates`` list that does not
+fit a row's F exits with status 2; ``verify`` checks each row's own SNR.
+The parser is built on the first :func:`main` call and kept; each call
+runs ``_cmd_<command>``.
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ from dataclasses import fields
 from .efficiency import optimal_sinr
 from .harness import (
     ScenarioConfig,
+    UndrawableTrial,
     carrier_trend,
     chunked,
     config_from_values,
+    draw_batch,
     load_config_file,
     read_records,
     run_batch,
@@ -42,7 +46,6 @@ from .harness import (
     write_records,
     write_summary,
 )
-from .model import sample_batch
 from .oracle import TOL
 
 _SCENARIO = tuple(f.name for f in fields(ScenarioConfig))
@@ -61,10 +64,13 @@ def _build_config(args: argparse.Namespace) -> ScenarioConfig:
     config = getattr(args, "config", None)
     file_values = load_config_file(config) if config else {}
     overrides = {name: getattr(args, name, None) for name in _SCENARIO}
-    if args.command == "verify" and args.rates is not None:
-        # no --followers here (each CSV row has its F): check the list by itself
-        players = len(args.rates.split(","))
-        overrides.update(followers=str(players - 1), carriers=str(max(players, 2)))
+    if args.command == "verify":
+        # each CSV row has its own F and SNR, checked as it is rebuilt; at 0 dB
+        # the noise power is mean_signal, which the config checks by itself
+        overrides.update(snr_db="0")
+        if args.rates is not None:  # check the list by itself
+            players = len(args.rates.split(","))
+            overrides.update(followers=str(players - 1), carriers=str(max(players, 2)))
     return config_from_values(file_values, overrides)
 
 
@@ -93,6 +99,8 @@ def _cmd_sweep(args: argparse.Namespace, config: ScenarioConfig) -> int:
         count = write_records(run_sweep(config), config.output_path)
     except OSError as exc:
         raise _unwritable(config.output_path, exc) from None
+    except UndrawableTrial as exc:  # earlier chunks' rows stay
+        raise argparse.ArgumentError(None, f"cannot draw {exc}") from None
     print(f"wrote {count} records to {config.output_path}")
     return 0
 
@@ -148,28 +156,20 @@ def _cmd_verify(args: argparse.Namespace, config: ScenarioConfig) -> int:
         groups.setdefault((key[0], key[1], key[3], key[4]), []).append(key)
     model = config.model()
     for (scheme, regime, carriers, followers), keys in groups.items():
-        def rebuild(rows):
-            return sample_batch(carriers, followers, seeds=[key[6] for key in rows],
-                                snr_db=[key[2] for key in rows], mean_signal=config.mean_signal,
-                                mean_cross=config.mean_cross, rates=config.rates)
-
-        def unreadable(key, reason):
+        def unreadable(reason):
             return argparse.ArgumentError(
-                None, f"cannot read --input {args.input}: row with K={carriers} F={followers} "
-                      f"trial={key[5]} seed={key[6]} snr_db={key[2]:g}: {reason}")
+                None, f"cannot read --input {args.input}: row with {reason}")
 
         if carriers < 2:  # ScenarioConfig rejects it, so no sweep writes one
-            raise unreadable(keys[0], f"carrier count {carriers} < 2")
+            _, _, snr_db, _, _, trial, seed = keys[0]
+            raise unreadable(f"K={carriers} F={followers} trial={trial} seed={seed} "
+                             f"snr_db={snr_db:g}: carrier count {carriers} < 2")
         for chunk in chunked(keys, carriers, followers):
+            _, _, snr_db, _, _, labels, seeds = zip(*chunk)
             try:
-                batch = rebuild(chunk)
-            except ValueError:
-                # name the chunk's first row that cannot be rebuilt by itself
-                for key in chunk:
-                    try:
-                        rebuild([key])
-                    except ValueError as exc:
-                        raise unreadable(key, exc) from None
+                batch = draw_batch(config, carriers, followers, seeds, snr_db, labels)
+            except UndrawableTrial as exc:  # the chunk's first row that cannot be drawn
+                raise unreadable(exc) from None
             alloc, converged = run_batch(scheme, batch, model, regime)
             checks = verify_batch(scheme, batch, model, alloc, converged, regime, args.tolerance)
             rows = zip(checks.claims.tolist(), checks.gains.tolist(), checks.passed.tolist())

@@ -169,19 +169,15 @@ def stackelberg_batch(batch: NetworkInstance, model: EfficiencyModel, regime: st
     """Every trial's Stackelberg equilibrium: the regime's leader row and
     every follower's :func:`model.respond` row to it.  Returns the allocations
     ``(T, F+1, K)``, the stop codes ``(T,)`` (``"overflow"`` past the float
-    range, else ``"converged"``) and the extras: the slot tables of
-    :func:`dense_batch`, or in the sparse regime every player's carrier ``(T, F+1)``."""
+    range, else ``"converged"``) and the slot tables of :func:`dense_batch`,
+    an empty dict in the sparse regime."""
     if batch.carriers < 2:
         raise ValueError("a stackelberg leader needs two carriers to choose from")
-    dense = hears_followers(regime)
-    leader, extras = (dense_batch(batch, model) if dense
-                      else best_response(batch.g0, batch.sigma2, model.gamma))
-    followers, carriers = respond(batch, leader, model.gamma)
-    if not dense:  # the leader's carrier, then the followers'
-        extras = np.concatenate([extras[:, None], carriers], axis=1)
-    alloc = np.concatenate([leader[:, None], followers], axis=1)
+    leader, tables = (dense_batch(batch, model) if hears_followers(regime)
+                      else (best_response(batch.g0, batch.sigma2, model.gamma)[0], {}))
+    alloc = np.concatenate([leader[:, None], respond(batch, leader, model.gamma)[0]], axis=1)
     stop = np.where(np.isfinite(alloc).all(axis=(1, 2)), CONVERGED, OVERFLOW)
-    return alloc, stop, extras
+    return alloc, stop, tables
 
 
 def solve_dense(instance: NetworkInstance, model: EfficiencyModel) -> EquilibriumResult:

@@ -24,7 +24,8 @@ configurable fraction of trials that get re-certified by the deviation
 oracles, as one batch per chunk and scheme (equilibrium claims only: the
 best-channel heuristic and a run that did not converge, an overflowing
 stackelberg one too, claim none, so their records are never marked).  A scheme that raises
-stops the sweep before its chunk yields a record.  :func:`summarize` and
+stops the sweep before its chunk yields a record, as does a trial that
+cannot be drawn, which :func:`draw_batch` names.  :func:`summarize` and
 :func:`paired_gap` read records by one grouping, by point and then by run,
 a ``(trial, seed)`` pair, so several sweeps' records can be read together.
 """
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
@@ -56,6 +58,8 @@ __all__ = [
     "run_batch",
     "run_sweep",
     "chunked",
+    "draw_batch",
+    "UndrawableTrial",
     "verify_batch",
     "write_records",
     "read_records",
@@ -280,15 +284,38 @@ def chunked(trials: list, carriers: int, followers: int) -> Iterator[list]:
         yield trials[start:start + size]
 
 
+class UndrawableTrial(ValueError):
+    """A trial whose instance cannot be drawn, named by :func:`draw_batch`."""
+
+
+def draw_batch(config: ScenarioConfig, carriers: int, followers: int, seeds: list,
+               snr_db: list, trials: list):
+    """:func:`~hetnet_ee.model.sample_batch` of ``seeds`` at ``snr_db`` with
+    ``config``'s gains and rates.  A trial that cannot be drawn (a gain or
+    noise power 0 or past the float range, a NaN SNR, a bad seed) raises
+    :class:`UndrawableTrial` naming the first, ``K= F= trial= seed= snr_db=:
+    reason``, labelled by ``trials``."""
+    draw = partial(sample_batch, carriers, followers, mean_signal=config.mean_signal,
+                   mean_cross=config.mean_cross, rates=config.rates)
+    try:
+        return draw(seeds=seeds, snr_db=snr_db)
+    except ValueError:
+        for trial, seed, snr in zip(trials, seeds, snr_db):  # each by itself
+            try:
+                draw(seeds=[seed], snr_db=[snr])
+            except ValueError as exc:
+                raise UndrawableTrial(f"K={carriers} F={followers} trial={trial} seed={seed} "
+                                      f"snr_db={snr:g}: {exc}") from None
+        raise
+
+
 def _chunk_records(config: ScenarioConfig, model, carriers: int, chunk: list, seeds: list,
                    picked: list):
     """The records of one chunk of ``(point_index, snr_db, trial)`` triples
     of one carrier count, solved as one batch drawn from their ``seeds``;
     ``picked`` trials are verified inline."""
-    batch = sample_batch(
-        carriers, config.followers, seeds=seeds, snr_db=[snr for _, snr, _ in chunk],
-        mean_signal=config.mean_signal, mean_cross=config.mean_cross, rates=config.rates,
-    )
+    batch = draw_batch(config, carriers, config.followers, seeds,
+                       [snr for _, snr, _ in chunk], [trial for _, _, trial in chunk])
     regime, followers, players = config.regime, config.followers, batch.players
     # the trials picked for inline verification, checked as one batch
     sample = stack_instances([batch.instance(t) for t in picked]) if picked else None

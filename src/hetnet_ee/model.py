@@ -488,8 +488,9 @@ def sample_batch(
     draws = np.empty((len(states), 2 if mean_cross > 0 else 1, followers + 1, carriers))
     for row, state in zip(draws, states):
         Generator(PCG64(_Hashed(state))).standard_exponential(out=row)
-    own = draws[:, 0] * mean_signal
-    cross = draws[:, 1] * mean_cross if mean_cross > 0 else np.zeros_like(own)
+    with np.errstate(over="ignore"):  # a gain past the float range: NetworkInstance names it
+        own = draws[:, 0] * mean_signal
+        cross = draws[:, 1] * mean_cross if mean_cross > 0 else np.zeros_like(own)
     sigma2 = np.array([_noise_power(mean_signal, snr) for snr in snr_db])[:, None]
     rates = np.broadcast_to(np.asarray(1.0 if rates is None else rates, dtype=float),
                             (len(own), followers + 1))

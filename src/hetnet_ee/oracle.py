@@ -58,7 +58,7 @@ the best is the leader's best deviation, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional
 
@@ -265,12 +265,9 @@ def _one(instance, allocation):
 
 def verify_follower(instance: NetworkInstance, model: EfficiencyModel, f: int, allocation,
                     tol: float = TOL) -> DeviationReport:
-    """Unilateral deviation check of follower ``f`` (player ``f+1``); its
-    SINR depends only on the leader's row, so this holds in both regimes."""
-    batch, allocation = _one(instance, allocation)
-    checks = Checks(all_utilities(batch, model, allocation, "dense")[:, [f + 1]],
-                    *_unilateral(batch, model, [f + 1], allocation, "dense"), ("bound",), tol)
-    return replace(checks.reports(0)[0], player=f + 1)  # the one row computed
+    """Unilateral deviation check of follower ``f``, player ``f+1``'s row of
+    :func:`verify_nash`, which reads only the leader's row in either regime."""
+    return verify_nash(instance, model, allocation, "dense", tol)[f + 1]
 
 
 def verify_leader_stackelberg(instance: NetworkInstance, model: EfficiencyModel, allocation,

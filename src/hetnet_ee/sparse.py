@@ -10,7 +10,7 @@ carrier.  A follower exactly indifferent between two carriers takes the
 lower-indexed one, as every best response does.
 
 :func:`solve_sparse` is :func:`dense.stackelberg_batch`'s sparse regime on a
-batch of one, with each follower's branch as diagnostics.
+batch of one, with each follower's branch by those two rules as diagnostics.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .dense import stackelberg_batch
 from .efficiency import EfficiencyModel
 from .model import (STOPS, EquilibriumResult, NetworkInstance, best_response, make_result,
-                    stack_instances)
+                    respond, stack_instances)
 
 __all__ = ["solve_sparse"]
 
@@ -37,8 +37,9 @@ def solve_sparse(instance: NetworkInstance, model: EfficiencyModel) -> Equilibri
     ``"move"`` (leaves the leader's carrier).  ``diagnostics["stop"]`` is
     ``"converged"``, or ``"overflow"`` when a power passes the float range.
     """
-    alloc, (stop,), carriers = stackelberg_batch(stack_instances((instance,)), model, "sparse")
-    leader, chosen = carriers[0, 0], carriers[0, 1:]
+    alloc, (stop,), _ = stackelberg_batch(stack_instances((instance,)), model, "sparse")
+    leader = best_response(instance.g0, instance.sigma2, model.gamma)[1]
+    chosen = respond(instance, alloc[0, 0], model.gamma)[1]
     # each follower's carrier at zero leader power
     contended = best_response(instance.gf, instance.sigma2, model.gamma)[1] == leader
     move = contended & (chosen != leader)

@@ -205,7 +205,10 @@ class TestScenarioFlags:
         assert "error:" in capsys.readouterr().err
 
     def test_verify_and_gamma_default_to_the_scenario(self, monkeypatch):
-        assert built_config(monkeypatch, "verify", "--input", "x.csv") == ScenarioConfig()
+        # verify checks each row's own SNR; its config holds 0 dB, where the
+        # noise power is mean_signal
+        assert built_config(monkeypatch, "verify", "--input", "x.csv") == \
+            ScenarioConfig(snr_db=(0.0,))
         assert built_config(monkeypatch, "gamma") == ScenarioConfig()
 
     def test_scheme_errors_keep_their_traceback(self, tmp_path, monkeypatch, capsys):
@@ -222,6 +225,11 @@ class TestScenarioFlags:
                     "--trials", "1", "--output", str(tmp_path / "x.csv"))
         with pytest.raises(ZeroDivisionError, match="solver bug"):
             run_cli("verify", "--input", str(good))
+        # a solver's ValueError is not a trial that cannot be drawn
+        monkeypatch.setattr(dense, "dense_batch", lambda batch, model: int("solver bug"))
+        with pytest.raises(ValueError, match="solver bug"):
+            run_cli("sweep", "--carriers", "3", "--followers", "1", "--snr-db", "0",
+                    "--trials", "1", "--output", str(tmp_path / "x.csv"))
 
 
 class TestSweep:
@@ -446,8 +454,8 @@ class TestVerify:
             sizes.append(len(seeds))
             return sample_batch(*args, seeds=seeds, **kwargs)
 
-        sample_batch = cli.sample_batch
-        monkeypatch.setattr(cli, "sample_batch", spy)
+        sample_batch = harness.sample_batch
+        monkeypatch.setattr(harness, "sample_batch", spy)
         capsys.readouterr()
         outputs = []
         for cells in (harness.CHUNK_CELLS, 1):
@@ -576,6 +584,45 @@ class TestBadInput:
         assert captured.err.splitlines()[-1] == (
             f"hetnet-ee verify: error: cannot read --input {path}: row with K=1 F=0 "
             f"trial=2 seed=11 snr_db=10: carrier count 1 < 2")
+
+    @pytest.mark.parametrize("mean_signal,reason", [
+        ("1e-323", "signal gains must be strictly positive"), ("1e308", "g0 must be finite")])
+    def test_verify_names_a_row_not_a_default_snr(self, capsys, mean_signal, reason):
+        # the CSV's rows are at -5 and 15 dB; the sweep's default points are not checked
+        path = DATA / "verify_small.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("verify", "--input", str(path), "--mean-signal", mean_signal)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"hetnet-ee verify: error: cannot read --input {path}: row with K=3 F=2 "
+            f"trial=0 seed=1926383459 snr_db=-5: {reason}")
+
+    @pytest.mark.parametrize("flag,gain", [("--mean-signal", "g0"), ("--mean-cross", "h0")])
+    def test_overflowing_draw_is_named(self, tmp_path, capsys, flag, gain):
+        # 1e308 passes the config, but a draw above about 1.8 passes the float range
+        path = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("sweep", "--carriers", "5", "--followers", "4", "--snr-db", "10",
+                    "--trials", "3", flag, "1e308", "--output", str(path))
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"hetnet-ee sweep: error: cannot draw K=5 F=4 trial=0 seed=1835504127 snr_db=10: "
+            f"{gain} must be finite")
+        assert path.read_text() == CSV_HEADER + "\n"
+
+    def test_rows_before_an_undrawable_chunk_stay(self, tmp_path, capsys):
+        # at 2e307 a draw above about 9 overflows; trial 362 is the first, in
+        # the second chunk, so the first chunk's rows stay
+        path = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("sweep", "--carriers", "5", "--followers", "4", "--snr-db", "10",
+                    "--trials", "600", "--seed", "1", "--schemes", "stackelberg",
+                    "--mean-signal", "2e307", "--output", str(path))
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "hetnet-ee sweep: error: cannot draw K=5 F=4 trial=362 seed=3788824056 snr_db=10: "
+            "gf must be finite")
+        assert [r.trial for r in read_records(path)[::5]] == list(range(harness.CHUNK_TRIALS))
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_unbuildable_row_is_named(self, tmp_path, capsys, rows):

@@ -4,7 +4,9 @@ Subcommands:
 
 * ``sweep``      run a Monte-Carlo campaign and write the records CSV
 * ``summarize``  aggregate a records CSV into per-point statistics
-* ``verify``     re-certify a CSV's recorded trials with the oracles
+* ``verify``     replay a CSV's trials, re-certify them with the oracles and
+                 diff each row's utility, active carrier and converged cells
+                 against the replay (a ``MISMATCH`` line and a failure each)
 * ``gamma``      print the optimal SINR operating point for an exponent
 
 Scenario flags are the :class:`~hetnet_ee.harness.ScenarioConfig` fields
@@ -46,6 +48,7 @@ from .harness import (
     write_records,
     write_summary,
 )
+from .model import _active, outcomes
 from .oracle import TOL
 
 _SCENARIO = tuple(f.name for f in fields(ScenarioConfig))
@@ -138,11 +141,26 @@ def _cmd_gamma(args: argparse.Namespace, config: ScenarioConfig) -> int:
     return 0
 
 
+def _mismatch(r, recorded: tuple, replayed: list) -> str:
+    """The ``MISMATCH`` line of row ``r``, naming each of its ``recorded``
+    cells ``(utility text, active carrier, converged)`` that differs from its
+    player's in its trial's ``replayed`` ones, or its player if the trial has
+    no such player."""
+    cells = (zip(("utility", "active_carrier", "converged"), recorded, replayed[r.player])
+             if 0 <= r.player < len(replayed) else [("player", r.player, f"0..{r.followers}")])
+    return (f"MISMATCH scheme={r.scheme} snr_db={r.snr_db:g} K={r.carriers} F={r.followers} "
+            f"trial={r.trial} player={r.player}"
+            + "".join(f" {name} recorded={str(a).lower()} replayed={str(b).lower()}"
+                      for name, a, b in cells if a != b) + "\n")
+
+
 def _cmd_verify(args: argparse.Namespace, config: ScenarioConfig) -> int:
-    trials = dict.fromkeys(
-        (r.scheme, r.regime, r.snr_db, r.carriers, r.followers, r.trial, r.seed)
-        for r in _read_input(args.input)
-    )
+    runs: dict = {}  # each trial's rows, in CSV order
+    for r in _read_input(args.input):
+        runs.setdefault((r.scheme, r.regime, r.snr_db, r.carriers, r.followers, r.trial, r.seed),
+                        []).append(r)
+    # each trial's verdicts, and its replayed cells, in CSV order
+    trials, replays = dict.fromkeys(runs), dict.fromkeys(runs)
     if isinstance(config.rates, tuple):
         # a rate list needs F+1 values for every row's F
         misfits = sorted({key[4] for key in trials} - {len(config.rates) - 1})
@@ -172,9 +190,15 @@ def _cmd_verify(args: argparse.Namespace, config: ScenarioConfig) -> int:
                 raise unreadable(exc) from None
             alloc, converged = run_batch(scheme, batch, model, regime)
             checks = verify_batch(scheme, batch, model, alloc, converged, regime, args.tolerance)
-            rows = zip(checks.claims.tolist(), checks.gains.tolist(), checks.passed.tolist())
-            for key, (claims, gains, passed) in zip(chunk, rows):
+            # a checked scheme's claims are its utilities; best channel has no checks
+            utilities = (checks.claimed if checks.sources
+                         else outcomes(batch, model, alloc, regime)[0])
+            active = [[None if c < 0 else c for c in row] for row in _active(alloc).tolist()]
+            rows = zip(checks.claims.tolist(), checks.gains.tolist(), checks.passed.tolist(),
+                       utilities.tolist(), active, converged.tolist())
+            for key, (claims, gains, passed, utility, carrier, flag) in zip(chunk, rows):
                 trials[key] = list(zip(gains, passed)) if claims else []
+                replays[key] = [("%.12g" % u, c, flag) for u, c in zip(utility, carrier)]
     # no verdicts: no equilibrium claimed (best channel, or Nash that did not converge)
     skipped = sum(not verdicts for verdicts in trials.values())
     failures = sum(not passed for verdicts in trials.values() for _, passed in verdicts)
@@ -184,8 +208,15 @@ def _cmd_verify(args: argparse.Namespace, config: ScenarioConfig) -> int:
         for (scheme, _, snr_db, carriers, followers, trial, _), verdicts in trials.items()
         for player, (gain, passed) in enumerate(verdicts)
     ]
-    lines.append(f"verified {len(lines)} checks, {failures} failures, {skipped} trials skipped\n")
-    sys.stdout.writelines(lines)
+    mismatches = []  # every row's recorded cells against its trial's replay
+    for key, replayed in replays.items():
+        for r in runs[key]:
+            recorded = ("%.12g" % r.utility, r.active_carrier, r.converged)
+            if not (0 <= r.player < len(replayed) and recorded == replayed[r.player]):
+                mismatches.append(_mismatch(r, recorded, replayed))
+    failures += len(mismatches)
+    summary = f"verified {len(lines)} checks, {failures} failures, {skipped} trials skipped\n"
+    sys.stdout.writelines(lines + mismatches + [summary])
     return 1 if failures else 0
 
 
@@ -209,7 +240,7 @@ def _parser():
     p_gamma = sub.add_parser("gamma", help="print the optimal SINR operating point")
     _add_scenario_flags(p_gamma, ("m_exponent",))
 
-    p_verify = sub.add_parser("verify", help="re-certify recorded trials with the oracle")
+    p_verify = sub.add_parser("verify", help="re-certify and diff recorded trials")
     p_verify.add_argument("--input", required=True, help="records CSV from `sweep`")
     _add_scenario_flags(p_verify, ("m_exponent", "mean_signal", "mean_cross", "rates"))
     p_verify.add_argument(

@@ -174,14 +174,10 @@ _STACKED = attrgetter("gains", "h0", "hf", "sigma2", "rates")
 
 
 def stack_instances(instances) -> NetworkInstance:
-    """Instances of one shape as one batch, in order; a batch of one holds
-    views of the instance's arrays, not copies."""
+    """Instances of one shape as one batch, in order, copying their arrays."""
     if not instances:
         raise ValueError("no instances to stack")
-    if len(instances) == 1:
-        arrays = [np.asarray(arr)[None] for arr in _STACKED(instances[0])]
-    else:
-        arrays = [np.array(column) for column in zip(*map(_STACKED, instances))]
+    arrays = [np.array(column) for column in zip(*map(_STACKED, instances))]
     for arr in arrays:
         arr.setflags(write=False)
     gains, h0, hf, sigma2, rates = arrays
@@ -196,8 +192,8 @@ class EquilibriumResult:
     construction, so it matches :func:`utility` by definition.
     ``active_carriers[n]`` is the carrier player ``n`` transmits on, or
     ``None`` for an all-zero row.  ``diagnostics`` holds what the solver
-    computed beyond these: sparse follower branches, the dense slot table
-    and winning occupancy, the best-channel pins and feedback gain.
+    computed beyond these: the stop name, the dense slot table and winning
+    occupancy, the best-channel pins and feedback gain.
     """
 
     allocation: np.ndarray
@@ -497,16 +493,20 @@ def sample_batch(
     return NetworkInstance(own[:, 0], own[:, 1:], cross[:, 0], cross[:, 1:], sigma2, rates)
 
 
+def _active(allocation: np.ndarray) -> np.ndarray:
+    """Each row's active carrier, its argmax, or -1 for an all-zero row."""
+    return np.where(allocation.any(axis=-1), allocation.argmax(axis=-1), -1)
+
+
 def outcomes(instance: NetworkInstance, model: EfficiencyModel, allocation, regime: str):
-    """Every player's utility and active carrier (-1 for an all-zero row)
-    under ``allocation``, which is checked for shape and signs."""
+    """Every player's utility and active carrier (:func:`_active`) under
+    ``allocation``, which is checked for shape and signs."""
     allocation = np.asarray(allocation, dtype=float)
     if allocation.shape != instance.gains.shape:
         raise ValueError("allocation has wrong shape")
     if (allocation < 0.0).any():
         raise ValueError("powers must be nonnegative")
-    active = np.where(allocation.any(axis=-1), allocation.argmax(axis=-1), -1)
-    return all_utilities(instance, model, allocation, regime), active
+    return all_utilities(instance, model, allocation, regime), _active(allocation)
 
 
 def make_result(

@@ -10,39 +10,24 @@ carrier.  A follower exactly indifferent between two carriers takes the
 lower-indexed one, as every best response does.
 
 :func:`solve_sparse` is :func:`dense.stackelberg_batch`'s sparse regime on a
-batch of one, with each follower's branch by those two rules as diagnostics.
+batch of one.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .dense import stackelberg_batch
 from .efficiency import EfficiencyModel
-from .model import (STOPS, EquilibriumResult, NetworkInstance, best_response, make_result,
-                    respond, stack_instances)
+from .model import STOPS, EquilibriumResult, NetworkInstance, make_result, stack_instances
 
 __all__ = ["solve_sparse"]
-
-_BRANCHES = np.array(["free", "stay", "move"])
 
 
 def solve_sparse(instance: NetworkInstance, model: EfficiencyModel) -> EquilibriumResult:
     """Hierarchical equilibrium of the sparse-regime game.
 
     Every player ends up single-carrier with its SINR exactly at the
-    optimal operating point; follower branch decisions are recorded in
-    ``diagnostics["follower_branches"]`` as ``"free"`` (own best carrier is
-    not the leader's), ``"stay"`` (shares the leader's carrier) or
-    ``"move"`` (leaves the leader's carrier).  ``diagnostics["stop"]`` is
-    ``"converged"``, or ``"overflow"`` when a power passes the float range.
+    optimal operating point.  ``diagnostics["stop"]`` is ``"converged"``,
+    or ``"overflow"`` when a power passes the float range.
     """
     alloc, (stop,), _ = stackelberg_batch(stack_instances((instance,)), model, "sparse")
-    leader = best_response(instance.g0, instance.sigma2, model.gamma)[1]
-    chosen = respond(instance, alloc[0, 0], model.gamma)[1]
-    # each follower's carrier at zero leader power
-    contended = best_response(instance.gf, instance.sigma2, model.gamma)[1] == leader
-    move = contended & (chosen != leader)
-    diagnostics = {"follower_branches": tuple(_BRANCHES[contended * 1 + move].tolist()),
-                   "stop": STOPS[stop]}
-    return make_result(instance, model, alloc[0], "sparse", diagnostics)
+    return make_result(instance, model, alloc[0], "sparse", {"stop": STOPS[stop]})

@@ -483,6 +483,61 @@ class TestVerify:
         assert capsys.readouterr().out.splitlines()[-1] == (
             "verified 200 checks, 0 failures, 20 trials skipped")
 
+    @pytest.fixture
+    def swept(self, tmp_path, capsys):
+        """A K=5, F=4 sweep of every scheme at 0 and 10 dB, 3 trials a point,
+        its rows as cell lists and its ``verify`` output."""
+        out = tmp_path / "run.csv"
+        run_cli("sweep", "--carriers", "5", "--followers", "4", "--snr-db", "0,10",
+                "--trials", "3", "--verify-fraction", "0", "--output", str(out))
+        capsys.readouterr()
+        assert run_cli("verify", "--input", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        return out, rows, capsys.readouterr().out
+
+    # rows 1-5 are trial 0's stackelberg players, 6-10 its nash and 11-15 its
+    # best-channel ones, which claim no equilibrium
+    @pytest.mark.parametrize("row,column,value", [
+        (1, "utility", "123456.789"),
+        (7, "active_carrier", None),
+        (3, "converged", "false"),
+        (13, "utility", "0"),
+        (5, "player", "5"),
+        (5, "player", "-1"),
+    ], ids=["utility", "carrier", "converged", "unchecked-utility", "player-past-F",
+            "negative-player"])
+    def test_tampered_cell_is_named(self, tmp_path, capsys, swept, row, column, value):
+        """A recorded cell that its trial's replay does not reproduce is a
+        failure, named by its row, and leaves the checks as they were."""
+        out, rows, clean = swept
+        index = rows[0].index(column)
+        cells = rows[row][:]
+        recorded = value or str((int(cells[index]) + 1) % 5)  # another carrier
+        replayed, cells[index] = cells[index], recorded
+        tampered = tmp_path / "tampered.csv"
+        tampered.write_text("\n".join(",".join(r) for r in rows[:row] + [cells] + rows[row + 1:])
+                            + "\n")
+        assert run_cli("verify", "--input", str(tampered)) == 1
+        scheme, _, snr_db, carriers, followers, trial, _, player = cells[:8]
+        if column == "player":
+            replayed = "0..4"
+        elif column == "utility":
+            recorded = "%.12g" % float(recorded)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [
+            f"MISMATCH scheme={scheme} snr_db={snr_db} K={carriers} F={followers} "
+            f"trial={trial} player={player} {column} recorded={recorded} replayed={replayed}",
+            clean.splitlines()[-1].replace(" 0 failures", " 1 failures")]
+        assert lines[:-2] == clean.splitlines()[:-1]
+
+    def test_contradicting_scenario_flag_fails(self, swept, capsys):
+        """``--mean-cross 0.1`` replays other instances than a 0.5 sweep's."""
+        out, _, _ = swept
+        assert run_cli("verify", "--input", str(out), "--mean-cross", "0.1") == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("MISMATCH scheme=stackelberg snr_db=0 K=5 F=4 trial=0 "
+                                   "player=0 utility recorded=") for line in lines)
+
     def test_exit_code_clean_when_all_pass(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         run_cli("sweep", "--carriers", "3", "--followers", "1", "--snr-db", "0",

@@ -269,7 +269,7 @@ def test_diagnostics_key_sets(model):
     # only what the solver computes and neither the result, its report nor
     # the model states
     inst = sample_instance(5, 4, seed=3)
-    assert solve_sparse(inst, model).diagnostics.keys() == {"follower_branches", "stop"}
+    assert solve_sparse(inst, model).diagnostics.keys() == {"stop"}
     assert solve_dense(inst, model).diagnostics.keys() == {"candidate_table", "winner_slots",
                                                            "stop"}
     for regime in ("dense", "sparse"):

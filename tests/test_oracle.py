@@ -958,8 +958,8 @@ class TestIndependence:
         records = []
         for regime in ("dense", "sparse"):
             config = harness.ScenarioConfig(
-                carriers=(3, 5), followers=2, snr_db=(-10.0, 20.0), trials=3, seed=5,
-                regime=regime, schemes=("stackelberg", "nash"), verify_fraction=0.0,
+                carriers=(3, 5), followers=2, m_exponent=3, snr_db=(-10.0, 20.0), trials=3,
+                seed=5, regime=regime, schemes=("stackelberg", "nash"), verify_fraction=0.0,
                 output_path=str(path))
             records += list(harness.run_sweep(config))
         harness.write_records(records, path)

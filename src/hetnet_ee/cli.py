@@ -4,9 +4,10 @@ Subcommands:
 
 * ``sweep``      run a Monte-Carlo campaign and write the records CSV
 * ``summarize``  aggregate a records CSV into per-point statistics
-* ``verify``     replay a CSV's trials, re-certify them with the oracles and
-                 diff each row's utility, active carrier and converged cells
-                 against the replay (a ``MISMATCH`` line and a failure each)
+* ``verify``     rebuild each recorded equilibrium from its trial's carriers
+                 and leader power, certify it with the oracles, and diff
+                 every row's cells against that rebuild (a ``MISMATCH`` line
+                 and a failure each); it runs no solver
 * ``gamma``      print the optimal SINR operating point for an exponent
 
 Scenario flags are the :class:`~hetnet_ee.harness.ScenarioConfig` fields
@@ -26,10 +27,14 @@ runs ``_cmd_<command>``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
 from dataclasses import fields
+from operator import attrgetter
+
+import numpy as np
 
 from .efficiency import optimal_sinr
 from .harness import (
@@ -41,14 +46,13 @@ from .harness import (
     draw_batch,
     load_config_file,
     read_records,
-    run_batch,
     run_sweep,
     summarize,
     verify_batch,
     write_records,
     write_summary,
 )
-from .model import _active, outcomes
+from .model import _active, all_utilities, allocate
 from .oracle import TOL
 
 _SCENARIO = tuple(f.name for f in fields(ScenarioConfig))
@@ -141,17 +145,52 @@ def _cmd_gamma(args: argparse.Namespace, config: ScenarioConfig) -> int:
     return 0
 
 
-def _mismatch(r, recorded: tuple, replayed: list) -> str:
-    """The ``MISMATCH`` line of row ``r``, naming each of its ``recorded``
-    cells ``(utility text, active carrier, converged)`` that differs from its
-    player's in its trial's ``replayed`` ones, or its player if the trial has
-    no such player."""
-    cells = (zip(("utility", "active_carrier", "converged"), recorded, replayed[r.player])
-             if 0 <= r.player < len(replayed) else [("player", r.player, f"0..{r.followers}")])
-    return (f"MISMATCH scheme={r.scheme} snr_db={r.snr_db:g} K={r.carriers} F={r.followers} "
-            f"trial={r.trial} player={r.player}"
-            + "".join(f" {name} recorded={str(a).lower()} replayed={str(b).lower()}"
-                      for name, a, b in cells if a != b) + "\n")
+def _mismatch(key: tuple, player, cells) -> str:
+    """The ``MISMATCH`` line of ``player`` in the trial ``key`` (its run
+    key), naming each ``(cell, recorded, replayed)`` of ``cells``."""
+    scheme, _, snr_db, carriers, followers, trial, _ = key
+    return (f"MISMATCH scheme={scheme} snr_db={snr_db:g} K={carriers} F={followers} "
+            f"trial={trial} player={player}"
+            + "".join(f" {name} recorded={a} replayed={b}" for name, a, b in cells) + "\n")
+
+
+def _roster(key: tuple, rows: list) -> list:
+    """The ``MISMATCH`` lines of a trial whose ``rows`` do not hold players
+    ``0..F`` once each: every row outside ``0..F`` or past its player's
+    first, then every missing player."""
+    followers, seen, lines = key[4], {}, []
+    for r in rows:
+        seen[r.player] = seen.get(r.player, 0) + 1
+        if not 0 <= r.player <= followers:
+            lines.append(_mismatch(key, r.player, [("player", r.player, f"0..{followers}")]))
+        elif seen[r.player] > 1:
+            lines.append(_mismatch(key, r.player, [("rows", seen[r.player], 1)]))
+    return lines + [_mismatch(key, p, [("rows", 0, 1)])
+                    for p in range(followers + 1) if p not in seen]
+
+
+def _diff(key: tuple, rows: list, lead: float, utilities: list, active: list, flag: bool,
+          marks: list) -> list:
+    """The ``MISMATCH`` lines of a trial's ``rows``, in player order, against
+    its rebuild: each row's leader power against the rebuilt leader's
+    (``lead``), its utility as ``%.12g`` text and its active carrier
+    against the rebuild's, its ``converged`` cell against the trial's
+    ``flag`` and a ``pass``/``fail`` mark against its player's entry of
+    ``marks``."""
+    lines = []
+    for r, u, c, mark in zip(rows, utilities, active, marks):
+        record = ("%.12g" % r.utility, r.active_carrier, r.converged, r.verified)
+        replay = ("%.12g" % u, None if c < 0 else c, flag, r.verified and mark)
+        power = r.leader_power
+        same = power == lead or power != power and lead != lead  # NaN is NaN's power
+        if record != replay or not same:
+            cells = [("leader_power", "%.17g" % power, "%.17g" % lead)][same:]
+            # "none" for no carrier, "true"/"false" for a flag
+            cells += [(name, str(a).lower(), str(b).lower()) for name, a, b in
+                      zip(("utility", "active_carrier", "converged", "verified"), record, replay)
+                      if a != b]
+            lines.append(_mismatch(key, r.player, cells))
+    return lines
 
 
 def _cmd_verify(args: argparse.Namespace, config: ScenarioConfig) -> int:
@@ -159,20 +198,21 @@ def _cmd_verify(args: argparse.Namespace, config: ScenarioConfig) -> int:
     for r in _read_input(args.input):
         runs.setdefault((r.scheme, r.regime, r.snr_db, r.carriers, r.followers, r.trial, r.seed),
                         []).append(r)
-    # each trial's verdicts, and its replayed cells, in CSV order
-    trials, replays = dict.fromkeys(runs), dict.fromkeys(runs)
+    # each trial's PASS/FAIL lines and MISMATCH lines, in CSV order
+    verdicts, mismatches, failures = dict.fromkeys(runs, ()), dict.fromkeys(runs, ()), 0
     if isinstance(config.rates, tuple):
         # a rate list needs F+1 values for every row's F
-        misfits = sorted({key[4] for key in trials} - {len(config.rates) - 1})
+        misfits = sorted({key[4] for key in runs} - {len(config.rates) - 1})
         if misfits:
             raise argparse.ArgumentError(None, f"--rates has {len(config.rates)} values, but "
                                          f"{args.input} has rows with F={misfits[0]}")
-    # replay each (scheme, regime, K, F) group's trials as the sweep solved
-    # them, in batches; report in the CSV's trial order
+    # rebuild each (scheme, regime, K, F) group's trials in batches, as the
+    # sweep drew them; report in the CSV's trial order
     groups: dict = {}
-    for key in trials:
+    for key in runs:
         groups.setdefault((key[0], key[1], key[3], key[4]), []).append(key)
     model = config.model()
+    by_player = attrgetter("player")
     for (scheme, regime, carriers, followers), keys in groups.items():
         def unreadable(reason):
             return argparse.ArgumentError(
@@ -182,38 +222,57 @@ def _cmd_verify(args: argparse.Namespace, config: ScenarioConfig) -> int:
             _, _, snr_db, _, _, trial, seed = keys[0]
             raise unreadable(f"K={carriers} F={followers} trial={trial} seed={seed} "
                              f"snr_db={snr_db:g}: carrier count {carriers} < 2")
+        players = list(range(followers + 1))
+        blank, unmarked = [-1] * len(players), [""] * len(players)
+        index = {k: k for k in range(carriers)}.get  # -1 for none, or for no carrier of K
         for chunk in chunked(keys, carriers, followers):
             _, _, snr_db, _, _, labels, seeds = zip(*chunk)
             try:
                 batch = draw_batch(config, carriers, followers, seeds, snr_db, labels)
             except UndrawableTrial as exc:  # the chunk's first row that cannot be drawn
                 raise unreadable(exc) from None
-            alloc, converged = run_batch(scheme, batch, model, regime)
-            checks = verify_batch(scheme, batch, model, alloc, converged, regime, args.tolerance)
+            # each trial's rows by player, or none where players 0..F are not there once each
+            table = [sorted(runs[key], key=by_player) for key in chunk]
+            table = [rows if list(map(by_player, rows)) == players else None for rows in table]
+            # the recorded allocation: the leader's power on its carrier, and
+            # every follower on its own at the SINR target against that row
+            picks = np.array([[index(r.active_carrier, -1) for r in rows] if rows else blank
+                              for rows in table])
+            alloc = allocate(batch, model.gamma, picks,
+                             [rows[0].leader_power if rows else 0.0 for rows in table])
+            if scheme == "stackelberg":  # every finite allocation, its core's stop rule
+                claims = np.isfinite(alloc).all(axis=(1, 2)) & [rows is not None for rows in table]
+            else:  # the leader row's converged cell
+                claims = np.array([bool(rows and rows[0].converged) for rows in table])
+            checks = verify_batch(scheme, batch, model, alloc, claims, regime, args.tolerance)
             # a checked scheme's claims are its utilities; best channel has no checks
             utilities = (checks.claimed if checks.sources
-                         else outcomes(batch, model, alloc, regime)[0])
-            active = [[None if c < 0 else c for c in row] for row in _active(alloc).tolist()]
-            rows = zip(checks.claims.tolist(), checks.gains.tolist(), checks.passed.tolist(),
-                       utilities.tolist(), active, converged.tolist())
-            for key, (claims, gains, passed, utility, carrier, flag) in zip(chunk, rows):
-                trials[key] = list(zip(gains, passed)) if claims else []
-                replays[key] = [("%.12g" % u, c, flag) for u, c in zip(utility, carrier)]
-    # no verdicts: no equilibrium claimed (best channel, or Nash that did not converge)
-    skipped = sum(not verdicts for verdicts in trials.values())
-    failures = sum(not passed for verdicts in trials.values() for _, passed in verdicts)
-    lines = [
-        f"{'PASS' if passed else 'FAIL'} scheme={scheme} snr_db={snr_db:g} K={carriers} F={followers} "
-        f"trial={trial} player={player} gain={gain:.3e}\n"
-        for (scheme, _, snr_db, carriers, followers, trial, _), verdicts in trials.items()
-        for player, (gain, passed) in enumerate(verdicts)
-    ]
-    mismatches = []  # every row's recorded cells against its trial's replay
-    for key, replayed in replays.items():
-        for r in runs[key]:
-            recorded = ("%.12g" % r.utility, r.active_carrier, r.converged)
-            if not (0 <= r.player < len(replayed) and recorded == replayed[r.player]):
-                mismatches.append(_mismatch(r, recorded, replayed))
+                         else all_utilities(batch, model, alloc, regime))
+            # a sweep marks its picked trials at the oracles' default tolerance
+            marked = checks if args.tolerance == TOL else dataclasses.replace(checks, tol=TOL)
+            rebuilt = zip(checks.claims.tolist(), checks.gains.tolist(), checks.passed.tolist(),
+                          marked.passed.tolist(), alloc[:, 0].max(axis=-1).tolist(),
+                          utilities.tolist(), _active(alloc).tolist())
+            for key, rows, (claim, gains, passed, at_tol, lead, utility, active) in zip(
+                    chunk, table, rebuilt):
+                if claim:
+                    head = (f"scheme={scheme} snr_db={key[2]:g} K={carriers} F={followers} "
+                            f"trial={key[5]} player=")
+                    verdicts[key] = [f"{'PASS' if ok else 'FAIL'} {head}{player} gain={gain:.3e}\n"
+                                   for player, (gain, ok) in enumerate(zip(gains, passed))]
+                    failures += passed.count(False)
+                if rows is None:
+                    mismatches[key] = _roster(key, runs[key])
+                    continue
+                # a mark is the verdict of a claim; a trial that claims nothing has none
+                marks = ["pass" if ok else "fail" for ok in at_tol] if claim else unmarked
+                flag = claim if scheme == "stackelberg" else rows[0].converged
+                mismatches[key] = _diff(key, rows, lead, utility, active, flag, marks)
+    # no verdicts: no equilibrium claimed (best channel, or Nash that did not
+    # converge), or a trial whose players are not each there once
+    skipped = sum(not lines for lines in verdicts.values())
+    lines = [line for lines in verdicts.values() for line in lines]
+    mismatches = [line for lines in mismatches.values() for line in lines]
     failures += len(mismatches)
     summary = f"verified {len(lines)} checks, {failures} failures, {skipped} trials skipped\n"
     sys.stdout.writelines(lines + mismatches + [summary])

@@ -17,9 +17,13 @@ each trial still draws from its own generator, so a record does not depend
 on the chunking.
 Records stream out one per (point, trial, scheme, player) as slotted
 :class:`SweepRecord` dataclasses (mutable and unhashable) and serialize to
-CSV with one column per field, in field order, formatting the seven leading
-fields that a (trial, scheme) shares once per run of rows.
-Floats are written with 12 significant digits; ``verified`` is filled for the
+CSV with one column per field, in field order, formatting the eight leading
+fields that a (trial, scheme) shares once per run of rows.  Those end in
+the leader's power: every scheme leaves each follower at the SINR target on
+its carrier against the leader's row, so a run's carriers and that one
+number are its whole allocation, which ``hetnet-ee verify`` rebuilds.
+Floats are written with 12 significant digits, the leader's power with 17
+so that it reads back bit for bit; ``verified`` is filled for the
 configurable fraction of trials that get re-certified by the deviation
 oracles, as one batch per chunk and scheme (equilibrium claims only: the
 best-channel heuristic and a run that did not converge, an overflowing
@@ -212,6 +216,7 @@ class SweepRecord:
     followers: int
     trial: int
     seed: int
+    leader_power: float
     player: int
     utility: float
     active_carrier: Optional[int]
@@ -238,10 +243,11 @@ def _cells(values) -> str:
     return ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in values)
 
 
-# a CSV row as a prefix of its first seven fields and a tail of the rest, floats as ``_cells``
-# writes them; ``write_records`` passes "" for no carrier and "true"/"false" for ``converged``
-_prefix = attrgetter(*(f.name for f in _COLUMNS[:7]))
-_PREFIX = "%s,%s,%.12g,%s,%s,%s,%s,"
+# a CSV row as a prefix of its first eight fields and a tail of the rest, floats as ``_cells``
+# writes them but the leader's power, which round-trips; ``write_records`` passes "" for no
+# carrier and "true"/"false" for ``converged``
+_prefix = attrgetter(*(f.name for f in _COLUMNS[:8]))
+_PREFIX = "%s,%s,%.12g,%s,%s,%s,%s,%.17g,"
 _TAIL = "%s,%.12g,%s,%s,%s\n"
 
 
@@ -325,21 +331,22 @@ def _chunk_records(config: ScenarioConfig, model, carriers: int, chunk: list, se
         alloc, converged = run_batch(scheme, batch, model, regime)
         utilities, active = outcomes(batch, model, alloc, regime)
         active = [[None if c < 0 else c for c in row] for row in active.tolist()]
+        powers = alloc[:, 0].max(axis=-1).tolist()  # the leader row's one power, or 0
         marks = [blank] * len(chunk)
         if picked:
             checks = verify_batch(scheme, sample, model, alloc[picked], converged[picked], regime)
             for t, claims, passed in zip(picked, checks.claims.tolist(), checks.passed.tolist()):
                 if claims:
                     marks[t] = ["pass" if ok else "fail" for ok in passed]
-        solved.append((scheme, utilities.tolist(), active, converged.tolist(), marks))
+        solved.append((scheme, powers, utilities.tolist(), active, converged.tolist(), marks))
     for t, ((_, snr_db, trial), seed, digest) in enumerate(zip(chunk, seeds, batch.digests())):
-        for scheme, utilities, active, converged, marks in solved:
-            converged_t = converged[t]
+        for scheme, powers, utilities, active, converged, marks in solved:
+            power, converged_t = powers[t], converged[t]
             for player, (utility, carrier, mark) in enumerate(
                     zip(utilities[t], active[t], marks[t])):
                 # positional: SweepRecord's field order
-                yield SweepRecord(scheme, regime, snr_db, carriers, followers, trial, seed, player,
-                                  utility, carrier, converged_t, mark, digest)
+                yield SweepRecord(scheme, regime, snr_db, carriers, followers, trial, seed, power,
+                                  player, utility, carrier, converged_t, mark, digest)
 
 
 def run_sweep(config: ScenarioConfig) -> Iterator[SweepRecord]:
@@ -361,24 +368,26 @@ def run_sweep(config: ScenarioConfig) -> Iterator[SweepRecord]:
 def write_records(records: Iterable[SweepRecord], path) -> int:
     """Serialize records to CSV (newline-terminated); returns row count.
 
-    A run of records whose first seven fields are the same objects (a
+    A run of records whose first eight fields are the same objects (a
     sweep's (trial, scheme) rows) formats those fields once.  The run is
     keyed on identity, not equality: ``0.0`` and ``-0.0``, or ``5`` and
     ``5.0``, are equal but format apart.  A run is written when the next
     starts or when ``records`` raises, so a failed sweep keeps its rows.
     """
-    scheme = regime = snr_db = carriers = followers = trial = seed = object()
+    scheme = regime = snr_db = carriers = followers = trial = seed = power = object()
     prefix, tails, count = "", [], 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         try:
             for r in records:
                 if not (r.seed is seed and r.trial is trial and r.snr_db is snr_db
-                        and r.scheme is scheme and r.regime is regime
-                        and r.carriers is carriers and r.followers is followers):
+                        and r.leader_power is power and r.scheme is scheme
+                        and r.regime is regime and r.carriers is carriers
+                        and r.followers is followers):
                     fh.write(prefix + prefix.join(tails))
                     count += len(tails)
-                    key = scheme, regime, snr_db, carriers, followers, trial, seed = _prefix(r)
+                    key = (scheme, regime, snr_db, carriers, followers, trial, seed,
+                           power) = _prefix(r)
                     prefix, tails = _PREFIX % key, []
                 tails.append(_TAIL % (r.player, r.utility,
                                       "" if r.active_carrier is None else r.active_carrier,
@@ -391,16 +400,20 @@ def write_records(records: Iterable[SweepRecord], path) -> int:
 def read_records(path) -> list[SweepRecord]:
     """Parse a sweep CSV back into records (digests are not recoverable),
     one column at a time; a row whose scheme, regime, ``converged`` or
-    ``verified`` cell no sweep writes is malformed."""
+    ``verified`` cell no sweep writes, or whose leader power is negative,
+    is malformed.  A header that lacks a column is named by it: files
+    written before ``leader_power`` was recorded are refused."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header: {header!r}")
+            missing = [f.name for f in _COLUMNS if f.name not in header.split(",")]
+            raise ValueError(f"unexpected CSV header: {header!r}"
+                             + (f", no {' or '.join(missing)} column" if missing else ""))
         lines = fh.readlines()
     rows = [line.rstrip("\n").split(",") for line in lines]
     for line, parts in zip(lines, rows):
         if (len(parts) != len(_COLUMNS) or parts[0] not in SCHEMES or parts[1] not in REGIMES
-                or parts[-2] not in _FLAGS or parts[-1] not in _VERDICTS):
+                or parts[7][:1] == "-" or parts[-2] not in _FLAGS or parts[-1] not in _VERDICTS):
             raise ValueError(f"malformed CSV row: {line!r}")
     # a header-only file has no columns to zip, and still one empty column per field
     columns = list(zip(*rows)) or [()] * len(_COLUMNS)

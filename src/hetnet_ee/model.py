@@ -8,8 +8,10 @@ nonnegative and rows of equilibrium outputs have at most one nonzero entry.
 Whole-instance quantities are arrays with one row per player, computed for
 all players at once: the own-signal gains, the SINR denominators
 (:func:`denominators`) and matrix (:func:`sinr`) and the utilities.  Every
-player best-responds by one rule, :func:`best_response`, and
-:func:`switches` says when a follower leaves the leader's carrier.  A
+player best-responds by one rule, :func:`best_response`, at the powers
+of :func:`target_powers`, so every scheme's allocation is its carriers
+and its leader's power (:func:`allocate`); :func:`switches` says when a
+follower leaves the leader's carrier.  A
 :class:`NetworkInstance` may hold a batch, ``T`` instances of one shape
 stacked on a leading trial axis; the same functions take it and then
 return arrays with that axis first.  The solvers work on batches, a
@@ -48,8 +50,10 @@ __all__ = [
     "empty_allocation",
     "hears_followers",
     "leader_interference",
+    "target_powers",
     "best_response",
     "respond",
+    "allocate",
     "switches",
     "denominators",
     "sinr",
@@ -231,29 +235,49 @@ def _heard(h0, leader_powers):
         return np.where(h0 > 0.0, h0 * leader_powers, 0.0)
 
 
-def best_response(gains, denom, gamma: float):
-    """Every player's single-carrier best response, the one rule of the game.
-
-    Picks the carrier maximizing gain over noise plus interference, ``gains
-    / denom`` (ties to the lowest index), at the power ``gamma * denom /
+def target_powers(gains, denom, gamma: float, carriers):
+    """The one power rule of the game: each row on its carrier (``-1``, or
+    any index past the last, for none) at the power ``gamma * denom /
     gains`` that puts the SINR there at ``gamma``; other powers are exact
     zeros; a power past the float range (a subnormal gain) reads ``inf``,
-    without a warning.  Broadcasts; returns the powers and the chosen carriers.
-    """
-    carriers = np.argmax(gains / denom, axis=-1)
+    without a warning.  Broadcasts."""
     chosen = np.arange(np.shape(gains)[-1]) == carriers[..., None]
     with np.errstate(over="ignore"):
-        return np.where(chosen, gamma * denom, 0.0) / gains, carriers
+        return np.where(chosen, gamma * denom, 0.0) / gains
 
 
-def respond(instance: NetworkInstance, leader_powers, gamma: float):
-    """Every follower's :func:`best_response` to the leader's powers.
+def best_response(gains, denom, gamma: float):
+    """Every player's single-carrier best response: the carrier maximizing
+    gain over noise plus interference, ``gains / denom`` (ties to the lowest
+    index), at its :func:`target_powers`.  Broadcasts; returns the powers
+    and the chosen carriers.
+    """
+    carriers = np.argmax(gains / denom, axis=-1)
+    return target_powers(gains, denom, gamma, carriers), carriers
+
+
+def respond(instance: NetworkInstance, leader_powers, gamma: float, carriers=None):
+    """Every follower's :func:`best_response` to the leader's powers or,
+    given its ``carriers`` ``(..., F)``, its :func:`target_powers` there.
 
     Maps leader powers ``(..., K)`` to follower powers ``(..., F, K)`` and
     chosen carriers ``(..., F)``.
     """
     denom = (instance.sigma2 + _heard(instance.h0, leader_powers))[..., None, :]
-    return best_response(instance.gf, denom, gamma)
+    if carriers is None:
+        return best_response(instance.gf, denom, gamma)
+    return target_powers(instance.gf, denom, gamma, carriers), carriers
+
+
+def allocate(instance: NetworkInstance, gamma: float, carriers, leader_powers) -> np.ndarray:
+    """The allocation ``(..., F+1, K)`` that every scheme leaves, given each
+    player's carrier ``(..., F+1)`` (as in :func:`target_powers`) and the
+    leader's power ``(...)``: that power on the leader's carrier, and each
+    follower's :func:`respond` row on its own against that leader row."""
+    leader = np.where(np.arange(instance.carriers) == carriers[..., :1],
+                      np.asarray(leader_powers)[..., None], 0.0)
+    followers = respond(instance, leader, gamma, carriers[..., 1:])[0]
+    return np.concatenate([leader[..., None, :], followers], axis=-2)
 
 
 def switches(instance: NetworkInstance):

@@ -2,6 +2,7 @@
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -218,13 +219,17 @@ class TestScenarioFlags:
         good = tmp_path / "good.csv"
         run_cli("sweep", "--carriers", "3", "--followers", "1", "--snr-db", "0",
                 "--trials", "1", "--output", str(good))
-        # sweeps and verify run the dense stackelberg leader through the slot table
+        capsys.readouterr()
+        assert run_cli("verify", "--input", str(good)) == 0
+        printed = capsys.readouterr().out
+        # sweeps run the dense stackelberg leader through the slot table;
+        # verify rebuilds the recorded allocation and runs no solver
         monkeypatch.setattr(dense, "dense_batch", broken)
         with pytest.raises(ZeroDivisionError, match="solver bug"):
             run_cli("sweep", "--carriers", "3", "--followers", "1", "--snr-db", "0",
                     "--trials", "1", "--output", str(tmp_path / "x.csv"))
-        with pytest.raises(ZeroDivisionError, match="solver bug"):
-            run_cli("verify", "--input", str(good))
+        assert run_cli("verify", "--input", str(good)) == 0
+        assert capsys.readouterr().out == printed
         # a solver's ValueError is not a trial that cannot be drawn
         monkeypatch.setattr(dense, "dense_batch", lambda batch, model: int("solver bug"))
         with pytest.raises(ValueError, match="solver bug"):
@@ -502,13 +507,16 @@ class TestVerify:
         (7, "active_carrier", None),
         (3, "converged", "false"),
         (13, "utility", "0"),
+        (3, "leader_power", "2"),
         (5, "player", "5"),
         (5, "player", "-1"),
-    ], ids=["utility", "carrier", "converged", "unchecked-utility", "player-past-F",
-            "negative-player"])
+    ], ids=["utility", "carrier", "converged", "unchecked-utility", "follower-leader-power",
+            "player-past-F", "negative-player"])
     def test_tampered_cell_is_named(self, tmp_path, capsys, swept, row, column, value):
-        """A recorded cell that its trial's replay does not reproduce is a
-        failure, named by its row, and leaves the checks as they were."""
+        """A recorded cell that its trial's rebuild does not reproduce is a
+        failure, named by its row.  The rebuild keeps a moved follower on its
+        recorded carrier, so its utility differs and its check fails there; a
+        trial without each of its players once is not checked."""
         out, rows, clean = swept
         index = rows[0].index(column)
         cells = rows[row][:]
@@ -518,17 +526,84 @@ class TestVerify:
         tampered.write_text("\n".join(",".join(r) for r in rows[:row] + [cells] + rows[row + 1:])
                             + "\n")
         assert run_cli("verify", "--input", str(tampered)) == 1
-        scheme, _, snr_db, carriers, followers, trial, _, player = cells[:8]
-        if column == "player":
-            replayed = "0..4"
-        elif column == "utility":
-            recorded = "%.12g" % float(recorded)
+        scheme, _, snr_db, carriers, followers, trial, _, _, player = cells[:9]
+        run = f"scheme={scheme} snr_db={snr_db} K={carriers} F={followers} trial={trial} "
+        expected, (checks, failures, skipped) = (
+            clean.splitlines()[:-1], map(int, re.findall(r"\d+", clean.splitlines()[-1])))
+        if column == "player":  # the row is named, and the player it was
+            expected = [line for line in expected if run not in line]
+            mismatches = [f"player={player} player recorded={player} replayed=0..4",
+                          "player=4 rows recorded=0 replayed=1"]
+            checks, skipped = checks - 5, skipped + 1
+        elif column == "active_carrier":  # the utility there, below its own check
+            mismatches = [f"player={player} utility recorded={cells[index - 1]} replayed="]
+            check = f"PASS {run}player={player} gain="
+            failures += 1
+        else:
+            if column == "utility":
+                recorded = "%.12g" % float(recorded)
+            mismatches = [f"player={player} {column} recorded={recorded} replayed={replayed}"]
         lines = capsys.readouterr().out.splitlines()
-        assert lines[-2:] == [
-            f"MISMATCH scheme={scheme} snr_db={snr_db} K={carriers} F={followers} "
-            f"trial={trial} player={player} {column} recorded={recorded} replayed={replayed}",
-            clean.splitlines()[-1].replace(" 0 failures", " 1 failures")]
-        assert lines[:-2] == clean.splitlines()[:-1]
+        summary = f"verified {checks} checks, {failures + len(mismatches)} failures, "
+        assert lines[-1] == summary + f"{skipped} trials skipped"
+        if column == "active_carrier":
+            assert lines[-2].startswith(f"MISMATCH {run}{mismatches[0]}")
+            failed = [line.replace("FAIL", "PASS", 1).split("gain=")[0] + "gain="
+                      for line in lines[:-2] if line.startswith("FAIL")]
+            assert failed == [check] and len(lines) == len(expected) + 2
+        else:
+            assert lines[:-1] == expected + [f"MISMATCH {run}{m}" for m in mismatches]
+
+    def test_each_player_once(self, tmp_path, capsys):
+        """A trial that lacks a row of a player, or holds one twice, is not
+        checked; the row past its player's first and the missing player are
+        named, each a failure.  CI's sweep with its row 3 deleted or its row 2
+        repeated: both exited 0 when verify read rows without this check."""
+        out = tmp_path / "cli.csv"
+        run_cli("sweep", "--carriers", "3", "--followers", "2", "--snr-db=-5,10", "--trials", "3",
+                "--verify-fraction", "1", "--output", str(out))
+        capsys.readouterr()
+        assert run_cli("verify", "--input", str(out)) == 0
+        clean = capsys.readouterr().out.splitlines()
+        lines = out.read_text().splitlines()
+        run = "scheme=stackelberg snr_db=-5 K=3 F=2 trial=0 "
+        for name, rows, mismatch in [
+                ("deleted", lines[:3] + lines[4:], "player=2 rows recorded=0 replayed=1"),
+                ("repeated", lines[:3] + lines[2:], "player=1 rows recorded=2 replayed=1")]:
+            path = tmp_path / f"{name}.csv"
+            path.write_text("\n".join(rows) + "\n")
+            assert run_cli("verify", "--input", str(path)) == 1, name
+            printed = capsys.readouterr().out.splitlines()
+            assert printed == [line for line in clean[:-1] if run not in line] + [
+                f"MISMATCH {run}{mismatch}", "verified 33 checks, 1 failures, 7 trials skipped"]
+
+    def test_recorded_verdict_is_diffed(self, tmp_path, capsys):
+        """A ``verified`` cell is the verdict at the oracles' default
+        tolerance, whatever ``--tolerance`` verify runs at, and a trial that
+        claims nothing carries no mark."""
+        out = tmp_path / "cli.csv"
+        run_cli("sweep", "--carriers", "3", "--followers", "2", "--snr-db=-5,10", "--trials", "3",
+                "--verify-fraction", "1", "--output", str(out))
+        capsys.readouterr()
+        lines = out.read_text().splitlines()
+        assert lines[1].endswith(",pass") and lines[7].startswith("best_channel,")
+        # every check fails at a tolerance of -1, and every mark still holds
+        assert run_cli("verify", "--input", str(out), "--tolerance=-1") == 1
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-1] == "verified 36 checks, 36 failures, 6 trials skipped"
+        assert not any(line.startswith("MISMATCH") for line in printed)
+        run = "scheme=stackelberg snr_db=-5 K=3 F=2 trial=0 player=0 "
+        for row, mark, mismatch in [(1, "fail", f"{run}verified recorded=fail replayed=pass"),
+                                    (7, "pass", f"{run.replace('stackelberg', 'best_channel')}"
+                                                "verified recorded=pass replayed=")]:
+            cells = lines[row].split(",")
+            cells[-1] = mark
+            path = tmp_path / "marked.csv"
+            path.write_text("\n".join(lines[:row] + [",".join(cells)] + lines[row + 1:]) + "\n")
+            assert run_cli("verify", "--input", str(path)) == 1
+            printed = capsys.readouterr().out.splitlines()
+            assert printed[-2:] == [f"MISMATCH {mismatch}",
+                                    "verified 36 checks, 1 failures, 6 trials skipped"]
 
     def test_contradicting_scenario_flag_fails(self, swept, capsys):
         """``--mean-cross 0.1`` replays other instances than a 0.5 sweep's."""
@@ -551,7 +626,7 @@ def _csv(**cells):
     """A one-row records CSV: a stackelberg dense K=5 F=4 row with ``cells``
     replaced."""
     row = dict(scheme="stackelberg", regime="dense", snr_db="10", carriers="5",
-               followers="4", trial="0", seed="7", player="0", utility="1",
+               followers="4", trial="0", seed="7", leader_power="1", player="0", utility="1",
                active_carrier="0", converged="true", verified="")
     row.update(cells)
     return CSV_HEADER + "\n" + ",".join(row[name] for name in CSV_HEADER.split(",")) + "\n"
@@ -568,6 +643,8 @@ BAD_INPUTS = {
     "unknown_regime": _csv(regime="mixed"),
     "uppercase_converged": _csv(converged="TRUE"),
     "unknown_verified": _csv(verified="ok"),
+    "negative_leader_power": _csv(leader_power="-1"),
+    "negative_infinite_leader_power": _csv(leader_power="-inf"),
 }
 UNBUILDABLE = {
     "nan_snr": _csv(snr_db="nan"),
@@ -593,6 +670,19 @@ class TestBadInput:
         assert exit_info.value.code == 2
         error = capsys.readouterr().err.splitlines()[-1]
         assert error.startswith(f"hetnet-ee {command}: error: cannot read --input {path}: ")
+
+    @pytest.mark.parametrize("command", ["summarize", "verify"])
+    def test_file_without_leader_powers_is_named(self, tmp_path, capsys, command):
+        """A file written before each run recorded its leader's power."""
+        header = CSV_HEADER.replace(",leader_power,", ",")
+        path = tmp_path / "old.csv"
+        path.write_text(header + "\nstackelberg,dense,10,5,4,0,7,0,1,0,true,\n")
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(command, "--input", str(path))
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"hetnet-ee {command}: error: cannot read --input {path}: "
+            f"unexpected CSV header: {header!r}, no leader_power column")
 
     @pytest.mark.parametrize("command", ["sweep", "summarize"])
     @pytest.mark.parametrize("target", ["missing_directory", "directory"])

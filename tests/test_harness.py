@@ -24,7 +24,7 @@ from hetnet_ee import (
     solve_sparse,
 )
 from hetnet_ee import dense, harness, oracle
-from hetnet_ee.model import REGIMES, outcomes, stack_instances
+from hetnet_ee.model import REGIMES, allocate, outcomes, stack_instances
 from conftest import edge_cases, extreme_batch
 from hetnet_ee.harness import (
     CSV_HEADER,
@@ -177,25 +177,25 @@ GOLDEN = {
     "dense": (
         dict(carriers=(5, 7), followers=4, snr_db=(0.0, 10.0, 20.0, -30.0, 60.0), trials=8,
              seed=9, m_exponent=2, regime="dense", verify_fraction=0.25),
-        "9c0273d4ec057eeda7edccde7dd1352fd3c157b1ae11b15f0de9131cc39a7d41",
+        "24425f761a5c5812273fe2d59b27b2f1ecdcbd5125dea3ef94641630d86e864c",
     ),
     "sparse": (
         dict(carriers=(3, 6), followers=2, snr_db=(-30.0, 0.0, 25.0, 60.0), trials=10, seed=4,
              m_exponent=5, regime="sparse", mean_cross=2.0, rates=(1.0, 2.0, 0.5),
              verify_fraction=0.25),
-        "8248f2954ac0532db7d44cdfab3f1bbfa49d102a42f2909f2babcc659d84acd1",
+        "d859f97ce65137632eedecdbcfb1f07118b189f9d8e3f041f7eeb4448d65a718",
     ),
     "wide": (
         dict(carriers=(64,), followers=32, snr_db=(0.0, 10.0, 20.0), trials=2, regime="sparse",
              verify_fraction=0.25),
-        "84bd9a361e94fc86b4650f2a842a3dcaf315598be4ed716f187baeca38ce3011",
+        "93950d791148a8e02eb2313297d97013796e878235b34f9c1bc78ff594afecc9",
     ),
     # a base seed of three 32-bit words: each trial hashes five entropy words,
     # one past numpy's four-word pool
     "big_seed": (
         dict(carriers=(5,), followers=4, snr_db=(0.0, 20.0, -30.0), trials=6, seed=2**64 + 5,
              regime="dense", verify_fraction=0.25),
-        "fb12ff57fb397ca7bb83384047379d4d7eef0e3e4668f106441c2dd43b6a102d",
+        "d49900d001afb16e402385b28e881d5fa855e8f54c9aa81eb79e63aebaa951ad",
     ),
 }
 
@@ -309,6 +309,31 @@ class TestBatchedSweep:
                 assert converged[t] == (finite if report is None else report.converged)
 
 
+    @staticmethod
+    def assert_rows_rebuild(batch, model, regime):
+        """Every scheme's allocation is its carriers and its leader's power:
+        the leader's row holds that power on its carrier, and each follower's
+        row is `target_powers` on its carrier against that row (`allocate`),
+        bit for bit, with no RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for scheme in harness.SCHEMES:
+                alloc, _ = harness.run_batch(scheme, batch, model, regime)
+                active = outcomes(batch, model, alloc, regime)[1]
+                again = allocate(batch, model.gamma, active, alloc[:, 0].max(axis=-1))
+                assert again.tobytes() == alloc.tobytes(), scheme
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=edge_cases())
+    def test_allocations_rebuild_from_carriers_and_leader_power(self, case):
+        inst, model, regime = case
+        self.assert_rows_rebuild(stack_instances([inst]), model, regime)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_allocations_rebuild_past_the_float_range(self, model, seed, regime):
+        self.assert_rows_rebuild(extreme_batch(seed), model, regime)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(case=edge_cases())
     def test_batch_rows_are_certified(self, case):
@@ -378,8 +403,8 @@ class TestBatchedSweep:
 
 class TestCsvRoundTrip:
     def test_header_is_pinned(self):
-        assert CSV_HEADER == ("scheme,regime,snr_db,carriers,followers,trial,"
-                              "seed,player,utility,active_carrier,converged,verified")
+        assert CSV_HEADER == ("scheme,regime,snr_db,carriers,followers,trial,seed,"
+                              "leader_power,player,utility,active_carrier,converged,verified")
         assert harness.SUMMARY_HEADER == (
             "scheme,regime,snr_db,carriers,followers,trials,leader_mean,leader_std,"
             "leader_ci95,follower_mean,follower_std,follower_ci95,convergence_rate")
@@ -397,9 +422,10 @@ class TestCsvRoundTrip:
         cfg = tiny_config(verify_fraction=0.5)
         path = tmp_path / "s.csv"
         records = list(run_sweep(cfg))
-        # an infeasible best-channel row: no carrier, not converged
+        # an overflowing best-channel row: no carrier, not converged, an infinite leader
         records.append(dataclasses.replace(records[-1], scheme="best_channel",
-                                           active_carrier=None, converged=False))
+                                           active_carrier=None, converged=False,
+                                           leader_power=math.inf))
         assert {r.verified for r in records} == {"pass", ""}
         write_records(records, path)
         back = read_records(path)
@@ -472,6 +498,7 @@ def reference_line(r: SweepRecord) -> str:
             str(r.followers),
             str(r.trial),
             str(r.seed),
+            "%.17g" % r.leader_power,
             str(r.player),
             _fmt(r.utility),
             "" if r.active_carrier is None else str(r.active_carrier),
@@ -490,6 +517,14 @@ CELL_FLOATS = st.one_of(
     st.floats(),
     st.floats().map(np.float64),
 )
+# a leader's power is nonnegative or NaN, written to round-trip
+_EDGE_POWERS = [math.nan, math.inf, 0.0, 5e-324, 2.5e-310, 1e300]
+POWER_FLOATS = st.one_of(
+    st.sampled_from(_EDGE_POWERS),
+    st.sampled_from(_EDGE_POWERS).map(np.float64),
+    st.floats(min_value=0.0),
+    st.floats(min_value=0.0).map(np.float64),
+)
 
 RECORDS = st.builds(
     SweepRecord,
@@ -500,6 +535,7 @@ RECORDS = st.builds(
     followers=st.integers(0, 63),
     trial=st.integers(0, 10**6),
     seed=st.sampled_from([0, 2**32 - 1]) | st.integers(0, 2**32 - 1),
+    leader_power=POWER_FLOATS,
     player=st.integers(0, 63),
     utility=CELL_FLOATS,
     active_carrier=st.sampled_from([None, 0]) | st.integers(0, 63),
@@ -512,19 +548,19 @@ RECORDS = st.builds(
 # values that are equal but format apart ("0" and "-0", "5" and "5.0"), and
 # nan, which equals nothing
 TWINS = [0.0, -0.0, 5, 5.0, np.float64(5), np.int64(5), math.nan, np.float64(math.nan)]
-PREFIX = [f.name for f in dataclasses.fields(SweepRecord)][:7]
-TAIL = [f.name for f in dataclasses.fields(SweepRecord)][7:]
+PREFIX = [f.name for f in dataclasses.fields(SweepRecord)][:8]
+TAIL = [f.name for f in dataclasses.fields(SweepRecord)][8:]
 
 
 @st.composite
 def prefix_runs(draw):
-    """Records in runs that share their first seven fields as objects, as a
+    """Records in runs that share their first eight fields as objects, as a
     sweep's (trial, scheme) rows do; each run changes one of those fields."""
     values = [getattr(draw(RECORDS), name) for name in PREFIX]
     records = []
     for _ in range(draw(st.integers(1, 8))):
-        i = draw(st.integers(0, 6))
-        values[i] = draw(st.sampled_from((harness.SCHEMES, REGIMES, *[TWINS] * 5)[i]))
+        i = draw(st.integers(0, 7))
+        values[i] = draw(st.sampled_from((harness.SCHEMES, REGIMES, *[TWINS] * 6)[i]))
         for _ in range(draw(st.integers(1, 3))):
             tail = draw(RECORDS)
             records.append(SweepRecord(*values, *[getattr(tail, name) for name in TAIL]))
@@ -549,6 +585,8 @@ class TestRowFormat:
                 if f.name in ("snr_db", "utility"):
                     # the 12-digit text, read back: repr tells nan and -0.0 apart
                     assert repr(getattr(b, f.name)) == repr(float(_fmt(getattr(a, f.name))))
+                elif f.name == "leader_power":  # bit for bit
+                    assert repr(b.leader_power) == repr(float(a.leader_power))
                 elif f.compare:
                     assert getattr(b, f.name) == getattr(a, f.name), f.name
             assert b.instance_digest == ""
@@ -573,7 +611,7 @@ def synth_record(scheme="stackelberg", snr_db=0.0, carriers=3, trial=0,
                  player=0, utility=1.0, converged=True):
     return SweepRecord(scheme=scheme, regime="dense", snr_db=snr_db,
                        carriers=carriers, followers=1, trial=trial, seed=trial,
-                       player=player, utility=utility, active_carrier=0,
+                       leader_power=1.0, player=player, utility=utility, active_carrier=0,
                        converged=converged, verified="")
 
 

@@ -951,9 +951,10 @@ class TestIndependence:
 
     def test_verify_never_roots_inside_the_oracle(self, tmp_path, monkeypatch):
         """`verify` prints the same with the Newton root raising whenever an
-        oracle frame is on the stack; the solvers still use it (the model
-        solves its `gamma` there, which the oracles read as the followers'
-        operating point)."""
+        oracle frame is on the stack.  It runs no solver either: its only
+        roots are the model's `gamma`, at feedback 0, which the oracles read
+        as the followers' operating point and the rebuild as every
+        follower's SINR target."""
         path = tmp_path / "run.csv"
         records = []
         for regime in ("dense", "sparse"):
@@ -984,4 +985,5 @@ class TestIndependence:
 
         monkeypatch.setattr(efficiency, "optimal_sinr_with_feedback", guarded)
         assert verify() == expected and calls
+        assert all(feedback == 0.0 for _, feedback in calls), calls
         assert expected[0] == 0 and "verified 144 checks, 0 failures" in expected[1]

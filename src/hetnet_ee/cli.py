@@ -31,6 +31,7 @@ import dataclasses
 import functools
 import math
 import sys
+from collections import Counter
 from dataclasses import fields
 from operator import attrgetter
 
@@ -52,7 +53,7 @@ from .harness import (
     write_records,
     write_summary,
 )
-from .model import _active, all_utilities, allocate
+from .model import allocate, outcomes
 from .oracle import TOL
 
 _SCENARIO = tuple(f.name for f in fields(ScenarioConfig))
@@ -169,18 +170,29 @@ def _roster(key: tuple, rows: list) -> list:
                     for p in range(followers + 1) if p not in seen]
 
 
-def _diff(key: tuple, rows: list, lead: float, utilities: list, active: list, flag: bool,
+def _shared(rows: list, name: str):
+    """A trial's ``name`` cell, which each row of the run repeats: the value
+    most of its ``rows`` (in player order) carry, the leader row's on a tie."""
+    values = [getattr(r, name) for r in rows]
+    if values.count(values[0]) * 2 >= len(values):  # a majority, or a tie it wins
+        return values[0]
+    keys = ["nan" if v != v else v for v in values]  # NaN is NaN's value
+    counts = Counter(keys)
+    return values[keys.index(max(counts, key=counts.get))]  # the first of the most
+
+
+def _diff(key: tuple, rows: list, lead: float, utilities: list, active: list, claim: bool,
           marks: list) -> list:
     """The ``MISMATCH`` lines of a trial's ``rows``, in player order, against
     its rebuild: each row's leader power against the rebuilt leader's
     (``lead``), its utility as ``%.12g`` text and its active carrier
     against the rebuild's, its ``converged`` cell against the trial's
-    ``flag`` and a ``pass``/``fail`` mark against its player's entry of
+    ``claim`` and a ``pass``/``fail`` mark against its player's entry of
     ``marks``."""
     lines = []
     for r, u, c, mark in zip(rows, utilities, active, marks):
         record = ("%.12g" % r.utility, r.active_carrier, r.converged, r.verified)
-        replay = ("%.12g" % u, None if c < 0 else c, flag, r.verified and mark)
+        replay = ("%.12g" % u, None if c < 0 else c, claim, r.verified and mark)
         power = r.leader_power
         same = power == lead or power != power and lead != lead  # NaN is NaN's power
         if record != replay or not same:
@@ -239,23 +251,21 @@ def _cmd_verify(args: argparse.Namespace, config: ScenarioConfig) -> int:
             picks = np.array([[index(r.active_carrier, -1) for r in rows] if rows else blank
                               for rows in table])
             alloc = allocate(batch, model.gamma, picks,
-                             [rows[0].leader_power if rows else 0.0 for rows in table])
+                             [_shared(rows, "leader_power") if rows else 0.0 for rows in table])
             if scheme == "stackelberg":  # every finite allocation, its core's stop rule
                 claims = np.isfinite(alloc).all(axis=(1, 2)) & [rows is not None for rows in table]
-            else:  # the leader row's converged cell
-                claims = np.array([bool(rows and rows[0].converged) for rows in table])
+            else:  # the run's converged cell
+                claims = np.array([bool(rows and _shared(rows, "converged")) for rows in table])
             checks = verify_batch(scheme, batch, model, alloc, claims, regime, args.tolerance)
-            # a checked scheme's claims are its utilities; best channel has no checks
-            utilities = (checks.claimed if checks.sources
-                         else all_utilities(batch, model, alloc, regime))
+            utilities, actives = outcomes(batch, model, alloc, regime)
             # a sweep marks its picked trials at the oracles' default tolerance
             marked = checks if args.tolerance == TOL else dataclasses.replace(checks, tol=TOL)
-            rebuilt = zip(checks.claims.tolist(), checks.gains.tolist(), checks.passed.tolist(),
-                          marked.passed.tolist(), alloc[:, 0].max(axis=-1).tolist(),
-                          utilities.tolist(), _active(alloc).tolist())
-            for key, rows, (claim, gains, passed, at_tol, lead, utility, active) in zip(
+            rebuilt = zip(claims.tolist(), checks.claims.tolist(), checks.gains.tolist(),
+                          checks.passed.tolist(), marked.passed.tolist(),
+                          alloc[:, 0].max(axis=-1).tolist(), utilities.tolist(), actives.tolist())
+            for key, rows, (claim, checked, gains, passed, at_tol, lead, utility, active) in zip(
                     chunk, table, rebuilt):
-                if claim:
+                if checked:  # a claim the checks certify; best channel has none
                     head = (f"scheme={scheme} snr_db={key[2]:g} K={carriers} F={followers} "
                             f"trial={key[5]} player=")
                     verdicts[key] = [f"{'PASS' if ok else 'FAIL'} {head}{player} gain={gain:.3e}\n"
@@ -264,10 +274,9 @@ def _cmd_verify(args: argparse.Namespace, config: ScenarioConfig) -> int:
                 if rows is None:
                     mismatches[key] = _roster(key, runs[key])
                     continue
-                # a mark is the verdict of a claim; a trial that claims nothing has none
-                marks = ["pass" if ok else "fail" for ok in at_tol] if claim else unmarked
-                flag = claim if scheme == "stackelberg" else rows[0].converged
-                mismatches[key] = _diff(key, rows, lead, utility, active, flag, marks)
+                # a mark is the verdict of a check; a trial with no checks has none
+                marks = ["pass" if ok else "fail" for ok in at_tol] if checked else unmarked
+                mismatches[key] = _diff(key, rows, lead, utility, active, claim, marks)
     # no verdicts: no equilibrium claimed (best channel, or Nash that did not
     # converge), or a trial whose players are not each there once
     skipped = sum(not lines for lines in verdicts.values())

@@ -517,20 +517,16 @@ def sample_batch(
     return NetworkInstance(own[:, 0], own[:, 1:], cross[:, 0], cross[:, 1:], sigma2, rates)
 
 
-def _active(allocation: np.ndarray) -> np.ndarray:
-    """Each row's active carrier, its argmax, or -1 for an all-zero row."""
-    return np.where(allocation.any(axis=-1), allocation.argmax(axis=-1), -1)
-
-
 def outcomes(instance: NetworkInstance, model: EfficiencyModel, allocation, regime: str):
-    """Every player's utility and active carrier (:func:`_active`) under
-    ``allocation``, which is checked for shape and signs."""
+    """Every player's utility and active carrier (its argmax, or -1 for an
+    all-zero row) under ``allocation``, which is checked for shape and signs."""
     allocation = np.asarray(allocation, dtype=float)
     if allocation.shape != instance.gains.shape:
         raise ValueError("allocation has wrong shape")
     if (allocation < 0.0).any():
         raise ValueError("powers must be nonnegative")
-    return all_utilities(instance, model, allocation, regime), _active(allocation)
+    active = np.where(allocation.any(axis=-1), allocation.argmax(axis=-1), -1)
+    return all_utilities(instance, model, allocation, regime), active
 
 
 def make_result(

@@ -510,13 +510,19 @@ class TestVerify:
         (3, "leader_power", "2"),
         (5, "player", "5"),
         (5, "player", "-1"),
+        (1, "leader_power", "2"),
+        (6, "converged", "false"),
+        (11, "converged", "false"),
     ], ids=["utility", "carrier", "converged", "unchecked-utility", "follower-leader-power",
-            "player-past-F", "negative-player"])
+            "player-past-F", "negative-player", "leader-power", "nash-leader-converged",
+            "best-channel-leader-converged"])
     def test_tampered_cell_is_named(self, tmp_path, capsys, swept, row, column, value):
         """A recorded cell that its trial's rebuild does not reproduce is a
         failure, named by its row.  The rebuild keeps a moved follower on its
         recorded carrier, so its utility differs and its check fails there; a
-        trial without each of its players once is not checked."""
+        trial without each of its players once is not checked.  A cell that
+        every row of a run repeats is the value most of them carry, so a
+        tampered leader row is the one named and its trial's verdicts stand."""
         out, rows, clean = swept
         index = rows[0].index(column)
         cells = rows[row][:]

@@ -707,3 +707,12 @@ class TestLayering:
     def test_no_solver_imports_the_baselines(self, stem):
         (path,) = (path for path in SOURCES if path.stem == stem)
         assert "baselines" not in package_imports(path.read_text(encoding="utf-8"))
+
+    def test_cli_imports_no_private_model_name(self):
+        """``verify`` rebuilds a run through ``model``'s public helpers."""
+        (path,) = (path for path in SOURCES if path.stem == "cli")
+        private = [alias.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.ImportFrom) and node.module
+                   and node.module.split(".")[-1] == "model"
+                   for alias in node.names if alias.name.startswith("_")]
+        assert private == []

@@ -8,9 +8,9 @@ interference seen there.  The schemes differ in how carriers are chosen:
   equilibrium of the simultaneous-move game.  The iteration need not
   converge and its report says why it stopped; divergence is reported with
   the last finite iterate, never raised, and its overflow raises no warning.
-* The best-channel heuristic pins each player to its raw best-gain carrier.
-  Its power map is affine with one scalar gain ``b``, so its fixed point is
-  closed form and exists exactly when ``b < 1``; its overflow is named.
+* The best-channel heuristic pins each player to its raw best-gain carrier,
+  where its rows are :func:`model.allocate`'s.  One scalar gain ``b`` makes its
+  fixed point closed form, existing exactly when ``b < 1``; overflow is named.
 
 Both run on every trial of a batch (:func:`nash_batch`, :func:`best_channel_batch`),
 each trial ending in a stop code, an index into :data:`model.STOPS`; :func:`solve_nash` and
@@ -25,7 +25,7 @@ import numpy as np
 
 from .efficiency import EfficiencyModel
 from .model import (CAP, CONVERGED, CYCLE, INFEASIBLE, OVERFLOW, STOPS, EquilibriumResult,
-                    NetworkInstance, _heard, best_response, empty_allocation, hears_followers,
+                    NetworkInstance, allocate, best_response, empty_allocation, hears_followers,
                     leader_interference, make_result, respond, stack_instances)
 
 __all__ = ["IterationReport", "nash_batch", "solve_nash", "best_channel_batch",
@@ -128,11 +128,11 @@ def solve_nash(
 
 
 def best_channel_batch(batch: NetworkInstance, model: EfficiencyModel, regime: str):
-    """:func:`solve_best_channel` on every trial: the allocations ``(T, F+1,
-    K)``, the stop codes of its reports ``(T,)``, the pinned carriers ``(T,
-    F+1)`` and the feedback gains ``b`` ``(T,)``."""
+    """:func:`solve_best_channel` on every trial: :func:`model.allocate`'s
+    allocations ``(T, F+1, K)`` (a dropped follower's carrier is none), the stop
+    codes ``(T,)``, the pinned carriers ``(T, F+1)`` and the feedback gains ``b``."""
     gamma, sigma2, g0, h0 = model.gamma, batch.sigma2[:, 0], batch.g0, batch.h0
-    rows, followers = np.arange(batch.trials), np.arange(batch.followers)
+    rows = np.arange(batch.trials)
     pins = batch.gains.argmax(axis=-1)
     k0 = pins[:, 0]
     coupled = (pins[:, 1:] == k0[:, None]) & hears_followers(regime)
@@ -142,13 +142,11 @@ def best_channel_batch(batch: NetworkInstance, model: EfficiencyModel, regime: s
         g0k = g0[rows, k0]
         b = gamma * gamma * h0[rows, k0] * eta / g0k
         feasible = b < 1.0
-        alloc = np.zeros(batch.gains.shape)
-        alloc[rows, 0, k0] = np.divide(gamma * sigma2 * (1.0 + gamma * eta) / g0k, 1.0 - b,
-                                       out=np.zeros(batch.trials), where=feasible)
-        k, trial = pins[:, 1:], rows[:, None]
-        heard = _heard(h0[trial, k], alloc[trial, 0, k])
-        powers = gamma * (sigma2[:, None] + heard) / batch.gf[trial, followers, k]
-    alloc[trial, followers + 1, k] = np.where(coupled & ~feasible[:, None], 0.0, powers)
+        p0 = np.divide(gamma * sigma2 * (1.0 + gamma * eta) / g0k, 1.0 - b,
+                       out=np.zeros(batch.trials), where=feasible)
+    carriers = pins.copy()
+    carriers[:, 1:][coupled & ~feasible[:, None]] = -1  # dropped with the leader
+    alloc = allocate(batch, gamma, carriers, p0)
     converged = feasible & np.isfinite(alloc).all(axis=(1, 2))
     stop = np.where(converged, CONVERGED, np.where(b >= 1.0, INFEASIBLE, OVERFLOW))
     return np.nan_to_num(alloc, nan=0.0, posinf=0.0), stop, pins, b
@@ -166,11 +164,11 @@ def solve_best_channel(
     ``hf/gf`` on ``k0`` over the followers pinned there (0 in the sparse
     regime), the leader's power solves ``p0 = A + b p0`` with
     ``A = gamma sigma2 (1 + gamma eta) / g0[k0]`` and
-    ``b = gamma^2 h0[k0] eta / g0[k0]``; each follower's follows from it.
-    If ``b < 1`` the report says ``"converged"``.  Otherwise no finite powers
-    reach ``gamma`` on ``k0``: the report says ``"infeasible"``, and the leader
-    and the followers pinned to ``k0`` get all-zero rows (utility 0, the limit
-    of their growing powers); every other row is exact.  A power past the
+    ``b = gamma^2 h0[k0] eta / g0[k0]``; the rows are :func:`model.allocate`'s at the
+    pinned carriers.  If ``b < 1`` the report says ``"converged"``.  Otherwise no finite
+    powers reach ``gamma`` on ``k0``: the report says ``"infeasible"``, the leader's power
+    is 0 and each follower pinned to ``k0`` has carrier none, so their rows are zero
+    (utility 0, the limit of their growing powers); every other row is exact.  A power past the
     float range is 0 as well, and the report says ``"overflow"`` unless ``b >=
     1`` (so a NaN ``b`` says it too).  Reports have ``iterations == 0``.
     ``diagnostics["pinned_carriers"]`` is every player's pinned carrier,

@@ -155,7 +155,7 @@ class ScenarioConfig:
     trials: int = _scenario(500, int, "trials per sweep point")
     seed: int = _scenario(1, int, "base seed for the campaign")
     schemes: tuple = _scenario(
-        SCHEMES, lambda text: tuple(_split(text)), f"comma list from {','.join(SCHEMES)}"
+        SCHEMES, lambda text: tuple(_split(text)), f"comma list from {','.join(SCHEMES)}, each once"
     )
     regime: str = _scenario("dense", str, "sparse or dense")
     rates: object = _scenario(1.0, _rates, "per-player rate, scalar or comma list")
@@ -177,6 +177,8 @@ class ScenarioConfig:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}; choose from {SCHEMES}")
+            if self.schemes.count(s) > 1:  # its runs would share every CSV key
+                raise ValueError(f"scheme {s!r} is listed more than once")
         hears_followers(self.regime)  # rejects an unknown regime
         for k in self.carriers:
             if k < 2:

@@ -170,6 +170,8 @@ class TestScenarioFlags:
         (("--snr-db=5:5:1e-300",), "'5:5:1e-300'"),
         # 1 moves every point up to 2**53, and none past it
         (("--snr-db=9007199254740990:9007199254740999:1",), "past 9007199254740992.0"),
+        # two runs of one scheme would share every key cell of the CSV
+        (("--schemes", "stackelberg,stackelberg"), "'stackelberg'"),
         # a nan tolerance fails every check and an infinite one passes all
         (("verify", "--tolerance", "nan"), "'nan'"),
         (("verify", "--tolerance", "inf"), "'inf'"),
@@ -179,7 +181,7 @@ class TestScenarioFlags:
             "negative_followers", "negative_seed", "nan_snr", "infinite_snr",
             "negative_infinite_snr", "noise_underflow", "infinite_snr_stop",
             "negative_infinite_snr_start", "nan_snr_step", "stalled_snr_step",
-            "tiny_snr_step", "snr_step_stalled_midway", "nan_tolerance",
+            "tiny_snr_step", "snr_step_stalled_midway", "repeated_scheme", "nan_tolerance",
             "infinite_tolerance", "negative_infinite_tolerance"])
     def test_bad_flag_value_exits_2(self, tmp_path, capsys, args, value):
         """`sweep` flags, and `verify` flags on a CSV that verifies."""
@@ -196,7 +198,8 @@ class TestScenarioFlags:
         assert captured.out == ""
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("line", ["trials=0", "verify_grid=300", "carriers", "snr_db=0:inf:5"])
+    @pytest.mark.parametrize("line", ["trials=0", "verify_grid=300", "carriers", "snr_db=0:inf:5",
+                                      "schemes=nash,nash"])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")

@@ -75,6 +75,7 @@ class TestScenarioConfig:
         dict(rates=(1.0, 2.0, 3.0)),
         dict(carriers=()),
         dict(snr_db=()),
+        dict(schemes=("nash", "nash")),
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):

@@ -708,9 +708,11 @@ class TestLayering:
         (path,) = (path for path in SOURCES if path.stem == stem)
         assert "baselines" not in package_imports(path.read_text(encoding="utf-8"))
 
-    def test_cli_imports_no_private_model_name(self):
-        """``verify`` rebuilds a run through ``model``'s public helpers."""
-        (path,) = (path for path in SOURCES if path.stem == "cli")
+    @pytest.mark.parametrize("stem", ["cli", "baselines"])
+    def test_cli_imports_no_private_model_name(self, stem):
+        """``verify`` and best channel build their rows through ``model``'s
+        public helpers."""
+        (path,) = (path for path in SOURCES if path.stem == stem)
         private = [alias.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                    if isinstance(node, ast.ImportFrom) and node.module
                    and node.module.split(".")[-1] == "model"
